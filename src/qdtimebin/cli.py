@@ -21,9 +21,9 @@ from . import sweeps, timebin, tomography
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (
     DephasingModel,
-    default_t_span,
     evolve,
     export_trajectory_csv,
+    pulse_window,
 )
 from .linalg import state_fidelity
 from .ode import IntegrationError
@@ -37,10 +37,7 @@ NUMERICAL_ERROR_EXIT = 3
 def _evolve_from_config(cfg: RunConfig, deph: DephasingModel):
     drive = cfg.pulse.drive(cfg.dot)
     decay = cfg.dot.decay()
-    span = cfg.numerics.t_span
-    if span is None:
-        span = default_t_span(drive, decay)
-    traj = evolve(GROUND, drive, decay, deph, t_span=span,
+    traj = evolve(GROUND, drive, decay, deph, t_span=cfg.t_span(drive),
                   tol=cfg.numerics.tol, max_step=cfg.numerics.max_step)
     return traj, drive, decay
 
@@ -147,7 +144,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     if v_coh is None:
         cfg.require("dot", "pulse", "dephasing")
         drive = cfg.pulse.drive(cfg.dot)
-        span = (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
+        span = pulse_window(drive)
         traj = evolve(GROUND, drive, cfg.dot.decay(), cfg.dephasing,
                       t_span=span, tol=cfg.numerics.tol)
         v_coh = timebin.excitation_coherence(traj, span[1])

@@ -9,12 +9,19 @@ by name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .dynamics import DecayRates, DephasingModel, PulseDrive, omega0_for_area
+from .dynamics import (
+    DecayRates,
+    DephasingModel,
+    PulseDrive,
+    default_t_span,
+    omega0_for_area,
+)
 
 
 class ConfigError(ValueError):
@@ -33,34 +40,56 @@ def _check_keys(section: str, data: dict, allowed: set[str],
         raise ConfigError(f"missing key(s) in '{section}': {', '.join(missing)}")
 
 
+def _value(name: str, v, minimum=None, maximum=None) -> float:
+    """A finite number within [minimum, maximum]; ``name`` is the full key."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"'{name}' must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"'{name}' must be finite, got {v}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"'{name}' must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"'{name}' must be <= {maximum}, got {v}")
+    return float(v)
+
+
 def _number(section: str, data: dict, key: str, default=None,
-            minimum=None, allow_none=False):
+            minimum=None, maximum=None, allow_none=False):
     if key not in data or data[key] is None:
         if default is None and not allow_none:
             raise ConfigError(f"'{section}.{key}' is required")
         return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"'{section}.{key}' must be a number, got {v!r}")
+    return _value(f"{section}.{key}", data[key], minimum, maximum)
+
+
+def _integer(name: str, v, minimum=None) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"'{name}' must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"'{section}.{key}' must be >= {minimum}, got {v}")
-    return float(v)
+        raise ConfigError(f"'{name}' must be >= {minimum}, got {v}")
+    return v
 
 
 def _grid(section: str, spec: Any) -> np.ndarray:
-    """Either an explicit list or {start, stop, num}."""
+    """Either an explicit list or {start, stop, num}; strictly increasing
+    and >= 0."""
     if isinstance(spec, list):
         if len(spec) < 1:
             raise ConfigError(f"'{section}' must not be empty")
-        return np.asarray(spec, dtype=float)
-    if isinstance(spec, dict):
+        grid = np.array([_value(f"{section}[{i}]", v, minimum=0.0)
+                         for i, v in enumerate(spec)])
+    elif isinstance(spec, dict):
         _check_keys(section, spec, {"start", "stop", "num"},
                     {"start", "stop", "num"})
-        num = spec["num"]
-        if not isinstance(num, int) or num < 2:
-            raise ConfigError(f"'{section}.num' must be an integer >= 2")
-        return np.linspace(float(spec["start"]), float(spec["stop"]), num)
-    raise ConfigError(f"'{section}' must be a list or a start/stop/num object")
+        num = _integer(f"{section}.num", spec["num"], minimum=2)
+        grid = np.linspace(_number(section, spec, "start", minimum=0.0),
+                           _number(section, spec, "stop", minimum=0.0), num)
+    else:
+        raise ConfigError(
+            f"'{section}' must be a list or a start/stop/num object")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"'{section}' must be strictly increasing")
+    return grid
 
 
 @dataclass
@@ -96,8 +125,9 @@ class PulseConfig:
         cfg = cls(
             sigma=_number("pulse", data, "sigma", minimum=1e-12),
             t0=_number("pulse", data, "t0", 0.0),
-            area=_number("pulse", data, "area", allow_none=True),
-            omega0=_number("pulse", data, "omega0", allow_none=True))
+            area=_number("pulse", data, "area", minimum=0.0, allow_none=True),
+            omega0=_number("pulse", data, "omega0", minimum=0.0,
+                           allow_none=True))
         if cfg.area is not None and cfg.omega0 is not None:
             raise ConfigError("'pulse' must set either 'area' or 'omega0', not both")
         return cfg
@@ -115,13 +145,10 @@ class PulseConfig:
 
 def parse_dephasing(data: dict, section: str = "dephasing") -> DephasingModel:
     _check_keys(section, data, {"gamma_bg", "gamma_i0", "n_p"})
-    n_p = data.get("n_p", 2)
-    if not isinstance(n_p, int) or n_p < 0:
-        raise ConfigError(f"'{section}.n_p' must be a non-negative integer")
     return DephasingModel(
         gamma_bg=_number(section, data, "gamma_bg", 0.0, minimum=0.0),
         gamma_i0=_number(section, data, "gamma_i0", 0.0, minimum=0.0),
-        n_p=n_p)
+        n_p=_integer(f"{section}.n_p", data.get("n_p", 2), minimum=0))
 
 
 @dataclass
@@ -137,10 +164,12 @@ class TimebinConfig:
                     {"phi_p", "epsilon", "pairing_weight", "v_coh"})
         return cls(
             phi_p=_number("timebin", data, "phi_p", 0.0),
-            epsilon=_number("timebin", data, "epsilon", 0.0, minimum=0.0),
+            epsilon=_number("timebin", data, "epsilon", 0.0, minimum=0.0,
+                            maximum=1.0),
             pairing_weight=_number("timebin", data, "pairing_weight", 4.0,
                                    minimum=1e-12),
-            v_coh=_number("timebin", data, "v_coh", allow_none=True))
+            v_coh=_number("timebin", data, "v_coh", minimum=0.0, maximum=1.0,
+                          allow_none=True))
 
 
 @dataclass
@@ -152,15 +181,11 @@ class TomographyConfig:
     @classmethod
     def parse(cls, data: dict) -> "TomographyConfig":
         _check_keys("tomography", data, {"n_mean", "seed", "n_seeds"})
-        seed = data.get("seed", 1)
-        n_seeds = data.get("n_seeds", 1)
-        if not isinstance(seed, int):
-            raise ConfigError("'tomography.seed' must be an integer")
-        if not isinstance(n_seeds, int) or n_seeds < 1:
-            raise ConfigError("'tomography.n_seeds' must be a positive integer")
         return cls(n_mean=_number("tomography", data, "n_mean", 1e5,
                                   minimum=1e-9),
-                   seed=seed, n_seeds=n_seeds)
+                   seed=_integer("tomography.seed", data.get("seed", 1)),
+                   n_seeds=_integer("tomography.n_seeds",
+                                    data.get("n_seeds", 1), minimum=1))
 
 
 @dataclass
@@ -184,7 +209,8 @@ class SweepConfig:
         if "sigmas" in data:
             if not isinstance(data["sigmas"], list) or not data["sigmas"]:
                 raise ConfigError("'sweep.sigmas' must be a non-empty list")
-            cfg.sigmas = [float(s) for s in data["sigmas"]]
+            cfg.sigmas = [_value(f"sweep.sigmas[{i}]", s, minimum=1e-12)
+                          for i, s in enumerate(data["sigmas"])]
         if "models" in data:
             if not isinstance(data["models"], list) or not data["models"]:
                 raise ConfigError("'sweep.models' must be a non-empty list")
@@ -193,10 +219,7 @@ class SweepConfig:
         if "fit" in data:
             _check_keys("sweep.fit", data["fit"], {"n_p", "target_ratio"},
                         {"n_p", "target_ratio"})
-            n_p = data["fit"]["n_p"]
-            if not isinstance(n_p, int):
-                raise ConfigError("'sweep.fit.n_p' must be an integer")
-            cfg.fit_n_p = n_p
+            cfg.fit_n_p = _integer("sweep.fit.n_p", data["fit"]["n_p"])
             cfg.fit_target_ratio = _number("sweep.fit", data["fit"],
                                            "target_ratio")
         return cfg
@@ -213,14 +236,17 @@ class NumericsConfig:
         _check_keys("numerics", data, {"tol", "t_span", "max_step"})
         span = data.get("t_span")
         if span is not None:
-            if (not isinstance(span, list) or len(span) != 2
-                    or span[1] <= span[0]):
+            if not isinstance(span, list) or len(span) != 2:
                 raise ConfigError("'numerics.t_span' must be [t0, t1] with t1 > t0")
-            span = (float(span[0]), float(span[1]))
-        return cls(tol=_number("numerics", data, "tol", 1e-8, minimum=1e-14),
+            span = tuple(_value(f"numerics.t_span[{i}]", t)
+                         for i, t in enumerate(span))
+            if span[1] <= span[0]:
+                raise ConfigError("'numerics.t_span' must be [t0, t1] with t1 > t0")
+        return cls(tol=_number("numerics", data, "tol", 1e-8, minimum=1e-14,
+                               maximum=1e-3),
                    t_span=span,
                    max_step=_number("numerics", data, "max_step",
-                                    allow_none=True))
+                                    minimum=1e-12, allow_none=True))
 
 
 _SECTIONS = {"dot", "pulse", "dephasing", "timebin", "tomography", "sweep",
@@ -256,6 +282,15 @@ class RunConfig:
         for s in sections:
             if s not in self.raw:
                 raise ConfigError(f"command requires config section '{s}'")
+
+    def t_span(self, drive: PulseDrive) -> tuple[float, float]:
+        """'numerics.t_span', or the default span of the pulse and its decay."""
+        if self.numerics.t_span is not None:
+            return self.numerics.t_span
+        if self.dot.gamma_x <= 0:
+            raise ConfigError(
+                "'numerics.t_span' is required when 'dot.gamma_x' is 0")
+        return default_t_span(drive, self.dot.decay())
 
     def resolved(self) -> dict:
         """Canonical JSON-ready form embedded in every output header."""

@@ -24,9 +24,6 @@ G, X, B = 0, 1, 2
 
 LN2 = math.log(2.0)
 
-# Quadrature refinement target for the emitted-photon integrals.
-EMISSION_QUAD_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class PulseDrive:
@@ -259,17 +256,26 @@ class Trajectory:
         return (1 - w) * self.states[i] + w * self.states[i + 1]
 
 
-def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
-    """(t0 - 5 sigma, t0 + 5 sigma + 10 / gamma_x).
+def pulse_window(drive: PulseDrive) -> tuple[float, float]:
+    """(t0 - 5 sigma, t0 + 5 sigma): outside it the drive is below 3e-8 of
+    its peak, so the generator is constant and the populations decay freely.
+    """
+    return (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
 
-    The tail is long enough that the emission integrals are converged to
-    better than e^-10; a vanishing gamma_x has no finite tail, so callers
-    must then pass an explicit span.
+
+def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
+    """The pulse window extended by 10 exciton lifetimes (10 / gamma_x).
+
+    For trajectories that follow the radiative decay after the pulse, such
+    as the ``evolve`` CSV; emission yields need no such span, since
+    ``sweeps.emission_after_pulse`` adds the post-pulse emission exactly.
+    A vanishing gamma_x has no finite tail, so callers must then pass an
+    explicit span.
     """
     if decay.gamma_x <= 0:
         raise ValueError("default span needs gamma_x > 0; pass t_span explicitly")
-    return (drive.t0 - 5 * drive.sigma,
-            drive.t0 + 5 * drive.sigma + 10.0 / decay.gamma_x)
+    start, end = pulse_window(drive)
+    return start, end + 10.0 / decay.gamma_x
 
 
 def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
@@ -331,48 +337,21 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
 
 # --- emission probabilities -------------------------------------------------
 
-def _refined_integral(times: np.ndarray, values: np.ndarray, t_f: float) -> float:
-    """Integral of a sampled population up to t_f.
-
-    Trapezoid on the stored grid, then on grids refined 2x per level through
-    a cubic interpolant until the result moves by less than the quadrature
-    target.
-    """
-    i_end = int(np.searchsorted(times, t_f, side="left"))
-    if i_end < len(times) and times[i_end] == t_f:
-        ts = times[: i_end + 1].copy()
-    else:
-        ts = np.append(times[:i_end], t_f)
-    if len(ts) < 2:
-        return 0.0
-    spline = CubicSpline(times, values)
-    prev = float(np.trapezoid(spline(ts), ts))
-    for level in range(1, 9):
-        k = 2 ** level
-        frac = np.arange(1, k)[None, :] / k
-        mids = ts[:-1, None] + frac * np.diff(ts)[:, None]
-        grid = np.sort(np.concatenate([ts, mids.ravel()]))
-        cur = float(np.trapezoid(spline(grid), grid))
-        if abs(cur - prev) < EMISSION_QUAD_TOL:
-            return cur
-        prev = cur
-    return prev
-
-
 def emission_probabilities(traj: Trajectory, decay: DecayRates,
                            t_f: float) -> tuple[float, float]:
     """Emitted-photon probabilities up to t_f.
 
     P_i(t_f) = gamma_i * integral of the level-i population from the start
-    of the trajectory to t_f.  Exciton emission includes the cascade fed by
+    of the trajectory to t_f, taken exactly on the cubic spline through the
+    stored populations.  Exciton emission includes the cascade fed by
     biexciton decay, so P_x >= P_b in the absence of re-excitation.
     """
     ts = traj.times
     if not ts[0] <= t_f <= ts[-1]:
         raise ValueError(f"t_f = {t_f} outside trajectory range [{ts[0]}, {ts[-1]}]")
-    p_x = decay.gamma_x * _refined_integral(ts, traj.populations[:, X], t_f)
-    p_b = decay.gamma_b * _refined_integral(ts, traj.populations[:, B], t_f)
-    return float(p_x), float(p_b)
+    int_x, int_b = CubicSpline(ts, traj.populations[:, (X, B)]).integrate(
+        ts[0], t_f)
+    return float(decay.gamma_x * int_x), float(decay.gamma_b * int_b)
 
 
 def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,15 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Everything in the simulator lives in dimension 3 (quantum-dot ladder) or 4
-(two photonic qubits), so we use a self-contained cyclic Jacobi eigensolver
-instead of delegating to LAPACK.  Matrices are plain complex ndarrays;
-density matrices carry their basis convention at the call site.
+(two photonic qubits).  Eigendecompositions go through LAPACK
+(``np.linalg.eigh``) behind a wrapper that validates hermiticity and
+returns eigenvalues in descending order.  Matrices are plain complex
+ndarrays; density matrices carry their basis convention at the call site.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Off-diagonal Frobenius norm at which a Jacobi sweep counts as converged,
-# relative to max(1, ||A||_F).
-JACOBI_TOL = 1e-12
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -34,14 +31,9 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-9) -> bool:
     return hermiticity_defect(m) <= tol
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-9,
-                  max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by classical complex Jacobi rotations.
+def eig_hermitian(m: np.ndarray,
+                  herm_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a Hermitian matrix.
 
     Parameters
     ----------
@@ -58,7 +50,8 @@ def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-9,
     Raises
     ------
     ValueError
-        If the input is not Hermitian; the message carries the defect size.
+        If the input is not square, or not Hermitian; the message carries
+        the defect size.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -68,65 +61,9 @@ def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-9,
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e} "
             f"exceeds tolerance {herm_tol:.1e}")
-
-    n = m.shape[0]
-    # Work on the exactly-Hermitian part so roundoff in the input cannot leak
-    # into complex diagonal entries.
-    a = 0.5 * (m + dag(m))
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps * n * n):
-        # classical Jacobi: annihilate the largest off-diagonal element
-        off = np.abs(a - np.diag(np.diag(a)))
-        p, q = np.unravel_index(np.argmax(off), off.shape)
-        if off[p, q] == 0.0 or _off_diagonal_norm(a) <= JACOBI_TOL * scale:
-            break
-        if p > q:
-            p, q = q, p
-
-        apq = a[p, q]
-        r = abs(apq)
-        phase = apq / r  # e^{i phi}, with a[p,q] = r e^{i phi}
-        app = a[p, p].real
-        aqq = a[q, q].real
-        tau = (aqq - app) / (2.0 * r)
-        if tau >= 0.0:
-            t = 1.0 / (tau + np.hypot(1.0, tau))
-        else:
-            t = -1.0 / (-tau + np.hypot(1.0, tau))
-        c = 1.0 / np.hypot(1.0, t)
-        s = t * c
-
-        # U = diag-phase * real rotation on the (p, q) plane; a <- U^dag a U
-        up = np.zeros(n, dtype=complex)
-        uq = np.zeros(n, dtype=complex)
-        up[p], up[q] = c, s
-        uq[p], uq[q] = -s * np.conj(phase), c * np.conj(phase)
-
-        col_p = a[:, p] * up[p] + a[:, q] * uq[p]
-        col_q = a[:, p] * up[q] + a[:, q] * uq[q]
-        a[:, p] = col_p
-        a[:, q] = col_q
-        row_p = np.conj(up[p]) * a[p, :] + np.conj(uq[p]) * a[q, :]
-        row_q = np.conj(up[q]) * a[p, :] + np.conj(uq[q]) * a[q, :]
-        a[p, :] = row_p
-        a[q, :] = row_q
-        a[p, q] = 0.0
-        a[q, p] = 0.0
-        a[p, p] = a[p, p].real
-        a[q, q] = a[q, q].real
-
-        vcol_p = v[:, p] * up[p] + v[:, q] * uq[p]
-        vcol_q = v[:, p] * up[q] + v[:, q] * uq[q]
-        v[:, p] = vcol_p
-        v[:, q] = vcol_q
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    # the exactly-Hermitian part, so roundoff in the input cannot leak in
+    w, v = np.linalg.eigh(0.5 * (m + dag(m)))
+    return w[::-1], v[:, ::-1]
 
 
 def min_eigenvalue(m: np.ndarray, herm_tol: float = 1e-8) -> float:

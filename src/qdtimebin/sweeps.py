@@ -20,11 +20,12 @@ from .dynamics import (
     DecayRates,
     DephasingModel,
     PulseDrive,
-    default_t_span,
     emission_probabilities,
     evolve,
     omega0_for_area,
+    pulse_window,
 )
+from .ode import IntegrationError
 
 GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
@@ -63,30 +64,48 @@ class SweepResult:
         return self.p_x > 1.0
 
 
-def _ratio_columns(p_x: np.ndarray, p_b: np.ndarray):
-    direct = p_x - p_b
-    saturated = direct <= DIRECT_EXCITON_FLOOR
-    ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
-    return ratio, saturated
-
-
 def _point_job(args):
-    """Evolve one sweep point; returns (p_x, p_b) or an error string."""
+    """Emission of one sweep point; (p_x, p_b), or an error string when the
+    integration fails."""
     omega0, sigma, t0, delta_x, delta_b, decay, deph, tol = args
     drive = PulseDrive(omega0=omega0, sigma=sigma, t0=t0,
                        delta_x=delta_x, delta_b=delta_b)
     try:
-        traj = evolve(GROUND, drive, decay, deph, tol=tol)
-        return emission_probabilities(traj, decay, traj.times[-1])
-    except Exception as exc:  # failure marker, sweep continues
+        return emission_after_pulse(drive, decay, deph, tol=tol)
+    except IntegrationError as exc:  # failure marker, sweep continues
         return f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(jobs, workers: int):
+def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
+                  omega0: np.ndarray, sigma: float, deph: DephasingModel,
+                  decay: DecayRates, delta_x: float, delta_b: float,
+                  t0: float, tol: float, workers: int) -> SweepResult:
+    """Evaluate one curve point by point, in ``workers`` processes.
+
+    Failed points leave NaN entries and an (index, message) failure record.
+    """
+    jobs = [(w, sigma, t0, delta_x, delta_b, decay, deph, tol) for w in omega0]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_point_job, jobs))
-    return [_point_job(j) for j in jobs]
+            raw = list(pool.map(_point_job, jobs))
+    else:
+        raw = [_point_job(j) for j in jobs]
+
+    p_x = np.full(len(jobs), np.nan)
+    p_b = np.full(len(jobs), np.nan)
+    failures = []
+    for i, r in enumerate(raw):
+        if isinstance(r, str):
+            failures.append((i, r))
+        else:
+            p_x[i], p_b[i] = r
+    direct = p_x - p_b
+    saturated = direct <= DIRECT_EXCITON_FLOOR
+    ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
+    return SweepResult(
+        abscissa=abscissa, abscissa_kind=abscissa_kind, omega0=omega0,
+        p_b=p_b, p_x=p_x, ratio=ratio, saturated=saturated,
+        sigma=float(sigma), deph=deph, decay=decay, failures=failures)
 
 
 def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
@@ -95,54 +114,38 @@ def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
                workers: int = 1) -> SweepResult:
     """Emission probabilities versus pulse area, starting from the ground state.
 
-    Each point converts the area to a peak amplitude at fixed ``sigma``,
-    integrates over the default span (pulse plus radiative tail) and records
-    the total biexciton and exciton photon yields.  Integration failures at
-    individual points leave NaN entries and a failure record instead of
-    aborting the sweep.
+    Each point converts the area to a peak amplitude at fixed ``sigma`` and
+    records the total biexciton and exciton photon yields of one pulse from
+    ``emission_after_pulse``.  Integration failures at individual points
+    leave NaN entries and a failure record instead of aborting the sweep.
     """
     areas = np.asarray(areas, dtype=float)
     if len(areas) < 2 or np.any(np.diff(areas) <= 0):
         raise ValueError("areas must be increasing with at least 2 points")
-    jobs = [(omega0_for_area(a, sigma), sigma, t0, delta_x, delta_b,
-             decay, deph, tol) for a in areas]
-    raw = _run_points(jobs, workers)
-
-    p_x = np.full(len(areas), np.nan)
-    p_b = np.full(len(areas), np.nan)
-    failures = []
-    for i, r in enumerate(raw):
-        if isinstance(r, str):
-            failures.append((i, r))
-        else:
-            p_x[i], p_b[i] = r
-    ratio, saturated = _ratio_columns(p_x, p_b)
-    return SweepResult(
-        abscissa=areas, abscissa_kind="area",
-        omega0=np.array([j[0] for j in jobs]),
-        p_b=p_b, p_x=p_x, ratio=ratio, saturated=saturated,
-        sigma=sigma, deph=deph, decay=decay, failures=failures)
+    omega0 = np.array([omega0_for_area(a, sigma) for a in areas])
+    return _sweep_points(areas, "area", omega0, sigma, deph, decay,
+                         delta_x, delta_b, t0, tol, workers)
 
 
-# --- fast emission evaluation for the fitting loops -------------------------
+# --- emission of one pulse ----------------------------------------------------
 
 def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
                          deph: DephasingModel, tol: float = 1e-8):
     """Total (p_x, p_b) for one pulse, with the radiative tail added in closed
     form.
 
-    Integrates only over [t0 - 5 sigma, t0 + 5 sigma]; after the drive is
-    off the populations decay freely, so the remaining emission equals the
-    populations left on the levels (rho_bb feeds both channels).  Requires
-    strictly positive decay rates.
+    Integrates only over the pulse window; after the drive is off the
+    populations decay freely, so the remaining emission of a level with a
+    positive rate equals the population left on it, and rho_bb also feeds
+    the exciton.  A level with zero rate emits nothing after the pulse.
     """
-    if decay.gamma_b <= 0 or decay.gamma_x <= 0:
-        raise ValueError("closed-form tail needs positive decay rates")
-    span = (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
-    traj = evolve(GROUND, drive, decay, deph, t_span=span, tol=tol)
+    traj = evolve(GROUND, drive, decay, deph, t_span=pulse_window(drive),
+                  tol=tol)
     p_x, p_b = emission_probabilities(traj, decay, traj.times[-1])
-    pop = traj.populations[-1]
-    return p_x + pop[1] + pop[2], p_b + pop[2]
+    _, rho_xx, rho_bb = traj.populations[-1]
+    tail_b = rho_bb if decay.gamma_b > 0 else 0.0
+    tail_x = rho_xx + tail_b if decay.gamma_x > 0 else 0.0
+    return p_x + tail_x, p_b + tail_b
 
 
 def coherent_first_max_area(sigma: float, delta_x: float) -> float:
@@ -283,6 +286,7 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
     curves for different sigmas are comparable.  The direct-exciton yield is
     taken as p_x - p_b: every biexciton decay feeds exactly one cascade
     exciton photon, so the excess isolates direct excitation of the exciton.
+    Each point takes both yields of one pulse from ``emission_after_pulse``.
     With delta_x = 0 the exciton transition is resonant and the ratio
     collapses; a finite delta_x is required for meaningful curves.
 
@@ -297,30 +301,14 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
 
     results = []
     for sigma in sigmas:
-        omega0 = np.sqrt(energy_axis / sigma)
-        jobs = [(w, sigma, t0, delta_x, delta_b, decay, deph, tol)
-                for w in omega0]
-        raw = _run_points(jobs, workers)
-        p_x = np.full(len(jobs), np.nan)
-        p_b = np.full(len(jobs), np.nan)
-        failures = []
-        for i, r in enumerate(raw):
-            if isinstance(r, str):
-                failures.append((i, r))
-            else:
-                p_x[i], p_b[i] = r
-        ratio, saturated = _ratio_columns(p_x, p_b)
-
-        res = SweepResult(
-            abscissa=energy_axis.copy(), abscissa_kind="energy",
-            omega0=omega0, p_b=p_b, p_x=p_x, ratio=ratio,
-            saturated=saturated, sigma=float(sigma), deph=deph, decay=decay,
-            failures=failures)
-        usable = ~saturated & np.isfinite(ratio)
+        res = _sweep_points(energy_axis.copy(), "energy",
+                            np.sqrt(energy_axis / sigma), sigma, deph, decay,
+                            delta_x, delta_b, t0, tol, workers)
+        usable = ~res.saturated & np.isfinite(res.ratio)
         if usable.any():
-            idx = int(np.argmax(np.where(usable, ratio, -np.inf)))
+            idx = int(np.argmax(np.where(usable, res.ratio, -np.inf)))
             res.peak_abscissa = float(energy_axis[idx])
-            res.peak_ratio = float(ratio[idx])
+            res.peak_ratio = float(res.ratio[idx])
             res.peak_interior = bool(0 < idx < len(energy_axis) - 1)
         results.append(res)
     return results

@@ -164,8 +164,8 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
     n_hat = _estimate_norm(data)
     probs = data.counts / n_hat
     basis = _hermitian_basis()
-    design = np.array([[np.real(np.trace(s.operator() @ b)) for b in basis]
-                       for s in data.settings])
+    ops = np.array([s.operator() for s in data.settings])
+    design = np.einsum("kij,bji->kb", ops, np.array(basis)).real
     if np.linalg.matrix_rank(design, tol=1e-10) < 16:
         raise ValueError("singular design matrix: settings are not "
                          "informationally complete")
@@ -223,17 +223,20 @@ def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
 
     The deviance is the negative log-likelihood shifted by the saturated
     model's value, so it is ~0 at a perfect fit; that keeps the optimizer's
-    relative-improvement stopping rule meaningful.  The shift is constant
-    in t, so the gradient is that of the log-likelihood itself.
+    relative-improvement stopping rule meaningful.  It is summed term by
+    term, (mu - c) + c log(c / mu) >= 0, rather than as the difference of
+    two sums of order counts * log(counts), which would cancel to roundoff
+    near the optimum.  The shift is constant in t, so the gradient is that
+    of the log-likelihood itself.
     """
     m = _t_from_params(t)
     g = dag(m) @ m
     s = np.trace(g).real
     q = np.einsum("kij,ji->k", ops, g).real
     mu = np.clip(n_hat * q / s, 1e-12, None)
-    base = np.sum(counts[counts > 0] * np.log(counts[counts > 0])
-                  - counts[counts > 0])
-    nll = float(np.sum(mu - counts * np.log(mu)) + base)
+    seen = counts > 0
+    nll = float(np.sum(mu - counts)
+                + np.sum(counts[seen] * np.log(counts[seen] / mu[seen])))
     coeff = (1.0 - counts / mu) * (n_hat / s)
     w = np.einsum("k,kij->ij", coeff, ops)
     w = w - np.eye(4) * np.sum(coeff * q) / s

@@ -55,6 +55,42 @@ def test_malformed_config_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def _set(path, value):
+    def edit(data):
+        *parents, key = path
+        node = data
+        for p in parents:
+            node = node.setdefault(p, {})
+        node[key] = value
+    return edit
+
+
+_AREAS = {"models": [{"gamma_bg": 0.0, "gamma_i0": 0.0, "n_p": 2}]}
+_SIGMAS = {"energies": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("command, edit, key", [
+    ("rabi", _set(["sweep"], dict(_AREAS, areas=[1.0, "2"])), "sweep.areas"),
+    ("ratio", _set(["sweep"], dict(_SIGMAS, sigmas=["4"])), "sweep.sigmas"),
+    ("ratio", _set(["sweep"], dict(_SIGMAS, sigmas=[-4.0])), "sweep.sigmas"),
+    ("evolve", _set(["numerics", "t_span"], [0.0, "1"]), "numerics.t_span"),
+    ("entangle", _set(["timebin"], {"v_coh": 1.5}), "timebin.v_coh"),
+    ("evolve", _set(["numerics", "max_step"], 0), "numerics.max_step"),
+    ("evolve", _set(["numerics", "tol"], 0.5), "numerics.tol"),
+    ("evolve", _set(["dot", "gamma_x"], 0.0), "numerics.t_span"),
+    ("evolve", _set(["dot", "delta_x"], float("nan")), "dot.delta_x"),
+    ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
+    ("evolve", _set(["pulse", "area"], -3.0), "pulse.area"),
+])
+def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
+                                           key):
+    data = evolve_config(area=1.0)
+    edit(data)
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_rabi_three_models_three_files(tmp_path):
     data = evolve_config()
     del data["pulse"]["area"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdtimebin import sweeps
 from qdtimebin.dynamics import (
     DecayRates,
     DephasingModel,
@@ -11,6 +12,7 @@ from qdtimebin.dynamics import (
     evolve,
     omega0_for_area,
 )
+from qdtimebin.ode import IntegrationError
 from qdtimebin.sweeps import (
     GROUND,
     OverdampedError,
@@ -72,10 +74,55 @@ def test_emission_after_pulse_matches_full_span():
     assert p_b_fast == pytest.approx(p_b_ref, abs=1e-7)
 
 
-def test_emission_after_pulse_needs_decay():
-    drive = PulseDrive(omega0=0.1, sigma=5.0)
-    with pytest.raises(ValueError):
-        emission_after_pulse(drive, DecayRates(0.0, 0.0), NO_DEPH)
+def test_emission_after_pulse_zero_rates():
+    drive = PulseDrive(omega0=0.35, sigma=12.0, delta_x=0.5)
+    deph = DephasingModel(0.0, 0.0349, 2)
+    # a biexciton that never decays leaves only direct exciton emission
+    no_b = DecayRates(gamma_b=0.0, gamma_x=0.002)
+    p_x, p_b = emission_after_pulse(drive, no_b, deph, tol=1e-9)
+    traj = evolve(GROUND, drive, no_b, deph, tol=1e-9)
+    p_x_ref, _ = emission_probabilities(traj, no_b, traj.times[-1])
+    assert p_b == 0.0
+    assert p_x > 1e-3
+    assert p_x == pytest.approx(p_x_ref, abs=2 * np.exp(-10))
+    # an exciton that never decays emits nothing; the biexciton emission
+    # is checked on a span that follows its own decay to e^-10
+    no_x = DecayRates(gamma_b=0.004, gamma_x=0.0)
+    p_x, p_b = emission_after_pulse(drive, no_x, deph, tol=1e-9)
+    traj = evolve(GROUND, drive, no_x, deph, t_span=(-60.0, 60.0 + 10 / 0.004),
+                  tol=1e-9)
+    _, p_b_ref = emission_probabilities(traj, no_x, traj.times[-1])
+    assert p_x == 0.0
+    assert p_b > 0.1
+    assert p_b == pytest.approx(p_b_ref, abs=2 * np.exp(-10))
+    assert emission_after_pulse(drive, DecayRates(0.0, 0.0), deph) == (0.0, 0.0)
+
+
+def test_rabi_sweep_points_are_emission_after_pulse():
+    deph = DephasingModel(0.0, 0.0349, 2)
+    res = rabi_sweep(12.0, deph, DECAY, areas=[3.0, 9.0], delta_x=0.5)
+    for w, p_x, p_b in zip(res.omega0, res.p_x, res.p_b):
+        drive = PulseDrive(omega0=w, sigma=12.0, delta_x=0.5)
+        assert (p_x, p_b) == emission_after_pulse(drive, DECAY, deph)
+
+
+def test_sweep_records_only_integration_failures(monkeypatch):
+    def bad_call(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", bad_call)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        rabi_sweep(12.0, NO_DEPH, DECAY, areas=[1.0, 2.0])
+
+    def underflow(*args, **kwargs):
+        raise IntegrationError("step size underflow (1e-15) at t = 3", 3.0)
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", underflow)
+    res = rabi_sweep(12.0, NO_DEPH, DECAY, areas=[1.0, 2.0])
+    assert np.isnan(res.p_x).all() and np.isnan(res.p_b).all()
+    assert res.failures == [
+        (i, "IntegrationError: step size underflow (1e-15) at t = 3")
+        for i in range(2)]
 
 
 def test_first_cycle_extrema_ordering():
