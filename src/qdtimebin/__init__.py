@@ -5,6 +5,7 @@ from .dynamics import (
     ConstantDrive,
     DecayRates,
     DephasingModel,
+    IntegrationError,
     PulseDrive,
     Trajectory,
     emission_probabilities,
@@ -16,7 +17,6 @@ from .dynamics import (
     pulse_energy,
 )
 from .linalg import eig_hermitian, state_fidelity
-from .ode import IntegrationError
 from .sweeps import SweepResult, fit_gamma_i0, rabi_sweep, ratio_sweep
 from .timebin import (
     TimeBinModelParams,

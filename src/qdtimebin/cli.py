@@ -21,12 +21,12 @@ from . import sweeps, timebin, tomography
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (
     DephasingModel,
+    IntegrationError,
     evolve,
     export_trajectory_csv,
     pulse_window,
 )
 from .linalg import state_fidelity
-from .ode import IntegrationError
 from .sweeps import GROUND, export_sweep_csv
 from .timebin import TimeBinModelParams
 

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import (
+    TOL_FLOOR,
     DecayRates,
     DephasingModel,
     PulseDrive,
@@ -62,11 +63,13 @@ def _number(section: str, data: dict, key: str, default=None,
     return _value(f"{section}.{key}", data[key], minimum, maximum)
 
 
-def _integer(name: str, v, minimum=None) -> int:
+def _integer(name: str, v, minimum=None, maximum=None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"'{name}' must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"'{name}' must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"'{name}' must be <= {maximum}, got {v}")
     return v
 
 
@@ -219,9 +222,13 @@ class SweepConfig:
         if "fit" in data:
             _check_keys("sweep.fit", data["fit"], {"n_p", "target_ratio"},
                         {"n_p", "target_ratio"})
-            cfg.fit_n_p = _integer("sweep.fit.n_p", data["fit"]["n_p"])
+            cfg.fit_n_p = _integer("sweep.fit.n_p", data["fit"]["n_p"],
+                                   minimum=0, maximum=4)
             cfg.fit_target_ratio = _number("sweep.fit", data["fit"],
                                            "target_ratio")
+            if cfg.fit_target_ratio <= 1.0:
+                raise ConfigError("'sweep.fit.target_ratio' must exceed 1, "
+                                  f"got {cfg.fit_target_ratio}")
         return cfg
 
 
@@ -242,8 +249,8 @@ class NumericsConfig:
                          for i, t in enumerate(span))
             if span[1] <= span[0]:
                 raise ConfigError("'numerics.t_span' must be [t0, t1] with t1 > t0")
-        return cls(tol=_number("numerics", data, "tol", 1e-8, minimum=1e-14,
-                               maximum=1e-3),
+        return cls(tol=_number("numerics", data, "tol", 1e-8,
+                               minimum=TOL_FLOOR, maximum=1e-3),
                    t_span=span,
                    max_step=_number("numerics", data, "max_step",
                                     minimum=1e-12, allow_none=True))

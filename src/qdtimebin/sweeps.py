@@ -19,13 +19,13 @@ from .dynamics import (
     LN2,
     DecayRates,
     DephasingModel,
+    IntegrationError,
     PulseDrive,
     emission_probabilities,
     evolve,
     omega0_for_area,
     pulse_window,
 )
-from .ode import IntegrationError
 
 GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 

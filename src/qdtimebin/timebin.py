@@ -28,10 +28,10 @@ EE, EL, LE, LL = 0, 1, 2, 3
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
-# alpha resolution of the fringe scan; the joint projection probability is a
-# degree-2 trigonometric polynomial, so this grid resolves the visibility to
-# well below 1e-5.
-_FRINGE_SAMPLES = 8192
+# Number of late bins in each joint basis state, and the X photon's late bit.
+_N_LATE = np.array([0, 1, 1, 2])
+_X_LATE = np.array([0, 1, 0, 1])
+_HARMONICS = np.arange(-2, 3)
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,22 @@ def excitation_coherence(traj: Trajectory, pulse_end: float) -> float:
     return float(min(1.0, abs(rho[G, B]) / np.sqrt(p_g * p_b)))
 
 
-def _superposition_projectors(alphas: np.ndarray) -> np.ndarray:
-    """Stack of projectors onto (|e> + e^{i alpha} |l>)/sqrt(2), shape (n,2,2)."""
-    n = len(alphas)
-    p = np.empty((n, 2, 2), dtype=complex)
-    p[:, 0, 0] = 0.5
-    p[:, 1, 1] = 0.5
-    p[:, 1, 0] = 0.5 * np.exp(1j * alphas)
-    p[:, 0, 1] = np.conj(p[:, 1, 0])
-    return p
-
-
 def _fringe(rho: np.ndarray, relative_phase: float) -> float:
     """Visibility of the joint fringe when both analysis phases scan together
-    at a fixed offset ``relative_phase`` between the two qubits."""
-    alphas = np.linspace(0.0, 2.0 * np.pi, _FRINGE_SAMPLES, endpoint=False)
-    p_xx = _superposition_projectors(alphas)
-    p_x = _superposition_projectors(alphas + relative_phase)
-    rho4 = rho.reshape(2, 2, 2, 2)
-    probs = np.einsum("ikjl,nji,nlk->n", rho4, p_xx, p_x).real
+    at a fixed offset ``relative_phase`` between the two qubits.
+
+    The joint projection probability is P(alpha) = sum_n c_n e^{i n alpha}
+    for n = -2..2, where rho[r, s] enters c_n with n the change in late
+    bins from r to s.  The extrema of P lie at the angles of the roots of
+    sum_n n c_n z^(n+2); alpha = 0 covers a constant P, where that
+    polynomial vanishes.
+    """
+    order = _N_LATE[None, :] - _N_LATE[:, None]
+    terms = 0.25 * rho * np.exp(
+        1j * relative_phase * (_X_LATE[None, :] - _X_LATE[:, None]))
+    c = np.array([terms[order == n].sum() for n in _HARMONICS])
+    alphas = np.append(0.0, np.angle(np.roots((_HARMONICS * c)[::-1])))
+    probs = (np.exp(1j * np.outer(alphas, _HARMONICS)) @ c).real
     hi, lo = float(probs.max()), float(probs.min())
     if hi + lo == 0.0:
         return 0.0

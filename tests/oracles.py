@@ -87,3 +87,15 @@ def random_density_matrix(rng, dim):
 def random_pure_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def fringe_visibility(rho, relative_phase, n=2 ** 16):
+    """Contrast of <psi|rho|psi> sampled at n analysis phases alpha, with
+    psi = (|e> + e^{i alpha}|l>) x (|e> + e^{i (alpha + relative_phase)}|l>)/2
+    and the XX photon first."""
+    alpha = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    xx = np.stack([np.ones(n), np.exp(1j * alpha)], axis=1)
+    x = np.stack([np.ones(n), np.exp(1j * (alpha + relative_phase))], axis=1)
+    psi = (xx[:, :, None] * x[:, None, :]).reshape(n, 4) / 2.0
+    p = np.einsum("ni,ij,nj->n", psi.conj(), rho, psi).real
+    return (p.max() - p.min()) / (p.max() + p.min())

@@ -77,10 +77,20 @@ _SIGMAS = {"energies": [1.0, 2.0]}
     ("entangle", _set(["timebin"], {"v_coh": 1.5}), "timebin.v_coh"),
     ("evolve", _set(["numerics", "max_step"], 0), "numerics.max_step"),
     ("evolve", _set(["numerics", "tol"], 0.5), "numerics.tol"),
+    ("evolve", _set(["numerics", "tol"], 1e-14), "numerics.tol"),
     ("evolve", _set(["dot", "gamma_x"], 0.0), "numerics.t_span"),
     ("evolve", _set(["dot", "delta_x"], float("nan")), "dot.delta_x"),
     ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
     ("evolve", _set(["pulse", "area"], -3.0), "pulse.area"),
+    ("fit-dephasing",
+     _set(["sweep"], {"fit": {"n_p": 2, "target_ratio": 0.5}}),
+     "sweep.fit.target_ratio"),
+    ("fit-dephasing",
+     _set(["sweep"], {"fit": {"n_p": 7, "target_ratio": 2.0}}),
+     "sweep.fit.n_p"),
+    ("fit-dephasing",
+     _set(["sweep"], {"fit": {"n_p": -1, "target_ratio": 2.0}}),
+     "sweep.fit.n_p"),
 ])
 def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
                                            key):
@@ -89,6 +99,17 @@ def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
     cfg = write_config(tmp_path, data)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integration_failure_exits_3_with_time(tmp_path, capsys):
+    # a finite but overflowing drive fails the first step
+    data = evolve_config()
+    data["pulse"] = {"sigma": 12.0, "t0": 0.0, "omega0": 1e300}
+    data["numerics"]["t_span"] = [-60.0, 60.0]
+    cfg = write_config(tmp_path, data)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "numerical failure at t = -60" in capsys.readouterr().err
 
 
 def test_rabi_three_models_three_files(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qdtimebin.dynamics import (
     ConstantDrive,
     DecayRates,
     DephasingModel,
+    IntegrationError,
     PulseDrive,
     cumulative_emission,
     default_t_span,
@@ -23,6 +25,7 @@ from qdtimebin.dynamics import (
     omega0_for_area,
     pulse_area,
     pulse_energy,
+    pulse_window,
 )
 from qdtimebin.linalg import hermiticity_defect, min_eigenvalue
 
@@ -242,6 +245,39 @@ def test_evolve_validates_inputs():
         evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=(0, 10), tol=1e-2)
     with pytest.raises(ValueError):
         evolve(GROUND, drive, DecayRates(gamma_b=0.1, gamma_x=0.0), NO_DEPH)
+    with pytest.raises(ValueError, match="t_span must be increasing"):
+        evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=(1.0, 0.0))
+
+
+def test_evolve_honours_max_step():
+    # free decay: without the cap the steps would grow well beyond it
+    traj = evolve(BIEXCITON, ConstantDrive(omega0=0.0), DecayRates(0.5, 0.25),
+                  NO_DEPH, t_span=(0.0, 1.0), tol=1e-6, max_step=0.01)
+    steps = np.diff(traj.times)
+    assert steps.max() <= 0.01 + 1e-12
+    assert steps.max() == pytest.approx(0.01)
+    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+
+
+@pytest.mark.parametrize("drive", [
+    PulseDrive(omega0=1.0, sigma=4.0, delta_x=math.nan),
+    PulseDrive(omega0=math.inf, sigma=4.0),
+])
+def test_evolve_non_finite_drive_fails_at_start(drive):
+    t_span = pulse_window(drive)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError) as err:
+        evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
+    assert err.value.t == t_span[0]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_evolve_reports_trace_drift_at_start():
+    drive = PulseDrive(omega0=0.5, sigma=4.0)
+    t_span = pulse_window(drive)
+    with pytest.raises(IntegrationError, match="trace drift") as err:
+        evolve(2.0 * GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
+    assert err.value.t == t_span[0]
 
 
 def test_default_span_covers_pulse_and_decay():

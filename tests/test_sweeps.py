@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdtimebin import sweeps
+from qdtimebin import IntegrationError, sweeps
 from qdtimebin.dynamics import (
     DecayRates,
     DephasingModel,
@@ -12,7 +12,6 @@ from qdtimebin.dynamics import (
     evolve,
     omega0_for_area,
 )
-from qdtimebin.ode import IntegrationError
 from qdtimebin.sweeps import (
     GROUND,
     OverdampedError,

@@ -22,7 +22,11 @@ from qdtimebin.timebin import (
     visibilities,
 )
 
-from oracles import random_pure_state
+from oracles import (
+    fringe_visibility,
+    random_density_matrix,
+    random_pure_state,
+)
 
 GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 MIXED = np.eye(4, dtype=complex) / 4.0
@@ -167,6 +171,17 @@ def test_visibilities_model_state():
     assert v_time == pytest.approx(1.0 - q, abs=1e-12)
     assert v_e0 == pytest.approx(fringe_oracle(rho, 0.0), abs=1e-4)
     assert v_e90 == pytest.approx(fringe_oracle(rho, np.pi / 2), abs=1e-4)
+
+
+def test_visibilities_random_states_match_dense_scan():
+    # full 4x4 states, so every harmonic of the fringe contributes
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        rho = random_density_matrix(rng, 4)
+        _, v_e0, v_e90 = visibilities(rho)
+        assert v_e0 == pytest.approx(fringe_visibility(rho, 0.0), abs=1e-7)
+        assert v_e90 == pytest.approx(fringe_visibility(rho, np.pi / 2),
+                                      abs=1e-7)
 
 
 # --- concurrence -----------------------------------------------------------------
