@@ -77,7 +77,8 @@ _SIGMAS = {"energies": [1.0, 2.0]}
     ("entangle", _set(["timebin"], {"v_coh": 1.5}), "timebin.v_coh"),
     ("evolve", _set(["numerics", "max_step"], 0), "numerics.max_step"),
     ("evolve", _set(["numerics", "tol"], 0.5), "numerics.tol"),
-    ("evolve", _set(["numerics", "tol"], 1e-14), "numerics.tol"),
+    pytest.param("evolve", _set(["numerics", "tol"], 1e-14), "numerics.tol",
+                 id="evolve-edit-numerics.tol-below-floor"),
     ("evolve", _set(["dot", "gamma_x"], 0.0), "numerics.t_span"),
     ("evolve", _set(["dot", "delta_x"], float("nan")), "dot.delta_x"),
     ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
