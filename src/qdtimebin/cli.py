@@ -60,8 +60,7 @@ def cmd_rabi(cfg: RunConfig, out: Path, args) -> None:
         res = sweeps.rabi_sweep(cfg.pulse.sigma, model, decay,
                                 cfg.sweep.areas, tol=cfg.numerics.tol,
                                 delta_x=cfg.dot.delta_x,
-                                delta_b=cfg.dot.delta_b, t0=cfg.pulse.t0,
-                                workers=args.threads)
+                                delta_b=cfg.dot.delta_b, t0=cfg.pulse.t0)
         path = out / f"rabi_model{i}_np{model.n_p}.csv"
         export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
         print(f"wrote {path}")
@@ -79,7 +78,7 @@ def cmd_ratio(cfg: RunConfig, out: Path, args) -> None:
                                  cfg.dephasing, decay,
                                  delta_x=cfg.dot.delta_x,
                                  delta_b=cfg.dot.delta_b,
-                                 tol=cfg.numerics.tol, workers=args.threads)
+                                 tol=cfg.numerics.tol)
     peaks = []
     for res in results:
         path = out / f"ratio_sigma{res.sigma:g}.csv"
@@ -222,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the tomography seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sweep points")
     return parser
 
 

@@ -9,7 +9,10 @@ instantaneous drive intensity.
 
 ``evolve`` steps the master equation with scipy's RK45 (``solve_ivp``),
 stores every accepted step, and checks the trace and hermiticity drift of
-the stored states after the integration.
+the stored states after the integration.  ``pulse_window_populations``
+integrates N pulse drives that differ only in their peak amplitude as one
+(18, N) system with scipy's RK45 stepper, checks the drift of every drive
+at each accepted step, and keeps only the rho_xx and rho_bb rows.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .linalg import commutator, dag
@@ -31,9 +34,30 @@ LN2 = math.log(2.0)
 # Smallest integration tolerance: solve_ivp raises any rtol below it to it.
 TOL_FLOOR = 100 * np.finfo(float).eps
 
+# Row-major vec indices of rho_xx and rho_bb.
+_XX_BB = [4 * X, 4 * B]
+
 # Row-major vec indices of each upper-triangle entry of a 3x3 matrix and of
 # its transpose.
 _TRANSPOSE_PAIRS = ((0, 0), (4, 4), (8, 8), (1, 3), (2, 6), (5, 7))
+
+
+def _drift_map() -> np.ndarray:
+    """Linear map from the real image [Re(vec rho); Im(vec rho)] to
+    (Re tr, Im tr) and, for each transpose pair (i, j), the real and
+    imaginary parts of rho_i - conj(rho_j)."""
+    m = np.zeros((14, 18))
+    m[0, [0, 4, 8]] = 1.0
+    m[1, [9, 13, 17]] = 1.0
+    for k, (i, j) in enumerate(_TRANSPOSE_PAIRS):
+        m[2 + 2 * k, i] += 1.0
+        m[2 + 2 * k, j] -= 1.0
+        m[3 + 2 * k, 9 + i] += 1.0
+        m[3 + 2 * k, 9 + j] += 1.0
+    return m
+
+
+_DRIFT_MAP = _drift_map()
 
 
 class IntegrationError(RuntimeError):
@@ -245,17 +269,16 @@ def _rho_to_vec(rho: np.ndarray) -> np.ndarray:
 
 
 def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
-    """Raise IntegrationError at the first stored state whose trace or
-    hermiticity drift exceeds ``cap`` or is not finite.
+    """Raise IntegrationError at the first state whose trace or hermiticity
+    drift exceeds ``cap`` or is not finite.
 
-    ``y`` holds the real images of the states as columns, shape (18, n).
-    The check works row by row, so its temporaries have one row's length.
+    ``y`` holds the real images of the states as columns, shape (18, n),
+    and ``times[k]`` is the time of column k: the stored steps of one
+    trajectory, or the drives of a batch at one step.
     """
-    re, im = y[:9], y[9:]
-    trace = np.abs(re[0] + re[4] + re[8] - 1.0) + np.abs(im[0] + im[4] + im[8])
-    herm = np.zeros(len(times))
-    for i, j in _TRANSPOSE_PAIRS:
-        np.maximum(herm, np.hypot(re[i] - re[j], im[i] + im[j]), out=herm)
+    d = _DRIFT_MAP @ y
+    trace = np.abs(d[0] - 1.0) + np.abs(d[1])
+    herm = np.hypot(d[2::2], d[3::2]).max(axis=0)
     bad = ~((trace <= cap) & (herm <= cap))  # NaN counts as drift
     if bad.any():
         i = int(np.argmax(bad))
@@ -315,6 +338,20 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     return start, end + 10.0 / decay.gamma_x
 
 
+def _first_step(rhs, t0: float, y0: np.ndarray, max_step: float) -> float:
+    """Conservative first step: 1 % of the state's scale over its initial
+    rate.  A right-hand side that is not finite at t0 (NaN or infinite drive
+    parameters) raises IntegrationError at t0."""
+    f0 = rhs(t0, y0)
+    if not np.isfinite(f0).all():
+        raise IntegrationError(
+            f"right-hand side is not finite at t = {t0:.6g}", t0)
+    d1 = float(np.abs(f0).max())
+    if d1 == 0:
+        return max_step
+    return min(max_step, 0.01 * (np.abs(y0).max() + 1.0) / d1)
+
+
 def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
            t_span: tuple[float, float] | None = None, tol: float = 1e-9,
            max_step: float | None = None) -> Trajectory:
@@ -361,25 +398,88 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         return out
 
     y0 = _rho_to_vec(rho0)
-    f0 = rhs(t0, y0)
-    if not np.isfinite(f0).all():
-        raise IntegrationError(
-            f"right-hand side is not finite at t = {t0:.6g}", t0)
-    # Conservative first step: 1 % of the state's scale over its initial rate.
-    d1 = float(np.abs(f0).max())
-    h0 = min(max_step, 0.01 * (np.abs(y0).max() + 1.0) / d1) if d1 > 0 \
-        else max_step
-
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol,
-                    max_step=max_step, first_step=h0)
-    _check_drift(sol.t, sol.y, 100.0 * tol)
+    # Overflow and NaN end as IntegrationError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = _first_step(rhs, t0, y0, max_step)
+        sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol,
+                        max_step=max_step, first_step=h0)
+        _check_drift(sol.t, sol.y, 100.0 * tol)
     if sol.status != 0:
-        t_fail = float(sol.t[-1])
-        raise IntegrationError(
-            f"integration failed at t = {t_fail:.6g}: {sol.message}", t_fail)
+        raise IntegrationError(f"integration failed: {sol.message}",
+                               float(sol.t[-1]))
     ys = sol.y.T
     states = (ys[:, :9] + 1j * ys[:, 9:]).reshape(-1, 3, 3)
     return Trajectory(times=sol.t, states=states)
+
+
+def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
+                             deph: DephasingModel, tol: float = 1e-9):
+    """Integrate pulse drives that differ only in ``omega0`` as one system
+    over their shared pulse window, all starting from ``rho0``.
+
+    The drives must share sigma, t0, delta_x and delta_b.  Their N states
+    form an (18, N) array whose derivative is
+    r0 @ Y + (rd @ Y) * omega(t) + (rp @ Y) * deph.rate(omega(t)), with
+    omega(t) the N drive amplitudes.  scipy's RK45 stepper advances it at
+    rtol = atol = tol/sqrt(N): the RMS error norm over all 18 N components
+    is at most 1 only if each drive's own norm at ``tol`` is, so every
+    accepted step passes each drive's own error test.  The first step and
+    the maximum step are those ``evolve`` takes on the window.
+
+    The start and every accepted step are checked for trace and
+    hermiticity drift beyond 100*tol in every drive; that, a right-hand
+    side that is not finite at the start, or a failed step raises
+    IntegrationError with its time.  Only rho_xx and rho_bb are kept.
+
+    Returns (times, pops): the accepted-step grid, shape (n,), and the
+    populations, shape (n, 2, N), with pops[:, 0] = rho_xx and
+    pops[:, 1] = rho_bb.  tol/sqrt(N) must be at least TOL_FLOOR.
+    """
+    if len(drives) == 0:
+        raise ValueError("need at least one drive")
+    first = drives[0]
+    shape = (first.sigma, first.t0, first.delta_x, first.delta_b)
+    if any((d.sigma, d.t0, d.delta_x, d.delta_b) != shape for d in drives):
+        raise ValueError(
+            "batched drives must share sigma, t0, delta_x and delta_b")
+    n = len(drives)
+    if not TOL_FLOOR <= tol <= 1e-3:
+        raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
+    rtol = tol / math.sqrt(n)
+    if rtol < TOL_FLOOR:
+        raise ValueError(f"tol/sqrt(N) = {rtol:.3g} is below {TOL_FLOOR:.3g}; "
+                         "integrate fewer drives at a time")
+
+    omega0 = np.array([d.omega0 for d in drives])
+    sigma, t_mid = first.sigma, first.t0
+    r = np.vstack([_to_real(m) for m in liouvillian_pieces(first, decay, deph)])
+
+    def rhs(t, y):
+        omega_t = omega0 * np.exp(-LN2 * (t - t_mid) ** 2 / sigma ** 2)
+        a = r @ y.reshape(18, n)
+        return (a[:18] + a[18:36] * omega_t
+                + a[36:] * deph.rate(omega_t)).ravel()
+
+    t0, t1 = pulse_window(first)
+    max_step = (t1 - t0) / 400.0
+    cap = 100.0 * tol
+    y0 = np.repeat(_rho_to_vec(rho0), n)  # row k of (18, N): component k
+    times, rows = [t0], [y0.reshape(18, n)[_XX_BB]]
+    # Overflow and NaN end as IntegrationError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_drift(np.full(n, t0), y0.reshape(18, n), cap)
+        solver = RK45(rhs, t0, y0, t1, max_step=max_step, rtol=rtol,
+                      atol=rtol, first_step=_first_step(rhs, t0, y0, max_step))
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"integration failed: {message}",
+                                       float(solver.t))
+            y = solver.y.reshape(18, n)
+            _check_drift(np.full(n, solver.t), y, cap)
+            times.append(solver.t)
+            rows.append(y[_XX_BB])
+    return np.array(times), np.array(rows)
 
 
 # --- emission probabilities -------------------------------------------------

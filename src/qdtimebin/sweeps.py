@@ -4,27 +4,34 @@ Covers the Rabi-oscillation curves used to diagnose intensity-dependent
 dephasing, the one-parameter fit of the dephasing amplitude from the
 damping of the first Rabi cycle, and the biexciton-to-direct-exciton yield
 optimization over pulse energy.
+
+Every photon yield comes from ``emission_after_pulse``, which integrates
+the pulse windows of many drives of one pulse shape as one batched system
+(``dynamics.pulse_window_populations``) and adds the post-pulse emission
+in closed form.  A sweep curve is one batch; a first-cycle search is five:
+its scan, then four zoom rounds that refine the maximum and the minimum
+together.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .dynamics import (
     LN2,
+    TOL_FLOOR,
     DecayRates,
     DephasingModel,
     IntegrationError,
     PulseDrive,
-    emission_probabilities,
-    evolve,
     omega0_for_area,
-    pulse_window,
+    pulse_window_populations,
 )
 
 GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -33,7 +40,15 @@ GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 # floor the ratio is reported as saturated rather than divergent.
 DIRECT_EXCITON_FLOOR = 1e-6
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Population columns per CubicSpline: one spline over a whole batch holds
+# several MB of temporaries, and the integral of each column is the same.
+_SPLINE_COLUMNS = 16
+
+# Each zoom round samples a bracket at 17 points and keeps the two
+# neighbours of the best one, 1/8 of the bracket; four rounds narrow it
+# 8**4 = 4096 times.
+_ZOOM_SAMPLES = 17
+_ZOOM_ROUNDS = 4
 
 
 class OverdampedError(RuntimeError):
@@ -64,41 +79,29 @@ class SweepResult:
         return self.p_x > 1.0
 
 
-def _point_job(args):
-    """Emission of one sweep point; (p_x, p_b), or an error string when the
-    integration fails."""
-    omega0, sigma, t0, delta_x, delta_b, decay, deph, tol = args
-    drive = PulseDrive(omega0=omega0, sigma=sigma, t0=t0,
-                       delta_x=delta_x, delta_b=delta_b)
-    try:
-        return emission_after_pulse(drive, decay, deph, tol=tol)
-    except IntegrationError as exc:  # failure marker, sweep continues
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
                   omega0: np.ndarray, sigma: float, deph: DephasingModel,
                   decay: DecayRates, delta_x: float, delta_b: float,
-                  t0: float, tol: float, workers: int) -> SweepResult:
-    """Evaluate one curve point by point, in ``workers`` processes.
+                  t0: float, tol: float) -> SweepResult:
+    """Evaluate one curve as one batch of drives.
 
-    Failed points leave NaN entries and an (index, message) failure record.
+    If the batch fails, its points are integrated one at a time, and each
+    failed point leaves NaN entries and an (index, message) failure record.
     """
-    jobs = [(w, sigma, t0, delta_x, delta_b, decay, deph, tol) for w in omega0]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_point_job, jobs))
-    else:
-        raw = [_point_job(j) for j in jobs]
-
-    p_x = np.full(len(jobs), np.nan)
-    p_b = np.full(len(jobs), np.nan)
+    drives = [PulseDrive(omega0=w, sigma=sigma, t0=t0, delta_x=delta_x,
+                         delta_b=delta_b) for w in omega0]
     failures = []
-    for i, r in enumerate(raw):
-        if isinstance(r, str):
-            failures.append((i, r))
-        else:
-            p_x[i], p_b[i] = r
+    try:
+        p_x, p_b = emission_after_pulse(drives, decay, deph, tol=tol)
+    except IntegrationError:
+        p_x = np.full(len(drives), np.nan)
+        p_b = np.full(len(drives), np.nan)
+        for i, drive in enumerate(drives):
+            try:
+                (p_x[i],), (p_b[i],) = emission_after_pulse([drive], decay,
+                                                            deph, tol=tol)
+            except IntegrationError as exc:  # failure marker, sweep continues
+                failures.append((i, f"{type(exc).__name__}: {exc}"))
     direct = p_x - p_b
     saturated = direct <= DIRECT_EXCITON_FLOOR
     ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
@@ -110,13 +113,13 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
 
 def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
                areas, tol: float = 1e-8, delta_x: float = 0.5,
-               delta_b: float = 0.0, t0: float = 0.0,
-               workers: int = 1) -> SweepResult:
+               delta_b: float = 0.0, t0: float = 0.0) -> SweepResult:
     """Emission probabilities versus pulse area, starting from the ground state.
 
     Each point converts the area to a peak amplitude at fixed ``sigma`` and
-    records the total biexciton and exciton photon yields of one pulse from
-    ``emission_after_pulse``.  Integration failures at individual points
+    records the total biexciton and exciton photon yields of one pulse; the
+    whole curve is one ``emission_after_pulse`` batch.  If the batch fails,
+    the points are integrated one by one, and failures at individual points
     leave NaN entries and a failure record instead of aborting the sweep.
     """
     areas = np.asarray(areas, dtype=float)
@@ -124,28 +127,45 @@ def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
         raise ValueError("areas must be increasing with at least 2 points")
     omega0 = np.array([omega0_for_area(a, sigma) for a in areas])
     return _sweep_points(areas, "area", omega0, sigma, deph, decay,
-                         delta_x, delta_b, t0, tol, workers)
+                         delta_x, delta_b, t0, tol)
 
 
 # --- emission of one pulse ----------------------------------------------------
 
-def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
-                         deph: DephasingModel, tol: float = 1e-8):
-    """Total (p_x, p_b) for one pulse, with the radiative tail added in closed
-    form.
+def emission_after_pulse(drives, decay: DecayRates, deph: DephasingModel,
+                         tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Total (p_x, p_b) of one pulse for each drive, with the radiative tail
+    added in closed form.
 
-    Integrates only over the pulse window; after the drive is off the
-    populations decay freely, so the remaining emission of a level with a
-    positive rate equals the population left on it, and rho_bb also feeds
-    the exciton.  A level with zero rate emits nothing after the pulse.
+    The drives must differ only in ``omega0``.  Their pulse windows are
+    integrated as one batch (``dynamics.pulse_window_populations``); p_i is
+    gamma_i times the exact integral of the cubic spline through the kept
+    populations.  After the drive is off the populations decay freely, so
+    the remaining emission of a level with a positive rate equals the
+    population left on it, and rho_bb also feeds the exciton.  A level with
+    zero rate emits nothing after the pulse.  When tol/sqrt(N) would fall
+    below ``TOL_FLOOR``, the drives are integrated in chunks of
+    floor((tol/TOL_FLOOR)^2).
     """
-    traj = evolve(GROUND, drive, decay, deph, t_span=pulse_window(drive),
-                  tol=tol)
-    p_x, p_b = emission_probabilities(traj, decay, traj.times[-1])
-    _, rho_xx, rho_bb = traj.populations[-1]
-    tail_b = rho_bb if decay.gamma_b > 0 else 0.0
-    tail_x = rho_xx + tail_b if decay.gamma_x > 0 else 0.0
-    return p_x + tail_x, p_b + tail_b
+    n = len(drives)
+    p_x, p_b = np.empty(n), np.empty(n)
+    chunk = max(1, int((tol / TOL_FLOOR) ** 2))
+    for start in range(0, n, chunk):
+        part = slice(start, start + chunk)
+        times, pops = pulse_window_populations(GROUND, drives[part], decay,
+                                               deph, tol=tol)
+        flat = pops.reshape(len(times), -1)  # columns: all rho_xx, all rho_bb
+        integral = np.concatenate([
+            CubicSpline(times, flat[:, j:j + _SPLINE_COLUMNS]).integrate(
+                times[0], times[-1])
+            for j in range(0, flat.shape[1], _SPLINE_COLUMNS)])
+        int_x, int_b = integral.reshape(2, -1)
+        rho_xx, rho_bb = pops[-1]
+        tail_b = rho_bb if decay.gamma_b > 0 else 0.0
+        tail_x = rho_xx + tail_b if decay.gamma_x > 0 else 0.0
+        p_x[part] = decay.gamma_x * int_x + tail_x
+        p_b[part] = decay.gamma_b * int_b + tail_b
+    return p_x, p_b
 
 
 def coherent_first_max_area(sigma: float, delta_x: float) -> float:
@@ -159,67 +179,71 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
     return math.sqrt(omega_sq) * sigma * math.sqrt(math.pi / LN2)
 
 
-def _golden_extremum(f, a: float, b: float, sign: float, n_iter: int = 16):
-    """Golden-section refinement; sign=+1 maximizes, -1 minimizes."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    for _ in range(n_iter):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * f(d)
-    x = 0.5 * (a + b)
-    return x, sign * max(fc, fd)
-
-
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
                         delta_x: float = 0.5, delta_b: float = 0.0,
                         tol: float = 1e-8, n_scan: int = 48):
     """Locate the first maximum and following minimum of p_b versus area.
 
-    Returns (area_max, pb_max, area_min, pb_min).  The curve is sampled
-    around the coherent first-cycle scale and both extrema are refined by
-    golden section on the continuous area -> p_b map.
+    Returns (area_max, pb_max, area_min, pb_min).  The curve is sampled at
+    ``n_scan`` areas around the coherent first-cycle scale in one batch.
+    Both extrema are then refined together by zooming: each round samples
+    each bracket (at first the scan neighbours of the extremum) at 17 areas
+    in one batch and keeps the neighbours of the best sample, so four
+    rounds narrow both brackets 4096 times in four batches.  The best
+    samples of the last round are returned.
 
     Raises OverdampedError when no interior extremum survives the damping.
     """
     theta_star = coherent_first_max_area(sigma, delta_x)
 
-    def pb_of_area(area: float) -> float:
-        drive = PulseDrive(omega0=omega0_for_area(area, sigma), sigma=sigma,
-                           delta_x=delta_x, delta_b=delta_b)
-        return emission_after_pulse(drive, decay, deph, tol=tol)[1]
+    def pb_of_areas(areas: np.ndarray) -> np.ndarray:
+        drives = [PulseDrive(omega0=omega0_for_area(a, sigma), sigma=sigma,
+                             delta_x=delta_x, delta_b=delta_b) for a in areas]
+        return emission_after_pulse(drives, decay, deph, tol=tol)[1]
 
     grid = np.linspace(0.15, 2.2, n_scan) * theta_star
-    pb = np.array([pb_of_area(a) for a in grid])
+    pb = pb_of_areas(grid)
 
     i_max = next((i for i in range(1, n_scan - 1)
                   if pb[i] >= pb[i - 1] and pb[i] >= pb[i + 1]), None)
     if i_max is None:
         raise OverdampedError("no interior first maximum in the scanned window")
-    a_max, v_max = _golden_extremum(pb_of_area, grid[i_max - 1],
-                                    grid[i_max + 1], sign=+1.0)
-
     i_min = next((i for i in range(i_max + 1, n_scan - 1)
                   if pb[i] <= pb[i - 1] and pb[i] <= pb[i + 1]), None)
     if i_min is None:
         raise OverdampedError("no first minimum after the first maximum")
-    a_min, v_min = _golden_extremum(pb_of_area, grid[i_min - 1],
-                                    grid[i_min + 1], sign=-1.0)
-    return a_max, v_max, a_min, v_min
+
+    sign = np.array([[1.0], [-1.0]])  # maximize row 0, minimize row 1
+    rows = np.arange(2)
+    lo = grid[[i_max - 1, i_min - 1]]
+    hi = grid[[i_max + 1, i_min + 1]]
+    for _ in range(_ZOOM_ROUNDS):
+        areas = np.linspace(lo, hi, _ZOOM_SAMPLES, axis=1)
+        pb = pb_of_areas(areas.ravel()).reshape(areas.shape)
+        best = np.argmax(sign * pb, axis=1)
+        lo = areas[rows, np.maximum(best - 1, 0)]
+        hi = areas[rows, np.minimum(best + 1, _ZOOM_SAMPLES - 1)]
+    (a_max, a_min), (v_max, v_min) = areas[rows, best], pb[rows, best]
+    return float(a_max), float(v_max), float(a_min), float(v_min)
 
 
+@functools.lru_cache(maxsize=128)
 def first_cycle_ratio(sigma: float, deph: DephasingModel, decay: DecayRates,
                       delta_x: float = 0.5, tol: float = 1e-8) -> float:
-    """(first maximum of p_b) / (first minimum of p_b)."""
+    """(first maximum of p_b) / (first minimum of p_b).
+
+    Memoised, because a fit asks again for values it has seen: its bracket
+    expansion comes back to 0.02, and ``qdtimebin fit-dephasing`` reports
+    the ratio at the fitted value.  ``fit_gamma_i0`` empties the cache when
+    it starts.
+    """
     _, v_max, _, v_min = first_cycle_extrema(sigma, deph, decay,
                                              delta_x=delta_x, tol=tol)
     return v_max / v_min
+
+
+# Kept apart from the name, which a profiler may rebind to a wrapper.
+_clear_first_cycle_ratios = first_cycle_ratio.cache_clear
 
 
 GAMMA_I0_BRACKET_MAX = 10.0
@@ -234,12 +258,15 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
     Deterministic bisection on gamma_i0 over an expanding bracket inside
     [0, 10]; the simulated ratio decreases monotonically with gamma_i0, so
     the iteration stops once the ratio matches ``target_ratio`` to
-    ``rel_tol`` relative accuracy.
+    ``rel_tol`` relative accuracy.  The ``first_cycle_ratio`` cache is
+    emptied first, so every fit computes the ratios it uses and costs the
+    same wherever it runs; it keeps this fit's ratios for its caller.
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     if n_p not in (0, 1, 2, 3, 4):
         raise ValueError(f"n_p must be in 0..4, got {n_p}")
+    _clear_first_cycle_ratios()
 
     def ratio_of(gamma_i0: float) -> float:
         deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gamma_i0, n_p=n_p)
@@ -279,14 +306,16 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
 
 def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
                 delta_x: float = 0.5, delta_b: float = 0.0, t0: float = 0.0,
-                tol: float = 1e-8, workers: int = 1) -> list[SweepResult]:
+                tol: float = 1e-8) -> list[SweepResult]:
     """Biexciton vs direct-exciton yield over pulse energy, per pulse length.
 
     The abscissa is omega0^2 * sigma (proportional to energy per pulse) so
     curves for different sigmas are comparable.  The direct-exciton yield is
     taken as p_x - p_b: every biexciton decay feeds exactly one cascade
     exciton photon, so the excess isolates direct excitation of the exciton.
-    Each point takes both yields of one pulse from ``emission_after_pulse``.
+    Each curve is one ``emission_after_pulse`` batch giving both yields of
+    one pulse at every point; failed points are handled as in
+    ``rabi_sweep``.
     With delta_x = 0 the exciton transition is resonant and the ratio
     collapses; a finite delta_x is required for meaningful curves.
 
@@ -303,7 +332,7 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
     for sigma in sigmas:
         res = _sweep_points(energy_axis.copy(), "energy",
                             np.sqrt(energy_axis / sigma), sigma, deph, decay,
-                            delta_x, delta_b, t0, tol, workers)
+                            delta_x, delta_b, t0, tol)
         usable = ~res.saturated & np.isfinite(res.ratio)
         if usable.any():
             idx = int(np.argmax(np.where(usable, res.ratio, -np.inf)))

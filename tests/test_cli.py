@@ -102,7 +102,7 @@ def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integration_failure_exits_3_with_time(tmp_path, capsys):
     # a finite but overflowing drive fails the first step
     data = evolve_config()
@@ -110,7 +110,9 @@ def test_integration_failure_exits_3_with_time(tmp_path, capsys):
     data["numerics"]["t_span"] = [-60.0, 60.0]
     cfg = write_config(tmp_path, data)
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "numerical failure at t = -60" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure at t = -60" in err
+    assert err.count("t = -60") == 1
 
 
 def test_rabi_three_models_three_files(tmp_path):
@@ -209,6 +211,30 @@ def test_fit_dephasing_round_trip(tmp_path):
     out = json.loads((tmp_path / "fit_dephasing.json").read_text())
     assert out["achieved_ratio"] == pytest.approx(3.2, rel=0.011)
     assert out["gamma_i0"] > 0
+
+
+def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
+    # the bracket comes back to 0.02 and the report asks again for the
+    # fitted value: 7 first-cycle searches for 5 distinct values
+    from qdtimebin import sweeps
+    calls = []
+    search = sweeps.first_cycle_extrema
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].gamma_i0)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "first_cycle_extrema", counted)
+    sweeps.first_cycle_ratio.cache_clear()
+    data = {"dot": {"gamma_b": 0.004, "gamma_x": 0.002, "delta_x": 3.5},
+            "pulse": {"sigma": 12.0},
+            "sweep": {"fit": {"n_p": 2, "target_ratio": 2.9106995511630265}}}
+    cfg = write_config(tmp_path, data)
+    assert main(["fit-dephasing", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "fit_dephasing.json").read_text())
+    assert out["gamma_i0"] == 0.035
+    assert calls == [0.0, 0.02, 0.04, 0.03, 0.035]
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -26,6 +26,7 @@ from qdtimebin.dynamics import (
     pulse_area,
     pulse_energy,
     pulse_window,
+    pulse_window_populations,
 )
 from qdtimebin.linalg import hermiticity_defect, min_eigenvalue
 
@@ -270,6 +271,23 @@ def test_evolve_non_finite_drive_fails_at_start(drive):
         evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
     assert err.value.t == t_span[0]
     assert time.perf_counter() - start < 1.0
+
+
+def test_batch_non_finite_drive_fails_at_start():
+    drives = [PulseDrive(omega0=w, sigma=4.0) for w in (0.2, math.inf, 0.4)]
+    with pytest.raises(IntegrationError) as err:
+        pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
+    assert err.value.t == pulse_window(drives[0])[0]
+
+
+@pytest.mark.parametrize("other", [
+    PulseDrive(omega0=0.3, sigma=5.0),
+    PulseDrive(omega0=0.3, sigma=4.0, delta_x=1.0),
+])
+def test_batch_drives_must_share_pulse_shape(other):
+    drives = [PulseDrive(omega0=0.2, sigma=4.0), other]
+    with pytest.raises(ValueError, match="share"):
+        pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
 
 
 def test_evolve_reports_trace_drift_at_start():
