@@ -22,6 +22,7 @@ from .dynamics import (
     PulseDrive,
     default_t_span,
     omega0_for_area,
+    pulse_window,
 )
 
 
@@ -133,6 +134,10 @@ class PulseConfig:
                            allow_none=True))
         if cfg.area is not None and cfg.omega0 is not None:
             raise ConfigError("'pulse' must set either 'area' or 'omega0', not both")
+        start, end = pulse_window(PulseDrive(0.0, cfg.sigma, cfg.t0))
+        if not end > start:
+            raise ConfigError(f"'pulse.t0' = {cfg.t0} leaves the pulse window "
+                              "t0 +- 5 sigma no width")
         return cfg
 
     def drive(self, dot: DotConfig) -> PulseDrive:

@@ -11,8 +11,9 @@ instantaneous drive intensity.
 stores every accepted step, and checks the trace and hermiticity drift of
 the stored states after the integration.  ``pulse_window_populations``
 integrates N pulse drives that differ only in their peak amplitude as one
-(18, N) system with scipy's RK45 stepper, checks the drift of every drive
-at each accepted step, and keeps only the rho_xx and rho_bb rows.
+(20, N) system with scipy's RK45 stepper, checks the drift of every drive
+at each accepted step, and returns its end-of-window values.  Both carry
+the integrals of rho_xx and rho_bb after the 18 real components of rho.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from .linalg import commutator, dag
 
@@ -34,8 +35,9 @@ LN2 = math.log(2.0)
 # Smallest integration tolerance: solve_ivp raises any rtol below it to it.
 TOL_FLOOR = 100 * np.finfo(float).eps
 
-# Row-major vec indices of rho_xx and rho_bb.
-_XX_BB = [4 * X, 4 * B]
+# Components of the integrated state: [Re(vec rho); Im(vec rho)], then the
+# integrals of rho_xx and rho_bb.
+_N_STATE = 20
 
 # Row-major vec indices of each upper-triangle entry of a 3x3 matrix and of
 # its transpose.
@@ -43,10 +45,10 @@ _TRANSPOSE_PAIRS = ((0, 0), (4, 4), (8, 8), (1, 3), (2, 6), (5, 7))
 
 
 def _drift_map() -> np.ndarray:
-    """Linear map from the real image [Re(vec rho); Im(vec rho)] to
-    (Re tr, Im tr) and, for each transpose pair (i, j), the real and
-    imaginary parts of rho_i - conj(rho_j)."""
-    m = np.zeros((14, 18))
+    """Linear map from the integrated state to (Re tr, Im tr) and, for each
+    transpose pair (i, j), the real and imaginary parts of
+    rho_i - conj(rho_j)."""
+    m = np.zeros((14, _N_STATE))
     m[0, [0, 4, 8]] = 1.0
     m[1, [9, 13, 17]] = 1.0
     for k, (i, j) in enumerate(_TRANSPOSE_PAIRS):
@@ -258,22 +260,29 @@ def liouvillian(omega: float, drive, decay: DecayRates,
     return m0 + omega * m_drive + float(deph.rate(omega)) * m_deph
 
 
-def _to_real(m: np.ndarray) -> np.ndarray:
-    """Real 18x18 image of a complex 9x9 operator on [Re(v); Im(v)]."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+def _real_generator(drive, decay: DecayRates, deph: DephasingModel):
+    """``liouvillian_pieces`` as real 20x20 maps of the integrated state:
+    the real image of each 9x9 piece on [Re(vec rho); Im(vec rho)], and in
+    r0 two rows that integrate rho_xx and rho_bb."""
+    r0, rd, rp = np.zeros((3, _N_STATE, _N_STATE))
+    for r, m in zip((r0, rd, rp), liouvillian_pieces(drive, decay, deph)):
+        r[:18, :18] = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    r0[18, 4 * X] = r0[19, 4 * B] = 1.0
+    return r0, rd, rp
 
 
-def _rho_to_vec(rho: np.ndarray) -> np.ndarray:
+def _initial_state(rho: np.ndarray) -> np.ndarray:
+    """Integrated state of ``rho`` with both integrals at zero."""
     v = np.asarray(rho, dtype=complex).ravel()
-    return np.concatenate([v.real, v.imag])
+    return np.concatenate([v.real, v.imag, np.zeros(2)])
 
 
 def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
     """Raise IntegrationError at the first state whose trace or hermiticity
     drift exceeds ``cap`` or is not finite.
 
-    ``y`` holds the real images of the states as columns, shape (18, n),
-    and ``times[k]`` is the time of column k: the stored steps of one
+    ``y`` holds the integrated states as columns, shape (20, n), and
+    ``times[k]`` is the time of column k: the stored steps of one
     trajectory, or the drives of a batch at one step.
     """
     d = _DRIFT_MAP @ y
@@ -284,9 +293,8 @@ def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
         i = int(np.argmax(bad))
         name, drift = (("trace", trace[i]) if not trace[i] <= cap
                        else ("hermiticity", herm[i]))
-        raise IntegrationError(
-            f"{name} drift {drift:.3e} exceeds {cap:.1e} "
-            f"at t = {times[i]:.6g}", float(times[i]))
+        raise IntegrationError(f"{name} drift {drift:.3e} exceeds {cap:.1e}",
+                               float(times[i]))
 
 
 # --- evolution --------------------------------------------------------------
@@ -297,6 +305,7 @@ class Trajectory:
 
     times: np.ndarray                  # strictly increasing, shape (n,)
     states: np.ndarray                 # shape (n, 3, 3) complex
+    integrals: np.ndarray              # int. of rho_xx, rho_bb, (n, 2)
     populations: np.ndarray = field(init=False)   # diag(rho) real, (n, 3)
     gb_coherence: np.ndarray = field(init=False)  # <g|rho|b>, (n,)
 
@@ -344,8 +353,7 @@ def _first_step(rhs, t0: float, y0: np.ndarray, max_step: float) -> float:
     parameters) raises IntegrationError at t0."""
     f0 = rhs(t0, y0)
     if not np.isfinite(f0).all():
-        raise IntegrationError(
-            f"right-hand side is not finite at t = {t0:.6g}", t0)
+        raise IntegrationError("right-hand side is not finite", t0)
     d1 = float(np.abs(f0).max())
     if d1 == 0:
         return max_step
@@ -357,12 +365,12 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
            max_step: float | None = None) -> Trajectory:
     """Integrate the master equation from ``rho0`` over ``t_span``.
 
-    The density matrix is embedded as 18 real components and stepped with
-    RK45 (Dormand-Prince 5(4), ``scipy.integrate.solve_ivp``) at
-    rtol = atol = ``tol``; the drive amplitude and dephasing rate are
-    evaluated at the internal stage times, and every accepted step is
-    stored.  No renormalization is applied to the stored states, so trace
-    drift is visible to the tests.  After the integration the stored
+    The density matrix is embedded as 18 real components, plus the
+    integrals of rho_xx and rho_bb, and stepped with RK45 (Dormand-Prince
+    5(4), ``scipy.integrate.solve_ivp``) at rtol = atol = ``tol``; the drive
+    amplitude and dephasing rate are evaluated at the internal stage times,
+    and every accepted step is stored.  No renormalization is applied, so
+    trace drift is visible to the tests.  After the integration the stored
     states are checked: trace or hermiticity drift beyond 100*tol, or a
     failed integration, raises IntegrationError with the failure time.
     """
@@ -381,10 +389,7 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
             max_step = min(max_step, 2.0 * sigma)
     max_step = min(float(max_step), span)
 
-    m0, m_drive, m_deph = liouvillian_pieces(drive, decay, deph)
-    r0 = _to_real(m0)
-    rd = _to_real(m_drive)
-    rp = _to_real(m_deph)
+    r0, rd, rp = _real_generator(drive, decay, deph)
     pure_background = deph.gamma_i0 == 0.0
 
     def rhs(t, y):
@@ -397,7 +402,7 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
             out += g * (rp @ y)
         return out
 
-    y0 = _rho_to_vec(rho0)
+    y0 = _initial_state(rho0)
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         h0 = _first_step(rhs, t0, y0, max_step)
@@ -408,8 +413,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         raise IntegrationError(f"integration failed: {sol.message}",
                                float(sol.t[-1]))
     ys = sol.y.T
-    states = (ys[:, :9] + 1j * ys[:, 9:]).reshape(-1, 3, 3)
-    return Trajectory(times=sol.t, states=states)
+    states = (ys[:, :9] + 1j * ys[:, 9:18]).reshape(-1, 3, 3)
+    return Trajectory(times=sol.t, states=states, integrals=ys[:, 18:])
 
 
 def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
@@ -418,10 +423,11 @@ def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
     over their shared pulse window, all starting from ``rho0``.
 
     The drives must share sigma, t0, delta_x and delta_b.  Their N states
-    form an (18, N) array whose derivative is
+    (rho and the integrals of rho_xx and rho_bb) form a (20, N) array whose
+    derivative is
     r0 @ Y + (rd @ Y) * omega(t) + (rp @ Y) * deph.rate(omega(t)), with
     omega(t) the N drive amplitudes.  scipy's RK45 stepper advances it at
-    rtol = atol = tol/sqrt(N): the RMS error norm over all 18 N components
+    rtol = atol = tol/sqrt(N): the RMS error norm over all 20 N components
     is at most 1 only if each drive's own norm at ``tol`` is, so every
     accepted step passes each drive's own error test.  The first step and
     the maximum step are those ``evolve`` takes on the window.
@@ -429,11 +435,11 @@ def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
     The start and every accepted step are checked for trace and
     hermiticity drift beyond 100*tol in every drive; that, a right-hand
     side that is not finite at the start, or a failed step raises
-    IntegrationError with its time.  Only rho_xx and rho_bb are kept.
+    IntegrationError with its time.  Nothing is stored per step.
 
-    Returns (times, pops): the accepted-step grid, shape (n,), and the
-    populations, shape (n, 2, N), with pops[:, 0] = rho_xx and
-    pops[:, 1] = rho_bb.  tol/sqrt(N) must be at least TOL_FLOOR.
+    Returns the values at the end of the window, shape (4, N): rho_xx,
+    rho_bb, and the integrals of rho_xx and rho_bb over the window.
+    tol/sqrt(N) must be at least TOL_FLOOR.
     """
     if len(drives) == 0:
         raise ValueError("need at least one drive")
@@ -452,22 +458,23 @@ def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
 
     omega0 = np.array([d.omega0 for d in drives])
     sigma, t_mid = first.sigma, first.t0
-    r = np.vstack([_to_real(m) for m in liouvillian_pieces(first, decay, deph)])
+    r = np.vstack(_real_generator(first, decay, deph))
 
     def rhs(t, y):
         omega_t = omega0 * np.exp(-LN2 * (t - t_mid) ** 2 / sigma ** 2)
-        a = r @ y.reshape(18, n)
-        return (a[:18] + a[18:36] * omega_t
-                + a[36:] * deph.rate(omega_t)).ravel()
+        a = r @ y.reshape(_N_STATE, n)
+        return (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
+                + a[2 * _N_STATE:] * deph.rate(omega_t)).ravel()
 
     t0, t1 = pulse_window(first)
+    if not t1 > t0:
+        raise ValueError(f"pulse window ({t0}, {t1}) has no width")
     max_step = (t1 - t0) / 400.0
     cap = 100.0 * tol
-    y0 = np.repeat(_rho_to_vec(rho0), n)  # row k of (18, N): component k
-    times, rows = [t0], [y0.reshape(18, n)[_XX_BB]]
+    y0 = np.repeat(_initial_state(rho0), n)  # row k of (20, N): component k
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_drift(np.full(n, t0), y0.reshape(18, n), cap)
+        _check_drift(np.full(n, t0), y0.reshape(_N_STATE, n), cap)
         solver = RK45(rhs, t0, y0, t1, max_step=max_step, rtol=rtol,
                       atol=rtol, first_step=_first_step(rhs, t0, y0, max_step))
         while solver.status == "running":
@@ -475,11 +482,9 @@ def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
             if solver.status == "failed":
                 raise IntegrationError(f"integration failed: {message}",
                                        float(solver.t))
-            y = solver.y.reshape(18, n)
+            y = solver.y.reshape(_N_STATE, n)
             _check_drift(np.full(n, solver.t), y, cap)
-            times.append(solver.t)
-            rows.append(y[_XX_BB])
-    return np.array(times), np.array(rows)
+    return y[[4 * X, 4 * B, 18, 19]]
 
 
 # --- emission probabilities -------------------------------------------------
@@ -489,26 +494,23 @@ def emission_probabilities(traj: Trajectory, decay: DecayRates,
     """Emitted-photon probabilities up to t_f.
 
     P_i(t_f) = gamma_i * integral of the level-i population from the start
-    of the trajectory to t_f, taken exactly on the cubic spline through the
-    stored populations.  Exciton emission includes the cascade fed by
-    biexciton decay, so P_x >= P_b in the absence of re-excitation.
+    of the trajectory to t_f: the integral stored with each step, and
+    between steps its cubic Hermite interpolant with the populations as
+    derivatives.  Exciton emission includes the cascade fed by biexciton
+    decay, so P_x >= P_b in the absence of re-excitation.
     """
     ts = traj.times
     if not ts[0] <= t_f <= ts[-1]:
         raise ValueError(f"t_f = {t_f} outside trajectory range [{ts[0]}, {ts[-1]}]")
-    int_x, int_b = CubicSpline(ts, traj.populations[:, (X, B)]).integrate(
-        ts[0], t_f)
+    int_x, int_b = CubicHermiteSpline(ts, traj.integrals,
+                                      traj.populations[:, (X, B)])(t_f)
     return float(decay.gamma_x * int_x), float(decay.gamma_b * int_b)
 
 
 def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray, np.ndarray]:
-    """Running trapezoid emission integrals on the stored grid (plot grade)."""
-    dt = np.diff(traj.times)
-    px = np.concatenate([[0.0], np.cumsum(
-        0.5 * dt * (traj.populations[1:, X] + traj.populations[:-1, X]))])
-    pb = np.concatenate([[0.0], np.cumsum(
-        0.5 * dt * (traj.populations[1:, B] + traj.populations[:-1, B]))])
-    return decay.gamma_x * px, decay.gamma_b * pb
+    """Emitted-photon probabilities (P_x, P_b) up to each stored time."""
+    return (decay.gamma_x * traj.integrals[:, 0],
+            decay.gamma_b * traj.integrals[:, 1])
 
 
 def export_trajectory_csv(traj: Trajectory, decay: DecayRates, path,

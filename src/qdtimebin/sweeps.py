@@ -7,10 +7,10 @@ optimization over pulse energy.
 
 Every photon yield comes from ``emission_after_pulse``, which integrates
 the pulse windows of many drives of one pulse shape as one batched system
-(``dynamics.pulse_window_populations``) and adds the post-pulse emission
-in closed form.  A sweep curve is one batch; a first-cycle search is five:
-its scan, then four zoom rounds that refine the maximum and the minimum
-together.
+(``dynamics.pulse_window_populations``), whose state carries the
+population integrals, and adds the post-pulse emission in closed form.  A
+sweep curve is one batch; a first-cycle search is five: its scan, then
+four zoom rounds that refine the maximum and the minimum together.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .dynamics import (
     LN2,
@@ -40,9 +39,8 @@ GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 # floor the ratio is reported as saturated rather than divergent.
 DIRECT_EXCITON_FLOOR = 1e-6
 
-# Population columns per CubicSpline: one spline over a whole batch holds
-# several MB of temporaries, and the integral of each column is the same.
-_SPLINE_COLUMNS = 16
+# Areas in the scan that starts a first-cycle search.
+_SCAN_SAMPLES = 48
 
 # Each zoom round samples a bracket at 17 points and keeps the two
 # neighbours of the best one, 1/8 of the bracket; four rounds narrow it
@@ -139,12 +137,12 @@ def emission_after_pulse(drives, decay: DecayRates, deph: DephasingModel,
 
     The drives must differ only in ``omega0``.  Their pulse windows are
     integrated as one batch (``dynamics.pulse_window_populations``); p_i is
-    gamma_i times the exact integral of the cubic spline through the kept
-    populations.  After the drive is off the populations decay freely, so
-    the remaining emission of a level with a positive rate equals the
-    population left on it, and rho_bb also feeds the exciton.  A level with
-    zero rate emits nothing after the pulse.  When tol/sqrt(N) would fall
-    below ``TOL_FLOOR``, the drives are integrated in chunks of
+    gamma_i times the integral of the level-i population it carries.  After
+    the drive is off the populations decay freely, so the remaining
+    emission of a level with a positive rate equals the population left on
+    it, and rho_bb also feeds the exciton.  A level with zero rate emits
+    nothing after the pulse.  When tol/sqrt(N) would fall below
+    ``TOL_FLOOR``, the drives are integrated in chunks of
     floor((tol/TOL_FLOOR)^2).
     """
     n = len(drives)
@@ -152,15 +150,8 @@ def emission_after_pulse(drives, decay: DecayRates, deph: DephasingModel,
     chunk = max(1, int((tol / TOL_FLOOR) ** 2))
     for start in range(0, n, chunk):
         part = slice(start, start + chunk)
-        times, pops = pulse_window_populations(GROUND, drives[part], decay,
-                                               deph, tol=tol)
-        flat = pops.reshape(len(times), -1)  # columns: all rho_xx, all rho_bb
-        integral = np.concatenate([
-            CubicSpline(times, flat[:, j:j + _SPLINE_COLUMNS]).integrate(
-                times[0], times[-1])
-            for j in range(0, flat.shape[1], _SPLINE_COLUMNS)])
-        int_x, int_b = integral.reshape(2, -1)
-        rho_xx, rho_bb = pops[-1]
+        rho_xx, rho_bb, int_x, int_b = pulse_window_populations(
+            GROUND, drives[part], decay, deph, tol=tol)
         tail_b = rho_bb if decay.gamma_b > 0 else 0.0
         tail_x = rho_xx + tail_b if decay.gamma_x > 0 else 0.0
         p_x[part] = decay.gamma_x * int_x + tail_x
@@ -181,11 +172,11 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
 
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
                         delta_x: float = 0.5, delta_b: float = 0.0,
-                        tol: float = 1e-8, n_scan: int = 48):
+                        tol: float = 1e-8):
     """Locate the first maximum and following minimum of p_b versus area.
 
     Returns (area_max, pb_max, area_min, pb_min).  The curve is sampled at
-    ``n_scan`` areas around the coherent first-cycle scale in one batch.
+    48 areas around the coherent first-cycle scale in one batch.
     Both extrema are then refined together by zooming: each round samples
     each bracket (at first the scan neighbours of the extremum) at 17 areas
     in one batch and keeps the neighbours of the best sample, so four
@@ -201,14 +192,14 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
                              delta_x=delta_x, delta_b=delta_b) for a in areas]
         return emission_after_pulse(drives, decay, deph, tol=tol)[1]
 
-    grid = np.linspace(0.15, 2.2, n_scan) * theta_star
+    grid = np.linspace(0.15, 2.2, _SCAN_SAMPLES) * theta_star
     pb = pb_of_areas(grid)
 
-    i_max = next((i for i in range(1, n_scan - 1)
+    i_max = next((i for i in range(1, _SCAN_SAMPLES - 1)
                   if pb[i] >= pb[i - 1] and pb[i] >= pb[i + 1]), None)
     if i_max is None:
         raise OverdampedError("no interior first maximum in the scanned window")
-    i_min = next((i for i in range(i_max + 1, n_scan - 1)
+    i_min = next((i for i in range(i_max + 1, _SCAN_SAMPLES - 1)
                   if pb[i] <= pb[i - 1] and pb[i] <= pb[i + 1]), None)
     if i_min is None:
         raise OverdampedError("no first minimum after the first maximum")

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtimebin.cli import main
+from qdtimebin.config import RunConfig
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -83,6 +90,7 @@ _SIGMAS = {"energies": [1.0, 2.0]}
     ("evolve", _set(["dot", "delta_x"], float("nan")), "dot.delta_x"),
     ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
     ("evolve", _set(["pulse", "area"], -3.0), "pulse.area"),
+    ("evolve", _set(["pulse", "t0"], 1e300), "pulse.t0"),
     ("fit-dephasing",
      _set(["sweep"], {"fit": {"n_p": 2, "target_ratio": 0.5}}),
      "sweep.fit.target_ratio"),
@@ -104,15 +112,75 @@ def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integration_failure_exits_3_with_time(tmp_path, capsys):
-    # a finite but overflowing drive fails the first step
-    data = evolve_config()
-    data["pulse"] = {"sigma": 12.0, "t0": 0.0, "omega0": 1e300}
-    data["numerics"]["t_span"] = [-60.0, 60.0]
-    cfg = write_config(tmp_path, data)
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure at t = -60" in err
-    assert err.count("t = -60") == 1
+    # a finite but overflowing drive fails the first step; an overflowing
+    # dephasing rate makes the right-hand side infinite at the start
+    for pulse, gamma_i0 in (({"omega0": 1e300}, 0.0),
+                            ({"area": 1e308}, 0.0349)):
+        data = evolve_config()
+        data["pulse"] = dict(pulse, sigma=12.0, t0=0.0)
+        data["dephasing"]["gamma_i0"] = gamma_i0
+        data["numerics"]["t_span"] = [-60.0, 60.0]
+        cfg = write_config(tmp_path, data)
+        assert main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure at t = -60" in err
+        assert err.count("t = -60") == 1
+
+
+def full_config():
+    """A valid config with every section and every scalar key set."""
+    data = evolve_config(area=1.0)
+    data["timebin"] = {"phi_p": 0.0, "epsilon": 0.06, "pairing_weight": 4.0,
+                       "v_coh": 0.92}
+    data["tomography"] = {"n_mean": 1e4, "seed": 3, "n_seeds": 1}
+    data["sweep"] = {
+        "areas": {"start": 0.5, "stop": 12.0, "num": 4},
+        "energies": [1.0, 2.0],
+        "sigmas": [4.0],
+        "models": [{"gamma_bg": 0.0, "gamma_i0": 0.0349, "n_p": 2}],
+        "fit": {"n_p": 2, "target_ratio": 3.2},
+    }
+    data["numerics"].update(t_span=[-60.0, 60.0], max_step=0.3)
+    return data
+
+
+def _scalar_keys(node, name="", path=()):
+    """(full key, path) of every scalar in a config tree."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _scalar_keys(v, f"{name}.{k}" if name else k,
+                                    path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _scalar_keys(v, f"{name}[{i}]", path + (i,))
+    else:
+        yield name, path
+
+
+_FULL_KEYS = sorted(_scalar_keys(full_config()))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(key=st.sampled_from(_FULL_KEYS),
+       value=st.sampled_from([True, False, "1.0", [1.0], {"x": 1.0}]))
+def test_wrong_type_value_exits_2_naming_key(key, value):
+    # the unedited config parses, so the error comes from the edit; config
+    # errors abort before any integration, so each case is quick
+    RunConfig.parse(full_config())
+    name, path = key
+    data = full_config()
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["evolve", "--config", str(cfg), "--out", tmp])
+    assert code == 2
+    assert f"'{name}'" in err.getvalue()
 
 
 def test_rabi_three_models_three_files(tmp_path):

@@ -290,6 +290,13 @@ def test_batch_drives_must_share_pulse_shape(other):
         pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
 
 
+def test_batch_window_without_width_is_refused():
+    # t0 +- 5 sigma rounds to t0: the window would integrate nothing
+    drives = [PulseDrive(omega0=0.2, sigma=12.0, t0=1e300)]
+    with pytest.raises(ValueError, match="no width"):
+        pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
+
+
 def test_evolve_reports_trace_drift_at_start():
     drive = PulseDrive(omega0=0.5, sigma=4.0)
     t_span = pulse_window(drive)
@@ -389,6 +396,18 @@ def test_trajectory_csv_export(tmp_path):
     ref_x, ref_b = oracles.cascade_emission(5.0, 2.0, 1.0)
     assert last[6] == pytest.approx(ref_x, abs=1e-4)
     assert last[7] == pytest.approx(ref_b, abs=1e-4)
+
+
+def test_csv_emission_columns_equal_emission_probabilities(tmp_path):
+    decay = DecayRates(gamma_b=2.0, gamma_x=1.0)
+    traj = evolve(BIEXCITON, ConstantDrive(omega0=0.0, delta_x=0.0), decay,
+                  NO_DEPH, t_span=(0.0, 5.0))
+    path = tmp_path / "traj.csv"
+    export_trajectory_csv(traj, decay, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    ref = np.array([emission_probabilities(traj, decay, t)
+                    for t in traj.times])
+    assert np.abs(rows[:, 6:8] - ref).max() < 1e-12
 
 
 def test_cumulative_emission_monotone():
