@@ -17,7 +17,7 @@ from .dynamics import (
     pulse_energy,
 )
 from .linalg import eig_hermitian, state_fidelity
-from .sweeps import SweepResult, fit_gamma_i0, rabi_sweep, ratio_sweep
+from .sweeps import FitResult, SweepResult, fit_gamma_i0, rabi_sweep, ratio_sweep
 from .timebin import (
     TimeBinModelParams,
     coherence_metric,
@@ -43,7 +43,7 @@ __all__ = [
     "Trajectory", "emission_probabilities", "evolve", "hamiltonian",
     "lindblad_rhs", "omega0_for_area", "pulse_area", "pulse_energy",
     "eig_hermitian", "state_fidelity", "IntegrationError",
-    "SweepResult", "fit_gamma_i0", "rabi_sweep", "ratio_sweep",
+    "FitResult", "SweepResult", "fit_gamma_i0", "rabi_sweep", "ratio_sweep",
     "TimeBinModelParams", "coherence_metric", "concurrence",
     "excitation_coherence", "fidelity_bell", "ideal_state", "model_state",
     "visibilities",

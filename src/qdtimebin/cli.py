@@ -20,7 +20,6 @@ import numpy as np
 from . import sweeps, timebin, tomography
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (
-    DephasingModel,
     IntegrationError,
     evolve,
     export_trajectory_csv,
@@ -34,17 +33,12 @@ CONFIG_ERROR_EXIT = 2
 NUMERICAL_ERROR_EXIT = 3
 
 
-def _evolve_from_config(cfg: RunConfig, deph: DephasingModel):
-    drive = cfg.pulse.drive(cfg.dot)
-    decay = cfg.dot.decay()
-    traj = evolve(GROUND, drive, decay, deph, t_span=cfg.t_span(drive),
-                  tol=cfg.numerics.tol, max_step=cfg.numerics.max_step)
-    return traj, drive, decay
-
-
 def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "dephasing")
-    traj, _, decay = _evolve_from_config(cfg, cfg.dephasing)
+    drive, decay = cfg.pulse.drive(cfg.dot), cfg.dot.decay()
+    traj = evolve(GROUND, drive, decay, cfg.dephasing,
+                  t_span=cfg.t_span(drive), tol=cfg.numerics.tol,
+                  max_step=cfg.numerics.max_step)
     path = out / "trajectory.csv"
     export_trajectory_csv(traj, decay, path, params=cfg.resolved())
     print(f"wrote {path} ({len(traj.times)} samples, "
@@ -98,24 +92,20 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "sweep")
     if cfg.sweep.fit_n_p is None:
         raise ConfigError("fit-dephasing needs 'sweep.fit'")
-    decay = cfg.dot.decay()
-    gamma_i0 = sweeps.fit_gamma_i0(
+    fit = sweeps.fit_gamma_i0(
         cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
-        decay, gamma_bg=cfg.dephasing.gamma_bg if cfg.dephasing else 0.0,
-        delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
-    model = DephasingModel(
+        cfg.dot.decay(),
         gamma_bg=cfg.dephasing.gamma_bg if cfg.dephasing else 0.0,
-        gamma_i0=gamma_i0, n_p=cfg.sweep.fit_n_p)
-    achieved = sweeps.first_cycle_ratio(cfg.pulse.sigma, model, decay,
-                                        delta_x=cfg.dot.delta_x,
-                                        tol=cfg.numerics.tol)
+        delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
     path = out / "fit_dephasing.json"
     path.write_text(json.dumps(
         {"config": cfg.resolved(), "n_p": cfg.sweep.fit_n_p,
          "target_ratio": cfg.sweep.fit_target_ratio,
-         "gamma_i0": gamma_i0, "achieved_ratio": achieved},
+         "gamma_i0": fit.gamma_i0, "achieved_ratio": fit.ratio,
+         "evaluations": [{"gamma_i0": g, "ratio": r}
+                         for g, r in fit.evaluations]},
         sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path} (gamma_i0 = {gamma_i0:.6g})")
+    print(f"wrote {path} (gamma_i0 = {fit.gamma_i0:.6g})")
 
 
 def _state_metrics(rho: np.ndarray) -> dict:

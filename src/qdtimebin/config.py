@@ -22,7 +22,6 @@ from .dynamics import (
     PulseDrive,
     default_t_span,
     omega0_for_area,
-    pulse_window,
 )
 
 
@@ -134,10 +133,6 @@ class PulseConfig:
                            allow_none=True))
         if cfg.area is not None and cfg.omega0 is not None:
             raise ConfigError("'pulse' must set either 'area' or 'omega0', not both")
-        start, end = pulse_window(PulseDrive(0.0, cfg.sigma, cfg.t0))
-        if not end > start:
-            raise ConfigError(f"'pulse.t0' = {cfg.t0} leaves the pulse window "
-                              "t0 +- 5 sigma no width")
         return cfg
 
     def drive(self, dot: DotConfig) -> PulseDrive:
@@ -279,7 +274,7 @@ class RunConfig:
     @classmethod
     def parse(cls, data: dict) -> "RunConfig":
         _check_keys("<root>", data, _SECTIONS)
-        return cls(
+        cfg = cls(
             raw=data,
             dot=DotConfig.parse(data.get("dot", {})),
             pulse=PulseConfig.parse(data["pulse"]) if "pulse" in data else None,
@@ -289,6 +284,19 @@ class RunConfig:
             tomography=TomographyConfig.parse(data.get("tomography", {})),
             sweep=SweepConfig.parse(data.get("sweep", {})),
             numerics=NumericsConfig.parse(data.get("numerics", {})))
+        pulse, dot = cfg.pulse, cfg.dot
+        if pulse is not None:
+            # spacing(|t0| + 5 sigma) must resolve its fastest time scale.
+            tau = 1.0 / max(1.0 / pulse.sigma, abs(dot.delta_x),
+                            abs(dot.delta_b), dot.gamma_b, dot.gamma_x)
+            spacing = np.spacing(abs(pulse.t0) + 5.0 * pulse.sigma)
+            if not spacing <= 1e-3 * tau:  # NaN when 5 sigma overflows
+                key = ("pulse.sigma" if not np.spacing(5.0 * pulse.sigma)
+                       <= 1e-3 * tau else "pulse.t0")
+                raise ConfigError(
+                    f"'{key}': floats near the pulse are {spacing:.3g} ps "
+                    f"apart, over 1e-3 of its time scale {tau:.3g} ps")
+        return cfg
 
     def require(self, *sections: str) -> None:
         for s in sections:

@@ -7,24 +7,24 @@ spontaneous decay runs down the cascade b -> x -> g, and pure dephasing
 acts on the level populations with a rate that may grow with the
 instantaneous drive intensity.
 
-``evolve`` steps the master equation with scipy's RK45 (``solve_ivp``),
-stores every accepted step, and checks the trace and hermiticity drift of
-the stored states after the integration.  ``pulse_window_populations``
-integrates N pulse drives that differ only in their peak amplitude as one
-(20, N) system with scipy's RK45 stepper, checks the drift of every drive
-at each accepted step, and returns its end-of-window values.  Both carry
-the integrals of rho_xx and rho_bb after the 18 real components of rho.
+One RK45 loop (``_rk45_steps``) steps N drives that differ only in their
+peak amplitude as one (20, N) system: ``pulse_window_populations`` over
+the pulse window, and ``evolve`` for one drive inside it, storing every
+accepted step; ``evolve`` propagates the drive-off stretches outside the
+window exactly.  The state is the 18 real components of rho, then the
+integrals of rho_xx and rho_bb.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
 from scipy.interpolate import CubicHermiteSpline
+from scipy.linalg import expm
 
 from .linalg import commutator, dag
 
@@ -32,7 +32,7 @@ G, X, B = 0, 1, 2
 
 LN2 = math.log(2.0)
 
-# Smallest integration tolerance: solve_ivp raises any rtol below it to it.
+# Smallest integration tolerance: RK45 raises any rtol below it to it.
 TOL_FLOOR = 100 * np.finfo(float).eps
 
 # Components of the integrated state: [Re(vec rho); Im(vec rho)], then the
@@ -93,7 +93,7 @@ class PulseDrive:
             raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
 
     def amplitude(self, t):
-        return self.omega0 * np.exp(-LN2 * (np.asarray(t) - self.t0) ** 2
+        return self.omega0 * np.exp(-LN2 * (t - self.t0) ** 2
                                     / self.sigma ** 2)
 
 
@@ -301,7 +301,7 @@ def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
 
 @dataclass
 class Trajectory:
-    """Stored master-equation solution on the accepted-step grid."""
+    """Stored master-equation solution: accepted RK45 steps, exact rows."""
 
     times: np.ndarray                  # strictly increasing, shape (n,)
     states: np.ndarray                 # shape (n, 3, 3) complex
@@ -326,9 +326,9 @@ class Trajectory:
 
 
 def pulse_window(drive: PulseDrive) -> tuple[float, float]:
-    """(t0 - 5 sigma, t0 + 5 sigma): outside it the drive is below 3e-8 of
-    its peak, so the generator is constant and the populations decay freely.
-    """
+    """(t0 - 5 sigma, t0 + 5 sigma).  Outside it the drive is below 3e-8 of
+    its peak and is taken to be off, in ``evolve`` (exact propagation) and
+    in ``sweeps.emission_after_pulse`` (closed-form tail) alike."""
     return (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
 
 
@@ -347,17 +347,68 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     return start, end + 10.0 / decay.gamma_x
 
 
-def _first_step(rhs, t0: float, y0: np.ndarray, max_step: float) -> float:
-    """Conservative first step: 1 % of the state's scale over its initial
-    rate.  A right-hand side that is not finite at t0 (NaN or infinite drive
-    parameters) raises IntegrationError at t0."""
-    f0 = rhs(t0, y0)
+def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
+                deph: DephasingModel, t_span: tuple[float, float], tol: float,
+                max_step: float):
+    """Step N drives that differ only in ``omega0`` from the (20, N) states
+    ``y0`` as one system, dY/dt = r0 @ Y + (rd @ Y) * omega(t)
+    + (rp @ Y) * deph.rate(omega(t)); yield (t, Y) at the start and at
+    each accepted step.  scipy's RK45 runs at rtol = atol = tol/sqrt(N):
+    the RMS error norm over all 20 N components is at most 1 only if each
+    drive's own norm at ``tol`` is.  Drift beyond 100*tol at the start or
+    at a step, a right-hand side that is not finite at the start, or a
+    failed step raises IntegrationError with its time; iterate under
+    ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
+    """
+    n = y0.shape[1]
+    envelope = replace(drive, omega0=1.0).amplitude
+    r = np.vstack(_real_generator(drive, decay, deph))
+
+    def rhs(t, y):
+        omega_t = omega0 * envelope(t)
+        a = r @ y.reshape(_N_STATE, n)
+        return (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
+                + a[2 * _N_STATE:] * deph.rate(omega_t)).ravel()
+
+    t0, t1 = t_span
+    cap, rtol, y = 100.0 * tol, tol / math.sqrt(n), y0.ravel()
+    _check_drift(np.full(n, t0), y0, cap)
+    f0 = rhs(t0, y)
     if not np.isfinite(f0).all():
         raise IntegrationError("right-hand side is not finite", t0)
-    d1 = float(np.abs(f0).max())
-    if d1 == 0:
-        return max_step
-    return min(max_step, 0.01 * (np.abs(y0).max() + 1.0) / d1)
+    d1 = float(np.abs(f0).max())  # first step: 1 % of scale over rate
+    first = min(max_step, 0.01 * (np.abs(y).max() + 1.0) / d1) if d1 else max_step
+    solver = RK45(rhs, t0, y, t1, max_step=max_step, rtol=rtol, atol=rtol,
+                  first_step=first)
+    yield t0, y0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"integration failed: {message}",
+                                   float(solver.t))
+        y = solver.y.reshape(_N_STATE, n)
+        _check_drift(np.full(n, solver.t), y, cap)
+        yield solver.t, y
+
+
+def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,
+                       t_end: float, cap: float):
+    """(times, states) of exp(gen (t - t_start)) @ y on a uniform grid of
+    (t_start, t_end]: 400 rows, or fewer where floats cannot resolve them.
+    A generator that is not finite raises IntegrationError at t_start, and
+    drift beyond ``cap`` at the first row that shows it."""
+    if not np.isfinite(gen).all():
+        raise IntegrationError("right-hand side is not finite", t_start)
+    rows = int(min(400, max(1.0, (t_end - t_start) / (
+        4.0 * np.spacing(max(abs(t_start), abs(t_end)))))))
+    times = np.linspace(t_start, t_end, rows + 1)
+    states = np.empty((_N_STATE, rows + 1))
+    states[:, 0] = y
+    step = expm(gen * ((t_end - t_start) / rows))
+    for k in range(rows):
+        states[:, k + 1] = step @ states[:, k]
+    _check_drift(times, states, cap)
+    return times[1:], states[:, 1:]
 
 
 def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
@@ -365,14 +416,14 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
            max_step: float | None = None) -> Trajectory:
     """Integrate the master equation from ``rho0`` over ``t_span``.
 
-    The density matrix is embedded as 18 real components, plus the
-    integrals of rho_xx and rho_bb, and stepped with RK45 (Dormand-Prince
-    5(4), ``scipy.integrate.solve_ivp``) at rtol = atol = ``tol``; the drive
-    amplitude and dephasing rate are evaluated at the internal stage times,
-    and every accepted step is stored.  No renormalization is applied, so
-    trace drift is visible to the tests.  After the integration the stored
-    states are checked: trace or hermiticity drift beyond 100*tol, or a
-    failed integration, raises IntegrationError with the failure time.
+    RK45 (``_rk45_steps``, one drive, rtol = atol = ``tol``) steps the part
+    inside the pulse window of a ``PulseDrive``, or the whole span of a
+    ``ConstantDrive``, storing every accepted step; ``max_step`` (default
+    1/400 of that part) caps its steps.  Outside the window the drive is
+    off (``pulse_window``), and the state is propagated exactly with
+    r0 + deph.rate(0) rp onto a uniform grid.  No renormalization is
+    applied: drift beyond 100*tol, a generator that is not finite, or a
+    failed step raises IntegrationError with its time.
     """
     if t_span is None:
         t_span = default_t_span(drive, decay)
@@ -381,65 +432,40 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         raise ValueError(f"t_span must be increasing, got {t_span}")
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    span = t1 - t0
-    if max_step is None:
-        max_step = span / 400.0
-        sigma = getattr(drive, "sigma", None)
-        if sigma is not None:
-            max_step = min(max_step, 2.0 * sigma)
-    max_step = min(float(max_step), span)
-
-    r0, rd, rp = _real_generator(drive, decay, deph)
-    pure_background = deph.gamma_i0 == 0.0
-
-    def rhs(t, y):
-        omega_t = float(drive.amplitude(t))
-        out = r0 @ y
-        if omega_t != 0.0:
-            out += omega_t * (rd @ y)
-        g = deph.gamma_bg if pure_background else float(deph.rate(omega_t))
-        if g != 0.0:
-            out += g * (rp @ y)
-        return out
-
-    y0 = _initial_state(rho0)
+    a, b = t0, t1  # the stretch that RK45 steps
+    if isinstance(drive, PulseDrive):
+        a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
+    r0, _, rp = _real_generator(drive, decay, deph)
+    off, cap = r0 + float(deph.rate(0.0)) * rp, 100.0 * tol
+    parts = [(np.array([t0]), _initial_state(rho0)[:, None])]
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = _first_step(rhs, t0, y0, max_step)
-        sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol,
-                        max_step=max_step, first_step=h0)
-        _check_drift(sol.t, sol.y, 100.0 * tol)
-    if sol.status != 0:
-        raise IntegrationError(f"integration failed: {sol.message}",
-                               float(sol.t[-1]))
-    ys = sol.y.T
-    states = (ys[:, :9] + 1j * ys[:, 9:18]).reshape(-1, 3, 3)
-    return Trajectory(times=sol.t, states=states, integrals=ys[:, 18:])
+        if a > t0:
+            parts.append(_propagate_exactly(off, parts[-1][1][:, -1], t0, a, cap))
+        if b > a:
+            max_step = min((b - a) / 400.0 if max_step is None else max_step,
+                           b - a)
+            steps = _rk45_steps(parts[-1][1][:, -1:], drive,
+                                np.array([drive.omega0]), decay, deph, (a, b),
+                                tol, max_step)
+            next(steps)  # the start is stored already
+            ts, ys = zip(*steps)
+            parts.append((np.array(ts), np.hstack(ys)))
+        if t1 > b:
+            parts.append(_propagate_exactly(off, parts[-1][1][:, -1], b, t1, cap))
+    ys = np.hstack([y for _, y in parts])
+    return Trajectory(times=np.concatenate([t for t, _ in parts]),
+                      states=(ys[:9] + 1j * ys[9:18]).T.reshape(-1, 3, 3),
+                      integrals=ys[18:].T)
 
 
 def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
                              deph: DephasingModel, tol: float = 1e-9):
-    """Integrate pulse drives that differ only in ``omega0`` as one system
-    over their shared pulse window, all starting from ``rho0``.
-
-    The drives must share sigma, t0, delta_x and delta_b.  Their N states
-    (rho and the integrals of rho_xx and rho_bb) form a (20, N) array whose
-    derivative is
-    r0 @ Y + (rd @ Y) * omega(t) + (rp @ Y) * deph.rate(omega(t)), with
-    omega(t) the N drive amplitudes.  scipy's RK45 stepper advances it at
-    rtol = atol = tol/sqrt(N): the RMS error norm over all 20 N components
-    is at most 1 only if each drive's own norm at ``tol`` is, so every
-    accepted step passes each drive's own error test.  The first step and
-    the maximum step are those ``evolve`` takes on the window.
-
-    The start and every accepted step are checked for trace and
-    hermiticity drift beyond 100*tol in every drive; that, a right-hand
-    side that is not finite at the start, or a failed step raises
-    IntegrationError with its time.  Nothing is stored per step.
-
-    Returns the values at the end of the window, shape (4, N): rho_xx,
-    rho_bb, and the integrals of rho_xx and rho_bb over the window.
-    tol/sqrt(N) must be at least TOL_FLOOR.
+    """Step pulse drives that share sigma, t0, delta_x and delta_b as one
+    system (``_rk45_steps``) over their pulse window from ``rho0``, with
+    the maximum step ``evolve`` takes on the window; tol/sqrt(N) must be
+    at least TOL_FLOOR.  Returns the end-of-window values, shape (4, N):
+    rho_xx, rho_bb, and the integrals of rho_xx and rho_bb.
     """
     if len(drives) == 0:
         raise ValueError("need at least one drive")
@@ -451,39 +477,18 @@ def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
     n = len(drives)
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    rtol = tol / math.sqrt(n)
-    if rtol < TOL_FLOOR:
-        raise ValueError(f"tol/sqrt(N) = {rtol:.3g} is below {TOL_FLOOR:.3g}; "
-                         "integrate fewer drives at a time")
-
-    omega0 = np.array([d.omega0 for d in drives])
-    sigma, t_mid = first.sigma, first.t0
-    r = np.vstack(_real_generator(first, decay, deph))
-
-    def rhs(t, y):
-        omega_t = omega0 * np.exp(-LN2 * (t - t_mid) ** 2 / sigma ** 2)
-        a = r @ y.reshape(_N_STATE, n)
-        return (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
-                + a[2 * _N_STATE:] * deph.rate(omega_t)).ravel()
-
+    if tol / math.sqrt(n) < TOL_FLOOR:
+        raise ValueError(f"tol/sqrt(N) = {tol / math.sqrt(n):.3g} is below "
+                         f"{TOL_FLOOR:.3g}; integrate fewer drives at a time")
     t0, t1 = pulse_window(first)
     if not t1 > t0:
         raise ValueError(f"pulse window ({t0}, {t1}) has no width")
-    max_step = (t1 - t0) / 400.0
-    cap = 100.0 * tol
-    y0 = np.repeat(_initial_state(rho0), n)  # row k of (20, N): component k
-    # Overflow and NaN end as IntegrationError, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _check_drift(np.full(n, t0), y0.reshape(_N_STATE, n), cap)
-        solver = RK45(rhs, t0, y0, t1, max_step=max_step, rtol=rtol,
-                      atol=rtol, first_step=_first_step(rhs, t0, y0, max_step))
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"integration failed: {message}",
-                                       float(solver.t))
-            y = solver.y.reshape(_N_STATE, n)
-            _check_drift(np.full(n, solver.t), y, cap)
+    y0 = np.repeat(_initial_state(rho0)[:, None], n, axis=1)
+    omega0 = np.array([d.omega0 for d in drives])
+    with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
+        for _, y in _rk45_steps(y0, first, omega0, decay, deph, (t0, t1), tol,
+                                (t1 - t0) / 400.0):
+            pass
     return y[[4 * X, 4 * B, 18, 19]]
 
 

@@ -27,10 +27,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - dag(m)).max())
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def eig_hermitian(m: np.ndarray,
                   herm_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix.

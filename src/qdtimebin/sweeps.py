@@ -10,12 +10,12 @@ the pulse windows of many drives of one pulse shape as one batched system
 (``dynamics.pulse_window_populations``), whose state carries the
 population integrals, and adds the post-pulse emission in closed form.  A
 sweep curve is one batch; a first-cycle search is five: its scan, then
-four zoom rounds that refine the maximum and the minimum together.
+four zoom rounds that refine the maximum and the minimum together; a fit
+returns each (gamma_i0, ratio) pair it tried in its ``FitResult``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -218,46 +218,45 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     return float(a_max), float(v_max), float(a_min), float(v_min)
 
 
-@functools.lru_cache(maxsize=128)
 def first_cycle_ratio(sigma: float, deph: DephasingModel, decay: DecayRates,
                       delta_x: float = 0.5, tol: float = 1e-8) -> float:
-    """(first maximum of p_b) / (first minimum of p_b).
-
-    Memoised, because a fit asks again for values it has seen: its bracket
-    expansion comes back to 0.02, and ``qdtimebin fit-dephasing`` reports
-    the ratio at the fitted value.  ``fit_gamma_i0`` empties the cache when
-    it starts.
-    """
+    """(first maximum of p_b) / (first minimum of p_b)."""
     _, v_max, _, v_min = first_cycle_extrema(sigma, deph, decay,
                                              delta_x=delta_x, tol=tol)
     return v_max / v_min
 
 
-# Kept apart from the name, which a profiler may rebind to a wrapper.
-_clear_first_cycle_ratios = first_cycle_ratio.cache_clear
-
-
 GAMMA_I0_BRACKET_MAX = 10.0
+
+# A fit stops within this fraction of its target, or fails after this many.
+_FIT_REL_TOL = 0.01
+_FIT_MAX_EVALS = 70
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Fitted gamma_i0, its ratio, and each (gamma_i0, ratio) tried, in order."""
+
+    gamma_i0: float
+    ratio: float
+    evaluations: list[tuple[float, float]]
 
 
 def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
                  decay: DecayRates, gamma_bg: float = 0.0,
-                 delta_x: float = 0.5, tol: float = 1e-8,
-                 rel_tol: float = 0.01, max_iter: int = 60) -> float:
+                 delta_x: float = 0.5, tol: float = 1e-8) -> FitResult:
     """Dephasing amplitude reproducing a first-cycle max/min ratio.
 
-    Deterministic bisection on gamma_i0 over an expanding bracket inside
-    [0, 10]; the simulated ratio decreases monotonically with gamma_i0, so
-    the iteration stops once the ratio matches ``target_ratio`` to
-    ``rel_tol`` relative accuracy.  The ``first_cycle_ratio`` cache is
-    emptied first, so every fit computes the ratios it uses and costs the
-    same wherever it runs; it keeps this fit's ratios for its caller.
+    The simulated ratio decreases monotonically with gamma_i0.  The upper
+    end of the bracket [0, 0.02] doubles, within [0, 10], until the ratio
+    falls below ``target_ratio``, each old upper end becoming the lower
+    one; then deterministic bisection.  No value is evaluated twice, and
+    the first whose ratio matches the target to 1 % is returned.
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     if n_p not in (0, 1, 2, 3, 4):
         raise ValueError(f"n_p must be in 0..4, got {n_p}")
-    _clear_first_cycle_ratios()
 
     def ratio_of(gamma_i0: float) -> float:
         deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gamma_i0, n_p=n_p)
@@ -266,33 +265,29 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
         except OverdampedError:
             return 1.0  # beyond any meaningful target; drives bisection down
 
-    lo, hi = 0.0, 0.02
-    r_lo = ratio_of(lo)
-    if r_lo < target_ratio:
+    evaluations = [(0.0, ratio_of(0.0))]
+    if evaluations[0][1] < target_ratio:
         raise ValueError(
             f"target ratio {target_ratio:.4g} unreachable: undamped curve "
-            f"already gives {r_lo:.4g}")
-    r_hi = ratio_of(hi)
-    while r_hi >= target_ratio:
-        hi *= 2.0
-        if hi > GAMMA_I0_BRACKET_MAX:
+            f"already gives {evaluations[0][1]:.4g}")
+    lo, hi, gamma = 0.0, math.inf, 0.02
+    while len(evaluations) < _FIT_MAX_EVALS:
+        r = ratio_of(gamma)
+        evaluations.append((gamma, r))
+        if abs(r - target_ratio) <= _FIT_REL_TOL * target_ratio:
+            return FitResult(gamma, r, evaluations)
+        if r > target_ratio:
+            lo = gamma
+        else:
+            hi = gamma
+        gamma = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if gamma > GAMMA_I0_BRACKET_MAX:
             raise ValueError(
                 f"target ratio {target_ratio:.4g} unreachable within "
                 f"gamma_i0 <= {GAMMA_I0_BRACKET_MAX}")
-        r_hi = ratio_of(hi)
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        r = ratio_of(mid)
-        if abs(r - target_ratio) <= rel_tol * target_ratio:
-            return mid
-        if r > target_ratio:
-            lo = mid
-        else:
-            hi = mid
     raise RuntimeError(
-        f"bisection did not reach {rel_tol:.1%} of target after {max_iter} "
-        f"iterations (bracket [{lo:.4g}, {hi:.4g}])")
+        f"fit did not reach {_FIT_REL_TOL:.1%} of target after "
+        f"{_FIT_MAX_EVALS} evaluations (bracket [{lo:.4g}, {hi:.4g}])")
 
 
 def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,

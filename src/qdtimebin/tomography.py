@@ -18,6 +18,10 @@ from .linalg import dag, eig_hermitian
 _KET_E = np.array([1.0, 0.0], dtype=complex)
 _KET_L = np.array([0.0, 1.0], dtype=complex)
 
+# MLE stopping rule (relative log-likelihood improvement), L-BFGS-B cap.
+_MLE_FTOL = 1e-10
+_MLE_MAX_ITER = 2000
+
 
 @dataclass(frozen=True)
 class Projector:
@@ -249,15 +253,14 @@ def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
     return nll, grad
 
 
-def reconstruct_mle(data: TomographyDataset, ftol: float = 1e-10,
-                    max_iter: int = 2000) -> MleResult:
+def reconstruct_mle(data: TomographyDataset) -> MleResult:
     """Maximum-likelihood density matrix from Poisson counts.
 
     rho = T^dag T / tr(T^dag T) with lower-triangular T (16 real
     parameters), maximizing the Poisson log-likelihood; deterministic
     L-BFGS-B ascent starting from the PSD-projected linear inversion.
     Convergence is declared at relative log-likelihood improvement below
-    ``ftol``; non-convergence at the iteration cap is reported through
+    ``_MLE_FTOL``; non-convergence at the iteration cap is reported through
     ``converged`` with the best iterate retained.
     """
     if float(np.sum(data.counts)) <= 0:
@@ -290,8 +293,9 @@ def reconstruct_mle(data: TomographyDataset, ftol: float = 1e-10,
     improvement = np.inf
     for _ in range(3):  # restart if the line search stalls on the PSD boundary
         res = minimize(nll_and_grad, t_start, jac=True, method="L-BFGS-B",
-                       options={"ftol": ftol, "gtol": 1e-12,
-                                "maxiter": max_iter, "maxfun": 10 * max_iter})
+                       options={"ftol": _MLE_FTOL, "gtol": 1e-12,
+                                "maxiter": _MLE_MAX_ITER,
+                                "maxfun": 10 * _MLE_MAX_ITER})
         n_iter += int(res.nit)
         improvement = f_before - float(res.fun)
         if res.fun < best_nll:
@@ -302,7 +306,7 @@ def reconstruct_mle(data: TomographyDataset, ftol: float = 1e-10,
         t_start, f_before = res.x, float(res.fun)
     # a stall with no measurable improvement satisfies the relative
     # log-likelihood stopping rule even when the line search aborts
-    converged = success or improvement <= ftol * max(1.0, abs(best_nll))
+    converged = success or improvement <= _MLE_FTOL * max(1.0, abs(best_nll))
     rho = _rho_from_params(best_t)
     mu = np.clip(n_hat * np.einsum("kij,ji->k", ops, rho).real, 1e-12, None)
     log_lik = float(np.sum(counts * np.log(mu) - mu))

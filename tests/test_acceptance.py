@@ -147,7 +147,7 @@ def test_acceptance_05_dephasing_fit_regime():
     planted = 0.0349
     r_star = first_cycle_ratio(sigma, DephasingModel(0.0, planted, 2),
                                DECAY, delta_x=delta_x)
-    fitted = fit_gamma_i0(2, r_star, sigma, DECAY, delta_x=delta_x)
+    fitted = fit_gamma_i0(2, r_star, sigma, DECAY, delta_x=delta_x).gamma_i0
     rel = abs(fitted - planted) / planted
 
     r2 = r_star

@@ -72,6 +72,13 @@ def _set(path, value):
     return edit
 
 
+def _edits(*edits):
+    def edit(data):
+        for e in edits:
+            e(data)
+    return edit
+
+
 _AREAS = {"models": [{"gamma_bg": 0.0, "gamma_i0": 0.0, "n_p": 2}]}
 _SIGMAS = {"energies": [1.0, 2.0]}
 
@@ -91,6 +98,13 @@ _SIGMAS = {"energies": [1.0, 2.0]}
     ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
     ("evolve", _set(["pulse", "area"], -3.0), "pulse.area"),
     ("evolve", _set(["pulse", "t0"], 1e300), "pulse.t0"),
+    pytest.param("evolve", _set(["pulse", "sigma"], 1e300), "pulse.sigma",
+                 id="evolve-edit-pulse.sigma-overflowing"),
+    pytest.param("evolve", _set(["pulse", "t0"], 1e17), "pulse.t0",
+                 id="evolve-edit-pulse.t0-coarser-than-step"),
+    pytest.param("evolve", _edits(_set(["dot", "delta_x"], 3.5),
+                                  _set(["pulse", "t0"], 1e13)), "pulse.t0",
+                 id="evolve-edit-pulse.t0-coarser-than-detuning"),
     ("fit-dephasing",
      _set(["sweep"], {"fit": {"n_p": 2, "target_ratio": 0.5}}),
      "sweep.fit.target_ratio"),
@@ -108,6 +122,16 @@ def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
     cfg = write_config(tmp_path, data)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_pulse_far_from_time_zero_runs(tmp_path):
+    # the float grid near t0 = 1e12 (spacing 1.2e-4 ps) still resolves the
+    # fastest time scale 1/delta_x = 0.29 ps to within 1e-3
+    data = evolve_config(area=20.0)
+    data["dot"]["delta_x"] = 3.5
+    data["pulse"]["t0"] = 1e12
+    cfg = write_config(tmp_path, data)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -282,8 +306,8 @@ def test_fit_dephasing_round_trip(tmp_path):
 
 
 def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
-    # the bracket comes back to 0.02 and the report asks again for the
-    # fitted value: 7 first-cycle searches for 5 distinct values
+    # the bracket doubles from the previous upper end and the report uses
+    # the fit's own ratio: one first-cycle search per evaluated value
     from qdtimebin import sweeps
     calls = []
     search = sweeps.first_cycle_extrema
@@ -293,7 +317,6 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(sweeps, "first_cycle_extrema", counted)
-    sweeps.first_cycle_ratio.cache_clear()
     data = {"dot": {"gamma_b": 0.004, "gamma_x": 0.002, "delta_x": 3.5},
             "pulse": {"sigma": 12.0},
             "sweep": {"fit": {"n_p": 2, "target_ratio": 2.9106995511630265}}}
@@ -303,6 +326,8 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     out = json.loads((tmp_path / "fit_dephasing.json").read_text())
     assert out["gamma_i0"] == 0.035
     assert calls == [0.0, 0.02, 0.04, 0.03, 0.035]
+    assert [e["gamma_i0"] for e in out["evaluations"]] == calls
+    assert out["evaluations"][-1]["ratio"] == out["achieved_ratio"]
 
 
 def test_byte_identical_reruns(tmp_path):

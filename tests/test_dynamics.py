@@ -260,17 +260,72 @@ def test_evolve_honours_max_step():
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
 
 
-@pytest.mark.parametrize("drive", [
-    PulseDrive(omega0=1.0, sigma=4.0, delta_x=math.nan),
-    PulseDrive(omega0=math.inf, sigma=4.0),
+@pytest.mark.parametrize("drive, t_span", [
+    pytest.param(PulseDrive(omega0=1.0, sigma=4.0, delta_x=math.nan), None,
+                 id="drive0"),
+    pytest.param(PulseDrive(omega0=math.inf, sigma=4.0), None, id="drive1"),
+    # the stretch before the window is propagated exactly: its generator
+    # must be checked as well
+    pytest.param(PulseDrive(omega0=1.0, sigma=4.0, delta_x=math.nan),
+                 (-100.0, 100.0), id="nan-delta_x-before-window"),
 ])
-def test_evolve_non_finite_drive_fails_at_start(drive):
-    t_span = pulse_window(drive)
+def test_evolve_non_finite_drive_fails_at_start(drive, t_span):
+    t_span = t_span or pulse_window(drive)
     start = time.perf_counter()
     with pytest.raises(IntegrationError) as err:
         evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
     assert err.value.t == t_span[0]
     assert time.perf_counter() - start < 1.0
+
+
+ACCEPTANCE_06 = dict(decay=DecayRates(gamma_b=0.004, gamma_x=0.002),
+                     deph=DephasingModel(gamma_bg=0.01, gamma_i0=0.0349))
+
+
+def test_default_span_steps_the_window_like_a_window_only_evolve():
+    drive = PulseDrive(omega0=omega0_for_area(20.0, 12.0), sigma=12.0,
+                       delta_x=3.5)
+    full = evolve(GROUND, drive, **ACCEPTANCE_06, tol=1e-8)
+    window = evolve(GROUND, drive, **ACCEPTANCE_06,
+                    t_span=pulse_window(drive), tol=1e-8)
+    n = len(window.times)
+    assert np.array_equal(full.times[:n], window.times)
+    assert np.array_equal(full.states[:n], window.states)
+    assert np.array_equal(full.integrals[:n], window.integrals)
+    # after the window: at most 400 rows of the exact propagation
+    assert len(full.times) - n <= 400
+
+
+def test_drive_off_stretch_is_propagated_exactly():
+    # with n_p = 0 the dephasing rate is gamma_bg + gamma_i0 at any drive
+    rng = np.random.default_rng(7)
+    rho0 = oracles.random_density_matrix(rng, 3)
+    drive = PulseDrive(omega0=0.3, sigma=4.0, delta_x=0.6, delta_b=-0.1)
+    gb, gx, g_bg, g_i0 = 0.08, 0.05, 0.02, 0.03
+    traj = evolve(rho0, drive, DecayRates(gb, gx),
+                  DephasingModel(gamma_bg=g_bg, gamma_i0=g_i0, n_p=0),
+                  t_span=(-100.0, 30.0), tol=1e-9)
+    before = traj.times <= pulse_window(drive)[0]
+    assert before.sum() > 100
+    h = oracles.ladder_hamiltonian(0.0, 0.6, -0.1)
+    jumps = oracles.ladder_jumps(gb, gx, g_bg + g_i0)
+    err = max(np.abs(traj.states[i] - oracles.propagate_expm(
+        rho0, h, jumps, traj.times[i] + 100.0)).max()
+        for i in np.flatnonzero(before))
+    assert err < 1e-12
+
+
+def test_picosecond_fraction_pulse_evolves_quickly():
+    # the drive-off tail is propagated exactly, so the step count no longer
+    # scales with span / sigma
+    drive = PulseDrive(omega0=omega0_for_area(20.0, 1e-6), sigma=1e-6,
+                       delta_x=3.5)
+    start = time.perf_counter()
+    traj = evolve(GROUND, drive, DecayRates(gamma_b=0.004, gamma_x=0.002),
+                  DephasingModel(gamma_bg=0.01, gamma_i0=0.0), tol=1e-8)
+    assert time.perf_counter() - start < 5.0
+    assert len(traj.times) <= 1000
+    assert traj.times[-1] == default_t_span(drive, DecayRates(0.004, 0.002))[1]
 
 
 def test_batch_non_finite_drive_fails_at_start():

@@ -205,7 +205,7 @@ def test_fit_gamma_i0_round_trip_quick():
     planted = 0.05
     deph = DephasingModel(0.0, planted, 2)
     r = first_cycle_ratio(12.0, deph, DECAY, delta_x=3.5)
-    fitted = fit_gamma_i0(2, r, 12.0, DECAY, delta_x=3.5)
+    fitted = fit_gamma_i0(2, r, 12.0, DECAY, delta_x=3.5).gamma_i0
     assert fitted == pytest.approx(planted, rel=0.02)
 
 
