@@ -73,12 +73,13 @@ def _integer(name: str, v, minimum=None, maximum=None) -> int:
     return v
 
 
-def _grid(section: str, spec: Any) -> np.ndarray:
-    """Either an explicit list or {start, stop, num}; strictly increasing
-    and >= 0."""
+def _grid(section: str, spec: Any, min_points: int = 1) -> np.ndarray:
+    """Either an explicit list of at least ``min_points`` or
+    {start, stop, num}; strictly increasing and >= 0."""
     if isinstance(spec, list):
-        if len(spec) < 1:
-            raise ConfigError(f"'{section}' must not be empty")
+        if len(spec) < min_points:
+            raise ConfigError(
+                f"'{section}' needs at least {min_points} point(s)")
         grid = np.array([_value(f"{section}[{i}]", v, minimum=0.0)
                          for i, v in enumerate(spec)])
     elif isinstance(spec, dict):
@@ -206,7 +207,7 @@ class SweepConfig:
                     {"areas", "energies", "sigmas", "models", "fit"})
         cfg = cls()
         if "areas" in data:
-            cfg.areas = _grid("sweep.areas", data["areas"])
+            cfg.areas = _grid("sweep.areas", data["areas"], min_points=2)
         if "energies" in data:
             cfg.energies = _grid("sweep.energies", data["energies"])
         if "sigmas" in data:
@@ -260,6 +261,26 @@ _SECTIONS = {"dot", "pulse", "dephasing", "timebin", "tomography", "sweep",
              "numerics"}
 
 
+def _check_resolution(key: str, sigma: float, t0: float,
+                      rates: list[tuple[str, float]]) -> None:
+    """Floats near a pulse, spacing(|t0| + 5 sigma), must be at most 1e-3 of
+    its time scale tau: sigma, or 1/rate for the fastest of ``rates``
+    ((key, rate) pairs) when that is shorter.  Raise ConfigError naming
+    ``key``, or 'pulse.t0' when 5 sigma alone is resolved, and the key
+    that sets tau when it is not sigma."""
+    rate_key, rate = max(rates, key=lambda kr: kr[1])
+    by_rate = sigma * rate > 1.0
+    tau = 1.0 / rate if by_rate else sigma
+    spacing = np.spacing(abs(t0) + 5.0 * sigma)
+    if not spacing <= 1e-3 * tau:  # NaN when 5 sigma overflows
+        if np.spacing(5.0 * sigma) <= 1e-3 * tau:
+            key = "pulse.t0"
+        scale = f", set by '{rate_key}'" if by_rate else ""
+        raise ConfigError(
+            f"'{key}': floats near the pulse are {spacing:.3g} ps apart, "
+            f"over 1e-3 of its time scale {tau:.3g} ps{scale}")
+
+
 @dataclass
 class RunConfig:
     raw: dict
@@ -284,18 +305,23 @@ class RunConfig:
             tomography=TomographyConfig.parse(data.get("tomography", {})),
             sweep=SweepConfig.parse(data.get("sweep", {})),
             numerics=NumericsConfig.parse(data.get("numerics", {})))
-        pulse, dot = cfg.pulse, cfg.dot
-        if pulse is not None:
-            # spacing(|t0| + 5 sigma) must resolve its fastest time scale.
-            tau = 1.0 / max(1.0 / pulse.sigma, abs(dot.delta_x),
-                            abs(dot.delta_b), dot.gamma_b, dot.gamma_x)
-            spacing = np.spacing(abs(pulse.t0) + 5.0 * pulse.sigma)
-            if not spacing <= 1e-3 * tau:  # NaN when 5 sigma overflows
-                key = ("pulse.sigma" if not np.spacing(5.0 * pulse.sigma)
-                       <= 1e-3 * tau else "pulse.t0")
-                raise ConfigError(
-                    f"'{key}': floats near the pulse are {spacing:.3g} ps "
-                    f"apart, over 1e-3 of its time scale {tau:.3g} ps")
+        # Every rate and detuning, with its key; a dephasing model counts
+        # with its zero-drive rate.
+        rates = [(f"dot.{k}", abs(getattr(cfg.dot, k)))
+                 for k in ("gamma_x", "gamma_b", "delta_x", "delta_b")]
+        models = [("dephasing", cfg.dephasing)] if cfg.dephasing else []
+        models += [(f"sweep.models[{i}]", m)
+                   for i, m in enumerate(cfg.sweep.models)]
+        with np.errstate(over="ignore"):
+            rates += [(f"{k}.gamma_bg" if m.n_p else
+                       f"{k}.gamma_bg + {k}.gamma_i0", float(m.rate(0.0)))
+                      for k, m in models]
+        pulses = [(f"sweep.sigmas[{i}]", sigma, 0.0)
+                  for i, sigma in enumerate(cfg.sweep.sigmas)]
+        if cfg.pulse is not None:
+            pulses.insert(0, ("pulse.sigma", cfg.pulse.sigma, cfg.pulse.t0))
+        for key, sigma, t0 in pulses:
+            _check_resolution(key, sigma, t0, rates)
         return cfg
 
     def require(self, *sections: str) -> None:

@@ -7,12 +7,17 @@ spontaneous decay runs down the cascade b -> x -> g, and pure dephasing
 acts on the level populations with a rate that may grow with the
 instantaneous drive intensity.
 
-One RK45 loop (``_rk45_steps``) steps N drives that differ only in their
-peak amplitude as one (20, N) system: ``pulse_window_populations`` over
-the pulse window, and ``evolve`` for one drive inside it, storing every
-accepted step; ``evolve`` propagates the drive-off stretches outside the
-window exactly.  The state is the 18 real components of rho, then the
-integrals of rho_xx and rho_bb.
+The master equation is written once, in ``lindblad_rhs``, as a constant
+part, a part per unit drive amplitude and a part per unit dephasing rate
+(``_lindblad_parts``); the integrator's real generator is those parts
+applied to a Hermitian basis.  One RK45 loop (``_rk45_steps``) steps N
+drives that differ only in their peak amplitude as one (11, N) system:
+``pulse_window_populations`` over the pulse window, and ``evolve`` for one
+drive inside it, storing every accepted step; ``evolve`` propagates the
+drive-off stretches outside the window exactly.  The state is the 9 real
+coordinates of rho on ``linalg.hermitian_basis(3)`` (rho_gg, rho_xx,
+rho_bb first), then the integrals of rho_xx and rho_bb, so rho stays
+Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from scipy.integrate import RK45
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 
-from .linalg import commutator, dag
+from .linalg import commutator, dag, hermitian_basis, hermiticity_defect
 
 G, X, B = 0, 1, 2
 
@@ -35,31 +40,13 @@ LN2 = math.log(2.0)
 # Smallest integration tolerance: RK45 raises any rtol below it to it.
 TOL_FLOOR = 100 * np.finfo(float).eps
 
-# Components of the integrated state: [Re(vec rho); Im(vec rho)], then the
+# Components of the integrated state: the coordinates of rho on _BASIS,
+# whose first three elements are |g><g|, |x><x| and |b><b|, then the
 # integrals of rho_xx and rho_bb.
-_N_STATE = 20
-
-# Row-major vec indices of each upper-triangle entry of a 3x3 matrix and of
-# its transpose.
-_TRANSPOSE_PAIRS = ((0, 0), (4, 4), (8, 8), (1, 3), (2, 6), (5, 7))
-
-
-def _drift_map() -> np.ndarray:
-    """Linear map from the integrated state to (Re tr, Im tr) and, for each
-    transpose pair (i, j), the real and imaginary parts of
-    rho_i - conj(rho_j)."""
-    m = np.zeros((14, _N_STATE))
-    m[0, [0, 4, 8]] = 1.0
-    m[1, [9, 13, 17]] = 1.0
-    for k, (i, j) in enumerate(_TRANSPOSE_PAIRS):
-        m[2 + 2 * k, i] += 1.0
-        m[2 + 2 * k, j] -= 1.0
-        m[3 + 2 * k, 9 + i] += 1.0
-        m[3 + 2 * k, 9 + j] += 1.0
-    return m
-
-
-_DRIFT_MAP = _drift_map()
+_BASIS = hermitian_basis(3)
+_N_STATE = 11
+# Coordinates of a Hermitian m: tr(dual_k m), with dual_k = B_k / tr(B_k^2).
+_DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 
 
 class IntegrationError(RuntimeError):
@@ -161,6 +148,16 @@ def pulse_energy(drive: PulseDrive) -> float:
 
 # --- operators ------------------------------------------------------------
 
+def _ketbra(i: int, j: int) -> np.ndarray:
+    m = np.zeros((3, 3), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+# Drive coupling per unit amplitude: (|g><x| + |x><b| + h.c.) / 2.
+H_DRIVE = 0.5 * (_ketbra(G, X) + _ketbra(X, G) + _ketbra(X, B) + _ketbra(B, X))
+
+
 def hamiltonian(omega_t: float, drive) -> np.ndarray:
     """Instantaneous ladder Hamiltonian for drive amplitude ``omega_t``.
 
@@ -169,18 +166,9 @@ def hamiltonian(omega_t: float, drive) -> np.ndarray:
     """
     if omega_t < 0:
         raise ValueError(f"omega_t must be >= 0, got {omega_t}")
-    h = np.zeros((3, 3), dtype=complex)
-    h[G, X] = h[X, G] = 0.5 * omega_t
-    h[X, B] = h[B, X] = 0.5 * omega_t
-    h[X, X] = drive.delta_x - drive.delta_b
-    h[B, B] = -2.0 * drive.delta_b
-    return h
+    return (np.diag([0.0, drive.delta_x - drive.delta_b, -2.0 * drive.delta_b])
+            + omega_t * H_DRIVE)
 
-
-def _ketbra(i: int, j: int) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 # Jump operators of the cascade and the Hermitian dephasing operators.
 L_BX = _ketbra(X, B)           # biexciton decay channel, rate gamma_b
@@ -195,106 +183,74 @@ def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
 
 
+def _lindblad_parts(rho: np.ndarray, drive, decay: DecayRates):
+    """The parts of d(rho)/dt that are constant, per unit drive amplitude
+    and per unit dephasing rate; ``rho`` may be a stack of matrices."""
+    static = (1j * commutator(rho, hamiltonian(0.0, drive))
+              + decay.gamma_b * _dissipator(L_BX, rho)
+              + decay.gamma_x * _dissipator(L_XG, rho))
+    return (static, 1j * commutator(rho, H_DRIVE),
+            _dissipator(A_BB, rho) + _dissipator(A_XX, rho))
+
+
 def lindblad_rhs(rho: np.ndarray, t: float, drive, decay: DecayRates,
                  deph: DephasingModel) -> np.ndarray:
     """d(rho)/dt = i[rho, H(t)] + decay and dephasing dissipators."""
     omega_t = float(drive.amplitude(t))
-    h = hamiltonian(omega_t, drive)
-    out = 1j * commutator(rho, h)
-    out += decay.gamma_b * _dissipator(L_BX, rho)
-    out += decay.gamma_x * _dissipator(L_XG, rho)
-    g_deph = float(deph.rate(omega_t))
-    if g_deph != 0.0:
-        out += g_deph * (_dissipator(A_BB, rho) + _dissipator(A_XX, rho))
-    return out
+    if omega_t < 0:
+        raise ValueError(f"omega_t must be >= 0, got {omega_t}")
+    static, per_drive, per_deph = _lindblad_parts(rho, drive, decay)
+    return static + omega_t * per_drive + float(deph.rate(omega_t)) * per_deph
 
 
-# --- vectorized generator for integration ----------------------------------
+# --- real generator for integration ----------------------------------------
 
-def _kron_left(a):  # vec(a @ rho), row-major vec
-    return np.kron(a, np.eye(3))
-
-
-def _kron_right(a):  # vec(rho @ a)
-    return np.kron(np.eye(3), a.T)
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """Coordinates on _BASIS of a Hermitian matrix, or of a stack of them
+    (shape (..., 9))."""
+    return np.einsum("kij,...ji->...k", _DUAL, m).real
 
 
-def _kron_both(a, b):  # vec(a @ rho @ b)
-    return np.kron(a, b.T)
-
-
-def _dissipator_matrix(op: np.ndarray) -> np.ndarray:
-    anti = dag(op) @ op
-    return (_kron_both(op, dag(op))
-            - 0.5 * (_kron_left(anti) + _kron_right(anti)))
-
-
-def _commutator_matrix(h: np.ndarray) -> np.ndarray:
-    # vec(i[rho, h]) = -i (h x I - I x h^T) vec(rho)
-    return -1j * (_kron_left(h) - _kron_right(h))
-
-
-def liouvillian_pieces(drive, decay: DecayRates, deph: DephasingModel):
-    """Split the generator as m0 + amplitude(t)*m_drive + deph.rate(t)*m_deph.
-
-    All three are complex 9x9 matrices acting on the row-major vec of rho.
-    The amplitude enters the Hamiltonian linearly, and the two dephasing
-    dissipators share one time-dependent rate, so this decomposition is
-    exact for any drive envelope.
-    """
-    h_static = hamiltonian(0.0, drive)
-    h_coupling = (_ketbra(G, X) + _ketbra(X, G)
-                  + _ketbra(X, B) + _ketbra(B, X)) * 0.5
-    m0 = _commutator_matrix(h_static)
-    m0 += decay.gamma_b * _dissipator_matrix(L_BX)
-    m0 += decay.gamma_x * _dissipator_matrix(L_XG)
-    m_drive = _commutator_matrix(h_coupling)
-    m_deph = _dissipator_matrix(A_BB) + _dissipator_matrix(A_XX)
-    return m0, m_drive, m_deph
-
-
-def liouvillian(omega: float, drive, decay: DecayRates,
-                deph: DephasingModel) -> np.ndarray:
-    """Full 9x9 generator at fixed drive amplitude ``omega``."""
-    m0, m_drive, m_deph = liouvillian_pieces(drive, decay, deph)
-    return m0 + omega * m_drive + float(deph.rate(omega)) * m_deph
-
-
-def _real_generator(drive, decay: DecayRates, deph: DephasingModel):
-    """``liouvillian_pieces`` as real 20x20 maps of the integrated state:
-    the real image of each 9x9 piece on [Re(vec rho); Im(vec rho)], and in
-    r0 two rows that integrate rho_xx and rho_bb."""
+def _real_generator(drive, decay: DecayRates):
+    """The parts of ``lindblad_rhs`` as real 11x11 maps (r0, rd, rp) of the
+    integrated state: column k of each is the coordinates of that part
+    applied to basis element k, and r0 has two rows that integrate rho_xx
+    and rho_bb.  The generator at amplitude omega is
+    r0 + omega rd + deph.rate(omega) rp."""
     r0, rd, rp = np.zeros((3, _N_STATE, _N_STATE))
-    for r, m in zip((r0, rd, rp), liouvillian_pieces(drive, decay, deph)):
-        r[:18, :18] = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    r0[18, 4 * X] = r0[19, 4 * B] = 1.0
+    for r, part in zip((r0, rd, rp), _lindblad_parts(_BASIS, drive, decay)):
+        r[:9, :9] = _coordinates(part).T
+    r0[9, X] = r0[10, B] = 1.0
     return r0, rd, rp
 
 
-def _initial_state(rho: np.ndarray) -> np.ndarray:
-    """Integrated state of ``rho`` with both integrals at zero."""
-    v = np.asarray(rho, dtype=complex).ravel()
-    return np.concatenate([v.real, v.imag, np.zeros(2)])
+def _initial_state(rho: np.ndarray, cap: float, t0: float) -> np.ndarray:
+    """Integrated state of ``rho`` with both integrals at zero.  The
+    coordinates keep only the Hermitian part of ``rho``, so a hermiticity
+    defect beyond ``cap`` (or NaN) raises IntegrationError at ``t0``."""
+    rho = np.asarray(rho, dtype=complex)
+    defect = hermiticity_defect(rho)
+    if not defect <= cap:
+        raise IntegrationError(
+            f"hermiticity drift {defect:.3e} exceeds {cap:.1e}", t0)
+    return np.concatenate([_coordinates(rho), np.zeros(2)])
 
 
 def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
-    """Raise IntegrationError at the first state whose trace or hermiticity
-    drift exceeds ``cap`` or is not finite.
+    """Raise IntegrationError at the first state that is not finite or whose
+    trace drift exceeds ``cap``; rho is Hermitian by construction.
 
-    ``y`` holds the integrated states as columns, shape (20, n), and
+    ``y`` holds the integrated states as columns, shape (11, n), and
     ``times[k]`` is the time of column k: the stored steps of one
     trajectory, or the drives of a batch at one step.
     """
-    d = _DRIFT_MAP @ y
-    trace = np.abs(d[0] - 1.0) + np.abs(d[1])
-    herm = np.hypot(d[2::2], d[3::2]).max(axis=0)
-    bad = ~((trace <= cap) & (herm <= cap))  # NaN counts as drift
+    drift = np.abs(y[:3].sum(axis=0) - 1.0)
+    bad = ~((drift <= cap) & np.isfinite(y).all(axis=0))
     if bad.any():
         i = int(np.argmax(bad))
-        name, drift = (("trace", trace[i]) if not trace[i] <= cap
-                       else ("hermiticity", herm[i]))
-        raise IntegrationError(f"{name} drift {drift:.3e} exceeds {cap:.1e}",
-                               float(times[i]))
+        message = (f"trace drift {drift[i]:.3e} exceeds {cap:.1e}"
+                   if not drift[i] <= cap else "state is not finite")
+        raise IntegrationError(message, float(times[i]))
 
 
 # --- evolution --------------------------------------------------------------
@@ -350,11 +306,11 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
                 deph: DephasingModel, t_span: tuple[float, float], tol: float,
                 max_step: float):
-    """Step N drives that differ only in ``omega0`` from the (20, N) states
+    """Step N drives that differ only in ``omega0`` from the (11, N) states
     ``y0`` as one system, dY/dt = r0 @ Y + (rd @ Y) * omega(t)
     + (rp @ Y) * deph.rate(omega(t)); yield (t, Y) at the start and at
     each accepted step.  scipy's RK45 runs at rtol = atol = tol/sqrt(N):
-    the RMS error norm over all 20 N components is at most 1 only if each
+    the RMS error norm over all 11 N components is at most 1 only if each
     drive's own norm at ``tol`` is.  Drift beyond 100*tol at the start or
     at a step, a right-hand side that is not finite at the start, or a
     failed step raises IntegrationError with its time; iterate under
@@ -362,7 +318,7 @@ def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
     """
     n = y0.shape[1]
     envelope = replace(drive, omega0=1.0).amplitude
-    r = np.vstack(_real_generator(drive, decay, deph))
+    r = np.vstack(_real_generator(drive, decay))
 
     def rhs(t, y):
         omega_t = omega0 * envelope(t)
@@ -435,9 +391,9 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     a, b = t0, t1  # the stretch that RK45 steps
     if isinstance(drive, PulseDrive):
         a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
-    r0, _, rp = _real_generator(drive, decay, deph)
+    r0, _, rp = _real_generator(drive, decay)
     off, cap = r0 + float(deph.rate(0.0)) * rp, 100.0 * tol
-    parts = [(np.array([t0]), _initial_state(rho0)[:, None])]
+    parts = [(np.array([t0]), _initial_state(rho0, cap, t0)[:, None])]
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if a > t0:
@@ -455,8 +411,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
             parts.append(_propagate_exactly(off, parts[-1][1][:, -1], b, t1, cap))
     ys = np.hstack([y for _, y in parts])
     return Trajectory(times=np.concatenate([t for t, _ in parts]),
-                      states=(ys[:9] + 1j * ys[9:18]).T.reshape(-1, 3, 3),
-                      integrals=ys[18:].T)
+                      states=np.einsum("kn,kij->nij", ys[:9], _BASIS),
+                      integrals=ys[9:].T)
 
 
 def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
@@ -483,13 +439,13 @@ def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
     t0, t1 = pulse_window(first)
     if not t1 > t0:
         raise ValueError(f"pulse window ({t0}, {t1}) has no width")
-    y0 = np.repeat(_initial_state(rho0)[:, None], n, axis=1)
+    y0 = np.repeat(_initial_state(rho0, 100.0 * tol, t0)[:, None], n, axis=1)
     omega0 = np.array([d.omega0 for d in drives])
     with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
         for _, y in _rk45_steps(y0, first, omega0, decay, deph, (t0, t1), tol,
                                 (t1 - t0) / 400.0):
             pass
-    return y[[4 * X, 4 * B, 18, 19]]
+    return y[[X, B, 9, 10]]
 
 
 # --- emission probabilities -------------------------------------------------

@@ -27,6 +27,25 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - dag(m)).max())
 
 
+def hermitian_basis(n: int) -> np.ndarray:
+    """The n^2 Hermitian n x n matrices |i><i|, then for each i < j
+    |i><j| + |j><i| and i(|j><i| - |i><j|), shape (n^2, n, n).
+
+    They are orthogonal under tr(AB), with tr(A^2) = 1 on the diagonal
+    ones and 2 on the others; every Hermitian matrix is a real
+    combination of them.
+    """
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            basis[k, i, j] = basis[k, j, i] = 1.0
+            basis[k + 1, i, j], basis[k + 1, j, i] = -1j, 1j
+            k += 2
+    return basis
+
+
 def eig_hermitian(m: np.ndarray,
                   herm_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import dag, eig_hermitian
+from .linalg import dag, eig_hermitian, hermitian_basis
 
 _KET_E = np.array([1.0, 0.0], dtype=complex)
 _KET_L = np.array([0.0, 1.0], dtype=complex)
@@ -133,24 +133,6 @@ def _estimate_norm(data: TomographyDataset) -> float:
     return total
 
 
-def _hermitian_basis() -> list[np.ndarray]:
-    basis = []
-    for i in range(4):
-        m = np.zeros((4, 4), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = np.zeros((4, 4), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((4, 4), dtype=complex)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            basis.append(m)
-    return basis
-
-
 @dataclass
 class LinearReconstruction:
     rho: np.ndarray
@@ -167,9 +149,9 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
     """
     n_hat = _estimate_norm(data)
     probs = data.counts / n_hat
-    basis = _hermitian_basis()
+    basis = hermitian_basis(4)
     ops = np.array([s.operator() for s in data.settings])
-    design = np.einsum("kij,bji->kb", ops, np.array(basis)).real
+    design = np.einsum("kij,bji->kb", ops, basis).real
     if np.linalg.matrix_rank(design, tol=1e-10) < 16:
         raise ValueError("singular design matrix: settings are not "
                          "informationally complete")

@@ -105,6 +105,15 @@ _SIGMAS = {"energies": [1.0, 2.0]}
     pytest.param("evolve", _edits(_set(["dot", "delta_x"], 3.5),
                                   _set(["pulse", "t0"], 1e13)), "pulse.t0",
                  id="evolve-edit-pulse.t0-coarser-than-detuning"),
+    pytest.param("ratio", _set(["sweep"], dict(_SIGMAS, sigmas=[1e300])),
+                 "sweep.sigmas", id="ratio-edit-sweep.sigmas-overflowing"),
+    pytest.param("evolve", _set(["dephasing", "gamma_bg"], 1e300),
+                 "dephasing.gamma_bg",
+                 id="evolve-edit-dephasing.gamma_bg-overflowing"),
+    pytest.param("evolve", _set(["dot", "gamma_x"], 1e300), "dot.gamma_x",
+                 id="evolve-edit-dot.gamma_x-overflowing"),
+    pytest.param("rabi", _set(["sweep"], dict(_AREAS, areas=[1.0])),
+                 "sweep.areas", id="rabi-edit-sweep.areas-one-point"),
     ("fit-dephasing",
      _set(["sweep"], {"fit": {"n_p": 2, "target_ratio": 0.5}}),
      "sweep.fit.target_ratio"),

@@ -20,15 +20,15 @@ from qdtimebin.dynamics import (
     evolve,
     export_trajectory_csv,
     hamiltonian,
+    _real_generator,
     lindblad_rhs,
-    liouvillian,
     omega0_for_area,
     pulse_area,
     pulse_energy,
     pulse_window,
     pulse_window_populations,
 )
-from qdtimebin.linalg import hermiticity_defect, min_eigenvalue
+from qdtimebin.linalg import hermitian_basis, hermiticity_defect, min_eigenvalue
 
 import oracles
 
@@ -163,17 +163,31 @@ def test_rhs_against_superoperator_oracle():
         assert hermiticity_defect(ours) < 1e-12
 
 
-def test_compiled_liouvillian_matches_rhs():
+def test_real_generator_matches_oracle():
+    # the integrator's generator r0 + omega rd + rate rp, derived from
+    # lindblad_rhs on the Hermitian basis, against the column-stacking oracle
     rng = np.random.default_rng(5)
     drive = ConstantDrive(omega0=1.3, delta_x=0.7, delta_b=-0.2)
     decay = DecayRates(0.4, 0.9)
     deph = DephasingModel(gamma_bg=0.1, gamma_i0=0.2, n_p=2)
-    s = liouvillian(1.3, drive, decay, deph)
+    omega, rate = 1.3, float(deph.rate(1.3))
+    r0, rd, rp = _real_generator(drive, decay)
+    gen = r0 + omega * rd + rate * rp
+    s = oracles.lindblad_superoperator(
+        oracles.ladder_hamiltonian(omega, 0.7, -0.2),
+        oracles.ladder_jumps(0.4, 0.9, rate))
+    basis = hermitian_basis(3)
+    norms = np.einsum("kij,kji->k", basis, basis).real
     for _ in range(10):
         rho = oracles.random_density_matrix(rng, 3)
-        ref = lindblad_rhs(rho, 0.0, drive, decay, deph)
-        ours = (s @ rho.ravel()).reshape(3, 3)
-        assert np.abs(ours - ref).max() < 1e-13
+        y = np.concatenate(
+            [np.einsum("kij,ji->k", basis, rho).real / norms, rng.normal(size=2)])
+        dy = gen @ y
+        ours = np.einsum("k,kij->ij", dy[:9], basis)
+        ref = oracles.apply_superoperator(s, rho)
+        assert np.abs(ours - ref).max() < 1e-12
+        # the last two components integrate rho_xx and rho_bb
+        assert np.abs(dy[9:] - np.real(np.diag(rho))[[X, B]]).max() < 1e-15
 
 
 # --- evolution ----------------------------------------------------------------
@@ -358,6 +372,21 @@ def test_evolve_reports_trace_drift_at_start():
     with pytest.raises(IntegrationError, match="trace drift") as err:
         evolve(2.0 * GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
     assert err.value.t == t_span[0]
+
+
+def test_evolve_rejects_non_hermitian_start():
+    # the state keeps only the Hermitian part of rho0, so a defect must fail
+    drive = PulseDrive(omega0=0.5, sigma=4.0)
+    rho0 = GROUND.copy()
+    rho0[G, X] = 1e-3
+    window = pulse_window(drive)
+    for t_span in (window, (-100.0, window[1])):
+        with pytest.raises(IntegrationError, match="hermiticity drift") as err:
+            evolve(rho0, drive, DecayRates(), NO_DEPH, t_span=t_span)
+        assert err.value.t == t_span[0]
+    with pytest.raises(IntegrationError, match="hermiticity drift") as err:
+        pulse_window_populations(rho0, [drive], DecayRates(), NO_DEPH)
+    assert err.value.t == window[0]
 
 
 def test_default_span_covers_pulse_and_decay():

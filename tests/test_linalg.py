@@ -8,6 +8,7 @@ from qdtimebin.linalg import (
     commutator,
     dag,
     eig_hermitian,
+    hermitian_basis,
     hermiticity_defect,
     min_eigenvalue,
     sqrtm_psd,
@@ -20,6 +21,19 @@ from oracles import random_density_matrix, random_pure_state
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hermitian_basis(n):
+    basis = hermitian_basis(n)
+    assert basis.shape == (n * n, n, n)
+    assert max(hermiticity_defect(b) for b in basis) == 0.0
+    gram = np.einsum("kij,lji->kl", basis, basis)
+    assert np.abs(gram - np.diag(np.diag(gram))).max() == 0.0
+    m = random_hermitian(np.random.default_rng(n), n)
+    coeff = np.einsum("kij,ji->k", basis, m) / np.diag(gram)
+    assert np.abs(coeff.imag).max() < 1e-15
+    assert np.abs(np.einsum("k,kij->ij", coeff.real, basis) - m).max() < 1e-14
 
 
 def test_identity_eigenvalues():
