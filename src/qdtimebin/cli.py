@@ -151,11 +151,15 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     settings = tomography.standard_settings()
     per_seed = {"concurrence": [], "fidelity": [], "coherence_abs": [],
                 "visibility_time": [], "state_fidelity_to_model": []}
+    mle_status = {"converged": [], "n_iter": [], "log_likelihood": []}
     first_reconstruction = None
     for s in seeds:
         data = tomography.simulate_counts(rho_model, settings,
                                           cfg.tomography.n_mean, s)
         mle = tomography.reconstruct_mle(data)
+        mle_status["converged"].append(mle.converged)
+        mle_status["n_iter"].append(mle.n_iter)
+        mle_status["log_likelihood"].append(mle.log_likelihood)
         m = _state_metrics(mle.rho)
         per_seed["concurrence"].append(m["concurrence"])
         per_seed["fidelity"].append(m["fidelity"])
@@ -176,6 +180,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         "accidental_fraction": params.accidental_fraction(),
         "model_metrics": _state_metrics(rho_model),
         "reconstruction": {k: _batch_stats(v) for k, v in per_seed.items()},
+        "mle": mle_status,
     }
     path = out / "entangle_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",

@@ -48,6 +48,11 @@ _N_STATE = 11
 # Coordinates of a Hermitian m: tr(dual_k m), with dual_k = B_k / tr(B_k^2).
 _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 
+# Accepted RK45 steps one run of ``_rk45_steps`` may take.  A pulse window
+# takes 400-615; a window made stiff by intensity dephasing (sigma 1e-6
+# with gamma_i0 * omega0^2 ~ 3e12 /ps) would take millions.
+_MAX_RK45_STEPS = 100_000
+
 
 class IntegrationError(RuntimeError):
     """Integrator failure or invariant drift; carries the failure time."""
@@ -312,8 +317,9 @@ def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
     each accepted step.  scipy's RK45 runs at rtol = atol = tol/sqrt(N):
     the RMS error norm over all 11 N components is at most 1 only if each
     drive's own norm at ``tol`` is.  Drift beyond 100*tol at the start or
-    at a step, a right-hand side that is not finite at the start, or a
-    failed step raises IntegrationError with its time; iterate under
+    at a step, a right-hand side that is not finite at the start, a failed
+    step, or a step beyond ``_MAX_RK45_STEPS`` before ``t_span`` ends
+    raises IntegrationError with its time; iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
@@ -337,7 +343,9 @@ def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
     solver = RK45(rhs, t0, y, t1, max_step=max_step, rtol=rtol, atol=rtol,
                   first_step=first)
     yield t0, y0
-    while solver.status == "running":
+    for _ in range(_MAX_RK45_STEPS):
+        if solver.status != "running":
+            return
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(f"integration failed: {message}",
@@ -345,6 +353,11 @@ def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
         y = solver.y.reshape(_N_STATE, n)
         _check_drift(np.full(n, solver.t), y, cap)
         yield solver.t, y
+    if solver.status == "running":
+        raise IntegrationError(
+            f"RK45 step budget of {_MAX_RK45_STEPS} steps exhausted before "
+            f"the span ends at {t1:.6g}: the equations are too stiff",
+            float(solver.t))
 
 
 def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,

@@ -9,9 +9,11 @@ Every photon yield comes from ``emission_after_pulse``, which integrates
 the pulse windows of many drives of one pulse shape as one batched system
 (``dynamics.pulse_window_populations``), whose state carries the
 population integrals, and adds the post-pulse emission in closed form.  A
-sweep curve is one batch; a first-cycle search is five: its scan, then
-four zoom rounds that refine the maximum and the minimum together; a fit
-returns each (gamma_i0, ratio) pair it tried in its ``FitResult``.
+sweep curve is one batch.  A first-cycle search is five batches: its scan,
+then four zoom rounds that refine the maximum and the minimum together.
+Only the first search of a fit is so; each later one is four batches, the
+zoom rounds started from the previous search's extrema.  A fit returns
+each (gamma_i0, ratio) pair it tried in its ``FitResult``.
 """
 
 from __future__ import annotations
@@ -170,6 +172,60 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
     return math.sqrt(omega_sq) * sigma * math.sqrt(math.pi / LN2)
 
 
+def _pb_sampler(sigma: float, deph: DephasingModel, decay: DecayRates,
+                delta_x: float, delta_b: float, tol: float):
+    """p_b at each of an array of areas, as one batch."""
+    def pb_of_areas(areas: np.ndarray) -> np.ndarray:
+        drives = [PulseDrive(omega0=omega0_for_area(a, sigma), sigma=sigma,
+                             delta_x=delta_x, delta_b=delta_b) for a in areas]
+        return emission_after_pulse(drives, decay, deph, tol=tol)[1]
+    return pb_of_areas
+
+
+def _scan_areas(sigma: float, delta_x: float) -> np.ndarray:
+    """The 48 areas of the scan around the coherent first-cycle scale."""
+    return np.linspace(0.15, 2.2, _SCAN_SAMPLES) * coherent_first_max_area(
+        sigma, delta_x)
+
+
+def _scan_brackets(pb_of_areas, grid: np.ndarray):
+    """Scan ``grid`` in one batch; return the (lo, hi) brackets, the scan
+    neighbours of the first maximum and of the minimum after it."""
+    pb = pb_of_areas(grid)
+    i_max = next((i for i in range(1, _SCAN_SAMPLES - 1)
+                  if pb[i] >= pb[i - 1] and pb[i] >= pb[i + 1]), None)
+    if i_max is None:
+        raise OverdampedError("no interior first maximum in the scanned window")
+    i_min = next((i for i in range(i_max + 1, _SCAN_SAMPLES - 1)
+                  if pb[i] <= pb[i - 1] and pb[i] <= pb[i + 1]), None)
+    if i_min is None:
+        raise OverdampedError("no first minimum after the first maximum")
+    return grid[[i_max - 1, i_min - 1]], grid[[i_max + 1, i_min + 1]]
+
+
+def _zoom_extrema(pb_of_areas, lo: np.ndarray, hi: np.ndarray,
+                  warm: bool = False):
+    """Refine the maximum in bracket 0 and the minimum in bracket 1
+    together: each round samples both brackets at 17 areas in one batch and
+    keeps the neighbours of the best sample.  Returns (area_max, pb_max,
+    area_min, pb_min), the best samples of the last round; with ``warm``,
+    None instead as soon as a best sample of the first round sits at a
+    bracket end, where the extremum may lie outside the bracket."""
+    sign = np.array([[1.0], [-1.0]])  # maximize row 0, minimize row 1
+    rows = np.arange(2)
+    for k in range(_ZOOM_ROUNDS):
+        areas = np.linspace(lo, hi, _ZOOM_SAMPLES, axis=1)
+        pb = pb_of_areas(areas.ravel()).reshape(areas.shape)
+        best = np.argmax(sign * pb, axis=1)
+        if warm and k == 0 and np.any((best == 0)
+                                      | (best == _ZOOM_SAMPLES - 1)):
+            return None
+        lo = areas[rows, np.maximum(best - 1, 0)]
+        hi = areas[rows, np.minimum(best + 1, _ZOOM_SAMPLES - 1)]
+    (a_max, a_min), (v_max, v_min) = areas[rows, best], pb[rows, best]
+    return float(a_max), float(v_max), float(a_min), float(v_min)
+
+
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
                         delta_x: float = 0.5, delta_b: float = 0.0,
                         tol: float = 1e-8):
@@ -181,41 +237,32 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     each bracket (at first the scan neighbours of the extremum) at 17 areas
     in one batch and keeps the neighbours of the best sample, so four
     rounds narrow both brackets 4096 times in four batches.  The best
-    samples of the last round are returned.
+    samples of the last round are returned.  This is the cold search;
+    ``fit_gamma_i0`` starts its later searches from the extrema of the
+    previous one instead of from the scan.
 
     Raises OverdampedError when no interior extremum survives the damping.
     """
-    theta_star = coherent_first_max_area(sigma, delta_x)
+    pb_of_areas = _pb_sampler(sigma, deph, decay, delta_x, delta_b, tol)
+    return _zoom_extrema(pb_of_areas, *_scan_brackets(
+        pb_of_areas, _scan_areas(sigma, delta_x)))
 
-    def pb_of_areas(areas: np.ndarray) -> np.ndarray:
-        drives = [PulseDrive(omega0=omega0_for_area(a, sigma), sigma=sigma,
-                             delta_x=delta_x, delta_b=delta_b) for a in areas]
-        return emission_after_pulse(drives, decay, deph, tol=tol)[1]
 
-    grid = np.linspace(0.15, 2.2, _SCAN_SAMPLES) * theta_star
-    pb = pb_of_areas(grid)
-
-    i_max = next((i for i in range(1, _SCAN_SAMPLES - 1)
-                  if pb[i] >= pb[i - 1] and pb[i] >= pb[i + 1]), None)
-    if i_max is None:
-        raise OverdampedError("no interior first maximum in the scanned window")
-    i_min = next((i for i in range(i_max + 1, _SCAN_SAMPLES - 1)
-                  if pb[i] <= pb[i - 1] and pb[i] <= pb[i + 1]), None)
-    if i_min is None:
-        raise OverdampedError("no first minimum after the first maximum")
-
-    sign = np.array([[1.0], [-1.0]])  # maximize row 0, minimize row 1
-    rows = np.arange(2)
-    lo = grid[[i_max - 1, i_min - 1]]
-    hi = grid[[i_max + 1, i_min + 1]]
-    for _ in range(_ZOOM_ROUNDS):
-        areas = np.linspace(lo, hi, _ZOOM_SAMPLES, axis=1)
-        pb = pb_of_areas(areas.ravel()).reshape(areas.shape)
-        best = np.argmax(sign * pb, axis=1)
-        lo = areas[rows, np.maximum(best - 1, 0)]
-        hi = areas[rows, np.minimum(best + 1, _ZOOM_SAMPLES - 1)]
-    (a_max, a_min), (v_max, v_min) = areas[rows, best], pb[rows, best]
-    return float(a_max), float(v_max), float(a_min), float(v_min)
+def _warm_first_cycle_extrema(sigma: float, deph: DephasingModel,
+                              decay: DecayRates, delta_x: float, tol: float,
+                              near: tuple[float, float]):
+    """``first_cycle_extrema`` zooming from brackets of one scan spacing on
+    either side of ``near`` = (area_max, area_min) instead of from the
+    scan.  When the first round finds an extremum at a bracket end, the
+    extrema have moved too far, and the cold search runs instead."""
+    grid = _scan_areas(sigma, delta_x)
+    centre, spacing = np.array(near), grid[1] - grid[0]
+    found = _zoom_extrema(_pb_sampler(sigma, deph, decay, delta_x, 0.0, tol),
+                          centre - spacing, centre + spacing, warm=True)
+    if found is None:
+        found = first_cycle_extrema(sigma, deph, decay, delta_x=delta_x,
+                                    tol=tol)
+    return found
 
 
 def first_cycle_ratio(sigma: float, deph: DephasingModel, decay: DecayRates,
@@ -247,30 +294,42 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
                  delta_x: float = 0.5, tol: float = 1e-8) -> FitResult:
     """Dephasing amplitude reproducing a first-cycle max/min ratio.
 
-    The simulated ratio decreases monotonically with gamma_i0.  The upper
-    end of the bracket [0, 0.02] doubles, within [0, 10], until the ratio
-    falls below ``target_ratio``, each old upper end becoming the lower
-    one; then deterministic bisection.  No value is evaluated twice, and
-    the first whose ratio matches the target to 1 % is returned.
+    The simulated ratio decreases monotonically with gamma_i0.  The search
+    starts at 0.02; while the ratio stays above ``target_ratio`` the value
+    doubles, within [0, 10], each old value becoming the lower end of the
+    bracket; then deterministic bisection.  gamma_i0 = 0 is searched only
+    when the ratio at 0.02 is already below the target, the one case where
+    the target may be unreachable; it then counts towards
+    ``_FIT_MAX_EVALS``.  No value is searched twice, and the first whose
+    ratio matches the target to 1 % is returned.  The first search is
+    ``first_cycle_extrema``; each later one zooms from the extrema of the
+    previous one, and falls back to ``first_cycle_extrema`` when they have
+    moved too far.
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     if n_p not in (0, 1, 2, 3, 4):
         raise ValueError(f"n_p must be in 0..4, got {n_p}")
+    near = None  # (area_max, area_min) of the last search that found them
 
     def ratio_of(gamma_i0: float) -> float:
+        nonlocal near
         deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gamma_i0, n_p=n_p)
         try:
-            return first_cycle_ratio(sigma, deph, decay, delta_x=delta_x, tol=tol)
+            if near is None:
+                found = first_cycle_extrema(sigma, deph, decay,
+                                            delta_x=delta_x, tol=tol)
+            else:
+                found = _warm_first_cycle_extrema(sigma, deph, decay,
+                                                  delta_x, tol, near)
         except OverdampedError:
             return 1.0  # beyond any meaningful target; drives bisection down
+        a_max, v_max, a_min, v_min = found
+        near = a_max, a_min
+        return v_max / v_min
 
-    evaluations = [(0.0, ratio_of(0.0))]
-    if evaluations[0][1] < target_ratio:
-        raise ValueError(
-            f"target ratio {target_ratio:.4g} unreachable: undamped curve "
-            f"already gives {evaluations[0][1]:.4g}")
-    lo, hi, gamma = 0.0, math.inf, 0.02
+    evaluations = []
+    lo, hi, gamma = None, math.inf, 0.02  # lo None: gamma_i0 = 0 unsearched
     while len(evaluations) < _FIT_MAX_EVALS:
         r = ratio_of(gamma)
         evaluations.append((gamma, r))
@@ -280,6 +339,14 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
             lo = gamma
         else:
             hi = gamma
+            if lo is None:
+                evaluations.append((0.0, ratio_of(0.0)))
+                if evaluations[-1][1] < target_ratio:
+                    raise ValueError(
+                        f"target ratio {target_ratio:.4g} unreachable: "
+                        f"undamped curve already gives "
+                        f"{evaluations[-1][1]:.4g}")
+                lo = 0.0
         gamma = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
         if gamma > GAMMA_I0_BRACKET_MAX:
             raise ValueError(

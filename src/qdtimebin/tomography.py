@@ -96,11 +96,23 @@ class TomographyDataset:
             raise ValueError("counts must be non-negative")
 
 
+def _setting_operators(settings: list[MeasurementSetting]) -> np.ndarray:
+    """The joint projector of each setting, shape (len(settings), 4, 4).
+
+    Each is the rank-1 projector onto the joint ket |xx> (x) |x>, built for
+    all settings at once; equal to stacking ``MeasurementSetting.operator``.
+    """
+    kets = np.array([[s.xx.ket(), s.x.ket()] for s in settings]).reshape(
+        len(settings), 2, 2)
+    joint = np.einsum("ki,kj->kij", kets[:, 0], kets[:, 1]).reshape(-1, 4)
+    return np.einsum("ki,kj->kij", joint, joint.conj())
+
+
 def expected_counts(rho: np.ndarray, settings: list[MeasurementSetting],
                     n_mean: float) -> np.ndarray:
     """Noise-free expected coincidences n_mean * tr(rho P) per setting."""
-    return np.array([n_mean * np.real(np.trace(rho @ s.operator()))
-                     for s in settings])
+    ops = _setting_operators(settings)
+    return n_mean * np.einsum("ij,kji->k", rho, ops).real
 
 
 def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
@@ -150,7 +162,7 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
     n_hat = _estimate_norm(data)
     probs = data.counts / n_hat
     basis = hermitian_basis(4)
-    ops = np.array([s.operator() for s in data.settings])
+    ops = _setting_operators(data.settings)
     design = np.einsum("kij,bji->kb", ops, basis).real
     if np.linalg.matrix_rank(design, tol=1e-10) < 16:
         raise ValueError("singular design matrix: settings are not "
@@ -249,7 +261,7 @@ def reconstruct_mle(data: TomographyDataset) -> MleResult:
         raise ValueError("degenerate dataset: all counts are zero, "
                          "likelihood is flat")
     n_hat = _estimate_norm(data)
-    ops = np.array([s.operator() for s in data.settings])
+    ops = _setting_operators(data.settings)
     counts = data.counts
 
     def nll_and_grad(t: np.ndarray):

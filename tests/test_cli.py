@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -315,17 +316,18 @@ def test_fit_dephasing_round_trip(tmp_path):
 
 
 def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
-    # the bracket doubles from the previous upper end and the report uses
-    # the fit's own ratio: one first-cycle search per evaluated value
+    # the bracket doubles from the previous upper end, gamma_i0 = 0 is not
+    # searched while the target lies below the first ratio, only the first
+    # search scans, and the report uses the fit's own ratio
     from qdtimebin import sweeps
-    calls = []
-    search = sweeps.first_cycle_extrema
+    batches = []
+    emission = sweeps.emission_after_pulse
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].gamma_i0)
-        return search(*args, **kwargs)
+    def counted(drives, decay, deph, tol=1e-8):
+        batches.append((deph.gamma_i0, len(drives)))
+        return emission(drives, decay, deph, tol=tol)
 
-    monkeypatch.setattr(sweeps, "first_cycle_extrema", counted)
+    monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
     data = {"dot": {"gamma_b": 0.004, "gamma_x": 0.002, "delta_x": 3.5},
             "pulse": {"sigma": 12.0},
             "sweep": {"fit": {"n_p": 2, "target_ratio": 2.9106995511630265}}}
@@ -334,9 +336,44 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "fit_dephasing.json").read_text())
     assert out["gamma_i0"] == 0.035
-    assert calls == [0.0, 0.02, 0.04, 0.03, 0.035]
-    assert [e["gamma_i0"] for e in out["evaluations"]] == calls
+    searched = [g for i, (g, _) in enumerate(batches)
+                if i == 0 or g != batches[i - 1][0]]
+    assert searched == [0.02, 0.04, 0.03, 0.035]
+    assert len(batches) == 17
+    assert [n for _, n in batches].count(48) == 1
+    assert [e["gamma_i0"] for e in out["evaluations"]] == searched
     assert out["evaluations"][-1]["ratio"] == out["achieved_ratio"]
+
+
+def test_stiff_pulse_window_exits_3_within_step_budget(tmp_path, capsys):
+    # intensity dephasing of ~3e12 /ps at the peak of a 1e-6 ps pulse would
+    # take explicit RK45 ~1.4e6 steps; the step budget ends it
+    data = evolve_config(area=20.0)
+    data["dot"]["delta_x"] = 3.5
+    data["pulse"]["sigma"] = 1e-6
+    data["dephasing"].update(gamma_bg=0.01, gamma_i0=0.0349)
+    cfg = write_config(tmp_path, data)
+    start = time.monotonic()
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 3
+    assert time.monotonic() - start < 60.0
+    err = capsys.readouterr().err
+    assert "numerical failure at t = " in err
+    assert "step budget" in err
+    assert err.count("t =") == 1
+
+
+def test_entangle_report_records_mle_status_per_seed(tmp_path):
+    data = entangle_config()
+    cfg = write_config(tmp_path, data)
+    assert main(["entangle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    mle = json.loads((tmp_path / "entangle_report.json").read_text())["mle"]
+    n_seeds = data["tomography"]["n_seeds"]
+    assert sorted(mle) == ["converged", "log_likelihood", "n_iter"]
+    assert all(len(v) == n_seeds for v in mle.values())
+    assert all(isinstance(c, bool) for c in mle["converged"])
+    assert all(isinstance(n, int) and n >= 0 for n in mle["n_iter"])
+    assert all(np.isfinite(mle["log_likelihood"]))
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -209,6 +209,41 @@ def test_fit_gamma_i0_round_trip_quick():
     assert fitted == pytest.approx(planted, rel=0.02)
 
 
+def test_fit_gamma_i0_root_below_first_bracket_point():
+    # a ratio below the target at 0.02 puts the root in (0, 0.02), so the
+    # undamped curve is searched to confirm that the target is reachable
+    planted = 0.01
+    r = first_cycle_ratio(12.0, DephasingModel(0.0, planted, 2), DECAY,
+                          delta_x=3.5)
+    fit = fit_gamma_i0(2, r, 12.0, DECAY, delta_x=3.5)
+    assert [g for g, _ in fit.evaluations][:2] == [0.02, 0.0]
+    assert fit.gamma_i0 == pytest.approx(planted, rel=0.02)
+
+
+def test_warm_search_from_wrong_centre_falls_back_to_scan(monkeypatch):
+    deph = DephasingModel(0.0, 0.035, 2)
+    cold = first_cycle_extrema(12.0, deph, DECAY, delta_x=3.5)
+    sizes = []
+
+    def counted(drives, decay, deph, tol=1e-8):
+        sizes.append(len(drives))
+        return emission_after_pulse(drives, decay, deph, tol=tol)
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
+    # started at the cold extrema: four zoom rounds, no scan
+    warm = sweeps._warm_first_cycle_extrema(12.0, deph, DECAY, 3.5, 1e-8,
+                                            (cold[0], cold[2]))
+    assert sizes == [34] * 4
+    assert warm == pytest.approx(cold, abs=1e-10)
+    # started far below the maximum and above the minimum: one zoom round
+    # finds both at a bracket end, then the cold search runs
+    sizes.clear()
+    warm = sweeps._warm_first_cycle_extrema(12.0, deph, DECAY, 3.5, 1e-8,
+                                            (5.0, 60.0))
+    assert sizes == [34, 48, 34, 34, 34, 34]
+    assert warm == pytest.approx(cold, abs=1e-10)
+
+
 def test_monotone_damping_property():
     # the first-cycle ratio never increases with the dephasing amplitude
     gammas = np.linspace(0.0, 0.09, 10)

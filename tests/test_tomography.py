@@ -12,6 +12,7 @@ from qdtimebin.tomography import (
     reconstruct_linear,
     reconstruct_mle,
     save_dataset,
+    _setting_operators,
     simulate_counts,
     standard_settings,
 )
@@ -32,6 +33,15 @@ def test_sixteen_settings_informationally_complete():
     gram = np.array([[np.real(np.trace(a.conj().T @ b)) for b in ops]
                      for a in ops])
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 16
+
+
+def test_setting_operators_match_kron_of_projectors():
+    settings = standard_settings() + [
+        MeasurementSetting(Projector("S", 1.23), Projector("L"))]
+    ops = _setting_operators(settings)
+    assert ops.shape == (17, 4, 4)
+    assert np.abs(ops - np.array(joint_ops(settings))).max() <= 1e-15
+    assert _setting_operators([]).shape == (0, 4, 4)
 
 
 def test_projectors_rank_one_idempotent():
