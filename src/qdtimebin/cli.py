@@ -78,6 +78,9 @@ def cmd_ratio(cfg: RunConfig, out: Path, args) -> None:
         path = out / f"ratio_sigma{res.sigma:g}.csv"
         export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
         print(f"wrote {path}")
+        if res.failures:
+            print(f"  {len(res.failures)} point(s) failed integration",
+                  file=sys.stderr)
         peaks.append({"sigma": res.sigma, "peak_energy": res.peak_abscissa,
                       "peak_ratio": res.peak_ratio,
                       "interior": res.peak_interior})

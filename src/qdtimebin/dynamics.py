@@ -62,6 +62,10 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
+class StepBudgetError(IntegrationError):
+    """``_rk45_steps`` took ``_MAX_RK45_STEPS`` steps before its span ended."""
+
+
 @dataclass(frozen=True)
 class PulseDrive:
     """Gaussian drive: amplitude(t) = omega0 * exp(-ln2 (t - t0)^2 / sigma^2).
@@ -319,7 +323,7 @@ def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
     drive's own norm at ``tol`` is.  Drift beyond 100*tol at the start or
     at a step, a right-hand side that is not finite at the start, a failed
     step, or a step beyond ``_MAX_RK45_STEPS`` before ``t_span`` ends
-    raises IntegrationError with its time; iterate under
+    (StepBudgetError) raises IntegrationError with its time; iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
@@ -354,7 +358,7 @@ def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
         _check_drift(np.full(n, solver.t), y, cap)
         yield solver.t, y
     if solver.status == "running":
-        raise IntegrationError(
+        raise StepBudgetError(
             f"RK45 step budget of {_MAX_RK45_STEPS} steps exhausted before "
             f"the span ends at {t1:.6g}: the equations are too stiff",
             float(solver.t))

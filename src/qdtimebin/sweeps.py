@@ -9,11 +9,10 @@ Every photon yield comes from ``emission_after_pulse``, which integrates
 the pulse windows of many drives of one pulse shape as one batched system
 (``dynamics.pulse_window_populations``), whose state carries the
 population integrals, and adds the post-pulse emission in closed form.  A
-sweep curve is one batch.  A first-cycle search is five batches: its scan,
-then four zoom rounds that refine the maximum and the minimum together.
-Only the first search of a fit is so; each later one is four batches, the
-zoom rounds started from the previous search's extrema.  A fit returns
-each (gamma_i0, ratio) pair it tried in its ``FitResult``.
+sweep curve is one batch, and so is a first-cycle search: p_b at 48
+Chebyshev points of area, whose interpolant gives the first maximum and
+minimum.  A fit is one such search per gamma_i0 it tries, and returns each
+(gamma_i0, ratio) pair in its ``FitResult``.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from .dynamics import (
     LN2,
@@ -31,6 +31,7 @@ from .dynamics import (
     DephasingModel,
     IntegrationError,
     PulseDrive,
+    StepBudgetError,
     omega0_for_area,
     pulse_window_populations,
 )
@@ -41,14 +42,10 @@ GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 # floor the ratio is reported as saturated rather than divergent.
 DIRECT_EXCITON_FLOOR = 1e-6
 
-# Areas in the scan that starts a first-cycle search.
+# A first-cycle search integrates p_b at this many Chebyshev points of
+# this window, in units of the coherent first-maximum area.
 _SCAN_SAMPLES = 48
-
-# Each zoom round samples a bracket at 17 points and keeps the two
-# neighbours of the best one, 1/8 of the bracket; four rounds narrow it
-# 8**4 = 4096 times.
-_ZOOM_SAMPLES = 17
-_ZOOM_ROUNDS = 4
+_SCAN_WINDOW = (0.15, 2.2)
 
 
 class OverdampedError(RuntimeError):
@@ -85,8 +82,12 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
                   t0: float, tol: float) -> SweepResult:
     """Evaluate one curve as one batch of drives.
 
-    If the batch fails, its points are integrated one at a time, and each
-    failed point leaves NaN entries and an (index, message) failure record.
+    If the batch fails, its points are integrated one at a time in index
+    order, and each failed point leaves NaN entries and an (index, message)
+    failure record.  omega0 increases with the index (both sweeps demand
+    increasing abscissae), and with it the coupling and the dephasing rate
+    at every t; so once a point exhausts the RK45 step budget, every later
+    point is recorded as failed without being integrated.
     """
     drives = [PulseDrive(omega0=w, sigma=sigma, t0=t0, delta_x=delta_x,
                          delta_b=delta_b) for w in omega0]
@@ -96,12 +97,21 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
     except IntegrationError:
         p_x = np.full(len(drives), np.nan)
         p_b = np.full(len(drives), np.nan)
+        stiff = None  # the point that exhausted the step budget
         for i, drive in enumerate(drives):
+            if stiff is not None:
+                failures.append((i, (
+                    f"not integrated: point {stiff} (abscissa "
+                    f"{abscissa[stiff]:.6g}) exhausted the RK45 step budget, "
+                    f"and a larger omega0 is stiffer")))
+                continue
             try:
                 (p_x[i],), (p_b[i],) = emission_after_pulse([drive], decay,
                                                             deph, tol=tol)
             except IntegrationError as exc:  # failure marker, sweep continues
                 failures.append((i, f"{type(exc).__name__}: {exc}"))
+                if isinstance(exc, StepBudgetError):
+                    stiff = i
     direct = p_x - p_b
     saturated = direct <= DIRECT_EXCITON_FLOOR
     ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
@@ -119,8 +129,9 @@ def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
     Each point converts the area to a peak amplitude at fixed ``sigma`` and
     records the total biexciton and exciton photon yields of one pulse; the
     whole curve is one ``emission_after_pulse`` batch.  If the batch fails,
-    the points are integrated one by one, and failures at individual points
-    leave NaN entries and a failure record instead of aborting the sweep.
+    the points are integrated one by one (``_sweep_points``), and failures
+    at individual points leave NaN entries and a failure record instead of
+    aborting the sweep.
     """
     areas = np.asarray(areas, dtype=float)
     if len(areas) < 2 or np.any(np.diff(areas) <= 0):
@@ -172,97 +183,48 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
     return math.sqrt(omega_sq) * sigma * math.sqrt(math.pi / LN2)
 
 
-def _pb_sampler(sigma: float, deph: DephasingModel, decay: DecayRates,
-                delta_x: float, delta_b: float, tol: float):
-    """p_b at each of an array of areas, as one batch."""
-    def pb_of_areas(areas: np.ndarray) -> np.ndarray:
-        drives = [PulseDrive(omega0=omega0_for_area(a, sigma), sigma=sigma,
-                             delta_x=delta_x, delta_b=delta_b) for a in areas]
-        return emission_after_pulse(drives, decay, deph, tol=tol)[1]
-    return pb_of_areas
-
-
-def _scan_areas(sigma: float, delta_x: float) -> np.ndarray:
-    """The 48 areas of the scan around the coherent first-cycle scale."""
-    return np.linspace(0.15, 2.2, _SCAN_SAMPLES) * coherent_first_max_area(
-        sigma, delta_x)
-
-
-def _scan_brackets(pb_of_areas, grid: np.ndarray):
-    """Scan ``grid`` in one batch; return the (lo, hi) brackets, the scan
-    neighbours of the first maximum and of the minimum after it."""
-    pb = pb_of_areas(grid)
-    i_max = next((i for i in range(1, _SCAN_SAMPLES - 1)
-                  if pb[i] >= pb[i - 1] and pb[i] >= pb[i + 1]), None)
-    if i_max is None:
-        raise OverdampedError("no interior first maximum in the scanned window")
-    i_min = next((i for i in range(i_max + 1, _SCAN_SAMPLES - 1)
-                  if pb[i] <= pb[i - 1] and pb[i] <= pb[i + 1]), None)
-    if i_min is None:
-        raise OverdampedError("no first minimum after the first maximum")
-    return grid[[i_max - 1, i_min - 1]], grid[[i_max + 1, i_min + 1]]
-
-
-def _zoom_extrema(pb_of_areas, lo: np.ndarray, hi: np.ndarray,
-                  warm: bool = False):
-    """Refine the maximum in bracket 0 and the minimum in bracket 1
-    together: each round samples both brackets at 17 areas in one batch and
-    keeps the neighbours of the best sample.  Returns (area_max, pb_max,
-    area_min, pb_min), the best samples of the last round; with ``warm``,
-    None instead as soon as a best sample of the first round sits at a
-    bracket end, where the extremum may lie outside the bracket."""
-    sign = np.array([[1.0], [-1.0]])  # maximize row 0, minimize row 1
-    rows = np.arange(2)
-    for k in range(_ZOOM_ROUNDS):
-        areas = np.linspace(lo, hi, _ZOOM_SAMPLES, axis=1)
-        pb = pb_of_areas(areas.ravel()).reshape(areas.shape)
-        best = np.argmax(sign * pb, axis=1)
-        if warm and k == 0 and np.any((best == 0)
-                                      | (best == _ZOOM_SAMPLES - 1)):
-            return None
-        lo = areas[rows, np.maximum(best - 1, 0)]
-        hi = areas[rows, np.minimum(best + 1, _ZOOM_SAMPLES - 1)]
-    (a_max, a_min), (v_max, v_min) = areas[rows, best], pb[rows, best]
-    return float(a_max), float(v_max), float(a_min), float(v_min)
-
-
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
                         delta_x: float = 0.5, delta_b: float = 0.0,
                         tol: float = 1e-8):
     """Locate the first maximum and following minimum of p_b versus area.
 
-    Returns (area_max, pb_max, area_min, pb_min).  The curve is sampled at
-    48 areas around the coherent first-cycle scale in one batch.
-    Both extrema are then refined together by zooming: each round samples
-    each bracket (at first the scan neighbours of the extremum) at 17 areas
-    in one batch and keeps the neighbours of the best sample, so four
-    rounds narrow both brackets 4096 times in four batches.  The best
-    samples of the last round are returned.  This is the cold search;
-    ``fit_gamma_i0`` starts its later searches from the extrema of the
-    previous one instead of from the scan.
+    Returns (area_max, pb_max, area_min, pb_min).  p_b is integrated in one
+    ``emission_after_pulse`` batch at the 48 Chebyshev points of the
+    window [0.15, 2.2] x ``coherent_first_max_area``, and interpolated
+    there by a degree-47 Chebyshev series (``Chebyshev.interpolate``, i.e.
+    ``chebinterpolate`` mapped onto the window).  The extrema are the real
+    roots of its derivative inside the window: the first with negative
+    curvature is the maximum, the next with positive curvature the
+    minimum.  The interpolant's values there are returned.
+
+    All drives of a batch are one RK45 system and share one step sequence,
+    so the integrator's error is a smooth function of area, and the
+    interpolant converges spectrally, down to the integrator's tolerance.
+    Chunking in ``emission_after_pulse`` would break this; it starts below
+    48 drives only for tol < ~1.5e-13.
 
     Raises OverdampedError when no interior extremum survives the damping.
     """
-    pb_of_areas = _pb_sampler(sigma, deph, decay, delta_x, delta_b, tol)
-    return _zoom_extrema(pb_of_areas, *_scan_brackets(
-        pb_of_areas, _scan_areas(sigma, delta_x)))
+    def pb_of_areas(areas: np.ndarray) -> np.ndarray:
+        drives = [PulseDrive(omega0=omega0_for_area(a, sigma), sigma=sigma,
+                             delta_x=delta_x, delta_b=delta_b) for a in areas]
+        return emission_after_pulse(drives, decay, deph, tol=tol)[1]
 
-
-def _warm_first_cycle_extrema(sigma: float, deph: DephasingModel,
-                              decay: DecayRates, delta_x: float, tol: float,
-                              near: tuple[float, float]):
-    """``first_cycle_extrema`` zooming from brackets of one scan spacing on
-    either side of ``near`` = (area_max, area_min) instead of from the
-    scan.  When the first round finds an extremum at a bracket end, the
-    extrema have moved too far, and the cold search runs instead."""
-    grid = _scan_areas(sigma, delta_x)
-    centre, spacing = np.array(near), grid[1] - grid[0]
-    found = _zoom_extrema(_pb_sampler(sigma, deph, decay, delta_x, 0.0, tol),
-                          centre - spacing, centre + spacing, warm=True)
-    if found is None:
-        found = first_cycle_extrema(sigma, deph, decay, delta_x=delta_x,
-                                    tol=tol)
-    return found
+    window = np.array(_SCAN_WINDOW) * coherent_first_max_area(sigma, delta_x)
+    pb = Chebyshev.interpolate(pb_of_areas, _SCAN_SAMPLES - 1, domain=window)
+    roots = pb.deriv().roots()
+    roots = roots[(roots.imag == 0) & (roots.real > window[0])
+                  & (roots.real < window[1])].real
+    curvature = pb.deriv(2)(roots)
+    i_max = next((i for i, c in enumerate(curvature) if c < 0), None)
+    if i_max is None:
+        raise OverdampedError("no interior first maximum in the scanned window")
+    i_min = next((i for i in range(i_max + 1, len(roots))
+                  if curvature[i] > 0), None)
+    if i_min is None:
+        raise OverdampedError("no first minimum after the first maximum")
+    a_max, a_min = roots[i_max], roots[i_min]
+    return float(a_max), float(pb(a_max)), float(a_min), float(pb(a_min))
 
 
 def first_cycle_ratio(sigma: float, deph: DephasingModel, decay: DecayRates,
@@ -301,32 +263,21 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
     when the ratio at 0.02 is already below the target, the one case where
     the target may be unreachable; it then counts towards
     ``_FIT_MAX_EVALS``.  No value is searched twice, and the first whose
-    ratio matches the target to 1 % is returned.  The first search is
-    ``first_cycle_extrema``; each later one zooms from the extrema of the
-    previous one, and falls back to ``first_cycle_extrema`` when they have
-    moved too far.
+    ratio matches the target to 1 % is returned.  Each search is one
+    ``first_cycle_ratio``, so one batch of 48 drives.
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     if n_p not in (0, 1, 2, 3, 4):
         raise ValueError(f"n_p must be in 0..4, got {n_p}")
-    near = None  # (area_max, area_min) of the last search that found them
 
     def ratio_of(gamma_i0: float) -> float:
-        nonlocal near
         deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gamma_i0, n_p=n_p)
         try:
-            if near is None:
-                found = first_cycle_extrema(sigma, deph, decay,
-                                            delta_x=delta_x, tol=tol)
-            else:
-                found = _warm_first_cycle_extrema(sigma, deph, decay,
-                                                  delta_x, tol, near)
+            return first_cycle_ratio(sigma, deph, decay, delta_x=delta_x,
+                                     tol=tol)
         except OverdampedError:
             return 1.0  # beyond any meaningful target; drives bisection down
-        a_max, v_max, a_min, v_min = found
-        near = a_max, a_min
-        return v_max / v_min
 
     evaluations = []
     lo, hi, gamma = None, math.inf, 0.02  # lo None: gamma_i0 = 0 unsearched
@@ -397,7 +348,8 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
 
 
 def export_sweep_csv(result: SweepResult, path, extra_params: dict | None = None) -> None:
-    """CSV with a JSON header of all model parameters, one row per point."""
+    """CSV with a JSON header of all model parameters and of each failed
+    point (index, abscissa, error), one row per point."""
     params = {
         "abscissa_kind": result.abscissa_kind,
         "sigma": result.sigma,
@@ -409,6 +361,8 @@ def export_sweep_csv(result: SweepResult, path, extra_params: dict | None = None
         "peak_abscissa": result.peak_abscissa,
         "peak_ratio": result.peak_ratio,
         "peak_interior": result.peak_interior,
+        "failures": [{"index": i, "abscissa": float(result.abscissa[i]),
+                      "error": error} for i, error in result.failures],
     }
     if extra_params:
         params.update(extra_params)

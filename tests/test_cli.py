@@ -258,6 +258,31 @@ def test_ratio_two_sigmas(tmp_path):
     assert by_sigma[12.0]["peak_ratio"] > by_sigma[4.0]["peak_ratio"]
 
 
+def test_ratio_reports_failed_points(tmp_path, monkeypatch, capsys):
+    from qdtimebin import IntegrationError, sweeps
+    emission = sweeps.emission_after_pulse
+
+    def fail_above(drives, decay, deph, tol=1e-8):
+        if max(d.omega0 ** 2 * d.sigma for d in drives) > 3.0:
+            raise IntegrationError("step size underflow", 3.0)
+        return emission(drives, decay, deph, tol=tol)
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", fail_above)
+    data = evolve_config()
+    data["dot"]["delta_x"] = 3.5
+    del data["pulse"]
+    data["sweep"] = {"sigmas": [12.0],
+                     "energies": {"start": 1.0, "stop": 4.0, "num": 4}}
+    cfg = write_config(tmp_path, data)
+    assert main(["ratio", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "1 point(s) failed integration" in capsys.readouterr().err
+    header = json.loads(
+        (tmp_path / "ratio_sigma12.csv").read_text().splitlines()[0][2:])
+    assert header["failures"] == [
+        {"index": 3, "abscissa": 4.0,
+         "error": "IntegrationError: step size underflow"}]
+
+
 def test_ratio_missing_dephasing_exits_2(tmp_path):
     data = evolve_config()
     del data["dephasing"]
@@ -317,8 +342,8 @@ def test_fit_dephasing_round_trip(tmp_path):
 
 def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     # the bracket doubles from the previous upper end, gamma_i0 = 0 is not
-    # searched while the target lies below the first ratio, only the first
-    # search scans, and the report uses the fit's own ratio
+    # searched while the target lies below the first ratio, each search is
+    # one 48-drive batch, and the report uses the fit's own ratio
     from qdtimebin import sweeps
     batches = []
     emission = sweeps.emission_after_pulse
@@ -339,8 +364,7 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     searched = [g for i, (g, _) in enumerate(batches)
                 if i == 0 or g != batches[i - 1][0]]
     assert searched == [0.02, 0.04, 0.03, 0.035]
-    assert len(batches) == 17
-    assert [n for _, n in batches].count(48) == 1
+    assert [n for _, n in batches] == [48] * 4
     assert [e["gamma_i0"] for e in out["evaluations"]] == searched
     assert out["evaluations"][-1]["ratio"] == out["achieved_ratio"]
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdtimebin import IntegrationError, sweeps
+from qdtimebin import IntegrationError, dynamics, sweeps
 from qdtimebin.dynamics import (
     DecayRates,
     DephasingModel,
@@ -170,6 +170,27 @@ def test_sweep_records_only_integration_failures(monkeypatch):
         for i in range(2)]
 
 
+def test_step_budget_skips_the_stiffer_points(monkeypatch):
+    # sigma 1e-6 with intensity dephasing is stiff at both areas; once the
+    # first point alone exhausts the step budget, the second is not tried
+    monkeypatch.setattr(dynamics, "_MAX_RK45_STEPS", 2_000)
+    sizes = []
+
+    def counted(drives, decay, deph, tol=1e-8):
+        sizes.append(len(drives))
+        return emission_after_pulse(drives, decay, deph, tol=tol)
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
+    res = rabi_sweep(1e-6, DephasingModel(0.01, 0.0349, 2), DECAY,
+                     areas=[15.0, 20.0], delta_x=3.5)
+    assert sizes == [2, 1]
+    assert np.isnan(res.p_b).all()
+    (i0, first), (i1, second) = res.failures
+    assert (i0, i1) == (0, 1)
+    assert first.startswith("StepBudgetError: RK45 step budget of 2000")
+    assert second.startswith("not integrated: point 0 (abscissa 15)")
+
+
 def test_first_cycle_extrema_ordering():
     a_max, v_max, a_min, v_min = first_cycle_extrema(
         12.0, DephasingModel(0.0, 0.0349, 2), DECAY, delta_x=3.5)
@@ -220,28 +241,17 @@ def test_fit_gamma_i0_root_below_first_bracket_point():
     assert fit.gamma_i0 == pytest.approx(planted, rel=0.02)
 
 
-def test_warm_search_from_wrong_centre_falls_back_to_scan(monkeypatch):
-    deph = DephasingModel(0.0, 0.035, 2)
-    cold = first_cycle_extrema(12.0, deph, DECAY, delta_x=3.5)
-    sizes = []
-
-    def counted(drives, decay, deph, tol=1e-8):
-        sizes.append(len(drives))
-        return emission_after_pulse(drives, decay, deph, tol=tol)
-
-    monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
-    # started at the cold extrema: four zoom rounds, no scan
-    warm = sweeps._warm_first_cycle_extrema(12.0, deph, DECAY, 3.5, 1e-8,
-                                            (cold[0], cold[2]))
-    assert sizes == [34] * 4
-    assert warm == pytest.approx(cold, abs=1e-10)
-    # started far below the maximum and above the minimum: one zoom round
-    # finds both at a bracket end, then the cold search runs
-    sizes.clear()
-    warm = sweeps._warm_first_cycle_extrema(12.0, deph, DECAY, 3.5, 1e-8,
-                                            (5.0, 60.0))
-    assert sizes == [34, 48, 34, 34, 34, 34]
-    assert warm == pytest.approx(cold, abs=1e-10)
+@pytest.mark.parametrize("gamma_i0", [0.0, 0.0349])
+def test_first_cycle_extrema_are_integrated_values(gamma_i0):
+    # the interpolant's extremum values are p_b of a drive at those areas
+    deph = DephasingModel(0.0, gamma_i0, 2)
+    a_max, v_max, a_min, v_min = first_cycle_extrema(12.0, deph, DECAY,
+                                                     delta_x=3.5)
+    for area, value in ((a_max, v_max), (a_min, v_min)):
+        drive = PulseDrive(omega0=omega0_for_area(area, 12.0), sigma=12.0,
+                           delta_x=3.5)
+        _, (p_b,) = emission_after_pulse([drive], DECAY, deph)
+        assert p_b == pytest.approx(value, abs=1e-8)
 
 
 def test_monotone_damping_property():
@@ -286,6 +296,7 @@ def test_sweep_csv_export(tmp_path):
     assert header["sigma"] == 12.0
     assert header["dephasing"]["gamma_i0"] == 0.02
     assert header["tag"] == "test"
+    assert header["failures"] == []
     assert lines[1] == "theta,omega0,energy,p_b,p_x,ratio,saturated"
     assert len(lines) == 2 + 3
     row = [float(v) for v in lines[2].split(",")]
