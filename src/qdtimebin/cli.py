@@ -20,13 +20,14 @@ import numpy as np
 from . import sweeps, timebin, tomography
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (
+    GROUND,
     IntegrationError,
     evolve,
     export_trajectory_csv,
     pulse_window,
 )
 from .linalg import state_fidelity
-from .sweeps import GROUND, export_sweep_csv
+from .sweeps import export_sweep_csv
 from .timebin import TimeBinModelParams
 
 CONFIG_ERROR_EXIT = 2
@@ -95,6 +96,14 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "sweep")
     if cfg.sweep.fit_n_p is None:
         raise ConfigError("fit-dephasing needs 'sweep.fit'")
+    # The fit's area window (sweeps.coherent_first_max_area) assumes
+    # two-photon resonance and delta_x > 0.
+    if not cfg.dot.delta_x > 0:
+        raise ConfigError("fit-dephasing needs 'dot.delta_x' > 0, "
+                          f"got {cfg.dot.delta_x}")
+    if cfg.dot.delta_b != 0:
+        raise ConfigError("fit-dephasing needs 'dot.delta_b' = 0, "
+                          f"got {cfg.dot.delta_b}")
     fit = sweeps.fit_gamma_i0(
         cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
         cfg.dot.decay(),

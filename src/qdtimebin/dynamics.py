@@ -10,14 +10,17 @@ instantaneous drive intensity.
 The master equation is written once, in ``lindblad_rhs``, as a constant
 part, a part per unit drive amplitude and a part per unit dephasing rate
 (``_lindblad_parts``); the integrator's real generator is those parts
-applied to a Hermitian basis.  One RK45 loop (``_rk45_steps``) steps N
-drives that differ only in their peak amplitude as one (11, N) system:
-``pulse_window_populations`` over the pulse window, and ``evolve`` for one
-drive inside it, storing every accepted step; ``evolve`` propagates the
-drive-off stretches outside the window exactly.  The state is the 9 real
-coordinates of rho on ``linalg.hermitian_basis(3)`` (rho_gg, rho_xx,
-rho_bb first), then the integrals of rho_xx and rho_bb, so rho stays
-Hermitian by construction.
+applied to a Hermitian basis.  The state is the 9 real coordinates of
+rho on ``linalg.hermitian_basis(3)`` (rho_gg, rho_xx, rho_bb first), then
+the integrals of rho_xx and rho_bb, so rho stays Hermitian by
+construction; no other module indexes it.
+
+A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
+amplitudes.  One RK45 loop (``_rk45_steps``) steps it as one (11, N)
+system: ``emission_after_pulse`` over the pulse window of a batch, adding
+the emission after the pulse in closed form, and ``evolve`` for one drive,
+storing every accepted step and propagating the drive-off stretches
+outside the window exactly.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ class PulseDrive:
     ``delta_x`` is the energy offset of the virtual two-photon level from
     the exciton; ``delta_b`` the detuning of the laser from the two-photon
     resonance.  Defaults put the laser exactly on two-photon resonance with
-    a finite virtual-level offset.
+    a finite virtual-level offset.  An array ``omega0`` is a batch: one
+    drive per peak amplitude, all of this pulse shape.
     """
 
-    omega0: float
+    omega0: float | np.ndarray
     sigma: float
     t0: float = 0.0
     delta_x: float = 0.5
@@ -85,7 +89,7 @@ class PulseDrive:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.omega0 < 0:
+        if np.any(np.asarray(self.omega0) < 0):
             raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
 
     def amplitude(self, t):
@@ -184,6 +188,8 @@ L_BX = _ketbra(X, B)           # biexciton decay channel, rate gamma_b
 L_XG = _ketbra(G, X)           # exciton decay channel, rate gamma_x
 A_BB = np.diag([0.0, -1.0, 1.0]).astype(complex)
 A_XX = np.diag([-1.0, 1.0, 0.0]).astype(complex)
+
+GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
 
 def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -293,7 +299,7 @@ class Trajectory:
 def pulse_window(drive: PulseDrive) -> tuple[float, float]:
     """(t0 - 5 sigma, t0 + 5 sigma).  Outside it the drive is below 3e-8 of
     its peak and is taken to be off, in ``evolve`` (exact propagation) and
-    in ``sweeps.emission_after_pulse`` (closed-form tail) alike."""
+    in ``emission_after_pulse`` (closed-form tail) alike."""
     return (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
 
 
@@ -302,7 +308,7 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 
     For trajectories that follow the radiative decay after the pulse, such
     as the ``evolve`` CSV; emission yields need no such span, since
-    ``sweeps.emission_after_pulse`` adds the post-pulse emission exactly.
+    ``emission_after_pulse`` adds the post-pulse emission exactly.
     A vanishing gamma_x has no finite tail, so callers must then pass an
     explicit span.
     """
@@ -312,31 +318,34 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     return start, end + 10.0 / decay.gamma_x
 
 
-def _rk45_steps(y0: np.ndarray, drive, omega0: np.ndarray, decay: DecayRates,
+def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
                 deph: DephasingModel, t_span: tuple[float, float], tol: float,
-                max_step: float):
-    """Step N drives that differ only in ``omega0`` from the (11, N) states
-    ``y0`` as one system, dY/dt = r0 @ Y + (rd @ Y) * omega(t)
-    + (rp @ Y) * deph.rate(omega(t)); yield (t, Y) at the start and at
-    each accepted step.  scipy's RK45 runs at rtol = atol = tol/sqrt(N):
-    the RMS error norm over all 11 N components is at most 1 only if each
-    drive's own norm at ``tol`` is.  Drift beyond 100*tol at the start or
-    at a step, a right-hand side that is not finite at the start, a failed
-    step, or a step beyond ``_MAX_RK45_STEPS`` before ``t_span`` ends
-    (StepBudgetError) raises IntegrationError with its time; iterate under
-    ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
+                max_step: float | None = None):
+    """Step the N drives of ``drive`` (one per entry of its ``omega0``) from
+    the (11, N) states ``y0`` as one system, dY/dt = r0 @ Y
+    + (rd @ Y) * omega(t) + (rp @ Y) * deph.rate(omega(t)); yield (t, Y)
+    at the start and at each accepted step.  ``max_step`` defaults to 1/400
+    of ``t_span`` and is at most all of it.  scipy's RK45 runs at
+    rtol = atol = tol/sqrt(N): the RMS error norm over all 11 N components
+    is at most 1 only if each drive's own norm at ``tol`` is.  Drift beyond
+    100*tol at the start or at a step, a right-hand side that is not finite
+    at the start, a failed step, or a step beyond ``_MAX_RK45_STEPS``
+    before ``t_span`` ends (StepBudgetError) raises IntegrationError with
+    its time; iterate under ``np.errstate(over="ignore", invalid="ignore")``
+    to end overflow there.
     """
     n = y0.shape[1]
-    envelope = replace(drive, omega0=1.0).amplitude
     r = np.vstack(_real_generator(drive, decay))
 
     def rhs(t, y):
-        omega_t = omega0 * envelope(t)
+        omega_t = drive.amplitude(t)
         a = r @ y.reshape(_N_STATE, n)
         return (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
                 + a[2 * _N_STATE:] * deph.rate(omega_t)).ravel()
 
     t0, t1 = t_span
+    max_step = min((t1 - t0) / 400.0 if max_step is None else max_step,
+                   t1 - t0)
     cap, rtol, y = 100.0 * tol, tol / math.sqrt(n), y0.ravel()
     _check_drift(np.full(n, t0), y0, cap)
     f0 = rhs(t0, y)
@@ -396,7 +405,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     off (``pulse_window``), and the state is propagated exactly with
     r0 + deph.rate(0) rp onto a uniform grid.  No renormalization is
     applied: drift beyond 100*tol, a generator that is not finite, or a
-    failed step raises IntegrationError with its time.
+    failed step raises IntegrationError with its time.  ``drive.omega0``
+    must be one amplitude, since one trajectory is stored.
     """
     if t_span is None:
         t_span = default_t_span(drive, decay)
@@ -405,6 +415,9 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         raise ValueError(f"t_span must be increasing, got {t_span}")
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
+    if np.size(drive.omega0) != 1:
+        raise ValueError(
+            f"evolve takes one omega0, got {np.size(drive.omega0)}")
     a, b = t0, t1  # the stretch that RK45 steps
     if isinstance(drive, PulseDrive):
         a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
@@ -416,11 +429,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         if a > t0:
             parts.append(_propagate_exactly(off, parts[-1][1][:, -1], t0, a, cap))
         if b > a:
-            max_step = min((b - a) / 400.0 if max_step is None else max_step,
-                           b - a)
-            steps = _rk45_steps(parts[-1][1][:, -1:], drive,
-                                np.array([drive.omega0]), decay, deph, (a, b),
-                                tol, max_step)
+            steps = _rk45_steps(parts[-1][1][:, -1:], drive, decay, deph,
+                                (a, b), tol, max_step)
             next(steps)  # the start is stored already
             ts, ys = zip(*steps)
             parts.append((np.array(ts), np.hstack(ys)))
@@ -430,39 +440,6 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     return Trajectory(times=np.concatenate([t for t, _ in parts]),
                       states=np.einsum("kn,kij->nij", ys[:9], _BASIS),
                       integrals=ys[9:].T)
-
-
-def pulse_window_populations(rho0: np.ndarray, drives, decay: DecayRates,
-                             deph: DephasingModel, tol: float = 1e-9):
-    """Step pulse drives that share sigma, t0, delta_x and delta_b as one
-    system (``_rk45_steps``) over their pulse window from ``rho0``, with
-    the maximum step ``evolve`` takes on the window; tol/sqrt(N) must be
-    at least TOL_FLOOR.  Returns the end-of-window values, shape (4, N):
-    rho_xx, rho_bb, and the integrals of rho_xx and rho_bb.
-    """
-    if len(drives) == 0:
-        raise ValueError("need at least one drive")
-    first = drives[0]
-    shape = (first.sigma, first.t0, first.delta_x, first.delta_b)
-    if any((d.sigma, d.t0, d.delta_x, d.delta_b) != shape for d in drives):
-        raise ValueError(
-            "batched drives must share sigma, t0, delta_x and delta_b")
-    n = len(drives)
-    if not TOL_FLOOR <= tol <= 1e-3:
-        raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    if tol / math.sqrt(n) < TOL_FLOOR:
-        raise ValueError(f"tol/sqrt(N) = {tol / math.sqrt(n):.3g} is below "
-                         f"{TOL_FLOOR:.3g}; integrate fewer drives at a time")
-    t0, t1 = pulse_window(first)
-    if not t1 > t0:
-        raise ValueError(f"pulse window ({t0}, {t1}) has no width")
-    y0 = np.repeat(_initial_state(rho0, 100.0 * tol, t0)[:, None], n, axis=1)
-    omega0 = np.array([d.omega0 for d in drives])
-    with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
-        for _, y in _rk45_steps(y0, first, omega0, decay, deph, (t0, t1), tol,
-                                (t1 - t0) / 400.0):
-            pass
-    return y[[X, B, 9, 10]]
 
 
 # --- emission probabilities -------------------------------------------------
@@ -483,6 +460,47 @@ def emission_probabilities(traj: Trajectory, decay: DecayRates,
     int_x, int_b = CubicHermiteSpline(ts, traj.integrals,
                                       traj.populations[:, (X, B)])(t_f)
     return float(decay.gamma_x * int_x), float(decay.gamma_b * int_b)
+
+
+def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
+                         deph: DephasingModel, tol: float = 1e-8
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Total (p_x, p_b) of one pulse from the ground state, shape (N,), for
+    each of the N peak amplitudes in ``drive.omega0``.
+
+    The pulse windows of all amplitudes are stepped as one system
+    (``_rk45_steps``); p_i is gamma_i times the integral of the level-i
+    population it carries, plus the emission after the pulse in closed
+    form.  After the drive is off the populations decay freely, so the
+    remaining emission of a level with a positive rate equals the
+    population left on it, and rho_bb also feeds the exciton.  A level
+    with zero rate emits nothing after the pulse.  When tol/sqrt(N) would
+    fall below ``TOL_FLOOR``, the amplitudes are stepped in chunks of
+    floor((tol/TOL_FLOOR)^2).
+    """
+    if not TOL_FLOOR <= tol <= 1e-3:
+        raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
+    t0, t1 = pulse_window(drive)
+    if not t1 > t0:
+        raise ValueError(f"pulse window ({t0}, {t1}) has no width")
+    omega0 = np.atleast_1d(drive.omega0)
+    n = len(omega0)
+    y0 = _initial_state(GROUND, 100.0 * tol, t0)[:, None]
+    p_x, p_b = np.empty(n), np.empty(n)
+    chunk = max(1, int((tol / TOL_FLOOR) ** 2))
+    for start in range(0, n, chunk):
+        part = slice(start, start + chunk)
+        w = omega0[part]
+        with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
+            for _, y in _rk45_steps(np.repeat(y0, len(w), axis=1),
+                                    replace(drive, omega0=w), decay, deph,
+                                    (t0, t1), tol):
+                pass
+        tail_b = y[B] if decay.gamma_b > 0 else 0.0
+        tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0
+        p_x[part] = decay.gamma_x * y[9] + tail_x
+        p_b[part] = decay.gamma_b * y[10] + tail_b
+    return p_x, p_b
 
 
 def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray, np.ndarray]:

@@ -5,10 +5,8 @@ dephasing, the one-parameter fit of the dephasing amplitude from the
 damping of the first Rabi cycle, and the biexciton-to-direct-exciton yield
 optimization over pulse energy.
 
-Every photon yield comes from ``emission_after_pulse``, which integrates
-the pulse windows of many drives of one pulse shape as one batched system
-(``dynamics.pulse_window_populations``), whose state carries the
-population integrals, and adds the post-pulse emission in closed form.  A
+Every photon yield comes from ``dynamics.emission_after_pulse`` on one
+``PulseDrive`` whose ``omega0`` holds the peak amplitudes of a batch.  A
 sweep curve is one batch, and so is a first-cycle search: p_b at 48
 Chebyshev points of area, whose interpolant gives the first maximum and
 minimum.  A fit is one such search per gamma_i0 it tries, and returns each
@@ -19,24 +17,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Chebyshev
 
 from .dynamics import (
     LN2,
-    TOL_FLOOR,
     DecayRates,
     DephasingModel,
     IntegrationError,
     PulseDrive,
     StepBudgetError,
+    emission_after_pulse,
     omega0_for_area,
-    pulse_window_populations,
 )
-
-GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
 # Positive floor for the direct-exciton yield p_x - p_b; at or below the
 # floor the ratio is reported as saturated rather than divergent.
@@ -77,10 +72,9 @@ class SweepResult:
 
 
 def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
-                  omega0: np.ndarray, sigma: float, deph: DephasingModel,
-                  decay: DecayRates, delta_x: float, delta_b: float,
-                  t0: float, tol: float) -> SweepResult:
-    """Evaluate one curve as one batch of drives.
+                  drive: PulseDrive, deph: DephasingModel,
+                  decay: DecayRates, tol: float) -> SweepResult:
+    """Evaluate one curve, a drive with one omega0 per point, as one batch.
 
     If the batch fails, its points are integrated one at a time in index
     order, and each failed point leaves NaN entries and an (index, message)
@@ -89,16 +83,14 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
     at every t; so once a point exhausts the RK45 step budget, every later
     point is recorded as failed without being integrated.
     """
-    drives = [PulseDrive(omega0=w, sigma=sigma, t0=t0, delta_x=delta_x,
-                         delta_b=delta_b) for w in omega0]
     failures = []
     try:
-        p_x, p_b = emission_after_pulse(drives, decay, deph, tol=tol)
+        p_x, p_b = emission_after_pulse(drive, decay, deph, tol=tol)
     except IntegrationError:
-        p_x = np.full(len(drives), np.nan)
-        p_b = np.full(len(drives), np.nan)
+        p_x = np.full(len(abscissa), np.nan)
+        p_b = np.full(len(abscissa), np.nan)
         stiff = None  # the point that exhausted the step budget
-        for i, drive in enumerate(drives):
+        for i in range(len(abscissa)):
             if stiff is not None:
                 failures.append((i, (
                     f"not integrated: point {stiff} (abscissa "
@@ -106,8 +98,9 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
                     f"and a larger omega0 is stiffer")))
                 continue
             try:
-                (p_x[i],), (p_b[i],) = emission_after_pulse([drive], decay,
-                                                            deph, tol=tol)
+                (p_x[i],), (p_b[i],) = emission_after_pulse(
+                    replace(drive, omega0=drive.omega0[i:i + 1]), decay,
+                    deph, tol=tol)
             except IntegrationError as exc:  # failure marker, sweep continues
                 failures.append((i, f"{type(exc).__name__}: {exc}"))
                 if isinstance(exc, StepBudgetError):
@@ -116,9 +109,9 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
     saturated = direct <= DIRECT_EXCITON_FLOOR
     ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
     return SweepResult(
-        abscissa=abscissa, abscissa_kind=abscissa_kind, omega0=omega0,
+        abscissa=abscissa, abscissa_kind=abscissa_kind, omega0=drive.omega0,
         p_b=p_b, p_x=p_x, ratio=ratio, saturated=saturated,
-        sigma=float(sigma), deph=deph, decay=decay, failures=failures)
+        sigma=float(drive.sigma), deph=deph, decay=decay, failures=failures)
 
 
 def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
@@ -136,40 +129,9 @@ def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
     areas = np.asarray(areas, dtype=float)
     if len(areas) < 2 or np.any(np.diff(areas) <= 0):
         raise ValueError("areas must be increasing with at least 2 points")
-    omega0 = np.array([omega0_for_area(a, sigma) for a in areas])
-    return _sweep_points(areas, "area", omega0, sigma, deph, decay,
-                         delta_x, delta_b, t0, tol)
-
-
-# --- emission of one pulse ----------------------------------------------------
-
-def emission_after_pulse(drives, decay: DecayRates, deph: DephasingModel,
-                         tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Total (p_x, p_b) of one pulse for each drive, with the radiative tail
-    added in closed form.
-
-    The drives must differ only in ``omega0``.  Their pulse windows are
-    integrated as one batch (``dynamics.pulse_window_populations``); p_i is
-    gamma_i times the integral of the level-i population it carries.  After
-    the drive is off the populations decay freely, so the remaining
-    emission of a level with a positive rate equals the population left on
-    it, and rho_bb also feeds the exciton.  A level with zero rate emits
-    nothing after the pulse.  When tol/sqrt(N) would fall below
-    ``TOL_FLOOR``, the drives are integrated in chunks of
-    floor((tol/TOL_FLOOR)^2).
-    """
-    n = len(drives)
-    p_x, p_b = np.empty(n), np.empty(n)
-    chunk = max(1, int((tol / TOL_FLOOR) ** 2))
-    for start in range(0, n, chunk):
-        part = slice(start, start + chunk)
-        rho_xx, rho_bb, int_x, int_b = pulse_window_populations(
-            GROUND, drives[part], decay, deph, tol=tol)
-        tail_b = rho_bb if decay.gamma_b > 0 else 0.0
-        tail_x = rho_xx + tail_b if decay.gamma_x > 0 else 0.0
-        p_x[part] = decay.gamma_x * int_x + tail_x
-        p_b[part] = decay.gamma_b * int_b + tail_b
-    return p_x, p_b
+    drive = PulseDrive(omega0=omega0_for_area(areas, sigma), sigma=sigma,
+                       t0=t0, delta_x=delta_x, delta_b=delta_b)
+    return _sweep_points(areas, "area", drive, deph, decay, tol)
 
 
 def coherent_first_max_area(sigma: float, delta_x: float) -> float:
@@ -179,13 +141,14 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
     two-photon coupling omega^2/(2 delta_x); the first population maximum
     sits where its time integral reaches pi.
     """
+    if not delta_x > 0:
+        raise ValueError(f"delta_x must be > 0, got {delta_x}")
     omega_sq = 2.0 * math.pi * delta_x / (sigma * math.sqrt(math.pi / (2 * LN2)))
     return math.sqrt(omega_sq) * sigma * math.sqrt(math.pi / LN2)
 
 
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
-                        delta_x: float = 0.5, delta_b: float = 0.0,
-                        tol: float = 1e-8):
+                        delta_x: float = 0.5, tol: float = 1e-8):
     """Locate the first maximum and following minimum of p_b versus area.
 
     Returns (area_max, pb_max, area_min, pb_min).  p_b is integrated in one
@@ -206,9 +169,9 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     Raises OverdampedError when no interior extremum survives the damping.
     """
     def pb_of_areas(areas: np.ndarray) -> np.ndarray:
-        drives = [PulseDrive(omega0=omega0_for_area(a, sigma), sigma=sigma,
-                             delta_x=delta_x, delta_b=delta_b) for a in areas]
-        return emission_after_pulse(drives, decay, deph, tol=tol)[1]
+        drive = PulseDrive(omega0=omega0_for_area(areas, sigma), sigma=sigma,
+                           delta_x=delta_x)
+        return emission_after_pulse(drive, decay, deph, tol=tol)[1]
 
     window = np.array(_SCAN_WINDOW) * coherent_first_max_area(sigma, delta_x)
     pb = Chebyshev.interpolate(pb_of_areas, _SCAN_SAMPLES - 1, domain=window)
@@ -334,9 +297,10 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
 
     results = []
     for sigma in sigmas:
-        res = _sweep_points(energy_axis.copy(), "energy",
-                            np.sqrt(energy_axis / sigma), sigma, deph, decay,
-                            delta_x, delta_b, t0, tol)
+        drive = PulseDrive(omega0=np.sqrt(energy_axis / sigma), sigma=sigma,
+                           t0=t0, delta_x=delta_x, delta_b=delta_b)
+        res = _sweep_points(energy_axis.copy(), "energy", drive, deph, decay,
+                            tol)
         usable = ~res.saturated & np.isfinite(res.ratio)
         if usable.any():
             idx = int(np.argmax(np.where(usable, res.ratio, -np.inf)))
@@ -371,7 +335,7 @@ def export_sweep_csv(result: SweepResult, path, extra_params: dict | None = None
         fh.write("# " + json.dumps(params, sort_keys=True) + "\n")
         fh.write("theta,omega0,energy,p_b,p_x,ratio,saturated\n")
         for i in range(len(result.abscissa)):
-            w = result.omega0[i]
+            w = float(result.omega0[i])  # w * w may overflow to inf silently
             theta = w * result.sigma * sqrt_area
             energy = w * w * result.sigma
             fh.write(f"{theta:.12e},{w:.12e},{energy:.12e},"

@@ -12,6 +12,7 @@ from qdtimebin.dynamics import (
     B,
     G,
     X,
+    GROUND,
     ConstantDrive,
     DecayRates,
     DephasingModel,
@@ -21,7 +22,6 @@ from qdtimebin.dynamics import (
 )
 from qdtimebin.linalg import hermiticity_defect, min_eigenvalue, state_fidelity
 from qdtimebin.sweeps import (
-    GROUND,
     first_cycle_extrema,
     first_cycle_ratio,
     fit_gamma_i0,

@@ -4,12 +4,14 @@ import json
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtimebin import dynamics
 from qdtimebin.cli import main
 from qdtimebin.config import RunConfig
 
@@ -82,6 +84,7 @@ def _edits(*edits):
 
 _AREAS = {"models": [{"gamma_bg": 0.0, "gamma_i0": 0.0, "n_p": 2}]}
 _SIGMAS = {"energies": [1.0, 2.0]}
+_FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
 
 
 @pytest.mark.parametrize("command, edit, key", [
@@ -124,6 +127,15 @@ _SIGMAS = {"energies": [1.0, 2.0]}
     ("fit-dephasing",
      _set(["sweep"], {"fit": {"n_p": -1, "target_ratio": 2.0}}),
      "sweep.fit.n_p"),
+    pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
+                                         _set(["dot", "delta_b"], 0.05)),
+                 "dot.delta_b", id="fit-dephasing-edit-dot.delta_b-detuned"),
+    pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
+                                         _set(["dot", "delta_x"], 0.0)),
+                 "dot.delta_x", id="fit-dephasing-edit-dot.delta_x-zero"),
+    pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
+                                         _set(["dot", "delta_x"], -3.5)),
+                 "dot.delta_x", id="fit-dephasing-edit-dot.delta_x-negative"),
 ])
 def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
                                            key):
@@ -195,6 +207,15 @@ def _scalar_keys(node, name="", path=()):
 _FULL_KEYS = sorted(_scalar_keys(full_config()))
 
 
+def _full_config_with(path, value):
+    data = full_config()
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return data
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(key=st.sampled_from(_FULL_KEYS),
        value=st.sampled_from([True, False, "1.0", [1.0], {"x": 1.0}]))
@@ -203,11 +224,7 @@ def test_wrong_type_value_exits_2_naming_key(key, value):
     # errors abort before any integration, so each case is quick
     RunConfig.parse(full_config())
     name, path = key
-    data = full_config()
-    node = data
-    for step in path[:-1]:
-        node = node[step]
-    node[path[-1]] = value
+    data = _full_config_with(path, value)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), data)
         err = io.StringIO()
@@ -215,6 +232,41 @@ def test_wrong_type_value_exits_2_naming_key(key, value):
             code = main(["evolve", "--config", str(cfg), "--out", tmp])
     assert code == 2
     assert f"'{name}'" in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(key=st.sampled_from(_FULL_KEYS),
+       value=st.sampled_from([0, 1e-300, 1e300, -1e300, 1e17]),
+       command=st.sampled_from(["evolve", "rabi", "ratio", "fit-dephasing",
+                                "entangle"]))
+def test_extreme_number_exits_0_2_or_3(key, value, command):
+    # an extreme number is a config problem, a numerical failure or a
+    # result, never an escaping exception or a numpy warning; a smaller
+    # step budget ends stiff cases quickly
+    _, path = key
+    data = _full_config_with(path, value)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dynamics, "_MAX_RK45_STEPS", 2_000), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cfg = write_config(Path(tmp), data)
+        code = main([command, "--config", str(cfg), "--out", tmp])
+    assert code in (0, 2, 3)
+
+
+def test_rabi_overflowing_areas_write_failed_points(tmp_path, capsys):
+    # omega0^2 of the areas near 1e300 overflows: those points fail, and
+    # their energy is written as inf without a numpy warning
+    data = full_config()
+    data["sweep"]["areas"]["stop"] = 1e300
+    cfg = write_config(tmp_path, data)
+    assert main(["rabi", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "3 point(s) failed integration" in capsys.readouterr().err
+    lines = (tmp_path / "rabi_model0_np2.csv").read_text().splitlines()
+    header = json.loads(lines[0][2:])
+    assert [f["index"] for f in header["failures"]] == [1, 2, 3]
+    energies = [row.split(",")[2] for row in lines[2:]]
+    assert float(energies[0]) > 0 and energies[1:] == ["inf"] * 3
 
 
 def test_rabi_three_models_three_files(tmp_path):
@@ -262,10 +314,10 @@ def test_ratio_reports_failed_points(tmp_path, monkeypatch, capsys):
     from qdtimebin import IntegrationError, sweeps
     emission = sweeps.emission_after_pulse
 
-    def fail_above(drives, decay, deph, tol=1e-8):
-        if max(d.omega0 ** 2 * d.sigma for d in drives) > 3.0:
+    def fail_above(drive, decay, deph, tol=1e-8):
+        if max(drive.omega0 ** 2 * drive.sigma) > 3.0:
             raise IntegrationError("step size underflow", 3.0)
-        return emission(drives, decay, deph, tol=tol)
+        return emission(drive, decay, deph, tol=tol)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", fail_above)
     data = evolve_config()
@@ -348,9 +400,9 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     batches = []
     emission = sweeps.emission_after_pulse
 
-    def counted(drives, decay, deph, tol=1e-8):
-        batches.append((deph.gamma_i0, len(drives)))
-        return emission(drives, decay, deph, tol=tol)
+    def counted(drive, decay, deph, tol=1e-8):
+        batches.append((deph.gamma_i0, len(drive.omega0)))
+        return emission(drive, decay, deph, tol=tol)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
     data = {"dot": {"gamma_b": 0.004, "gamma_x": 0.002, "delta_x": 3.5},

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from qdtimebin.dynamics import (
     B,
     G,
+    GROUND,
     X,
     ConstantDrive,
     DecayRates,
@@ -16,6 +17,7 @@ from qdtimebin.dynamics import (
     PulseDrive,
     cumulative_emission,
     default_t_span,
+    emission_after_pulse,
     emission_probabilities,
     evolve,
     export_trajectory_csv,
@@ -26,13 +28,11 @@ from qdtimebin.dynamics import (
     pulse_area,
     pulse_energy,
     pulse_window,
-    pulse_window_populations,
 )
 from qdtimebin.linalg import hermitian_basis, hermiticity_defect, min_eigenvalue
 
 import oracles
 
-GROUND = np.diag([1.0, 0.0, 0.0]).astype(complex)
 BIEXCITON = np.diag([0.0, 0.0, 1.0]).astype(complex)
 EXCITON = np.diag([0.0, 1.0, 0.0]).astype(complex)
 NO_DECAY = DecayRates(gamma_b=0.0, gamma_x=0.0)
@@ -76,6 +76,13 @@ def test_pulse_amplitude_profile():
         PulseDrive(omega0=1.0, sigma=0.0)
     with pytest.raises(ValueError):
         PulseDrive(omega0=-1.0, sigma=1.0)
+
+
+def test_batch_drive_rejects_a_negative_amplitude():
+    drive = PulseDrive(omega0=np.array([0.0, 0.5, 2.0]), sigma=3.0)
+    assert drive.amplitude(0.0).tolist() == [0.0, 0.5, 2.0]
+    with pytest.raises(ValueError, match="omega0 must be >= 0"):
+        PulseDrive(omega0=np.array([0.5, -1e-3, 2.0]), sigma=3.0)
 
 
 def test_dephasing_model_rate():
@@ -264,6 +271,13 @@ def test_evolve_validates_inputs():
         evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=(1.0, 0.0))
 
 
+def test_evolve_rejects_a_batch_drive():
+    # evolve stores one trajectory; a batch goes to emission_after_pulse
+    batch = PulseDrive(omega0=np.array([0.2, 0.4]), sigma=4.0)
+    with pytest.raises(ValueError, match="one omega0, got 2"):
+        evolve(GROUND, batch, DecayRates(), NO_DEPH, t_span=(-20.0, 20.0))
+
+
 def test_evolve_honours_max_step():
     # free decay: without the cap the steps would grow well beyond it
     traj = evolve(BIEXCITON, ConstantDrive(omega0=0.0), DecayRates(0.5, 0.25),
@@ -343,27 +357,17 @@ def test_picosecond_fraction_pulse_evolves_quickly():
 
 
 def test_batch_non_finite_drive_fails_at_start():
-    drives = [PulseDrive(omega0=w, sigma=4.0) for w in (0.2, math.inf, 0.4)]
+    drive = PulseDrive(omega0=np.array([0.2, math.inf, 0.4]), sigma=4.0)
     with pytest.raises(IntegrationError) as err:
-        pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
-    assert err.value.t == pulse_window(drives[0])[0]
-
-
-@pytest.mark.parametrize("other", [
-    PulseDrive(omega0=0.3, sigma=5.0),
-    PulseDrive(omega0=0.3, sigma=4.0, delta_x=1.0),
-])
-def test_batch_drives_must_share_pulse_shape(other):
-    drives = [PulseDrive(omega0=0.2, sigma=4.0), other]
-    with pytest.raises(ValueError, match="share"):
-        pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
+        emission_after_pulse(drive, DecayRates(), NO_DEPH)
+    assert err.value.t == pulse_window(drive)[0]
 
 
 def test_batch_window_without_width_is_refused():
     # t0 +- 5 sigma rounds to t0: the window would integrate nothing
-    drives = [PulseDrive(omega0=0.2, sigma=12.0, t0=1e300)]
+    drive = PulseDrive(omega0=np.array([0.2]), sigma=12.0, t0=1e300)
     with pytest.raises(ValueError, match="no width"):
-        pulse_window_populations(GROUND, drives, DecayRates(), NO_DEPH)
+        emission_after_pulse(drive, DecayRates(), NO_DEPH)
 
 
 def test_evolve_reports_trace_drift_at_start():
@@ -384,9 +388,6 @@ def test_evolve_rejects_non_hermitian_start():
         with pytest.raises(IntegrationError, match="hermiticity drift") as err:
             evolve(rho0, drive, DecayRates(), NO_DEPH, t_span=t_span)
         assert err.value.t == t_span[0]
-    with pytest.raises(IntegrationError, match="hermiticity drift") as err:
-        pulse_window_populations(rho0, [drive], DecayRates(), NO_DEPH)
-    assert err.value.t == window[0]
 
 
 def test_default_span_covers_pulse_and_decay():

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qdtimebin import IntegrationError, dynamics, sweeps
 from qdtimebin.dynamics import (
+    GROUND,
     DecayRates,
     DephasingModel,
     PulseDrive,
@@ -12,10 +14,8 @@ from qdtimebin.dynamics import (
     evolve,
     omega0_for_area,
     pulse_window,
-    pulse_window_populations,
 )
 from qdtimebin.sweeps import (
-    GROUND,
     OverdampedError,
     coherent_first_max_area,
     emission_after_pulse,
@@ -66,7 +66,7 @@ def test_rabi_sweep_oscillates_and_damps():
 def test_emission_after_pulse_matches_full_span():
     drive = PulseDrive(omega0=0.35, sigma=12.0, delta_x=0.5)
     deph = DephasingModel(0.0, 0.0349, 2)
-    (p_x_fast,), (p_b_fast,) = emission_after_pulse([drive], DECAY, deph,
+    (p_x_fast,), (p_b_fast,) = emission_after_pulse(drive, DECAY, deph,
                                                     tol=1e-9)
     traj = evolve(GROUND, drive, DECAY, deph, tol=1e-9)
     p_x_ref, p_b_ref = emission_probabilities(traj, DECAY, traj.times[-1])
@@ -81,7 +81,7 @@ def test_emission_after_pulse_zero_rates():
     deph = DephasingModel(0.0, 0.0349, 2)
     # a biexciton that never decays leaves only direct exciton emission
     no_b = DecayRates(gamma_b=0.0, gamma_x=0.002)
-    (p_x,), (p_b,) = emission_after_pulse([drive], no_b, deph, tol=1e-9)
+    (p_x,), (p_b,) = emission_after_pulse(drive, no_b, deph, tol=1e-9)
     traj = evolve(GROUND, drive, no_b, deph, tol=1e-9)
     p_x_ref, _ = emission_probabilities(traj, no_b, traj.times[-1])
     assert p_b == 0.0
@@ -90,14 +90,14 @@ def test_emission_after_pulse_zero_rates():
     # an exciton that never decays emits nothing; the biexciton emission
     # is checked on a span that follows its own decay to e^-10
     no_x = DecayRates(gamma_b=0.004, gamma_x=0.0)
-    (p_x,), (p_b,) = emission_after_pulse([drive], no_x, deph, tol=1e-9)
+    (p_x,), (p_b,) = emission_after_pulse(drive, no_x, deph, tol=1e-9)
     traj = evolve(GROUND, drive, no_x, deph, t_span=(-60.0, 60.0 + 10 / 0.004),
                   tol=1e-9)
     _, p_b_ref = emission_probabilities(traj, no_x, traj.times[-1])
     assert p_x == 0.0
     assert p_b > 0.1
     assert p_b == pytest.approx(p_b_ref, abs=2 * np.exp(-10))
-    (p_x,), (p_b,) = emission_after_pulse([drive], DecayRates(0.0, 0.0), deph)
+    (p_x,), (p_b,) = emission_after_pulse(drive, DecayRates(0.0, 0.0), deph)
     assert (p_x, p_b) == (0.0, 0.0)
 
 
@@ -111,18 +111,20 @@ def test_one_drive_emission_matches_evolve(sigma, area):
                   tol=1e-8)
     p_x, p_b = emission_probabilities(traj, DECAY, traj.times[-1])
     _, rho_xx, rho_bb = traj.populations[-1]
-    (p_x_batch,), (p_b_batch,) = emission_after_pulse([drive], DECAY, deph)
+    (p_x_batch,), (p_b_batch,) = emission_after_pulse(drive, DECAY, deph)
     assert p_x_batch == pytest.approx(p_x + rho_xx + rho_bb, abs=1e-12)
     assert p_b_batch == pytest.approx(p_b + rho_bb, abs=1e-12)
 
 
 def test_batch_matches_drives_alone():
     deph = DephasingModel(0.0, 0.0349, 2)
-    drives = [PulseDrive(omega0=omega0_for_area(a, 12.0), sigma=12.0,
-                         delta_x=3.5) for a in np.linspace(2.0, 40.0, 48)]
-    p_x, p_b = emission_after_pulse(drives, DECAY, deph)
-    alone = np.array([emission_after_pulse([d], DECAY, deph)
-                      for d in drives])[:, :, 0]
+    areas = np.linspace(2.0, 40.0, 48)
+    drive = PulseDrive(omega0=omega0_for_area(areas, 12.0), sigma=12.0,
+                       delta_x=3.5)
+    p_x, p_b = emission_after_pulse(drive, DECAY, deph)
+    alone = np.array([emission_after_pulse(replace(drive, omega0=w), DECAY,
+                                           deph)
+                      for w in drive.omega0])[:, :, 0]
     assert np.abs(p_x - alone[:, 0]).max() < 1e-8
     assert np.abs(p_b - alone[:, 1]).max() < 1e-8
 
@@ -131,13 +133,13 @@ def test_tiny_tolerance_integrates_in_chunks():
     # (tol / TOL_FLOOR)^2 = 3.2: no more than 3 drives fit in one batch
     tol = 4e-14
     deph = DephasingModel(0.0, 0.0349, 2)
-    drives = [PulseDrive(omega0=omega0_for_area(a, 4.0), sigma=4.0,
-                         delta_x=3.5) for a in (6.0, 12.0, 18.0, 24.0)]
-    with pytest.raises(ValueError, match="fewer drives"):
-        pulse_window_populations(GROUND, drives, DECAY, deph, tol=tol)
-    p_x, p_b = emission_after_pulse(drives, DECAY, deph, tol=tol)
-    alone = np.array([emission_after_pulse([d], DECAY, deph, tol=tol)
-                      for d in drives])[:, :, 0]
+    areas = np.array([6.0, 12.0, 18.0, 24.0])
+    drive = PulseDrive(omega0=omega0_for_area(areas, 4.0), sigma=4.0,
+                       delta_x=3.5)
+    p_x, p_b = emission_after_pulse(drive, DECAY, deph, tol=tol)
+    alone = np.array([emission_after_pulse(replace(drive, omega0=w), DECAY,
+                                           deph, tol=tol)
+                      for w in drive.omega0])[:, :, 0]
     assert np.abs(p_x - alone[:, 0]).max() < 1e-10
     assert np.abs(p_b - alone[:, 1]).max() < 1e-10
 
@@ -145,9 +147,8 @@ def test_tiny_tolerance_integrates_in_chunks():
 def test_rabi_sweep_points_are_emission_after_pulse():
     deph = DephasingModel(0.0, 0.0349, 2)
     res = rabi_sweep(12.0, deph, DECAY, areas=[3.0, 9.0], delta_x=0.5)
-    drives = [PulseDrive(omega0=w, sigma=12.0, delta_x=0.5)
-              for w in res.omega0]
-    p_x, p_b = emission_after_pulse(drives, DECAY, deph)
+    drive = PulseDrive(omega0=res.omega0, sigma=12.0, delta_x=0.5)
+    p_x, p_b = emission_after_pulse(drive, DECAY, deph)
     assert np.array_equal(res.p_x, p_x) and np.array_equal(res.p_b, p_b)
 
 
@@ -176,9 +177,9 @@ def test_step_budget_skips_the_stiffer_points(monkeypatch):
     monkeypatch.setattr(dynamics, "_MAX_RK45_STEPS", 2_000)
     sizes = []
 
-    def counted(drives, decay, deph, tol=1e-8):
-        sizes.append(len(drives))
-        return emission_after_pulse(drives, decay, deph, tol=tol)
+    def counted(drive, decay, deph, tol=1e-8):
+        sizes.append(len(drive.omega0))
+        return emission_after_pulse(drive, decay, deph, tol=tol)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
     res = rabi_sweep(1e-6, DephasingModel(0.01, 0.0349, 2), DECAY,
@@ -250,7 +251,7 @@ def test_first_cycle_extrema_are_integrated_values(gamma_i0):
     for area, value in ((a_max, v_max), (a_min, v_min)):
         drive = PulseDrive(omega0=omega0_for_area(area, 12.0), sigma=12.0,
                            delta_x=3.5)
-        _, (p_b,) = emission_after_pulse([drive], DECAY, deph)
+        _, (p_b,) = emission_after_pulse(drive, DECAY, deph)
         assert p_b == pytest.approx(value, abs=1e-8)
 
 
