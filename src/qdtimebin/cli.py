@@ -38,8 +38,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "dephasing")
     drive, decay = cfg.pulse.drive(cfg.dot), cfg.dot.decay()
     traj = evolve(GROUND, drive, decay, cfg.dephasing,
-                  t_span=cfg.t_span(drive), tol=cfg.numerics.tol,
-                  max_step=cfg.numerics.max_step)
+                  t_span=cfg.t_span(drive), tol=cfg.numerics.tol)
     path = out / "trajectory.csv"
     export_trajectory_csv(traj, decay, path, params=cfg.resolved())
     print(f"wrote {path} ({len(traj.times)} samples, "
@@ -55,7 +54,7 @@ def cmd_rabi(cfg: RunConfig, out: Path, args) -> None:
         res = sweeps.rabi_sweep(cfg.pulse.sigma, model, decay,
                                 cfg.sweep.areas, tol=cfg.numerics.tol,
                                 delta_x=cfg.dot.delta_x,
-                                delta_b=cfg.dot.delta_b, t0=cfg.pulse.t0)
+                                delta_b=cfg.dot.delta_b)
         path = out / f"rabi_model{i}_np{model.n_p}.csv"
         export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
         print(f"wrote {path}")
@@ -97,13 +96,15 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
     if cfg.sweep.fit_n_p is None:
         raise ConfigError("fit-dephasing needs 'sweep.fit'")
     # The fit's area window (sweeps.coherent_first_max_area) assumes
-    # two-photon resonance and delta_x > 0.
-    if not cfg.dot.delta_x > 0:
-        raise ConfigError("fit-dephasing needs 'dot.delta_x' > 0, "
-                          f"got {cfg.dot.delta_x}")
-    if cfg.dot.delta_b != 0:
-        raise ConfigError("fit-dephasing needs 'dot.delta_b' = 0, "
-                          f"got {cfg.dot.delta_b}")
+    # two-photon resonance and delta_x > 0; with gamma_b = 0 no biexciton
+    # photon is emitted, so the Rabi curve it fits is flat.
+    dot = cfg.dot
+    for key, ok, need in (("delta_x", dot.delta_x > 0, "> 0"),
+                          ("delta_b", dot.delta_b == 0, "= 0"),
+                          ("gamma_b", dot.gamma_b > 0, "> 0")):
+        if not ok:
+            raise ConfigError(f"fit-dephasing needs 'dot.{key}' {need}, "
+                              f"got {getattr(dot, key)}")
     fit = sweeps.fit_gamma_i0(
         cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
         cfg.dot.decay(),
@@ -145,10 +146,9 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     if v_coh is None:
         cfg.require("dot", "pulse", "dephasing")
         drive = cfg.pulse.drive(cfg.dot)
-        span = pulse_window(drive)
         traj = evolve(GROUND, drive, cfg.dot.decay(), cfg.dephasing,
-                      t_span=span, tol=cfg.numerics.tol)
-        v_coh = timebin.excitation_coherence(traj, span[1])
+                      t_span=pulse_window(drive), tol=cfg.numerics.tol)
+        v_coh = timebin.excitation_coherence(traj.states[-1])
 
     params = TimeBinModelParams(phi_p=cfg.timebin.phi_p,
                                 epsilon=cfg.timebin.epsilon,
@@ -163,15 +163,15 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     settings = tomography.standard_settings()
     per_seed = {"concurrence": [], "fidelity": [], "coherence_abs": [],
                 "visibility_time": [], "state_fidelity_to_model": []}
-    mle_status = {"converged": [], "n_iter": [], "log_likelihood": []}
+    mle_status = {"converged": [], "n_iter": [], "log_likelihood": [],
+                  "deviance": []}
     first_reconstruction = None
     for s in seeds:
         data = tomography.simulate_counts(rho_model, settings,
                                           cfg.tomography.n_mean, s)
         mle = tomography.reconstruct_mle(data)
-        mle_status["converged"].append(mle.converged)
-        mle_status["n_iter"].append(mle.n_iter)
-        mle_status["log_likelihood"].append(mle.log_likelihood)
+        for key, values in mle_status.items():
+            values.append(getattr(mle, key))
         m = _state_metrics(mle.rho)
         per_seed["concurrence"].append(m["concurrence"])
         per_seed["fidelity"].append(m["fidelity"])

@@ -176,6 +176,10 @@ class TimebinConfig:
                           allow_none=True))
 
 
+# numpy's Poisson sampler refuses a mean above ~9.2e18.
+MAX_N_MEAN = 1e18
+
+
 @dataclass
 class TomographyConfig:
     n_mean: float = 1e5
@@ -186,7 +190,7 @@ class TomographyConfig:
     def parse(cls, data: dict) -> "TomographyConfig":
         _check_keys("tomography", data, {"n_mean", "seed", "n_seeds"})
         return cls(n_mean=_number("tomography", data, "n_mean", 1e5,
-                                  minimum=1e-9),
+                                  minimum=1e-9, maximum=MAX_N_MEAN),
                    seed=_integer("tomography.seed", data.get("seed", 1)),
                    n_seeds=_integer("tomography.n_seeds",
                                     data.get("n_seeds", 1), minimum=1))
@@ -237,11 +241,10 @@ class SweepConfig:
 class NumericsConfig:
     tol: float = 1e-8
     t_span: tuple[float, float] | None = None
-    max_step: float | None = None
 
     @classmethod
     def parse(cls, data: dict) -> "NumericsConfig":
-        _check_keys("numerics", data, {"tol", "t_span", "max_step"})
+        _check_keys("numerics", data, {"tol", "t_span"})
         span = data.get("t_span")
         if span is not None:
             if not isinstance(span, list) or len(span) != 2:
@@ -252,9 +255,7 @@ class NumericsConfig:
                 raise ConfigError("'numerics.t_span' must be [t0, t1] with t1 > t0")
         return cls(tol=_number("numerics", data, "tol", 1e-8,
                                minimum=TOL_FLOOR, maximum=1e-3),
-                   t_span=span,
-                   max_step=_number("numerics", data, "max_step",
-                                    minimum=1e-12, allow_none=True))
+                   t_span=span)
 
 
 _SECTIONS = {"dot", "pulse", "dephasing", "timebin", "tomography", "sweep",

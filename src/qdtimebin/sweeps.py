@@ -116,7 +116,7 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
 
 def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
                areas, tol: float = 1e-8, delta_x: float = 0.5,
-               delta_b: float = 0.0, t0: float = 0.0) -> SweepResult:
+               delta_b: float = 0.0) -> SweepResult:
     """Emission probabilities versus pulse area, starting from the ground state.
 
     Each point converts the area to a peak amplitude at fixed ``sigma`` and
@@ -130,7 +130,7 @@ def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
     if len(areas) < 2 or np.any(np.diff(areas) <= 0):
         raise ValueError("areas must be increasing with at least 2 points")
     drive = PulseDrive(omega0=omega0_for_area(areas, sigma), sigma=sigma,
-                       t0=t0, delta_x=delta_x, delta_b=delta_b)
+                       delta_x=delta_x, delta_b=delta_b)
     return _sweep_points(areas, "area", drive, deph, decay, tol)
 
 
@@ -272,7 +272,7 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
 
 
 def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
-                delta_x: float = 0.5, delta_b: float = 0.0, t0: float = 0.0,
+                delta_x: float = 0.5, delta_b: float = 0.0,
                 tol: float = 1e-8) -> list[SweepResult]:
     """Biexciton vs direct-exciton yield over pulse energy, per pulse length.
 
@@ -298,7 +298,7 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
     results = []
     for sigma in sigmas:
         drive = PulseDrive(omega0=np.sqrt(energy_axis / sigma), sigma=sigma,
-                           t0=t0, delta_x=delta_x, delta_b=delta_b)
+                           delta_x=delta_x, delta_b=delta_b)
         res = _sweep_points(energy_axis.copy(), "energy", drive, deph, decay,
                             tol)
         usable = ~res.saturated & np.isfinite(res.ratio)

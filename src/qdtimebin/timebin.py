@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import B, G, Trajectory
+from .dynamics import B, G
 from .linalg import (
     _clip_spectrum,
     check_density_matrix,
@@ -83,19 +83,19 @@ def model_state(params: TimeBinModelParams) -> np.ndarray:
     return (1.0 - q) * rho + q * np.eye(4) / 4.0
 
 
-def excitation_coherence(traj: Trajectory, pulse_end: float) -> float:
-    """Ground-biexciton coherence contrast at the end of the pulse.
+def excitation_coherence(rho: np.ndarray) -> float:
+    """Ground-biexciton coherence contrast of the ladder state ``rho``.
 
-    |<g|rho|b>| / sqrt(rho_gg * rho_bb), clamped to [0, 1]; this is the
-    v_coh factor the excitation dynamics imprint on the entangled state.
+    |<g|rho|b>| / sqrt(rho_gg * rho_bb), clamped to [0, 1]; at the end of
+    the pulse, this is the v_coh factor the excitation dynamics imprint on
+    the entangled state.
     """
-    rho = traj.state_at(pulse_end)
     p_g = rho[G, G].real
     p_b = rho[B, B].real
     if p_g <= 1e-9 or p_b <= 1e-9:
         raise ValueError(
             f"coherence contrast undefined: populations (rho_gg={p_g:.3e}, "
-            f"rho_bb={p_b:.3e}) too small at t = {pulse_end}")
+            f"rho_bb={p_b:.3e}) too small")
     return float(min(1.0, abs(rho[G, B]) / np.sqrt(p_g * p_b)))
 
 

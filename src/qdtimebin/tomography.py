@@ -212,6 +212,7 @@ class MleResult:
     converged: bool
     n_iter: int
     log_likelihood: float
+    deviance: float  # the optimizer's final objective, ~0 at a perfect fit
 
 
 def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
@@ -305,7 +306,7 @@ def reconstruct_mle(data: TomographyDataset) -> MleResult:
     mu = np.clip(n_hat * np.einsum("kij,ji->k", ops, rho).real, 1e-12, None)
     log_lik = float(np.sum(counts * np.log(mu) - mu))
     return MleResult(rho=rho, converged=converged, n_iter=n_iter,
-                     log_likelihood=log_lik)
+                     log_likelihood=log_lik, deviance=best_nll)
 
 
 # --- dataset file ------------------------------------------------------------

@@ -93,7 +93,8 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     ("ratio", _set(["sweep"], dict(_SIGMAS, sigmas=[-4.0])), "sweep.sigmas"),
     ("evolve", _set(["numerics", "t_span"], [0.0, "1"]), "numerics.t_span"),
     ("entangle", _set(["timebin"], {"v_coh": 1.5}), "timebin.v_coh"),
-    ("evolve", _set(["numerics", "max_step"], 0), "numerics.max_step"),
+    pytest.param("evolve", _set(["numerics", "max_step"], 0.3), "max_step",
+                 id="evolve-edit-numerics.max_step"),
     ("evolve", _set(["numerics", "tol"], 0.5), "numerics.tol"),
     pytest.param("evolve", _set(["numerics", "tol"], 1e-14), "numerics.tol",
                  id="evolve-edit-numerics.tol-below-floor"),
@@ -136,6 +137,12 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
                                          _set(["dot", "delta_x"], -3.5)),
                  "dot.delta_x", id="fit-dephasing-edit-dot.delta_x-negative"),
+    pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
+                                         _set(["dot", "gamma_b"], 0.0)),
+                 "dot.gamma_b", id="fit-dephasing-edit-dot.gamma_b-zero"),
+    pytest.param("entangle", _set(["tomography", "n_mean"], 1e300),
+                 "tomography.n_mean",
+                 id="entangle-edit-tomography.n_mean-above-poisson-limit"),
 ])
 def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
                                            key):
@@ -187,7 +194,7 @@ def full_config():
         "models": [{"gamma_bg": 0.0, "gamma_i0": 0.0349, "n_p": 2}],
         "fit": {"n_p": 2, "target_ratio": 3.2},
     }
-    data["numerics"].update(t_span=[-60.0, 60.0], max_step=0.3)
+    data["numerics"].update(t_span=[-60.0, 60.0])
     return data
 
 
@@ -445,11 +452,14 @@ def test_entangle_report_records_mle_status_per_seed(tmp_path):
     assert main(["entangle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     mle = json.loads((tmp_path / "entangle_report.json").read_text())["mle"]
     n_seeds = data["tomography"]["n_seeds"]
-    assert sorted(mle) == ["converged", "log_likelihood", "n_iter"]
+    assert sorted(mle) == ["converged", "deviance", "log_likelihood", "n_iter"]
     assert all(len(v) == n_seeds for v in mle.values())
     assert all(isinstance(c, bool) for c in mle["converged"])
     assert all(isinstance(n, int) and n >= 0 for n in mle["n_iter"])
     assert all(np.isfinite(mle["log_likelihood"]))
+    # the deviance is >= 0 up to roundoff: ~0 when the linear inversion is
+    # already physical
+    assert all(d > -1e-9 and np.isfinite(d) for d in mle["deviance"])
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -267,7 +267,7 @@ def test_excitation_coherence_unitary_is_one():
     drive = PulseDrive(omega0=0.35, sigma=12.0, t0=0.0, delta_x=0.5)
     traj = evolve(GROUND, drive, DecayRates(0.0, 0.0), DephasingModel(),
                   t_span=(-60.0, 60.0), tol=1e-10)
-    v = excitation_coherence(traj, 60.0)
+    v = excitation_coherence(traj.states[-1])
     assert v == pytest.approx(1.0, abs=1e-6)
 
 
@@ -275,7 +275,7 @@ def test_excitation_coherence_weak_pulse():
     drive = PulseDrive(omega0=0.06, sigma=12.0, t0=0.0, delta_x=0.5)
     traj = evolve(GROUND, drive, DecayRates(2e-5, 1e-5), DephasingModel(),
                   t_span=(-60.0, 60.0), tol=1e-10)
-    assert excitation_coherence(traj, 60.0) > 0.999
+    assert excitation_coherence(traj.states[-1]) > 0.999
 
 
 def test_excitation_coherence_dephasing_dominated():
@@ -284,7 +284,7 @@ def test_excitation_coherence_dephasing_dominated():
     traj = evolve(GROUND, drive, DecayRates(1e-4, 5e-5),
                   DephasingModel(gamma_bg=2.0 / sigma), t_span=(-25.0, 25.0),
                   tol=1e-9)
-    assert excitation_coherence(traj, 25.0) < 0.1
+    assert excitation_coherence(traj.states[-1]) < 0.1
 
 
 def test_excitation_coherence_needs_population():
@@ -292,7 +292,7 @@ def test_excitation_coherence_needs_population():
     traj = evolve(GROUND, drive, DecayRates(0.0, 0.0), DephasingModel(),
                   t_span=(0.0, 1.0))
     with pytest.raises(ValueError, match="population"):
-        excitation_coherence(traj, 1.0)
+        excitation_coherence(traj.states[-1])
 
 
 # --- csv --------------------------------------------------------------------------

@@ -173,6 +173,23 @@ def test_mle_noiseless_recovers_truth():
     assert res.converged
 
 
+def test_mle_deviance_is_that_of_the_returned_state():
+    rho = model_state(TimeBinModelParams(epsilon=0.1, v_coh=0.8))
+    settings = standard_settings()
+    data = simulate_counts(rho, settings, 500.0, 3)
+    res = reconstruct_mle(data)
+    # the four time-basis settings sum to the count scale
+    n_hat = sum(c for s, c in zip(settings, data.counts)
+                if s.xx.kind in "EL" and s.x.kind in "EL")
+    mu = expected_counts(res.rho, settings, n_hat)
+    c = data.counts
+    seen = c > 0
+    ref = np.sum(mu - c) + np.sum(c[seen] * np.log(c[seen] / mu[seen]))
+    assert res.deviance == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    assert res.deviance >= 0
+    assert reconstruct_mle(noiseless_dataset(rho)).deviance < 1e-6
+
+
 def test_mle_converged_at_high_counts():
     # at 1e5 counts the linear inversion is often already physical, so the
     # fit starts at the optimum; the flag must still report convergence
