@@ -2,8 +2,8 @@
 
 Sixteen projective settings (per qubit: early, late, and two superposition
 phases) are simulated as Poisson coincidence counts and inverted either
-linearly or through a positivity-enforcing maximum-likelihood fit of a
-Cholesky-parameterized density matrix.
+linearly or through a positivity-enforcing maximum-likelihood fit of
+rho = T^dag T / tr(T^dag T) over a full complex 4 x 4 factor T.
 """
 
 from __future__ import annotations
@@ -178,34 +178,6 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
 
 # --- maximum likelihood -------------------------------------------------------
 
-# parameter layout: 4 real diagonals then (re, im) pairs for the strictly
-# lower triangle of T, row-major
-_LOWER = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
-
-
-def _t_from_params(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.arange(4), np.arange(4)] = t[:4]
-    for k, (i, j) in enumerate(_LOWER):
-        m[i, j] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return m
-
-
-def _params_from_t(m: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
-    t[:4] = np.real(np.diag(m))
-    for k, (i, j) in enumerate(_LOWER):
-        t[4 + 2 * k] = m[i, j].real
-        t[5 + 2 * k] = m[i, j].imag
-    return t
-
-
-def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    m = _t_from_params(t)
-    g = dag(m) @ m
-    return g / np.trace(g).real
-
-
 @dataclass
 class MleResult:
     rho: np.ndarray
@@ -215,18 +187,26 @@ class MleResult:
     deviance: float  # the optimizer's final objective, ~0 at a perfect fit
 
 
+def _t_from_params(t: np.ndarray) -> np.ndarray:
+    """The full complex 4 x 4 factor T = t[:16] + 1j t[16:], row-major."""
+    return (t[:16] + 1j * t[16:]).reshape(4, 4)
+
+
 def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
                           counts: np.ndarray, n_hat: float):
-    """Poisson deviance of the Cholesky parameters, with its analytic
-    gradient (chain rule through dG = dT^dag T + T^dag dT).
+    """Poisson deviance of rho = T^dag T / tr(T^dag T), with its analytic
+    gradient in the 32 real parameters of T.
 
     The deviance is the negative log-likelihood shifted by the saturated
     model's value, so it is ~0 at a perfect fit; that keeps the optimizer's
-    relative-improvement stopping rule meaningful.  It is summed term by
-    term, (mu - c) + c log(c / mu) >= 0, rather than as the difference of
-    two sums of order counts * log(counts), which would cancel to roundoff
-    near the optimum.  The shift is constant in t, so the gradient is that
-    of the log-likelihood itself.
+    relative-improvement stopping rule meaningful.  Each term,
+    (mu - c) + c log(c / mu), is summed as c (d - log1p(d)) with
+    d = (mu - c) / c, or as mu where c = 0: neither can round below zero,
+    and neither cancels to roundoff near the optimum.  The shift is
+    constant in t, so the gradient is that of the log-likelihood itself:
+    with W = d(nll)/dG (Hermitian) at G = T^dag T,
+    d(nll) = 2 Re tr(W T^dag dT), so the gradient in Re T and Im T is the
+    real and imaginary part of 2 T W.
     """
     m = _t_from_params(t)
     g = dag(m) @ m
@@ -234,29 +214,27 @@ def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
     q = np.einsum("kij,ji->k", ops, g).real
     mu = np.clip(n_hat * q / s, 1e-12, None)
     seen = counts > 0
-    nll = float(np.sum(mu - counts)
-                + np.sum(counts[seen] * np.log(counts[seen] / mu[seen])))
+    d = (mu[seen] - counts[seen]) / counts[seen]
+    nll = float(np.sum(counts[seen] * (d - np.log1p(d)))
+                + np.sum(mu[~seen]))
     coeff = (1.0 - counts / mu) * (n_hat / s)
     w = np.einsum("k,kij->ij", coeff, ops)
     w = w - np.eye(4) * np.sum(coeff * q) / s
-    wt = w @ dag(m)  # tr(W T^dag dT) = (W T^dag)_{ba} for dT = E_ab
-    grad = np.zeros(16)
-    grad[:4] = 2.0 * np.real(np.diag(wt))
-    for k, (i, j) in enumerate(_LOWER):
-        grad[4 + 2 * k] = 2.0 * wt[j, i].real
-        grad[5 + 2 * k] = -2.0 * wt[j, i].imag
-    return nll, grad
+    grad = 2.0 * m @ w
+    return nll, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
 def reconstruct_mle(data: TomographyDataset) -> MleResult:
     """Maximum-likelihood density matrix from Poisson counts.
 
-    rho = T^dag T / tr(T^dag T) with lower-triangular T (16 real
-    parameters), maximizing the Poisson log-likelihood; deterministic
-    L-BFGS-B ascent starting from the PSD-projected linear inversion.
+    rho = T^dag T / tr(T^dag T) with a full complex 4 x 4 T (32 real
+    parameters), maximizing the Poisson log-likelihood with one
+    deterministic L-BFGS-B run from the PSD-projected linear inversion.
+    A square factor leaves the factored problem without spurious local
+    minima (Burer and Monteiro, Math. Program. 103, 427 (2005)).
     Convergence is declared at relative log-likelihood improvement below
-    ``_MLE_FTOL``; non-convergence at the iteration cap is reported through
-    ``converged`` with the best iterate retained.
+    ``_MLE_FTOL``, or when the line search stalls with no measurable
+    improvement; otherwise ``converged`` is false.
     """
     if float(np.sum(data.counts)) <= 0:
         raise ValueError("degenerate dataset: all counts are zero, "
@@ -268,45 +246,33 @@ def reconstruct_mle(data: TomographyDataset) -> MleResult:
     def nll_and_grad(t: np.ndarray):
         return _poisson_nll_and_grad(t, ops, counts, n_hat)
 
-    linear = reconstruct_linear(data)
-    w, v = eig_hermitian(linear.rho, herm_tol=1e-8)
+    w, v = eig_hermitian(reconstruct_linear(data).rho, herm_tol=1e-8)
     w = np.clip(w, 0.0, None)
-    rho0 = (v * w) @ dag(v)
-    rho0 = rho0 / np.trace(rho0).real
-    # minute mixing keeps the Cholesky factorization of rank-deficient
-    # starts well posed without displacing the optimum noticeably
-    rho0 = (1 - 1e-12) * rho0 + 1e-12 * np.eye(4) / 4.0
-    # lower-triangular T with T^dag T = rho0, via Cholesky of the
-    # index-reversed matrix
-    m_rev = np.linalg.cholesky(rho0[::-1, ::-1])
-    t0 = _params_from_t(dag(m_rev)[::-1, ::-1])
+    # A zero eigenvalue gives a zero row of T, where the gradient (2 T W)
+    # vanishes too, so L-BFGS-B could not grow that direction again.  Mixing
+    # 1e-8 of the identity (rows of norm 5e-5) lets it grow within the
+    # stopping rule; at 1e-12 some low-count fits stall on a rank-2 face.
+    w = (1 - 1e-8) * w / np.sum(w) + 1e-8 / 4.0
+    t0 = (np.sqrt(w)[:, None] * dag(v)).ravel()
+    t0 = np.concatenate([t0.real, t0.imag])
 
-    nll0, _ = nll_and_grad(t0)
-    best_t, best_nll = t0, nll0
-    success, n_iter = False, 0
-    t_start, f_before = t0, nll0
-    improvement = np.inf
-    for _ in range(3):  # restart if the line search stalls on the PSD boundary
-        res = minimize(nll_and_grad, t_start, jac=True, method="L-BFGS-B",
-                       options={"ftol": _MLE_FTOL, "gtol": 1e-12,
-                                "maxiter": _MLE_MAX_ITER,
-                                "maxfun": 10 * _MLE_MAX_ITER})
-        n_iter += int(res.nit)
-        improvement = f_before - float(res.fun)
-        if res.fun < best_nll:
-            best_t, best_nll = res.x, float(res.fun)
-        success = bool(res.success)
-        if success or res.nit == 0:
-            break
-        t_start, f_before = res.x, float(res.fun)
+    res = minimize(nll_and_grad, t0, jac=True, method="L-BFGS-B",
+                   options={"ftol": _MLE_FTOL, "gtol": 1e-12,
+                            "maxiter": _MLE_MAX_ITER,
+                            "maxfun": 10 * _MLE_MAX_ITER})
+    deviance = float(res.fun)
     # a stall with no measurable improvement satisfies the relative
     # log-likelihood stopping rule even when the line search aborts
-    converged = success or improvement <= _MLE_FTOL * max(1.0, abs(best_nll))
-    rho = _rho_from_params(best_t)
+    improvement = nll_and_grad(t0)[0] - deviance
+    converged = bool(res.success) or (
+        improvement <= _MLE_FTOL * max(1.0, abs(deviance)))
+    m = _t_from_params(res.x)
+    g = dag(m) @ m
+    rho = g / np.trace(g).real
     mu = np.clip(n_hat * np.einsum("kij,ji->k", ops, rho).real, 1e-12, None)
     log_lik = float(np.sum(counts * np.log(mu) - mu))
-    return MleResult(rho=rho, converged=converged, n_iter=n_iter,
-                     log_likelihood=log_lik, deviance=best_nll)
+    return MleResult(rho=rho, converged=converged, n_iter=int(res.nit),
+                     log_likelihood=log_lik, deviance=deviance)
 
 
 # --- dataset file ------------------------------------------------------------
