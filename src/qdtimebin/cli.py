@@ -105,16 +105,20 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
         if not ok:
             raise ConfigError(f"fit-dephasing needs 'dot.{key}' {need}, "
                               f"got {getattr(dot, key)}")
-    fit = sweeps.fit_gamma_i0(
-        cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
-        cfg.dot.decay(),
-        gamma_bg=cfg.dephasing.gamma_bg if cfg.dephasing else 0.0,
-        delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
+    try:
+        fit = sweeps.fit_gamma_i0(
+            cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
+            cfg.dot.decay(),
+            gamma_bg=cfg.dephasing.gamma_bg if cfg.dephasing else 0.0,
+            delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
+    except sweeps.UnreachableTargetError as exc:
+        raise ConfigError(f"'sweep.fit.target_ratio': {exc}") from exc
     path = out / "fit_dephasing.json"
     path.write_text(json.dumps(
         {"config": cfg.resolved(), "n_p": cfg.sweep.fit_n_p,
          "target_ratio": cfg.sweep.fit_target_ratio,
          "gamma_i0": fit.gamma_i0, "achieved_ratio": fit.ratio,
+         "bracket": list(fit.bracket),
          "evaluations": [{"gamma_i0": g, "ratio": r}
                          for g, r in fit.evaluations]},
         sort_keys=True, indent=2) + "\n", encoding="utf-8")

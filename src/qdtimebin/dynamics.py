@@ -69,6 +69,14 @@ class StepBudgetError(IntegrationError):
     """``_rk45_steps`` took ``_MAX_RK45_STEPS`` steps before its span ended."""
 
 
+def _check(name: str, value, ok, need: str) -> None:
+    """Raise ValueError unless ``value``, a number or an array of them, is
+    not bool and satisfies ``ok`` at every entry; NaN satisfies none."""
+    v = np.asarray(value)
+    if v.dtype == bool or not np.all(ok(v)):
+        raise ValueError(f"{name} must be {need}, got {value}")
+
+
 @dataclass(frozen=True)
 class PulseDrive:
     """Gaussian drive: amplitude(t) = omega0 * exp(-ln2 (t - t0)^2 / sigma^2).
@@ -87,10 +95,10 @@ class PulseDrive:
     delta_b: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if np.any(np.asarray(self.omega0) < 0):
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
+        _check("sigma", self.sigma, lambda v: v > 0, "> 0")
+        _check("omega0", self.omega0, lambda v: v >= 0, ">= 0")
+        for name in ("t0", "delta_x", "delta_b"):
+            _check(name, getattr(self, name), np.isfinite, "finite")
 
     def amplitude(self, t):
         return self.omega0 * np.exp(-LN2 * (t - self.t0) ** 2
@@ -117,8 +125,8 @@ class DecayRates:
     gamma_x: float = 0.001
 
     def __post_init__(self):
-        if self.gamma_b < 0 or self.gamma_x < 0:
-            raise ValueError("decay rates must be >= 0")
+        _check("gamma_b", self.gamma_b, lambda v: v >= 0, ">= 0")
+        _check("gamma_x", self.gamma_x, lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -127,18 +135,18 @@ class DephasingModel:
 
     n_p = 0 folds the intensity term into a constant, so the pure-background
     model is the special case (gamma_bg + gamma_i0, n_p arbitrary at zero
-    drive).
+    drive).  In a batch any field may be an array with one entry per drive.
     """
 
-    gamma_bg: float = 0.0
-    gamma_i0: float = 0.0
-    n_p: int = 2
+    gamma_bg: float | np.ndarray = 0.0
+    gamma_i0: float | np.ndarray = 0.0
+    n_p: int | np.ndarray = 2
 
     def __post_init__(self):
-        if self.gamma_bg < 0 or self.gamma_i0 < 0:
-            raise ValueError("dephasing rates must be >= 0")
-        if self.n_p < 0 or int(self.n_p) != self.n_p:
-            raise ValueError(f"n_p must be a non-negative integer, got {self.n_p}")
+        _check("gamma_bg", self.gamma_bg, lambda v: v >= 0, ">= 0")
+        _check("gamma_i0", self.gamma_i0, lambda v: v >= 0, ">= 0")
+        _check("n_p", self.n_p, lambda v: (v >= 0) & (np.floor(v) == v)
+               & np.isfinite(v), "a non-negative integer")
 
     def rate(self, omega_t):
         return self.gamma_bg + self.gamma_i0 * np.asarray(omega_t) ** self.n_p
@@ -316,10 +324,12 @@ def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
     at the start and at each accepted step.  scipy's RK45 chooses every
     step, the first included, from rtol = atol = tol/sqrt(N): the RMS error
     norm over all 11 N components is at most 1 only if each drive's own
-    norm at ``tol`` is.  Drift beyond 100*tol at the start or at a step, a
-    right-hand side that is not finite at the start, a failed step, or a
-    step beyond ``_MAX_RK45_STEPS`` before ``t_span`` ends
-    (StepBudgetError) raises IntegrationError with its time; iterate under
+    norm at ``tol`` is; rtol never falls below ``TOL_FLOOR``, RK45's own
+    floor.  ``deph``'s fields may hold one value per drive.  Drift beyond
+    100*tol at the start or at a step, a right-hand side that is not
+    finite at the start, a failed step, or a step beyond
+    ``_MAX_RK45_STEPS`` before ``t_span`` ends (StepBudgetError) raises
+    IntegrationError with its time; iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
@@ -332,7 +342,7 @@ def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
                 + a[2 * _N_STATE:] * deph.rate(omega_t)).ravel()
 
     t0, t1 = t_span
-    cap, rtol, y = 100.0 * tol, tol / math.sqrt(n), y0.ravel()
+    cap, rtol, y = 100.0 * tol, max(tol / math.sqrt(n), TOL_FLOOR), y0.ravel()
     _check_drift(np.full(n, t0), y0, cap)
     # RK45 with a derivative that is not finite never returns.
     if not np.isfinite(rhs(t0, y)).all():
@@ -396,8 +406,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     state is propagated exactly with r0 + deph.rate(0) rp onto a uniform
     grid.  No renormalization is applied: drift beyond 100*tol, a generator
     that is not finite, or a failed step raises IntegrationError with its
-    time.  ``drive.omega0`` must be one amplitude, since one trajectory is
-    stored.
+    time.  ``drive.omega0`` and the fields of ``deph`` must be one value
+    each, since one trajectory is stored.
     """
     if t_span is None:
         t_span = default_t_span(drive, decay)
@@ -406,17 +416,19 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         raise ValueError(f"t_span must be increasing, got {t_span}")
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    if np.size(drive.omega0) != 1:
-        raise ValueError(
-            f"evolve takes one omega0, got {np.size(drive.omega0)}")
+    for name, value in (("omega0", drive.omega0), ("gamma_bg", deph.gamma_bg),
+                        ("gamma_i0", deph.gamma_i0), ("n_p", deph.n_p)):
+        if np.size(value) != 1:
+            raise ValueError(f"evolve takes one {name}, got {np.size(value)}")
     a, b = t0, t1  # the stretch that RK45 steps
     if isinstance(drive, PulseDrive):
         a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
     r0, _, rp = _real_generator(drive, decay)
-    off, cap = r0 + float(deph.rate(0.0)) * rp, 100.0 * tol
+    cap = 100.0 * tol
     parts = [(np.array([t0]), _initial_state(rho0, cap, t0)[:, None])]
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        off = r0 + float(deph.rate(0.0)) * rp
         if a > t0:
             parts.append(_propagate_exactly(off, parts[-1][1][:, -1], t0, a, cap))
         if b > a:
@@ -454,10 +466,11 @@ def emission_probabilities(traj: Trajectory, decay: DecayRates,
 
 
 def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
-                         deph: DephasingModel, tol: float = 1e-8
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         deph: DephasingModel, tol: float = 1e-8,
+                         block: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Total (p_x, p_b) of one pulse from the ground state, shape (N,), for
-    each of the N peak amplitudes in ``drive.omega0``.
+    each of the N peak amplitudes in ``drive.omega0``; a field of ``deph``
+    may instead hold one value per amplitude.
 
     The pulse windows of all amplitudes are stepped as one system
     (``_rk45_steps``); p_i is gamma_i times the integral of the level-i
@@ -469,7 +482,10 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     of each step, not of p: against DOP853 at rtol 1e-13, p is up to ~6*tol
     off in a batch and ~11*tol for one amplitude.  When tol/sqrt(N) would
     fall below ``TOL_FLOOR``, the amplitudes are stepped in chunks of
-    floor((tol/TOL_FLOOR)^2).
+    floor((tol/TOL_FLOOR)^2), rounded down to a multiple of ``block`` but
+    never below it: a chunk never splits a block of ``block`` consecutive
+    amplitudes, whose errors then stay one smooth function of the
+    amplitude.
     """
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
@@ -480,13 +496,15 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     n = len(omega0)
     y0 = _initial_state(GROUND, 100.0 * tol, t0)[:, None]
     p_x, p_b = np.empty(n), np.empty(n)
-    chunk = max(1, int((tol / TOL_FLOOR) ** 2))
+    chunk = max(1, int((tol / TOL_FLOOR) ** 2) // block) * block
     for start in range(0, n, chunk):
         part = slice(start, start + chunk)
         w = omega0[part]
+        columns = DephasingModel(*(v[part] if np.ndim(v) else v for v in (
+            deph.gamma_bg, deph.gamma_i0, deph.n_p)))
         with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
             for _, y in _rk45_steps(np.repeat(y0, len(w), axis=1),
-                                    replace(drive, omega0=w), decay, deph,
+                                    replace(drive, omega0=w), decay, columns,
                                     (t0, t1), tol):
                 pass
         tail_b = y[B] if decay.gamma_b > 0 else 0.0

@@ -9,8 +9,10 @@ Every photon yield comes from ``dynamics.emission_after_pulse`` on one
 ``PulseDrive`` whose ``omega0`` holds the peak amplitudes of a batch.  A
 sweep curve is one batch, and so is a first-cycle search: p_b at 48
 Chebyshev points of area, whose interpolant gives the first maximum and
-minimum.  A fit is one such search per gamma_i0 it tries, and returns each
-(gamma_i0, ratio) pair in its ``FitResult``.
+minimum.  A fit searches 6 gamma_i0 values in one batch of 6 such blocks,
+the Chebyshev-Lobatto points of an interval, and takes the root of the
+interpolant of 1/ratio on the first interval that brackets its target; its
+``FitResult`` holds every (gamma_i0, ratio) pair integrated.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Chebyshev
+from numpy.polynomial import polyutils as pu
+from numpy.polynomial.chebyshev import chebinterpolate, chebpts2
 
 from .dynamics import (
     LN2,
@@ -41,6 +45,9 @@ DIRECT_EXCITON_FLOOR = 1e-6
 # this window, in units of the coherent first-maximum area.
 _SCAN_SAMPLES = 48
 _SCAN_WINDOW = (0.15, 2.2)
+# A fit integrates this many gamma_i0 values per batch: the
+# Chebyshev-Lobatto points of one interval, both ends included.
+_FIT_SAMPLES = 6
 
 
 class OverdampedError(RuntimeError):
@@ -147,6 +154,52 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
     return math.sqrt(omega_sq) * sigma * math.sqrt(math.pi / LN2)
 
 
+def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,
+                  delta_x: float, tol: float) -> list:
+    """First-cycle extrema of p_b versus area for each of the K values in
+    ``deph.gamma_i0``, as one ``emission_after_pulse`` batch of K blocks of
+    48 areas; ``first_cycle_extrema`` is the case K = 1.
+
+    Returns one (area_max, pb_max, area_min, pb_min) per value, or None
+    where no interior first maximum and following minimum survive the
+    damping.  A fit's batch is 6 x 48 = 288 drives, which
+    ``emission_after_pulse`` chunks for tol below ~3.8e-13 (48 drives:
+    ~1.5e-13); a chunk holds whole blocks, so each block keeps one step
+    sequence.
+    """
+    gamma_i0 = np.atleast_1d(deph.gamma_i0)
+    window = np.array(_SCAN_WINDOW) * coherent_first_max_area(sigma, delta_x)
+
+    def pb_of_x(x: np.ndarray) -> np.ndarray:
+        areas = pu.mapdomain(x, Chebyshev.window, window)
+        drive = PulseDrive(omega0=np.tile(omega0_for_area(areas, sigma),
+                                          len(gamma_i0)),
+                           sigma=sigma, delta_x=delta_x)
+        columns = replace(deph, gamma_i0=np.repeat(gamma_i0, len(areas)))
+        p_b = emission_after_pulse(drive, decay, columns, tol=tol,
+                                   block=len(areas))[1]
+        return p_b.reshape(len(gamma_i0), len(areas)).T
+
+    extrema = []
+    for coef in chebinterpolate(pb_of_x, _SCAN_SAMPLES - 1).T:
+        pb = Chebyshev(coef, domain=window)
+        roots = pb.deriv().roots()
+        roots = roots[(roots.imag == 0) & (roots.real > window[0])
+                      & (roots.real < window[1])].real
+        curvature = pb.deriv(2)(roots)
+        i_max = next((i for i, c in enumerate(curvature) if c < 0), None)
+        i_min = None if i_max is None else next(
+            (i for i in range(i_max + 1, len(roots)) if curvature[i] > 0),
+            None)
+        if i_min is None:
+            extrema.append(None)
+            continue
+        a_max, a_min = roots[i_max], roots[i_min]
+        extrema.append((float(a_max), float(pb(a_max)), float(a_min),
+                        float(pb(a_min))))
+    return extrema
+
+
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
                         delta_x: float = 0.5, tol: float = 1e-8):
     """Locate the first maximum and following minimum of p_b versus area.
@@ -154,40 +207,25 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     Returns (area_max, pb_max, area_min, pb_min).  p_b is integrated in one
     ``emission_after_pulse`` batch at the 48 Chebyshev points of the
     window [0.15, 2.2] x ``coherent_first_max_area``, and interpolated
-    there by a degree-47 Chebyshev series (``Chebyshev.interpolate``, i.e.
-    ``chebinterpolate`` mapped onto the window).  The extrema are the real
-    roots of its derivative inside the window: the first with negative
-    curvature is the maximum, the next with positive curvature the
-    minimum.  The interpolant's values there are returned.
+    there by a degree-47 Chebyshev series (``chebinterpolate`` mapped onto
+    the window).  The extrema are the real roots of its derivative inside
+    the window: the first with negative curvature is the maximum, the next
+    with positive curvature the minimum.  The interpolant's values there
+    are returned.
 
     All drives of a batch are one RK45 system and share one step sequence,
     so the integrator's error is a smooth function of area, and the
     interpolant converges spectrally, down to the integrator's tolerance.
-    Chunking in ``emission_after_pulse`` would break this; it starts below
-    48 drives only for tol < ~1.5e-13.
+    ``emission_after_pulse`` never splits the 48 areas into chunks.
 
-    Raises OverdampedError when no interior extremum survives the damping.
+    Raises OverdampedError when no interior extremum pair survives the
+    damping.
     """
-    def pb_of_areas(areas: np.ndarray) -> np.ndarray:
-        drive = PulseDrive(omega0=omega0_for_area(areas, sigma), sigma=sigma,
-                           delta_x=delta_x)
-        return emission_after_pulse(drive, decay, deph, tol=tol)[1]
-
-    window = np.array(_SCAN_WINDOW) * coherent_first_max_area(sigma, delta_x)
-    pb = Chebyshev.interpolate(pb_of_areas, _SCAN_SAMPLES - 1, domain=window)
-    roots = pb.deriv().roots()
-    roots = roots[(roots.imag == 0) & (roots.real > window[0])
-                  & (roots.real < window[1])].real
-    curvature = pb.deriv(2)(roots)
-    i_max = next((i for i, c in enumerate(curvature) if c < 0), None)
-    if i_max is None:
-        raise OverdampedError("no interior first maximum in the scanned window")
-    i_min = next((i for i in range(i_max + 1, len(roots))
-                  if curvature[i] > 0), None)
-    if i_min is None:
-        raise OverdampedError("no first minimum after the first maximum")
-    a_max, a_min = roots[i_max], roots[i_min]
-    return float(a_max), float(pb(a_max)), float(a_min), float(pb(a_min))
+    (extrema,) = _first_cycles(sigma, deph, decay, delta_x, tol)
+    if extrema is None:
+        raise OverdampedError("no interior first maximum followed by a "
+                              "minimum in the scanned window")
+    return extrema
 
 
 def first_cycle_ratio(sigma: float, deph: DephasingModel, decay: DecayRates,
@@ -200,18 +238,25 @@ def first_cycle_ratio(sigma: float, deph: DephasingModel, decay: DecayRates,
 
 GAMMA_I0_BRACKET_MAX = 10.0
 
-# A fit stops within this fraction of its target, or fails after this many.
-_FIT_REL_TOL = 0.01
-_FIT_MAX_EVALS = 70
+
+class UnreachableTargetError(ValueError):
+    """No gamma_i0 in [0, GAMMA_I0_BRACKET_MAX] gives the target ratio."""
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted gamma_i0, its ratio, and each (gamma_i0, ratio) tried, in order."""
+    """Fitted gamma_i0, its ratio, and each (gamma_i0, ratio) integrated,
+    in order."""
 
     gamma_i0: float
     ratio: float
     evaluations: list[tuple[float, float]]
+
+    @property
+    def bracket(self) -> tuple[float, float]:
+        """The interval whose interpolant gave ``gamma_i0``: the ends of
+        the last batch of ``_FIT_SAMPLES`` evaluations."""
+        return self.evaluations[-_FIT_SAMPLES][0], self.evaluations[-1][0]
 
 
 def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
@@ -219,56 +264,69 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
                  delta_x: float = 0.5, tol: float = 1e-8) -> FitResult:
     """Dephasing amplitude reproducing a first-cycle max/min ratio.
 
-    The simulated ratio decreases monotonically with gamma_i0.  The search
-    starts at 0.02; while the ratio stays above ``target_ratio`` the value
-    doubles, within [0, 10], each old value becoming the lower end of the
-    bracket; then deterministic bisection.  gamma_i0 = 0 is searched only
-    when the ratio at 0.02 is already below the target, the one case where
-    the target may be unreachable; it then counts towards
-    ``_FIT_MAX_EVALS``.  No value is searched twice, and the first whose
-    ratio matches the target to 1 % is returned.  Each search is one
-    ``first_cycle_ratio``, so one batch of 48 drives.
+    The simulated ratio decreases monotonically with gamma_i0, and
+    1/ratio = pb_min/pb_max is nearly linear in it.  The search integrates
+    one interval [lo, hi] at a time, as one ``_first_cycles`` batch at its
+    6 Chebyshev-Lobatto points (``_FIT_SAMPLES``, both ends included).  It
+    starts at [0.02, 0.04].  While the ratio at hi is above
+    ``target_ratio`` the next interval is [hi, 2 hi], up to
+    ``GAMMA_I0_BRACKET_MAX``; if the ratio at 0.02 is below it, the one
+    next interval is [0, 0.02].  A sample without first-cycle extrema
+    reads as ratio 1.  It is not a smooth point, so an interval with such
+    a sample before hi is narrowed to [lo, that sample] and integrated
+    again.  The fit is the root of the degree-5 Chebyshev interpolant of
+    1/ratio on the first interval whose ends bracket the target, and its
+    ``ratio`` is the interpolant's value there; ``evaluations`` holds
+    every sample, interval by interval.
+
+    Raises UnreachableTargetError when the ratio at gamma_i0 = 0 is below
+    the target, or the ratio at ``GAMMA_I0_BRACKET_MAX`` above it.
     """
-    if target_ratio <= 1.0:
+    if not target_ratio > 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
-    if n_p not in (0, 1, 2, 3, 4):
-        raise ValueError(f"n_p must be in 0..4, got {n_p}")
-
-    def ratio_of(gamma_i0: float) -> float:
-        deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gamma_i0, n_p=n_p)
-        try:
-            return first_cycle_ratio(sigma, deph, decay, delta_x=delta_x,
-                                     tol=tol)
-        except OverdampedError:
-            return 1.0  # beyond any meaningful target; drives bisection down
-
+    if isinstance(n_p, (bool, np.bool_)) or n_p not in (0, 1, 2, 3, 4):
+        raise ValueError(f"n_p must be an integer in 0..4, got {n_p!r}")
     evaluations = []
-    lo, hi, gamma = None, math.inf, 0.02  # lo None: gamma_i0 = 0 unsearched
-    while len(evaluations) < _FIT_MAX_EVALS:
-        r = ratio_of(gamma)
-        evaluations.append((gamma, r))
-        if abs(r - target_ratio) <= _FIT_REL_TOL * target_ratio:
-            return FitResult(gamma, r, evaluations)
-        if r > target_ratio:
-            lo = gamma
-        else:
-            hi = gamma
-            if lo is None:
-                evaluations.append((0.0, ratio_of(0.0)))
-                if evaluations[-1][1] < target_ratio:
-                    raise ValueError(
-                        f"target ratio {target_ratio:.4g} unreachable: "
-                        f"undamped curve already gives "
-                        f"{evaluations[-1][1]:.4g}")
-                lo = 0.0
-        gamma = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        if gamma > GAMMA_I0_BRACKET_MAX:
-            raise ValueError(
-                f"target ratio {target_ratio:.4g} unreachable within "
-                f"gamma_i0 <= {GAMMA_I0_BRACKET_MAX}")
-    raise RuntimeError(
-        f"fit did not reach {_FIT_REL_TOL:.1%} of target after "
-        f"{_FIT_MAX_EVALS} evaluations (bracket [{lo:.4g}, {hi:.4g}])")
+
+    def sample(lo: float, hi: float):
+        x = chebpts2(_FIT_SAMPLES)
+        gammas = 0.5 * (lo * (1.0 - x) + hi * (1.0 + x))  # ends exact
+        deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gammas, n_p=n_p)
+        extrema = _first_cycles(sigma, deph, decay, delta_x, tol)
+        ratios = np.array([1.0 if e is None else e[1] / e[3]
+                           for e in extrema])
+        evaluations.extend(zip(gammas.tolist(), ratios.tolist()))
+        return gammas, ratios, [e is None for e in extrema]
+
+    lo, hi = 0.02, 0.04
+    gammas, ratios, overdamped = sample(lo, hi)
+    if ratios[0] < target_ratio:
+        lo, hi = 0.0, lo
+        gammas, ratios, overdamped = sample(lo, hi)
+        if ratios[0] < target_ratio:
+            raise UnreachableTargetError(
+                f"target ratio {target_ratio:.4g} unreachable: the ratio at "
+                f"gamma_i0 = 0 with gamma_bg = {gamma_bg:.4g} is "
+                f"{ratios[0]:.4g}, and gamma_i0 only lowers it")
+    while ratios[-1] > target_ratio:
+        if hi >= GAMMA_I0_BRACKET_MAX:
+            raise UnreachableTargetError(
+                f"target ratio {target_ratio:.4g} unreachable: the ratio at "
+                f"gamma_i0 = {hi:.4g} is still {ratios[-1]:.4g}")
+        lo, hi = hi, min(2.0 * hi, GAMMA_I0_BRACKET_MAX)
+        gammas, ratios, overdamped = sample(lo, hi)
+    while any(overdamped[:-1]):
+        hi = gammas[overdamped.index(True)]
+        gammas, ratios, overdamped = sample(lo, hi)
+    fit = Chebyshev.fit(gammas, 1.0 / ratios, _FIT_SAMPLES - 1,
+                        domain=[lo, hi])
+    # the smallest real root in [lo, hi], or the nearest one where rounding
+    # puts a root at an end just outside
+    roots = (fit - 1.0 / target_ratio).roots()
+    roots = np.sort(roots[roots.imag == 0].real)
+    outside = np.abs(roots - np.clip(roots, lo, hi))
+    gamma = float(np.clip(roots[np.argmin(outside)], lo, hi))
+    return FitResult(gamma, float(1.0 / fit(gamma)), evaluations)
 
 
 def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,

@@ -140,6 +140,15 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
                                          _set(["dot", "gamma_b"], 0.0)),
                  "dot.gamma_b", id="fit-dephasing-edit-dot.gamma_b-zero"),
+    # an unreachable target is a config problem: the curve is overdamped
+    # by gamma_bg alone, or undamped and still below the target
+    pytest.param("fit-dephasing", _edits(_set(["sweep"], _FIT),
+                                         _set(["dephasing", "gamma_bg"], 0.5)),
+                 "sweep.fit.target_ratio",
+                 id="fit-dephasing-edit-dephasing.gamma_bg-overdamped"),
+    pytest.param("fit-dephasing", _set(["sweep"], {"fit": {
+        "n_p": 2, "target_ratio": 1e9}}), "sweep.fit.target_ratio",
+                 id="fit-dephasing-edit-sweep.fit.target_ratio-unreachable"),
     pytest.param("entangle", _set(["tomography", "n_mean"], 1e300),
                  "tomography.n_mean",
                  id="entangle-edit-tomography.n_mean-above-poisson-limit"),
@@ -400,16 +409,16 @@ def test_fit_dephasing_round_trip(tmp_path):
 
 
 def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
-    # the bracket doubles from the previous upper end, gamma_i0 = 0 is not
-    # searched while the target lies below the first ratio, each search is
-    # one 48-drive batch, and the report uses the fit's own ratio
+    # the acceptance-05 target lies in the first interval [0.02, 0.04]: one
+    # batch of 6 gamma_i0 values x 48 areas, whose interpolant of 1/ratio
+    # gives gamma_i0; the report records that bracket and each sample
     from qdtimebin import sweeps
     batches = []
     emission = sweeps.emission_after_pulse
 
-    def counted(drive, decay, deph, tol=1e-8):
-        batches.append((deph.gamma_i0, len(drive.omega0)))
-        return emission(drive, decay, deph, tol=tol)
+    def counted(drive, decay, deph, tol=1e-8, block=1):
+        batches.append(len(drive.omega0))
+        return emission(drive, decay, deph, tol=tol, block=block)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
     data = {"dot": {"gamma_b": 0.004, "gamma_x": 0.002, "delta_x": 3.5},
@@ -419,13 +428,17 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     assert main(["fit-dephasing", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "fit_dephasing.json").read_text())
-    assert out["gamma_i0"] == 0.035
-    searched = [g for i, (g, _) in enumerate(batches)
-                if i == 0 or g != batches[i - 1][0]]
-    assert searched == [0.02, 0.04, 0.03, 0.035]
-    assert [n for _, n in batches] == [48] * 4
-    assert [e["gamma_i0"] for e in out["evaluations"]] == searched
-    assert out["evaluations"][-1]["ratio"] == out["achieved_ratio"]
+    assert batches == [288]
+    assert out["gamma_i0"] == pytest.approx(0.0349, rel=1e-6)
+    assert out["bracket"] == [0.02, 0.04]
+    searched = [e["gamma_i0"] for e in out["evaluations"]]
+    assert len(searched) == 6 and searched == sorted(searched)
+    assert (searched[0], searched[-1]) == (0.02, 0.04)
+    monkeypatch.undo()
+    ratio = sweeps.first_cycle_ratio(
+        12.0, sweeps.DephasingModel(0.0, out["gamma_i0"], 2),
+        sweeps.DecayRates(0.004, 0.002), delta_x=3.5)
+    assert out["achieved_ratio"] == pytest.approx(ratio, rel=1e-6)
 
 
 def test_stiff_pulse_window_exits_3_within_step_budget(tmp_path, capsys):

@@ -97,6 +97,36 @@ def test_dephasing_model_rate():
         DephasingModel(n_p=-1)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda v: PulseDrive(omega0=v, sigma=4.0), "omega0"),
+    (lambda v: PulseDrive(omega0=1.0, sigma=v), "sigma"),
+    (lambda v: PulseDrive(omega0=1.0, sigma=4.0, t0=v), "t0"),
+    (lambda v: PulseDrive(omega0=1.0, sigma=4.0, delta_x=v), "delta_x"),
+    (lambda v: PulseDrive(omega0=1.0, sigma=4.0, delta_b=v), "delta_b"),
+    (lambda v: DecayRates(gamma_b=v), "gamma_b"),
+    (lambda v: DecayRates(gamma_x=v), "gamma_x"),
+    (lambda v: DephasingModel(gamma_bg=v), "gamma_bg"),
+    (lambda v: DephasingModel(gamma_i0=v), "gamma_i0"),
+    (lambda v: DephasingModel(n_p=v), "n_p"),
+])
+@pytest.mark.parametrize("value", [math.nan, True, np.array([1.0, math.nan])],
+                         ids=["nan", "bool", "array-with-nan"])
+def test_model_fields_reject_nan_and_bool(make, field, value):
+    with pytest.raises(ValueError, match=field):
+        make(value)
+
+
+def test_dephasing_fields_may_be_arrays():
+    deph = DephasingModel(gamma_bg=0.01, gamma_i0=np.array([0.0, 0.5]),
+                          n_p=np.array([2, 4]))
+    assert deph.rate(np.array([2.0, 2.0])).tolist() == [0.01, 0.01 + 8.0]
+    for n_p in (np.array([2, 2.5]), np.array([2, -2]), math.inf):
+        with pytest.raises(ValueError, match="n_p"):
+            DephasingModel(n_p=n_p)
+    with pytest.raises(ValueError, match="gamma_i0"):
+        DephasingModel(gamma_i0=np.array([0.1, -0.1]))
+
+
 def test_pulse_area_values():
     assert pulse_area(PulseDrive(omega0=0.0, sigma=1.0)) == 0.0
     drive = PulseDrive(omega0=1.0, sigma=1.0)
@@ -276,22 +306,29 @@ def test_evolve_rejects_a_batch_drive():
     batch = PulseDrive(omega0=np.array([0.2, 0.4]), sigma=4.0)
     with pytest.raises(ValueError, match="one omega0, got 2"):
         evolve(GROUND, batch, DecayRates(), NO_DEPH, t_span=(-20.0, 20.0))
+    drive = PulseDrive(omega0=0.2, sigma=4.0)
+    batch = DephasingModel(gamma_i0=np.array([0.0, 0.0349]))
+    with pytest.raises(ValueError, match="one gamma_i0, got 2"):
+        evolve(GROUND, drive, DecayRates(), batch, t_span=(-20.0, 20.0))
 
 
-@pytest.mark.parametrize("drive, t_span", [
-    pytest.param(PulseDrive(omega0=1.0, sigma=4.0, delta_x=math.nan), None,
-                 id="drive0"),
-    pytest.param(PulseDrive(omega0=math.inf, sigma=4.0), None, id="drive1"),
+@pytest.mark.parametrize("drive, deph, t_span", [
+    pytest.param(PulseDrive(omega0=math.inf, sigma=4.0), NO_DEPH, None,
+                 id="drive1"),
+    pytest.param(PulseDrive(omega0=1.0, sigma=4.0),
+                 DephasingModel(gamma_bg=math.inf), None,
+                 id="infinite-gamma_bg"),
     # the stretch before the window is propagated exactly: its generator
     # must be checked as well
-    pytest.param(PulseDrive(omega0=1.0, sigma=4.0, delta_x=math.nan),
-                 (-100.0, 100.0), id="nan-delta_x-before-window"),
+    pytest.param(PulseDrive(omega0=1.0, sigma=4.0),
+                 DephasingModel(gamma_bg=math.inf), (-100.0, 100.0),
+                 id="infinite-gamma_bg-before-window"),
 ])
-def test_evolve_non_finite_drive_fails_at_start(drive, t_span):
+def test_evolve_non_finite_drive_fails_at_start(drive, deph, t_span):
     t_span = t_span or pulse_window(drive)
     start = time.perf_counter()
     with pytest.raises(IntegrationError) as err:
-        evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
+        evolve(GROUND, drive, DecayRates(), deph, t_span=t_span)
     assert err.value.t == t_span[0]
     assert time.perf_counter() - start < 1.0
 

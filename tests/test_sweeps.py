@@ -1,8 +1,10 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qdtimebin import IntegrationError, dynamics, sweeps
 from qdtimebin.dynamics import (
@@ -17,6 +19,7 @@ from qdtimebin.dynamics import (
 )
 from qdtimebin.sweeps import (
     OverdampedError,
+    UnreachableTargetError,
     coherent_first_max_area,
     emission_after_pulse,
     export_sweep_csv,
@@ -144,6 +147,31 @@ def test_tiny_tolerance_integrates_in_chunks():
     assert np.abs(p_b - alone[:, 1]).max() < 1e-10
 
 
+def test_chunks_never_split_a_block(monkeypatch):
+    # (tol / TOL_FLOOR)^2 = 3.2 drives fit in a chunk, but a block is 4:
+    # each chunk is one whole block, its own dephasing columns included
+    tol = 4e-14
+    sizes = []
+    steps = dynamics._rk45_steps
+
+    def counted(y0, drive, decay, deph, t_span, tol):
+        sizes.append((len(drive.omega0), np.size(deph.gamma_i0)))
+        return steps(y0, drive, decay, deph, t_span, tol)
+
+    monkeypatch.setattr(dynamics, "_rk45_steps", counted)
+    areas = np.tile([6.0, 12.0, 18.0, 24.0], 2)
+    drive = PulseDrive(omega0=omega0_for_area(areas, 4.0), sigma=4.0,
+                       delta_x=3.5)
+    deph = DephasingModel(0.0, np.repeat([0.0, 0.0349], 4), 2)
+    p_x, p_b = emission_after_pulse(drive, DECAY, deph, tol=tol, block=4)
+    assert sizes == [(4, 4), (4, 4)]
+    alone = emission_after_pulse(replace(drive, omega0=drive.omega0[4:]),
+                                 DECAY, DephasingModel(0.0, 0.0349, 2),
+                                 tol=tol, block=4)
+    assert np.array_equal(p_x[4:], alone[0])
+    assert np.array_equal(p_b[4:], alone[1])
+
+
 def test_rabi_sweep_points_are_emission_after_pulse():
     deph = DephasingModel(0.0, 0.0349, 2)
     res = rabi_sweep(12.0, deph, DECAY, areas=[3.0, 9.0], delta_x=0.5)
@@ -213,14 +241,27 @@ def test_first_cycle_overdamped_raises():
 def test_fit_gamma_i0_validation():
     with pytest.raises(ValueError, match="target_ratio"):
         fit_gamma_i0(2, 0.9, 12.0, DECAY)
+    with pytest.raises(ValueError, match="target_ratio"):
+        fit_gamma_i0(2, math.nan, 12.0, DECAY)
     with pytest.raises(ValueError, match="n_p"):
         fit_gamma_i0(7, 2.0, 12.0, DECAY)
+    # a bool is not taken as n_p = 1
+    with pytest.raises(ValueError, match="n_p"):
+        fit_gamma_i0(True, 2.9, 12.0, DECAY)
 
 
 def test_fit_gamma_i0_unreachable_target():
-    # the undamped curve's ratio bounds what any fit can reach
-    with pytest.raises(ValueError, match="unreachable"):
+    # the ratio at gamma_i0 = 0 bounds what any fit can reach; gamma_i0 = 0
+    # is searched after [0.02, 0.04], and nothing after it
+    with pytest.raises(UnreachableTargetError,
+                       match=r"ratio at gamma_i0 = 0 with gamma_bg = 0 is "):
         fit_gamma_i0(2, 1e9, 12.0, DECAY, delta_x=3.5)
+    # a background-overdamped curve is not undamped, and reads as ratio 1
+    with pytest.raises(UnreachableTargetError,
+                       match="gamma_bg = 0.5 is 1,") as err:
+        fit_gamma_i0(2, 2.9, 12.0, DECAY, gamma_bg=0.5, delta_x=3.5)
+    assert "undamped" not in str(err.value)
+    assert isinstance(err.value, ValueError)
 
 
 def test_fit_gamma_i0_round_trip_quick():
@@ -232,14 +273,62 @@ def test_fit_gamma_i0_round_trip_quick():
 
 
 def test_fit_gamma_i0_root_below_first_bracket_point():
-    # a ratio below the target at 0.02 puts the root in (0, 0.02), so the
-    # undamped curve is searched to confirm that the target is reachable
+    # a ratio below the target at 0.02 puts the root in (0, 0.02): that
+    # interval, gamma_i0 = 0 first, is searched after [0.02, 0.04]
     planted = 0.01
     r = first_cycle_ratio(12.0, DephasingModel(0.0, planted, 2), DECAY,
                           delta_x=3.5)
     fit = fit_gamma_i0(2, r, 12.0, DECAY, delta_x=3.5)
-    assert [g for g, _ in fit.evaluations][:2] == [0.02, 0.0]
-    assert fit.gamma_i0 == pytest.approx(planted, rel=0.02)
+    gammas = [g for g, _ in fit.evaluations]
+    assert len(gammas) == 2 * sweeps._FIT_SAMPLES
+    assert (gammas[0], gammas[5], gammas[6], gammas[11]) == (0.02, 0.04,
+                                                             0.0, 0.02)
+    assert fit.bracket == (0.0, 0.02)
+    assert fit.gamma_i0 == pytest.approx(planted, rel=1e-4)
+
+
+def _reference_root(target, n_p, lo, hi):
+    """gamma_i0 where first_cycle_ratio crosses ``target``, by brentq."""
+    def excess(gamma_i0):
+        deph = DephasingModel(0.0, gamma_i0, n_p)
+        try:
+            return first_cycle_ratio(12.0, deph, DECAY, delta_x=3.5) - target
+        except OverdampedError:
+            return 1.0 - target
+    return brentq(excess, lo, hi, xtol=1e-12, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_p, planted", [
+    (2, 0.005), (2, 0.0349), (2, 0.05), (2, 0.12), (4, 0.0021), (4, 0.0219)])
+def test_fit_gamma_i0_matches_brentq(n_p, planted):
+    target = first_cycle_ratio(12.0, DephasingModel(0.0, planted, n_p),
+                               DECAY, delta_x=3.5)
+    fit = fit_gamma_i0(n_p, target, 12.0, DECAY, delta_x=3.5)
+    reference = _reference_root(target, n_p, 0.5 * planted, 2.0 * planted)
+    assert fit.gamma_i0 == pytest.approx(reference, rel=1e-4)
+    lo, hi = fit.bracket
+    assert lo <= fit.gamma_i0 <= hi
+
+
+def test_fit_gamma_i0_next_to_overdamping():
+    # target 1.05 lies just below the gamma_i0 (~0.25) where the first
+    # cycle disappears: overdamped samples narrow the bracket
+    fit = fit_gamma_i0(2, 1.05, 12.0, DECAY, delta_x=3.5)
+    reference = _reference_root(1.05, 2, 0.16, 0.32)
+    assert fit.gamma_i0 == pytest.approx(reference, rel=0.01)
+    lo, hi = fit.bracket
+    assert fit.evaluations[-1] == (hi, 1.0)
+    assert all(r > 1.0 for _, r in fit.evaluations[-sweeps._FIT_SAMPLES:-1])
+
+
+def test_batch_blocks_match_single_searches():
+    gammas = np.array([0.0, 0.005, 0.02, 0.0349, 0.06, 0.1])
+    batch = sweeps._first_cycles(12.0, DephasingModel(0.0, gammas, 2), DECAY,
+                                 3.5, 1e-8)
+    for gamma_i0, (_, v_max, _, v_min) in zip(gammas, batch):
+        alone = first_cycle_ratio(12.0, DephasingModel(0.0, gamma_i0, 2),
+                                  DECAY, delta_x=3.5)
+        assert v_max / v_min == pytest.approx(alone, rel=1e-7)
 
 
 @pytest.mark.parametrize("gamma_i0", [0.0, 0.0349])
