@@ -49,13 +49,12 @@ def cmd_rabi(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "sweep")
     if cfg.sweep.areas is None or not cfg.sweep.models:
         raise ConfigError("rabi needs 'sweep.areas' and 'sweep.models'")
-    decay = cfg.dot.decay()
-    for i, model in enumerate(cfg.sweep.models):
-        res = sweeps.rabi_sweep(cfg.pulse.sigma, model, decay,
-                                cfg.sweep.areas, tol=cfg.numerics.tol,
-                                delta_x=cfg.dot.delta_x,
+    results = sweeps.rabi_sweep(cfg.pulse.sigma, cfg.sweep.models,
+                                cfg.dot.decay(), cfg.sweep.areas,
+                                tol=cfg.numerics.tol, delta_x=cfg.dot.delta_x,
                                 delta_b=cfg.dot.delta_b)
-        path = out / f"rabi_model{i}_np{model.n_p}.csv"
+    for i, res in enumerate(results):
+        path = out / f"rabi_model{i}_np{res.deph.n_p}.csv"
         export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
         print(f"wrote {path}")
         if res.failures:

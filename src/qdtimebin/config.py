@@ -219,6 +219,15 @@ class SweepConfig:
                 raise ConfigError("'sweep.sigmas' must be a non-empty list")
             cfg.sigmas = [_value(f"sweep.sigmas[{i}]", s, minimum=1e-12)
                           for i, s in enumerate(data["sigmas"])]
+            # ratio writes the curve of each sigma to ratio_sigma{sigma:g}.csv
+            labels = [f"{s:g}" for s in cfg.sigmas]
+            for i, label in enumerate(labels):
+                j = labels.index(label)
+                if j < i:
+                    raise ConfigError(
+                        f"'sweep.sigmas[{i}]' = {cfg.sigmas[i]!r} prints as "
+                        f"{label}, as 'sweep.sigmas[{j}]' does: their ratio "
+                        f"curves would share one file")
         if "models" in data:
             if not isinstance(data["models"], list) or not data["models"]:
                 raise ConfigError("'sweep.models' must be a non-empty list")

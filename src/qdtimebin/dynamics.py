@@ -16,11 +16,14 @@ the integrals of rho_xx and rho_bb, so rho stays Hermitian by
 construction; no other module indexes it.
 
 A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
-amplitudes.  One RK45 loop (``_rk45_steps``) steps it as one (11, N)
-system: ``emission_after_pulse`` over the pulse window of a batch, adding
-the emission after the pulse in closed form, and ``evolve`` for one drive,
-storing every accepted step and propagating the drive-off stretches
-outside the window exactly.
+amplitudes; its ``sigma`` and ``t0``, and the fields of its
+``DephasingModel``, may hold one value per drive as well.  One RK45 loop
+(``_rk45_steps``) steps it as one (11, N) system in pulse time
+tau = (t - t0) / sigma, over the window [-5, 5] that every drive shares
+whatever its sigma: ``emission_after_pulse`` over the pulse windows of a
+batch, adding the emission after the pulse in closed form, and ``evolve``
+for one drive, storing every accepted step and propagating the drive-off
+stretches outside the window exactly.
 """
 
 from __future__ import annotations
@@ -79,18 +82,20 @@ def _check(name: str, value, ok, need: str) -> None:
 
 @dataclass(frozen=True)
 class PulseDrive:
-    """Gaussian drive: amplitude(t) = omega0 * exp(-ln2 (t - t0)^2 / sigma^2).
+    """Gaussian drive: amplitude(t) = omega0 * exp(-ln2 tau^2) at pulse time
+    tau = (t - t0) / sigma.
 
     ``delta_x`` is the energy offset of the virtual two-photon level from
     the exciton; ``delta_b`` the detuning of the laser from the two-photon
     resonance.  Defaults put the laser exactly on two-photon resonance with
     a finite virtual-level offset.  An array ``omega0`` is a batch: one
-    drive per peak amplitude, all of this pulse shape.
+    drive per peak amplitude.  ``sigma`` and ``t0`` may then hold one value
+    per drive too; the detunings are shared.
     """
 
     omega0: float | np.ndarray
-    sigma: float
-    t0: float = 0.0
+    sigma: float | np.ndarray
+    t0: float | np.ndarray = 0.0
     delta_x: float = 0.5
     delta_b: float = 0.0
 
@@ -101,8 +106,11 @@ class PulseDrive:
             _check(name, getattr(self, name), np.isfinite, "finite")
 
     def amplitude(self, t):
-        return self.omega0 * np.exp(-LN2 * (t - self.t0) ** 2
-                                    / self.sigma ** 2)
+        return self.amplitude_at((t - self.t0) / self.sigma)
+
+    def amplitude_at(self, tau):
+        """Amplitude at pulse time ``tau``."""
+        return self.omega0 * np.exp(-LN2 * tau * tau)
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,15 @@ class ConstantDrive:
     delta_x: float = 0.5
     delta_b: float = 0.0
 
+    def __post_init__(self):
+        _check("omega0", self.omega0, lambda v: v >= 0, ">= 0")
+        for name in ("delta_x", "delta_b"):
+            _check(name, getattr(self, name), np.isfinite, "finite")
+
     def amplitude(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.omega0)
+
+    amplitude_at = amplitude  # its pulse time is t (``_time_scale``)
 
 
 @dataclass(frozen=True)
@@ -259,13 +274,18 @@ def _initial_state(rho: np.ndarray, cap: float, t0: float) -> np.ndarray:
     return np.concatenate([_coordinates(rho), np.zeros(2)])
 
 
-def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
+def _time_of(times, k: int) -> float:
+    """Time of column k: ``times`` holds one per column, or one for all."""
+    return float(times[k] if np.ndim(times) else times)
+
+
+def _check_drift(times, y: np.ndarray, cap: float) -> None:
     """Raise IntegrationError at the first state that is not finite or whose
     trace drift exceeds ``cap``; rho is Hermitian by construction.
 
     ``y`` holds the integrated states as columns, shape (11, n), and
-    ``times[k]`` is the time of column k: the stored steps of one
-    trajectory, or the drives of a batch at one step.
+    ``times`` the time of each column (``_time_of``): the stored steps of
+    one trajectory, or the drives of a batch at one step.
     """
     drift = np.abs(y[:3].sum(axis=0) - 1.0)
     bad = ~((drift <= cap) & np.isfinite(y).all(axis=0))
@@ -273,7 +293,7 @@ def _check_drift(times: np.ndarray, y: np.ndarray, cap: float) -> None:
         i = int(np.argmax(bad))
         message = (f"trace drift {drift[i]:.3e} exceeds {cap:.1e}"
                    if not drift[i] <= cap else "state is not finite")
-        raise IntegrationError(message, float(times[i]))
+        raise IntegrationError(message, _time_of(times, i))
 
 
 # --- evolution --------------------------------------------------------------
@@ -295,10 +315,20 @@ class Trajectory:
 
 
 def pulse_window(drive: PulseDrive) -> tuple[float, float]:
-    """(t0 - 5 sigma, t0 + 5 sigma).  Outside it the drive is below 3e-8 of
-    its peak and is taken to be off, in ``evolve`` (exact propagation) and
-    in ``emission_after_pulse`` (closed-form tail) alike."""
+    """(t0 - 5 sigma, t0 + 5 sigma), pulse time tau in [-5, 5]; arrays for
+    a batch with one sigma or t0 per drive.  Outside it the drive is below
+    3e-8 of its peak and is taken to be off, in ``evolve`` (exact
+    propagation) and in ``emission_after_pulse`` (closed-form tail) alike."""
     return (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
+
+
+def _time_scale(drive) -> tuple:
+    """(sigma, t0) of the pulse time tau = (t - t0) / sigma in which
+    ``_rk45_steps`` steps ``drive``: the pulse's own, or (1, 0) for a
+    ``ConstantDrive``, whose pulse time is t."""
+    if isinstance(drive, PulseDrive):
+        return drive.sigma, drive.t0
+    return 1.0, 0.0
 
 
 def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
@@ -317,58 +347,74 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 
 
 def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
-                deph: DephasingModel, t_span: tuple[float, float], tol: float):
+                deph: DephasingModel, tau_span: tuple[float, float],
+                tol: float):
     """Step the N drives of ``drive`` (one per entry of its ``omega0``) from
-    the (11, N) states ``y0`` as one system, dY/dt = r0 @ Y
-    + (rd @ Y) * omega(t) + (rp @ Y) * deph.rate(omega(t)); yield (t, Y)
-    at the start and at each accepted step.  scipy's RK45 chooses every
-    step, the first included, from rtol = atol = tol/sqrt(N): the RMS error
-    norm over all 11 N components is at most 1 only if each drive's own
-    norm at ``tol`` is; rtol never falls below ``TOL_FLOOR``, RK45's own
-    floor.  ``deph``'s fields may hold one value per drive.  Drift beyond
-    100*tol at the start or at a step, a right-hand side that is not
-    finite at the start, a failed step, or a step beyond
-    ``_MAX_RK45_STEPS`` before ``t_span`` ends (StepBudgetError) raises
-    IntegrationError with its time; iterate under
+    the (11, N) states ``y0`` as one system over ``tau_span`` in pulse time
+    tau (``_time_scale``); yield (t, Y) at the start and at each accepted
+    step, where t = t0 + sigma tau in ps, one per drive where their sigma
+    or t0 differ.
+
+    Column n obeys dY/dtau = sigma_n (r0 @ Y + (rd @ Y) omega_n
+    + (rp @ Y) deph.rate(omega_n)), with omega_n = drive.amplitude_at(tau),
+    its amplitude at its own time t0 + sigma tau.  ``drive.sigma``,
+    ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
+    drives of different sigma share the window tau in [-5, 5] and one step
+    sequence.  scipy's RK45 chooses every step, the first included, from
+    rtol = atol = tol/sqrt(N): the RMS error norm over all 11 N components
+    is at most 1 only if each drive's own norm at ``tol`` is; rtol never
+    falls below ``TOL_FLOOR``, RK45's own floor.  Drift beyond 100*tol at
+    the start or at a step, a right-hand side that is not finite at the
+    start, a failed step, or a step beyond ``_MAX_RK45_STEPS`` before
+    ``tau_span`` ends (StepBudgetError) raises IntegrationError with its
+    time in ps: that of the drive that drifts or is not finite, or of the
+    first drive for a failure of the whole system.  Iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
     r = np.vstack(_real_generator(drive, decay))
+    sigma, centre = _time_scale(drive)
 
-    def rhs(t, y):
-        omega_t = drive.amplitude(t)
+    def times(tau):
+        return centre + sigma * tau
+
+    def rhs(tau, y):
+        omega_t = drive.amplitude_at(tau)
         a = r @ y.reshape(_N_STATE, n)
-        return (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
-                + a[2 * _N_STATE:] * deph.rate(omega_t)).ravel()
+        return (sigma * (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
+                         + a[2 * _N_STATE:] * deph.rate(omega_t))).ravel()
 
-    t0, t1 = t_span
+    tau0, tau1 = tau_span
     cap, rtol, y = 100.0 * tol, max(tol / math.sqrt(n), TOL_FLOOR), y0.ravel()
-    _check_drift(np.full(n, t0), y0, cap)
+    _check_drift(times(tau0), y0, cap)
     # RK45 with a derivative that is not finite never returns.
-    if not np.isfinite(rhs(t0, y)).all():
-        raise IntegrationError("right-hand side is not finite", t0)
+    bad = ~np.isfinite(rhs(tau0, y).reshape(_N_STATE, n)).all(axis=0)
+    if bad.any():
+        raise IntegrationError("right-hand side is not finite",
+                               _time_of(times(tau0), np.argmax(bad)))
     # RK45's fifth argument caps each step at 1/40 of the span (sigma/4 in
     # a pulse window).  The cap binds only on the rising edge of a pulse,
     # where the drive is still weak and RK45 would step up to sigma/2: a
     # few steps more, and at sigma 1 under quartic dephasing about half the
     # error against a DOP853 reference.
-    solver = RK45(rhs, t0, y, t1, (t1 - t0) / 40.0, rtol=rtol, atol=rtol)
-    yield t0, y0
+    solver = RK45(rhs, tau0, y, tau1, (tau1 - tau0) / 40.0, rtol=rtol,
+                  atol=rtol)
+    yield times(tau0), y0
     for _ in range(_MAX_RK45_STEPS):
         if solver.status != "running":
             return
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(f"integration failed: {message}",
-                                   float(solver.t))
+                                   _time_of(times(solver.t), 0))
         y = solver.y.reshape(_N_STATE, n)
-        _check_drift(np.full(n, solver.t), y, cap)
-        yield solver.t, y
+        _check_drift(times(solver.t), y, cap)
+        yield times(solver.t), y
     if solver.status == "running":
         raise StepBudgetError(
             f"RK45 step budget of {_MAX_RK45_STEPS} steps exhausted before "
-            f"the span ends at {t1:.6g}: the equations are too stiff",
-            float(solver.t))
+            f"the span ends at {_time_of(times(tau1), 0):.6g}: the equations "
+            f"are too stiff", _time_of(times(solver.t), 0))
 
 
 def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,
@@ -397,17 +443,17 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     """Integrate the master equation from ``rho0`` over ``t_span``.
 
     RK45 (``_rk45_steps``, one drive, rtol = atol = ``tol``) steps the part
-    inside the pulse window of a ``PulseDrive``, or the whole span of a
-    ``ConstantDrive``, storing every accepted step; ``tol`` sets their
-    length.  It bounds the error of each step, not of the result: against
-    DOP853 at rtol 1e-13, the emission it gives for one pulse is up to
-    ~11*tol off.
+    inside the pulse window of a ``PulseDrive`` in its pulse time, or the
+    whole span of a ``ConstantDrive`` in t, storing every accepted step at
+    t0 + sigma tau; ``tol`` sets their length.  It bounds the error of each
+    step, not of the result: against DOP853 at rtol 1e-13, the emission it
+    gives for one pulse is up to ~11*tol off.
     Outside the window the drive is off (``pulse_window``), and the
     state is propagated exactly with r0 + deph.rate(0) rp onto a uniform
     grid.  No renormalization is applied: drift beyond 100*tol, a generator
     that is not finite, or a failed step raises IntegrationError with its
-    time.  ``drive.omega0`` and the fields of ``deph`` must be one value
-    each, since one trajectory is stored.
+    time.  ``drive.omega0``, ``drive.sigma``, ``drive.t0`` and the fields
+    of ``deph`` must be one value each, since one trajectory is stored.
     """
     if t_span is None:
         t_span = default_t_span(drive, decay)
@@ -416,7 +462,9 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         raise ValueError(f"t_span must be increasing, got {t_span}")
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    for name, value in (("omega0", drive.omega0), ("gamma_bg", deph.gamma_bg),
+    sigma, centre = _time_scale(drive)
+    for name, value in (("omega0", drive.omega0), ("sigma", sigma),
+                        ("t0", centre), ("gamma_bg", deph.gamma_bg),
                         ("gamma_i0", deph.gamma_i0), ("n_p", deph.n_p)):
         if np.size(value) != 1:
             raise ValueError(f"evolve takes one {name}, got {np.size(value)}")
@@ -433,10 +481,11 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
             parts.append(_propagate_exactly(off, parts[-1][1][:, -1], t0, a, cap))
         if b > a:
             steps = _rk45_steps(parts[-1][1][:, -1:], drive, decay, deph,
-                                (a, b), tol)
+                                ((a - centre) / sigma, (b - centre) / sigma),
+                                tol)
             next(steps)  # the start is stored already
             ts, ys = zip(*steps)
-            parts.append((np.array(ts), np.hstack(ys)))
+            parts.append((np.array(ts, dtype=float), np.hstack(ys)))
         if t1 > b:
             parts.append(_propagate_exactly(off, parts[-1][1][:, -1], b, t1, cap))
     ys = np.hstack([y for _, y in parts])
@@ -465,47 +514,57 @@ def emission_probabilities(traj: Trajectory, decay: DecayRates,
     return float(decay.gamma_x * int_x), float(decay.gamma_b * int_b)
 
 
+def _entries(value, part: slice):
+    """Entries ``part`` of a field with one value per drive, or the value
+    all drives share."""
+    return value[part] if np.ndim(value) else value
+
+
 def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
                          deph: DephasingModel, tol: float = 1e-8,
                          block: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Total (p_x, p_b) of one pulse from the ground state, shape (N,), for
-    each of the N peak amplitudes in ``drive.omega0``; a field of ``deph``
-    may instead hold one value per amplitude.
-
-    The pulse windows of all amplitudes are stepped as one system
-    (``_rk45_steps``); p_i is gamma_i times the integral of the level-i
-    population it carries, plus the emission after the pulse in closed
-    form.  After the drive is off the populations decay freely, so the
-    remaining emission of a level with a positive rate equals the
-    population left on it, and rho_bb also feeds the exciton.  A level
-    with zero rate emits nothing after the pulse.  ``tol`` bounds the error
-    of each step, not of p: against DOP853 at rtol 1e-13, p is up to ~6*tol
-    off in a batch and ~11*tol for one amplitude.  When tol/sqrt(N) would
-    fall below ``TOL_FLOOR``, the amplitudes are stepped in chunks of
-    floor((tol/TOL_FLOOR)^2), rounded down to a multiple of ``block`` but
-    never below it: a chunk never splits a block of ``block`` consecutive
-    amplitudes, whose errors then stay one smooth function of the
+    each of the N peak amplitudes in ``drive.omega0``; ``drive.sigma``,
+    ``drive.t0`` and the fields of ``deph`` may instead hold one value per
     amplitude.
+
+    The pulse windows of all amplitudes are stepped as one system in pulse
+    time (``_rk45_steps``), whatever their sigma; p_i is gamma_i times the
+    integral of the level-i population it carries, plus the emission after
+    the pulse in closed form.  After the drive is off the populations decay
+    freely, so the remaining emission of a level with a positive rate
+    equals the population left on it, and rho_bb also feeds the exciton.
+    A level with zero rate emits nothing after the pulse.  ``tol`` bounds
+    the error of each step, not of p: against DOP853 at rtol 1e-13, p is up
+    to ~6*tol off in a batch and ~11*tol for one amplitude.  When
+    tol/sqrt(N) would fall below ``TOL_FLOOR``, the amplitudes are stepped
+    in chunks of floor((tol/TOL_FLOOR)^2), rounded down to a multiple of
+    ``block`` but never below it: a chunk never splits a block of ``block``
+    consecutive amplitudes, whose errors then stay one smooth function of
+    the amplitude.
     """
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    t0, t1 = pulse_window(drive)
-    if not t1 > t0:
-        raise ValueError(f"pulse window ({t0}, {t1}) has no width")
     omega0 = np.atleast_1d(drive.omega0)
     n = len(omega0)
-    y0 = _initial_state(GROUND, 100.0 * tol, t0)[:, None]
+    start, end = (np.broadcast_to(t, (n,)) for t in pulse_window(drive))
+    narrow = ~(end > start)
+    if narrow.any():
+        i = np.argmax(narrow)
+        raise ValueError(f"pulse window ({start[i]}, {end[i]}) has no width")
+    y0 = _initial_state(GROUND, 100.0 * tol, start[0])[:, None]
     p_x, p_b = np.empty(n), np.empty(n)
     chunk = max(1, int((tol / TOL_FLOOR) ** 2) // block) * block
-    for start in range(0, n, chunk):
-        part = slice(start, start + chunk)
+    for first in range(0, n, chunk):
+        part = slice(first, first + chunk)
         w = omega0[part]
-        columns = DephasingModel(*(v[part] if np.ndim(v) else v for v in (
+        columns = replace(drive, omega0=w, sigma=_entries(drive.sigma, part),
+                          t0=_entries(drive.t0, part))
+        rates = DephasingModel(*(_entries(v, part) for v in (
             deph.gamma_bg, deph.gamma_i0, deph.n_p)))
         with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
-            for _, y in _rk45_steps(np.repeat(y0, len(w), axis=1),
-                                    replace(drive, omega0=w), decay, columns,
-                                    (t0, t1), tol):
+            for _, y in _rk45_steps(np.repeat(y0, len(w), axis=1), columns,
+                                    decay, rates, (-5.0, 5.0), tol):
                 pass
         tail_b = y[B] if decay.gamma_b > 0 else 0.0
         tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0

@@ -6,13 +6,16 @@ damping of the first Rabi cycle, and the biexciton-to-direct-exciton yield
 optimization over pulse energy.
 
 Every photon yield comes from ``dynamics.emission_after_pulse`` on one
-``PulseDrive`` whose ``omega0`` holds the peak amplitudes of a batch.  A
-sweep curve is one batch, and so is a first-cycle search: p_b at 48
-Chebyshev points of area, whose interpolant gives the first maximum and
-minimum.  A fit searches 6 gamma_i0 values in one batch of 6 such blocks,
-the Chebyshev-Lobatto points of an interval, and takes the root of the
-interpolant of 1/ratio on the first interval that brackets its target; its
-``FitResult`` holds every (gamma_i0, ratio) pair integrated.
+``PulseDrive`` whose ``omega0`` holds the peak amplitudes of a batch,
+stepped in pulse time so that drives of different sigma and dephasing
+share one step sequence.  A sweep is one batch over all its curves: every
+dephasing model of a Rabi sweep, every sigma of a ratio sweep.  So is a
+first-cycle search: p_b at 48 Chebyshev points of area, whose interpolant
+gives the first maximum and minimum.  A fit searches 6 gamma_i0 values in
+one batch of 6 such blocks, the Chebyshev-Lobatto points of an interval,
+and takes the root of the interpolant of 1/ratio on the first interval
+that brackets its target; its ``FitResult`` holds every (gamma_i0, ratio)
+pair integrated.
 """
 
 from __future__ import annotations
@@ -78,26 +81,56 @@ class SweepResult:
         return self.p_x > 1.0
 
 
-def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
-                  drive: PulseDrive, deph: DephasingModel,
-                  decay: DecayRates, tol: float) -> SweepResult:
-    """Evaluate one curve, a drive with one omega0 per point, as one batch.
+def _curve(abscissa: np.ndarray, abscissa_kind: str, drive: PulseDrive,
+           deph: DephasingModel, decay: DecayRates, p_x: np.ndarray,
+           p_b: np.ndarray, failures: list) -> SweepResult:
+    direct = p_x - p_b
+    saturated = direct <= DIRECT_EXCITON_FLOOR
+    ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
+    return SweepResult(
+        abscissa=abscissa, abscissa_kind=abscissa_kind, omega0=drive.omega0,
+        p_b=p_b, p_x=p_x, ratio=ratio, saturated=saturated,
+        sigma=float(drive.sigma), deph=deph, decay=decay, failures=failures)
 
-    If the batch fails, its points are integrated one at a time in index
-    order, and each failed point leaves NaN entries and an (index, message)
-    failure record.  omega0 increases with the index (both sweeps demand
+
+def _sweep_points(abscissa: np.ndarray, abscissa_kind: str, curves: list,
+                  decay: DecayRates, tol: float) -> list[SweepResult]:
+    """Evaluate the curves, (drive, model) pairs whose drives have one
+    omega0 per point and differ only in omega0 and sigma, as one batch; one
+    ``SweepResult`` per curve, with its own sigma and model.
+
+    A sigma or a model field that the curves share stays one value in the
+    batch; otherwise each curve's value is repeated over its points.  If
+    the batch fails, each curve is evaluated alone.  If a curve alone
+    fails, its points are integrated one at a time in index order, and
+    each failed point leaves NaN entries and an (index, message) failure
+    record.  omega0 increases with the index (both sweeps demand
     increasing abscissae), and with it the coupling and the dephasing rate
     at every t; so once a point exhausts the RK45 step budget, every later
-    point is recorded as failed without being integrated.
+    point of its curve is recorded as failed without being integrated.
     """
-    failures = []
+    n = len(abscissa)
+    drives, models = zip(*curves)
+
+    def per_point(values):
+        return values[0] if len(set(values)) == 1 else np.repeat(values, n)
+
+    drive = replace(drives[0],
+                    omega0=np.concatenate([d.omega0 for d in drives]),
+                    sigma=per_point([d.sigma for d in drives]))
+    deph = DephasingModel(*(per_point([getattr(m, name) for m in models])
+                            for name in ("gamma_bg", "gamma_i0", "n_p")))
     try:
         p_x, p_b = emission_after_pulse(drive, decay, deph, tol=tol)
     except IntegrationError:
-        p_x = np.full(len(abscissa), np.nan)
-        p_b = np.full(len(abscissa), np.nan)
+        if len(curves) > 1:
+            return [res for curve in curves for res in _sweep_points(
+                abscissa, abscissa_kind, [curve], decay, tol)]
+        (drive, deph), = curves
+        p_x, p_b = np.full(n, np.nan), np.full(n, np.nan)
+        failures = []
         stiff = None  # the point that exhausted the step budget
-        for i in range(len(abscissa)):
+        for i in range(n):
             if stiff is not None:
                 failures.append((i, (
                     f"not integrated: point {stiff} (abscissa "
@@ -112,33 +145,36 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str,
                 failures.append((i, f"{type(exc).__name__}: {exc}"))
                 if isinstance(exc, StepBudgetError):
                     stiff = i
-    direct = p_x - p_b
-    saturated = direct <= DIRECT_EXCITON_FLOOR
-    ratio = p_b / np.maximum(direct, DIRECT_EXCITON_FLOOR)
-    return SweepResult(
-        abscissa=abscissa, abscissa_kind=abscissa_kind, omega0=drive.omega0,
-        p_b=p_b, p_x=p_x, ratio=ratio, saturated=saturated,
-        sigma=float(drive.sigma), deph=deph, decay=decay, failures=failures)
+        return [_curve(abscissa, abscissa_kind, drive, deph, decay, p_x, p_b,
+                       failures)]
+    return [_curve(abscissa, abscissa_kind, d, m, decay,
+                   p_x[k * n:(k + 1) * n], p_b[k * n:(k + 1) * n], [])
+            for k, (d, m) in enumerate(curves)]
 
 
-def rabi_sweep(sigma: float, deph: DephasingModel, decay: DecayRates,
+def rabi_sweep(sigma: float, models: list[DephasingModel], decay: DecayRates,
                areas, tol: float = 1e-8, delta_x: float = 0.5,
-               delta_b: float = 0.0) -> SweepResult:
-    """Emission probabilities versus pulse area, starting from the ground state.
+               delta_b: float = 0.0) -> list[SweepResult]:
+    """Emission probabilities versus pulse area from the ground state, one
+    curve per dephasing model.
 
     Each point converts the area to a peak amplitude at fixed ``sigma`` and
-    records the total biexciton and exciton photon yields of one pulse; the
-    whole curve is one ``emission_after_pulse`` batch.  If the batch fails,
-    the points are integrated one by one (``_sweep_points``), and failures
-    at individual points leave NaN entries and a failure record instead of
-    aborting the sweep.
+    records the total biexciton and exciton photon yields of one pulse;
+    all curves are one ``emission_after_pulse`` batch, whose drives carry
+    their model's dephasing.  If the batch fails, the curves and then
+    their points are integrated separately (``_sweep_points``), and
+    failures at individual points leave NaN entries and a failure record
+    instead of aborting the sweep.
     """
+    if len(models) == 0:
+        raise ValueError("need at least one dephasing model")
     areas = np.asarray(areas, dtype=float)
     if len(areas) < 2 or np.any(np.diff(areas) <= 0):
         raise ValueError("areas must be increasing with at least 2 points")
     drive = PulseDrive(omega0=omega0_for_area(areas, sigma), sigma=sigma,
                        delta_x=delta_x, delta_b=delta_b)
-    return _sweep_points(areas, "area", drive, deph, decay, tol)
+    return _sweep_points(areas, "area", [(drive, m) for m in models], decay,
+                         tol)
 
 
 def coherent_first_max_area(sigma: float, delta_x: float) -> float:
@@ -338,9 +374,9 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
     curves for different sigmas are comparable.  The direct-exciton yield is
     taken as p_x - p_b: every biexciton decay feeds exactly one cascade
     exciton photon, so the excess isolates direct excitation of the exciton.
-    Each curve is one ``emission_after_pulse`` batch giving both yields of
-    one pulse at every point; failed points are handled as in
-    ``rabi_sweep``.
+    All curves are one ``emission_after_pulse`` batch, stepped in pulse
+    time whatever their sigma, giving both yields of one pulse at every
+    point; failed curves and points are handled as in ``rabi_sweep``.
     With delta_x = 0 the exciton transition is resonant and the ratio
     collapses; a finite delta_x is required for meaningful curves.
 
@@ -349,23 +385,21 @@ def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,
     """
     if len(sigmas) == 0:
         raise ValueError("need at least one pulse length")
-    energy_axis = np.asarray(energy_axis, dtype=float)
+    energy_axis = np.array(energy_axis, dtype=float)
     if np.any(np.diff(energy_axis) <= 0):
         raise ValueError("energy axis must be strictly increasing")
 
-    results = []
-    for sigma in sigmas:
-        drive = PulseDrive(omega0=np.sqrt(energy_axis / sigma), sigma=sigma,
-                           delta_x=delta_x, delta_b=delta_b)
-        res = _sweep_points(energy_axis.copy(), "energy", drive, deph, decay,
-                            tol)
+    curves = [(PulseDrive(omega0=np.sqrt(energy_axis / sigma), sigma=sigma,
+                          delta_x=delta_x, delta_b=delta_b), deph)
+              for sigma in sigmas]
+    results = _sweep_points(energy_axis, "energy", curves, decay, tol)
+    for res in results:
         usable = ~res.saturated & np.isfinite(res.ratio)
         if usable.any():
             idx = int(np.argmax(np.where(usable, res.ratio, -np.inf)))
             res.peak_abscissa = float(energy_axis[idx])
             res.peak_ratio = float(res.ratio[idx])
             res.peak_interior = bool(0 < idx < len(energy_axis) - 1)
-        results.append(res)
     return results
 
 

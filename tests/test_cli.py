@@ -112,6 +112,11 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
                  id="evolve-edit-pulse.t0-coarser-than-detuning"),
     pytest.param("ratio", _set(["sweep"], dict(_SIGMAS, sigmas=[1e300])),
                  "sweep.sigmas", id="ratio-edit-sweep.sigmas-overflowing"),
+    # ratio names each curve's file by sigma in %g: 4.0000001 would
+    # overwrite the file of 4
+    pytest.param("ratio", _set(["sweep"], dict(
+        _SIGMAS, sigmas=[4.0, 4.0000001, 12.0])), "sweep.sigmas[1]",
+                 id="ratio-edit-sweep.sigmas-same-file-name"),
     pytest.param("evolve", _set(["dephasing", "gamma_bg"], 1e300),
                  "dephasing.gamma_bg",
                  id="evolve-edit-dephasing.gamma_bg-overflowing"),
@@ -301,6 +306,35 @@ def test_rabi_three_models_three_files(tmp_path):
         "rabi_model0_np0.csv", "rabi_model1_np2.csv", "rabi_model2_np4.csv"]
     header = json.loads(files[1].read_text().splitlines()[0][2:])
     assert header["config"]["sweep"]["models"][1]["gamma_i0"] == 0.0349
+
+
+@pytest.mark.parametrize("command, sweep, files", [
+    ("rabi", {"areas": [3.0, 9.0, 15.0],
+              "models": [{"gamma_bg": 0.0, "gamma_i0": 0.0349, "n_p": 2},
+                         {"gamma_bg": 0.0, "gamma_i0": 0.0219, "n_p": 4}]},
+     ["rabi_model0_np2.csv", "rabi_model1_np4.csv"]),
+    ("ratio", {"sigmas": [4.0, 12.0], "energies": [1.0, 4.0, 9.0]},
+     ["ratio_sigma12.csv", "ratio_sigma4.csv"]),
+])
+def test_sweep_command_integrates_one_batch(tmp_path, monkeypatch, command,
+                                            sweep, files):
+    # every model of rabi, and every sigma of ratio, is one batch
+    from qdtimebin import sweeps
+    batches = []
+    emission = sweeps.emission_after_pulse
+
+    def counted(drive, decay, deph, tol=1e-8):
+        batches.append(len(drive.omega0))
+        return emission(drive, decay, deph, tol=tol)
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
+    data = evolve_config()
+    data["dot"]["delta_x"] = 3.5
+    data["sweep"] = sweep
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert batches == [6]
+    assert sorted(f.name for f in tmp_path.glob("*.csv")) == files
 
 
 def test_rabi_missing_grid_exits_2(tmp_path):

@@ -77,6 +77,8 @@ def test_pulse_amplitude_profile():
         PulseDrive(omega0=1.0, sigma=0.0)
     with pytest.raises(ValueError):
         PulseDrive(omega0=-1.0, sigma=1.0)
+    with pytest.raises(ValueError, match="omega0 must be >= 0"):
+        ConstantDrive(omega0=-1.0)
 
 
 def test_batch_drive_rejects_a_negative_amplitude():
@@ -103,6 +105,12 @@ def test_dephasing_model_rate():
     (lambda v: PulseDrive(omega0=1.0, sigma=4.0, t0=v), "t0"),
     (lambda v: PulseDrive(omega0=1.0, sigma=4.0, delta_x=v), "delta_x"),
     (lambda v: PulseDrive(omega0=1.0, sigma=4.0, delta_b=v), "delta_b"),
+    pytest.param(lambda v: ConstantDrive(omega0=v), "omega0",
+                 id="constant-omega0"),
+    pytest.param(lambda v: ConstantDrive(omega0=1.0, delta_x=v), "delta_x",
+                 id="constant-delta_x"),
+    pytest.param(lambda v: ConstantDrive(omega0=1.0, delta_b=v), "delta_b",
+                 id="constant-delta_b"),
     (lambda v: DecayRates(gamma_b=v), "gamma_b"),
     (lambda v: DecayRates(gamma_x=v), "gamma_x"),
     (lambda v: DephasingModel(gamma_bg=v), "gamma_bg"),
@@ -310,6 +318,9 @@ def test_evolve_rejects_a_batch_drive():
     batch = DephasingModel(gamma_i0=np.array([0.0, 0.0349]))
     with pytest.raises(ValueError, match="one gamma_i0, got 2"):
         evolve(GROUND, drive, DecayRates(), batch, t_span=(-20.0, 20.0))
+    batch = PulseDrive(omega0=0.2, sigma=np.array([4.0, 12.0]))
+    with pytest.raises(ValueError, match="one sigma, got 2"):
+        evolve(GROUND, batch, DecayRates(), NO_DEPH, t_span=(-20.0, 20.0))
 
 
 @pytest.mark.parametrize("drive, deph, t_span", [
@@ -377,6 +388,25 @@ def test_pulse_window_emission_matches_oracle(sigma, delta_x, deph):
                 replace(drive, omega0=drive.omega0[i:i + 1]), decay, deph,
                 tol=tol)
             assert np.abs(np.ravel(alone) - ref[:, i]).max() <= 20 * tol
+
+
+@pytest.mark.parametrize("deph", [
+    pytest.param(ACCEPTANCE_06["deph"], id="acceptance-06"),
+    pytest.param(NO_DEPH, id="no-dephasing"),
+])
+def test_mixed_sigma_batch_matches_oracle(deph):
+    # one batch steps sigma 1, 4 and 12 in pulse time, as one system with
+    # one step sequence, within the 20 tol of each sigma's own batch
+    decay, areas = ACCEPTANCE_06["decay"], np.geomspace(0.3, 30.0, 12)
+    sigmas = np.repeat([1.0, 4.0, 12.0], len(areas))
+    ref = np.hstack([oracles.pulse_emission(
+        areas, sigma, 3.5, decay.gamma_b, decay.gamma_x, deph.gamma_bg,
+        deph.gamma_i0, deph.n_p) for sigma in (1.0, 4.0, 12.0)])
+    drive = PulseDrive(omega0=omega0_for_area(np.tile(areas, 3), sigmas),
+                       sigma=sigmas, delta_x=3.5)
+    for tol in (1e-6, 1e-8):
+        batch = np.array(emission_after_pulse(drive, decay, deph, tol=tol))
+        assert np.abs(batch - ref).max() <= 20 * tol
 
 
 def test_drive_off_stretch_is_propagated_exactly():

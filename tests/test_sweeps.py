@@ -35,8 +35,8 @@ NO_DEPH = DephasingModel(0.0, 0.0)
 
 
 def test_rabi_sweep_zero_area_gives_nothing():
-    res = rabi_sweep(12.0, NO_DEPH, DECAY, areas=[0.0, 0.5], tol=1e-8,
-                     delta_x=0.5)
+    (res,) = rabi_sweep(12.0, [NO_DEPH], DECAY, areas=[0.0, 0.5], tol=1e-8,
+                        delta_x=0.5)
     assert res.p_b[0] == pytest.approx(0.0, abs=1e-10)
     assert res.p_x[0] == pytest.approx(0.0, abs=1e-10)
     assert res.abscissa_kind == "area"
@@ -45,17 +45,19 @@ def test_rabi_sweep_zero_area_gives_nothing():
 
 def test_rabi_sweep_validates_grid():
     with pytest.raises(ValueError):
-        rabi_sweep(12.0, NO_DEPH, DECAY, areas=[1.0])
+        rabi_sweep(12.0, [NO_DEPH], DECAY, areas=[1.0])
     with pytest.raises(ValueError):
-        rabi_sweep(12.0, NO_DEPH, DECAY, areas=[2.0, 1.0])
+        rabi_sweep(12.0, [NO_DEPH], DECAY, areas=[2.0, 1.0])
+    with pytest.raises(ValueError, match="dephasing model"):
+        rabi_sweep(12.0, [], DECAY, areas=[1.0, 2.0])
 
 
 def test_rabi_sweep_oscillates_and_damps():
     theta = coherent_first_max_area(12.0, 0.5)
     areas = np.linspace(0.2, 1.6, 13) * theta
-    coherent = rabi_sweep(12.0, NO_DEPH, DECAY, areas, delta_x=0.5)
-    damped = rabi_sweep(12.0, DephasingModel(0.0, 0.0349, 2), DECAY, areas,
-                        delta_x=0.5)
+    coherent, damped = rabi_sweep(
+        12.0, [NO_DEPH, DephasingModel(0.0, 0.0349, 2)], DECAY, areas,
+        delta_x=0.5)
     i_max = np.argmax(coherent.p_b)
     assert coherent.p_b[i_max] > 0.9
     assert 0 < i_max < len(areas) - 1
@@ -174,7 +176,7 @@ def test_chunks_never_split_a_block(monkeypatch):
 
 def test_rabi_sweep_points_are_emission_after_pulse():
     deph = DephasingModel(0.0, 0.0349, 2)
-    res = rabi_sweep(12.0, deph, DECAY, areas=[3.0, 9.0], delta_x=0.5)
+    (res,) = rabi_sweep(12.0, [deph], DECAY, areas=[3.0, 9.0], delta_x=0.5)
     drive = PulseDrive(omega0=res.omega0, sigma=12.0, delta_x=0.5)
     p_x, p_b = emission_after_pulse(drive, DECAY, deph)
     assert np.array_equal(res.p_x, p_x) and np.array_equal(res.p_b, p_b)
@@ -186,13 +188,13 @@ def test_sweep_records_only_integration_failures(monkeypatch):
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", bad_call)
     with pytest.raises(TypeError, match="unexpected argument"):
-        rabi_sweep(12.0, NO_DEPH, DECAY, areas=[1.0, 2.0])
+        rabi_sweep(12.0, [NO_DEPH], DECAY, areas=[1.0, 2.0])
 
     def underflow(*args, **kwargs):
         raise IntegrationError("step size underflow (1e-15) at t = 3", 3.0)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", underflow)
-    res = rabi_sweep(12.0, NO_DEPH, DECAY, areas=[1.0, 2.0])
+    (res,) = rabi_sweep(12.0, [NO_DEPH], DECAY, areas=[1.0, 2.0])
     assert np.isnan(res.p_x).all() and np.isnan(res.p_b).all()
     assert res.failures == [
         (i, "IntegrationError: step size underflow (1e-15) at t = 3")
@@ -210,14 +212,63 @@ def test_step_budget_skips_the_stiffer_points(monkeypatch):
         return emission_after_pulse(drive, decay, deph, tol=tol)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
-    res = rabi_sweep(1e-6, DephasingModel(0.01, 0.0349, 2), DECAY,
-                     areas=[15.0, 20.0], delta_x=3.5)
+    (res,) = rabi_sweep(1e-6, [DephasingModel(0.01, 0.0349, 2)], DECAY,
+                        areas=[15.0, 20.0], delta_x=3.5)
     assert sizes == [2, 1]
     assert np.isnan(res.p_b).all()
     (i0, first), (i1, second) = res.failures
     assert (i0, i1) == (0, 1)
     assert first.startswith("StepBudgetError: RK45 step budget of 2000")
     assert second.startswith("not integrated: point 0 (abscissa 15)")
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_rabi_batch_of_two_models_matches_each_alone(tol):
+    # two models are one batch; each model alone is its own batch, and
+    # both stay within the 20 tol that bounds either against the oracle
+    models = [DephasingModel(0.01, 0.0349, 2), DephasingModel(0.0, 0.0219, 4)]
+    areas = np.geomspace(0.3, 30.0, 12)
+    both = rabi_sweep(4.0, models, DECAY, areas, tol=tol, delta_x=3.5)
+    for model, res in zip(models, both):
+        (alone,) = rabi_sweep(4.0, [model], DECAY, areas, tol=tol,
+                              delta_x=3.5)
+        assert res.deph is model and res.sigma == 4.0
+        assert np.abs(res.p_x - alone.p_x).max() <= 20 * tol
+        assert np.abs(res.p_b - alone.p_b).max() <= 20 * tol
+
+
+def test_failed_merged_batch_falls_back_curve_by_curve(monkeypatch):
+    # sigma 1000 turns the detuning into a phase of 3500 per unit of pulse
+    # time, more than 2,000 steps can follow: the batch of both curves
+    # fails, then the sigma 1000 curve alone, then its first point
+    monkeypatch.setattr(dynamics, "_MAX_RK45_STEPS", 2_000)
+    calls = []
+
+    def recorded(drive, decay, deph, tol=1e-8):
+        try:
+            out = emission_after_pulse(drive, decay, deph, tol=tol)
+        except IntegrationError as exc:
+            calls.append((np.ndim(drive.sigma), len(drive.omega0), exc.t))
+            raise
+        calls.append((np.ndim(drive.sigma), len(drive.omega0), None))
+        return out
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", recorded)
+    energies = np.array([2.0, 5.5, 9.0, 16.0])
+    short, long = ratio_sweep([4.0, 1000.0], energies,
+                              DephasingModel(0.01, 0.0349, 2), DECAY,
+                              delta_x=3.5)
+    assert [c[:2] for c in calls] == [(1, 8), (0, 4), (0, 4), (0, 1)]
+    assert short.failures == [] and np.isfinite(short.p_b).all()
+    assert np.isfinite(short.ratio).all() and short.sigma == 4.0
+    assert long.sigma == 1000.0 and np.isnan(long.p_b).all()
+    assert [i for i, _ in long.failures] == [0, 1, 2, 3]
+    assert long.failures[0][1].startswith("StepBudgetError")
+    assert long.failures[1][1].startswith("not integrated: point 0")
+    # the time of the failure is in ps, inside the sigma 1000 window
+    # (-5000, 5000) and outside the window of pulse time, (-5, 5)
+    t = calls[-1][2]
+    assert -5000.0 < t < -5.0
 
 
 def test_first_cycle_extrema_ordering():
@@ -377,8 +428,8 @@ def test_ratio_sweep_longer_pulse_wins():
 
 
 def test_sweep_csv_export(tmp_path):
-    res = rabi_sweep(12.0, DephasingModel(0.0, 0.02, 2), DECAY,
-                     areas=[1.0, 2.0, 3.0], delta_x=0.5)
+    (res,) = rabi_sweep(12.0, [DephasingModel(0.0, 0.02, 2)], DECAY,
+                        areas=[1.0, 2.0, 3.0], delta_x=0.5)
     path = tmp_path / "sweep.csv"
     export_sweep_csv(res, path, extra_params={"tag": "test"})
     lines = path.read_text().splitlines()
