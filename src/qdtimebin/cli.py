@@ -151,7 +151,11 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         drive = cfg.pulse.drive(cfg.dot)
         traj = evolve(GROUND, drive, cfg.dot.decay(), cfg.dephasing,
                       t_span=pulse_window(drive), tol=cfg.numerics.tol)
-        v_coh = timebin.excitation_coherence(traj.states[-1])
+        try:
+            v_coh = timebin.excitation_coherence(traj.states[-1])
+        except ValueError as exc:
+            raise ConfigError(f"'timebin.v_coh' is unset and the pulse "
+                              f"cannot calibrate it: {exc}") from exc
 
     params = TimeBinModelParams(phi_p=cfg.timebin.phi_p,
                                 epsilon=cfg.timebin.epsilon,

@@ -22,15 +22,16 @@ amplitudes; its ``sigma`` and ``t0``, and the fields of its
 tau = (t - t0) / sigma, over the window [-5, 5] that every drive shares
 whatever its sigma: ``emission_after_pulse`` over the pulse windows of a
 batch, adding the emission after the pulse in closed form, and ``evolve``
-for one drive, storing every accepted step and propagating the drive-off
-stretches outside the window exactly.
+for one drive, storing every accepted step.  Wherever the generator is
+constant, outside a pulse window and for the whole span of a
+``ConstantDrive``, ``evolve`` propagates the state exactly instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import RK45
@@ -128,8 +129,6 @@ class ConstantDrive:
 
     def amplitude(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.omega0)
-
-    amplitude_at = amplitude  # its pulse time is t (``_time_scale``)
 
 
 @dataclass(frozen=True)
@@ -322,36 +321,29 @@ def pulse_window(drive: PulseDrive) -> tuple[float, float]:
     return (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
 
 
-def _time_scale(drive) -> tuple:
-    """(sigma, t0) of the pulse time tau = (t - t0) / sigma in which
-    ``_rk45_steps`` steps ``drive``: the pulse's own, or (1, 0) for a
-    ``ConstantDrive``, whose pulse time is t."""
-    if isinstance(drive, PulseDrive):
-        return drive.sigma, drive.t0
-    return 1.0, 0.0
-
-
 def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     """The pulse window extended by 10 exciton lifetimes (10 / gamma_x).
 
     For trajectories that follow the radiative decay after the pulse, such
     as the ``evolve`` CSV; emission yields need no such span, since
     ``emission_after_pulse`` adds the post-pulse emission exactly.
-    A vanishing gamma_x has no finite tail, so callers must then pass an
-    explicit span.
+    A vanishing gamma_x has no finite tail, and a ``ConstantDrive`` no
+    window, so callers must then pass an explicit span.
     """
+    if not isinstance(drive, PulseDrive):
+        raise ValueError("a ConstantDrive needs an explicit t_span")
     if decay.gamma_x <= 0:
         raise ValueError("default span needs gamma_x > 0; pass t_span explicitly")
     start, end = pulse_window(drive)
     return start, end + 10.0 / decay.gamma_x
 
 
-def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
+def _rk45_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
                 deph: DephasingModel, tau_span: tuple[float, float],
                 tol: float):
     """Step the N drives of ``drive`` (one per entry of its ``omega0``) from
     the (11, N) states ``y0`` as one system over ``tau_span`` in pulse time
-    tau (``_time_scale``); yield (t, Y) at the start and at each accepted
+    tau = (t - t0) / sigma; yield (t, Y) at the start and at each accepted
     step, where t = t0 + sigma tau in ps, one per drive where their sigma
     or t0 differ.
 
@@ -368,15 +360,16 @@ def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
     start, a failed step, or a step beyond ``_MAX_RK45_STEPS`` before
     ``tau_span`` ends (StepBudgetError) raises IntegrationError with its
     time in ps: that of the drive that drifts or is not finite, or of the
-    first drive for a failure of the whole system.  Iterate under
+    first drive for a failure of the whole system, whose message gives the
+    tau where the shared step sequence stopped.  Iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
     r = np.vstack(_real_generator(drive, decay))
-    sigma, centre = _time_scale(drive)
+    sigma = drive.sigma
 
     def times(tau):
-        return centre + sigma * tau
+        return drive.t0 + sigma * tau
 
     def rhs(tau, y):
         omega_t = drive.amplitude_at(tau)
@@ -405,16 +398,18 @@ def _rk45_steps(y0: np.ndarray, drive, decay: DecayRates,
             return
         message = solver.step()
         if solver.status == "failed":
-            raise IntegrationError(f"integration failed: {message}",
-                                   _time_of(times(solver.t), 0))
+            raise IntegrationError(
+                f"integration failed at pulse time tau = {solver.t:.6g}: "
+                f"{message}", _time_of(times(solver.t), 0))
         y = solver.y.reshape(_N_STATE, n)
         _check_drift(times(solver.t), y, cap)
         yield times(solver.t), y
     if solver.status == "running":
         raise StepBudgetError(
-            f"RK45 step budget of {_MAX_RK45_STEPS} steps exhausted before "
-            f"the span ends at {_time_of(times(tau1), 0):.6g}: the equations "
-            f"are too stiff", _time_of(times(solver.t), 0))
+            f"RK45 step budget of {_MAX_RK45_STEPS} steps exhausted at pulse "
+            f"time tau = {solver.t:.6g}, before the span ends at tau = "
+            f"{tau1:.6g}: the equations are too stiff",
+            _time_of(times(solver.t), 0))
 
 
 def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,
@@ -443,17 +438,18 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     """Integrate the master equation from ``rho0`` over ``t_span``.
 
     RK45 (``_rk45_steps``, one drive, rtol = atol = ``tol``) steps the part
-    inside the pulse window of a ``PulseDrive`` in its pulse time, or the
-    whole span of a ``ConstantDrive`` in t, storing every accepted step at
-    t0 + sigma tau; ``tol`` sets their length.  It bounds the error of each
-    step, not of the result: against DOP853 at rtol 1e-13, the emission it
-    gives for one pulse is up to ~11*tol off.
-    Outside the window the drive is off (``pulse_window``), and the
-    state is propagated exactly with r0 + deph.rate(0) rp onto a uniform
-    grid.  No renormalization is applied: drift beyond 100*tol, a generator
-    that is not finite, or a failed step raises IntegrationError with its
-    time.  ``drive.omega0``, ``drive.sigma``, ``drive.t0`` and the fields
-    of ``deph`` must be one value each, since one trajectory is stored.
+    inside the pulse window of a ``PulseDrive`` in its pulse time, storing
+    every accepted step at t0 + sigma tau; ``tol`` sets their length.  It
+    bounds the error of each step, not of the result: against DOP853 at
+    rtol 1e-13, the emission it gives for one pulse is up to ~11*tol off.
+    Outside the window the drive is off (``pulse_window``), and the state
+    is propagated exactly with r0 + deph.rate(0) rp onto a uniform grid.
+    A ``ConstantDrive`` is propagated exactly over the whole span with
+    r0 + omega0 rd + deph.rate(omega0) rp, onto at most 400 uniform rows;
+    ``tol`` then sets only the drift cap.  No renormalization is applied:
+    drift beyond 100*tol, a generator that is not finite, or a failed step
+    raises IntegrationError with its time.  Every field of ``drive`` and
+    of ``deph`` must be one value, since one trajectory is stored.
     """
     if t_span is None:
         t_span = default_t_span(drive, decay)
@@ -462,32 +458,34 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         raise ValueError(f"t_span must be increasing, got {t_span}")
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    sigma, centre = _time_scale(drive)
-    for name, value in (("omega0", drive.omega0), ("sigma", sigma),
-                        ("t0", centre), ("gamma_bg", deph.gamma_bg),
-                        ("gamma_i0", deph.gamma_i0), ("n_p", deph.n_p)):
-        if np.size(value) != 1:
-            raise ValueError(f"evolve takes one {name}, got {np.size(value)}")
-    a, b = t0, t1  # the stretch that RK45 steps
-    if isinstance(drive, PulseDrive):
-        a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
-    r0, _, rp = _real_generator(drive, decay)
+    for model in (drive, deph):
+        for f in fields(model):
+            size = np.size(getattr(model, f.name))
+            if size != 1:
+                raise ValueError(f"evolve takes one {f.name}, got {size}")
+    r0, rd, rp = _real_generator(drive, decay)
     cap = 100.0 * tol
     parts = [(np.array([t0]), _initial_state(rho0, cap, t0)[:, None])]
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        off = r0 + float(deph.rate(0.0)) * rp
+        # RK45 steps (a, b), where the drive is on; gen is constant outside
+        if isinstance(drive, PulseDrive):
+            a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
+            gen = r0 + float(deph.rate(0.0)) * rp
+        else:
+            a = b = t1
+            gen = r0 + drive.omega0 * rd + float(deph.rate(drive.omega0)) * rp
         if a > t0:
-            parts.append(_propagate_exactly(off, parts[-1][1][:, -1], t0, a, cap))
+            parts.append(_propagate_exactly(gen, parts[-1][1][:, -1], t0, a, cap))
         if b > a:
             steps = _rk45_steps(parts[-1][1][:, -1:], drive, decay, deph,
-                                ((a - centre) / sigma, (b - centre) / sigma),
-                                tol)
+                                ((a - drive.t0) / drive.sigma,
+                                 (b - drive.t0) / drive.sigma), tol)
             next(steps)  # the start is stored already
             ts, ys = zip(*steps)
             parts.append((np.array(ts, dtype=float), np.hstack(ys)))
         if t1 > b:
-            parts.append(_propagate_exactly(off, parts[-1][1][:, -1], b, t1, cap))
+            parts.append(_propagate_exactly(gen, parts[-1][1][:, -1], b, t1, cap))
     ys = np.hstack([y for _, y in parts])
     return Trajectory(times=np.concatenate([t for t, _ in parts]),
                       states=np.einsum("kn,kij->nij", ys[:9], _BASIS),
@@ -542,6 +540,9 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     ``block`` but never below it: a chunk never splits a block of ``block``
     consecutive amplitudes, whose errors then stay one smooth function of
     the amplitude.
+    When the whole system fails (a failed step, or the step budget), an
+    IntegrationError's ``t`` is drive 0's time, which may not be the drive
+    RK45 cannot follow; its message gives the pulse time tau shared by all.
     """
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")

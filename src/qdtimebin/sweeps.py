@@ -8,14 +8,14 @@ optimization over pulse energy.
 Every photon yield comes from ``dynamics.emission_after_pulse`` on one
 ``PulseDrive`` whose ``omega0`` holds the peak amplitudes of a batch,
 stepped in pulse time so that drives of different sigma and dephasing
-share one step sequence.  A sweep is one batch over all its curves: every
-dephasing model of a Rabi sweep, every sigma of a ratio sweep.  So is a
-first-cycle search: p_b at 48 Chebyshev points of area, whose interpolant
-gives the first maximum and minimum.  A fit searches 6 gamma_i0 values in
-one batch of 6 such blocks, the Chebyshev-Lobatto points of an interval,
-and takes the root of the interpolant of 1/ratio on the first interval
-that brackets its target; its ``FitResult`` holds every (gamma_i0, ratio)
-pair integrated.
+share one step sequence.  A sweep is one batch over all its curves (every
+dephasing model of a Rabi sweep, every sigma of a ratio sweep), and if it
+fails, each point is integrated alone.  A first-cycle search is one batch:
+p_b at 48 Chebyshev points of area, whose interpolant gives the first
+maximum and minimum.  A fit searches 6 gamma_i0 values in one batch of 6
+such blocks, the Chebyshev-Lobatto points of an interval, and takes the
+root of the interpolant of 1/ratio on the first interval that brackets its
+target; its ``FitResult`` holds every (gamma_i0, ratio) pair integrated.
 """
 
 from __future__ import annotations
@@ -101,13 +101,13 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str, curves: list,
 
     A sigma or a model field that the curves share stays one value in the
     batch; otherwise each curve's value is repeated over its points.  If
-    the batch fails, each curve is evaluated alone.  If a curve alone
-    fails, its points are integrated one at a time in index order, and
-    each failed point leaves NaN entries and an (index, message) failure
-    record.  omega0 increases with the index (both sweeps demand
-    increasing abscissae), and with it the coupling and the dephasing rate
-    at every t; so once a point exhausts the RK45 step budget, every later
-    point of its curve is recorded as failed without being integrated.
+    the batch fails, every point is integrated alone, curve by curve in
+    index order, and each failed point leaves NaN entries and an (index,
+    message) failure record.  omega0 increases with the index (both sweeps
+    demand increasing abscissae), and with it the coupling and the
+    dephasing rate at every t; so once a point exhausts the RK45 step
+    budget, every later point of its curve is recorded as failed without
+    being integrated.
     """
     n = len(abscissa)
     drives, models = zip(*curves)
@@ -120,35 +120,30 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str, curves: list,
                     sigma=per_point([d.sigma for d in drives]))
     deph = DephasingModel(*(per_point([getattr(m, name) for m in models])
                             for name in ("gamma_bg", "gamma_i0", "n_p")))
+    failures = [[] for _ in curves]
     try:
         p_x, p_b = emission_after_pulse(drive, decay, deph, tol=tol)
     except IntegrationError:
-        if len(curves) > 1:
-            return [res for curve in curves for res in _sweep_points(
-                abscissa, abscissa_kind, [curve], decay, tol)]
-        (drive, deph), = curves
-        p_x, p_b = np.full(n, np.nan), np.full(n, np.nan)
-        failures = []
-        stiff = None  # the point that exhausted the step budget
-        for i in range(n):
-            if stiff is not None:
-                failures.append((i, (
-                    f"not integrated: point {stiff} (abscissa "
-                    f"{abscissa[stiff]:.6g}) exhausted the RK45 step budget, "
-                    f"and a larger omega0 is stiffer")))
+        p_x, p_b = np.full((2, len(drive.omega0)), np.nan)
+        stiff = {}  # curve -> its point that exhausted the step budget
+        for j in range(len(drive.omega0)):
+            k, i = divmod(j, n)
+            if k in stiff:
+                failures[k].append((i, (
+                    f"not integrated: point {stiff[k]} (abscissa "
+                    f"{abscissa[stiff[k]]:.6g}) exhausted the RK45 step "
+                    f"budget, and a larger omega0 is stiffer")))
                 continue
             try:
-                (p_x[i],), (p_b[i],) = emission_after_pulse(
-                    replace(drive, omega0=drive.omega0[i:i + 1]), decay,
-                    deph, tol=tol)
+                (p_x[j],), (p_b[j],) = emission_after_pulse(
+                    replace(drives[k], omega0=drive.omega0[j:j + 1]), decay,
+                    models[k], tol=tol)
             except IntegrationError as exc:  # failure marker, sweep continues
-                failures.append((i, f"{type(exc).__name__}: {exc}"))
+                failures[k].append((i, f"{type(exc).__name__}: {exc}"))
                 if isinstance(exc, StepBudgetError):
-                    stiff = i
-        return [_curve(abscissa, abscissa_kind, drive, deph, decay, p_x, p_b,
-                       failures)]
+                    stiff[k] = i
     return [_curve(abscissa, abscissa_kind, d, m, decay,
-                   p_x[k * n:(k + 1) * n], p_b[k * n:(k + 1) * n], [])
+                   p_x[k * n:(k + 1) * n], p_b[k * n:(k + 1) * n], failures[k])
             for k, (d, m) in enumerate(curves)]
 
 
@@ -161,10 +156,9 @@ def rabi_sweep(sigma: float, models: list[DephasingModel], decay: DecayRates,
     Each point converts the area to a peak amplitude at fixed ``sigma`` and
     records the total biexciton and exciton photon yields of one pulse;
     all curves are one ``emission_after_pulse`` batch, whose drives carry
-    their model's dephasing.  If the batch fails, the curves and then
-    their points are integrated separately (``_sweep_points``), and
-    failures at individual points leave NaN entries and a failure record
-    instead of aborting the sweep.
+    their model's dephasing.  If the batch fails, every point is
+    integrated alone (``_sweep_points``), and failures at individual points
+    leave NaN entries and a failure record instead of aborting the sweep.
     """
     if len(models) == 0:
         raise ValueError("need at least one dephasing model")

@@ -157,6 +157,11 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     pytest.param("entangle", _set(["tomography", "n_mean"], 1e300),
                  "tomography.n_mean",
                  id="entangle-edit-tomography.n_mean-above-poisson-limit"),
+    # a pulse of area 0 leaves rho_bb at 0, so it cannot calibrate v_coh
+    pytest.param("entangle", _edits(
+        _set(["pulse", "area"], 0.0), _set(["timebin"], {"epsilon": 0.06}),
+        _set(["tomography"], {"n_mean": 1e4, "seed": 3, "n_seeds": 1})),
+                 "timebin.v_coh", id="entangle-edit-timebin.v_coh-uncalibratable"),
 ])
 def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
                                            key):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qdtimebin import dynamics
 from qdtimebin.dynamics import (
     B,
     G,
@@ -16,6 +18,7 @@ from qdtimebin.dynamics import (
     DephasingModel,
     IntegrationError,
     PulseDrive,
+    StepBudgetError,
     cumulative_emission,
     default_t_span,
     emission_after_pulse,
@@ -288,6 +291,27 @@ def test_evolve_matches_expm_oracle():
         assert np.abs(traj.states[i] - ref).max() < 1e-6
 
 
+def test_constant_drive_is_propagated_exactly(monkeypatch):
+    # a constant generator needs no stepping: one exact stretch, with the
+    # intensity dephasing at the drive's constant amplitude
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a ConstantDrive was stepped by RK45")
+
+    monkeypatch.setattr(dynamics, "_rk45_steps", no_steps)
+    rng = np.random.default_rng(17)
+    omega, dx, db, gb, gx = 1.1, 0.8, 0.2, 0.3, 0.6
+    deph = DephasingModel(gamma_bg=0.05, gamma_i0=0.2, n_p=2)
+    rho0 = oracles.random_density_matrix(rng, 3)
+    traj = evolve(rho0, ConstantDrive(omega0=omega, delta_x=dx, delta_b=db),
+                  DecayRates(gb, gx), deph, t_span=(0.0, 7.0), tol=1e-8)
+    assert len(traj.times) == 401
+    h = oracles.ladder_hamiltonian(omega, dx, db)
+    jumps = oracles.ladder_jumps(gb, gx, float(deph.rate(omega)))
+    for t, state in zip(traj.times, traj.states):
+        ref = oracles.propagate_expm(rho0, h, jumps, t)
+        assert np.abs(state - ref).max() < 1e-12
+
+
 def test_evolve_intensity_dependent_dephasing_uses_stage_times():
     # compare against a fine-grid reference: same model, much tighter tol
     drive = PulseDrive(omega0=0.8, sigma=2.0, t0=0.0, delta_x=0.5)
@@ -307,6 +331,9 @@ def test_evolve_validates_inputs():
         evolve(GROUND, drive, DecayRates(gamma_b=0.1, gamma_x=0.0), NO_DEPH)
     with pytest.raises(ValueError, match="t_span must be increasing"):
         evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=(1.0, 0.0))
+    # a constant drive has no pulse window to take a default span from
+    with pytest.raises(ValueError, match="ConstantDrive.*t_span"):
+        evolve(GROUND, ConstantDrive(1.0), DecayRates(), DephasingModel())
 
 
 def test_evolve_rejects_a_batch_drive():
@@ -321,6 +348,25 @@ def test_evolve_rejects_a_batch_drive():
     batch = PulseDrive(omega0=0.2, sigma=np.array([4.0, 12.0]))
     with pytest.raises(ValueError, match="one sigma, got 2"):
         evolve(GROUND, batch, DecayRates(), NO_DEPH, t_span=(-20.0, 20.0))
+
+
+def test_failed_mixed_sigma_batch_names_its_pulse_time(monkeypatch):
+    # sigma 1000 with delta_x 3.5 is more than 2,000 steps can follow; the
+    # whole system fails, so the message gives the pulse time at which the
+    # shared step sequence stopped, and t is drive 0's time there
+    monkeypatch.setattr(dynamics, "_MAX_RK45_STEPS", 2_000)
+    sigma = np.repeat([4.0, 1000.0], 4)
+    energies = np.tile([2.0, 5.5, 9.0, 16.0], 2)
+    drive = PulseDrive(omega0=np.sqrt(energies / sigma), sigma=sigma,
+                       delta_x=3.5)
+    with pytest.raises(StepBudgetError, match="step budget") as err:
+        emission_after_pulse(drive, DecayRates(0.004, 0.002),
+                             DephasingModel(0.01, 0.0349, 2))
+    message = str(err.value)
+    assert "before the span ends at tau = 5:" in message
+    tau = float(re.search(r"at pulse time tau = (\S+),", message).group(1))
+    assert -5.0 < tau < 5.0
+    assert err.value.t == pytest.approx(4.0 * tau, rel=1e-5)
 
 
 @pytest.mark.parametrize("drive, deph, t_span", [

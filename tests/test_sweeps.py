@@ -240,7 +240,8 @@ def test_rabi_batch_of_two_models_matches_each_alone(tol):
 def test_failed_merged_batch_falls_back_curve_by_curve(monkeypatch):
     # sigma 1000 turns the detuning into a phase of 3500 per unit of pulse
     # time, more than 2,000 steps can follow: the batch of both curves
-    # fails, then the sigma 1000 curve alone, then its first point
+    # fails, then every point is integrated alone, up to the first point
+    # of the sigma 1000 curve
     monkeypatch.setattr(dynamics, "_MAX_RK45_STEPS", 2_000)
     calls = []
 
@@ -248,7 +249,7 @@ def test_failed_merged_batch_falls_back_curve_by_curve(monkeypatch):
         try:
             out = emission_after_pulse(drive, decay, deph, tol=tol)
         except IntegrationError as exc:
-            calls.append((np.ndim(drive.sigma), len(drive.omega0), exc.t))
+            calls.append((np.ndim(drive.sigma), len(drive.omega0), exc))
             raise
         calls.append((np.ndim(drive.sigma), len(drive.omega0), None))
         return out
@@ -258,7 +259,10 @@ def test_failed_merged_batch_falls_back_curve_by_curve(monkeypatch):
     short, long = ratio_sweep([4.0, 1000.0], energies,
                               DephasingModel(0.01, 0.0349, 2), DECAY,
                               delta_x=3.5)
-    assert [c[:2] for c in calls] == [(1, 8), (0, 4), (0, 4), (0, 1)]
+    assert [c[:2] for c in calls] == [(1, 8)] + [(0, 1)] * 4 + [(0, 1)]
+    # a stiff curve costs two step budgets: the batch's and its first point's
+    assert [i for i, c in enumerate(calls)
+            if isinstance(c[2], dynamics.StepBudgetError)] == [0, 5]
     assert short.failures == [] and np.isfinite(short.p_b).all()
     assert np.isfinite(short.ratio).all() and short.sigma == 4.0
     assert long.sigma == 1000.0 and np.isnan(long.p_b).all()
@@ -267,7 +271,7 @@ def test_failed_merged_batch_falls_back_curve_by_curve(monkeypatch):
     assert long.failures[1][1].startswith("not integrated: point 0")
     # the time of the failure is in ps, inside the sigma 1000 window
     # (-5000, 5000) and outside the window of pulse time, (-5, 5)
-    t = calls[-1][2]
+    t = calls[-1][2].t
     assert -5000.0 < t < -5.0
 
 
