@@ -180,12 +180,9 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         for key, values in mle_status.items():
             values.append(getattr(mle, key))
         m = _state_metrics(mle.rho)
-        per_seed["concurrence"].append(m["concurrence"])
-        per_seed["fidelity"].append(m["fidelity"])
-        per_seed["coherence_abs"].append(m["coherence_abs"])
-        per_seed["visibility_time"].append(m["visibility_time"])
-        per_seed["state_fidelity_to_model"].append(
-            state_fidelity(mle.rho, rho_model))
+        m["state_fidelity_to_model"] = state_fidelity(mle.rho, rho_model)
+        for key, values in per_seed.items():
+            values.append(m[key])
         if first_reconstruction is None:
             first_reconstruction = mle.rho
             tomography.save_dataset(data, out / "tomography_counts.txt")

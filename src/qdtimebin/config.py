@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import (
+    PULSE_HALF_WIDTH,
     TOL_FLOOR,
     DecayRates,
     DephasingModel,
@@ -273,17 +274,17 @@ _SECTIONS = {"dot", "pulse", "dephasing", "timebin", "tomography", "sweep",
 
 def _check_resolution(key: str, sigma: float, t0: float,
                       rates: list[tuple[str, float]]) -> None:
-    """Floats near a pulse, spacing(|t0| + 5 sigma), must be at most 1e-3 of
-    its time scale tau: sigma, or 1/rate for the fastest of ``rates``
-    ((key, rate) pairs) when that is shorter.  Raise ConfigError naming
-    ``key``, or 'pulse.t0' when 5 sigma alone is resolved, and the key
-    that sets tau when it is not sigma."""
+    """Floats near a pulse, spacing(|t0| + w sigma), w = PULSE_HALF_WIDTH,
+    must be at most 1e-3 of its time scale tau: sigma, or 1/rate for the
+    fastest of ``rates`` ((key, rate) pairs) when that is shorter.  Raise
+    ConfigError naming ``key``, or 'pulse.t0' when w sigma alone is
+    resolved, and the key that sets tau when it is not sigma."""
     rate_key, rate = max(rates, key=lambda kr: kr[1])
     by_rate = sigma * rate > 1.0
     tau = 1.0 / rate if by_rate else sigma
-    spacing = np.spacing(abs(t0) + 5.0 * sigma)
-    if not spacing <= 1e-3 * tau:  # NaN when 5 sigma overflows
-        if np.spacing(5.0 * sigma) <= 1e-3 * tau:
+    spacing = np.spacing(abs(t0) + PULSE_HALF_WIDTH * sigma)
+    if not spacing <= 1e-3 * tau:  # NaN when w sigma overflows
+        if np.spacing(PULSE_HALF_WIDTH * sigma) <= 1e-3 * tau:
             key = "pulse.t0"
         scale = f", set by '{rate_key}'" if by_rate else ""
         raise ConfigError(

@@ -19,12 +19,12 @@ A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
 ``DephasingModel``, may hold one value per drive as well.  One RK45 loop
 (``_rk45_steps``) steps it as one (11, N) system in pulse time
-tau = (t - t0) / sigma, over the window [-5, 5] that every drive shares
-whatever its sigma: ``emission_after_pulse`` over the pulse windows of a
-batch, adding the emission after the pulse in closed form, and ``evolve``
-for one drive, storing every accepted step.  Wherever the generator is
-constant, outside a pulse window and for the whole span of a
-``ConstantDrive``, ``evolve`` propagates the state exactly instead.
+tau = (t - t0) / sigma, over the window |tau| <= ``PULSE_HALF_WIDTH`` that
+every drive shares whatever its sigma: ``emission_after_pulse`` over the
+pulse windows of a batch, adding the emission after the pulse in closed
+form, and ``evolve`` for one drive, storing every accepted step.  Wherever
+the generator is constant, outside a pulse window and for the whole span of
+a ``ConstantDrive``, ``evolve`` propagates the state exactly instead.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ LN2 = math.log(2.0)
 
 # Smallest integration tolerance: RK45 raises any rtol below it to it.
 TOL_FLOOR = 100 * np.finfo(float).eps
+# Half-width of a pulse window in pulse time tau = (t - t0) / sigma.
+PULSE_HALF_WIDTH = 5.0
 
 # Components of the integrated state: the coordinates of rho on _BASIS,
 # whose first three elements are |g><g|, |x><x| and |b><b|, then the
@@ -73,7 +75,7 @@ class StepBudgetError(IntegrationError):
     """``_rk45_steps`` took ``_MAX_RK45_STEPS`` steps before its span ended."""
 
 
-def _check(name: str, value, ok, need: str) -> None:
+def check_field(name: str, value, ok, need: str) -> None:
     """Raise ValueError unless ``value``, a number or an array of them, is
     not bool and satisfies ``ok`` at every entry; NaN satisfies none."""
     v = np.asarray(value)
@@ -101,10 +103,10 @@ class PulseDrive:
     delta_b: float = 0.0
 
     def __post_init__(self):
-        _check("sigma", self.sigma, lambda v: v > 0, "> 0")
-        _check("omega0", self.omega0, lambda v: v >= 0, ">= 0")
+        check_field("sigma", self.sigma, lambda v: v > 0, "> 0")
+        check_field("omega0", self.omega0, lambda v: v >= 0, ">= 0")
         for name in ("t0", "delta_x", "delta_b"):
-            _check(name, getattr(self, name), np.isfinite, "finite")
+            check_field(name, getattr(self, name), np.isfinite, "finite")
 
     def amplitude(self, t):
         return self.amplitude_at((t - self.t0) / self.sigma)
@@ -123,9 +125,9 @@ class ConstantDrive:
     delta_b: float = 0.0
 
     def __post_init__(self):
-        _check("omega0", self.omega0, lambda v: v >= 0, ">= 0")
+        check_field("omega0", self.omega0, lambda v: v >= 0, ">= 0")
         for name in ("delta_x", "delta_b"):
-            _check(name, getattr(self, name), np.isfinite, "finite")
+            check_field(name, getattr(self, name), np.isfinite, "finite")
 
     def amplitude(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.omega0)
@@ -139,8 +141,8 @@ class DecayRates:
     gamma_x: float = 0.001
 
     def __post_init__(self):
-        _check("gamma_b", self.gamma_b, lambda v: v >= 0, ">= 0")
-        _check("gamma_x", self.gamma_x, lambda v: v >= 0, ">= 0")
+        check_field("gamma_b", self.gamma_b, lambda v: v >= 0, ">= 0")
+        check_field("gamma_x", self.gamma_x, lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,9 @@ class DephasingModel:
     n_p: int | np.ndarray = 2
 
     def __post_init__(self):
-        _check("gamma_bg", self.gamma_bg, lambda v: v >= 0, ">= 0")
-        _check("gamma_i0", self.gamma_i0, lambda v: v >= 0, ">= 0")
-        _check("n_p", self.n_p, lambda v: (v >= 0) & (np.floor(v) == v)
+        check_field("gamma_bg", self.gamma_bg, lambda v: v >= 0, ">= 0")
+        check_field("gamma_i0", self.gamma_i0, lambda v: v >= 0, ">= 0")
+        check_field("n_p", self.n_p, lambda v: (v >= 0) & (np.floor(v) == v)
                & np.isfinite(v), "a non-negative integer")
 
     def rate(self, omega_t):
@@ -314,11 +316,12 @@ class Trajectory:
 
 
 def pulse_window(drive: PulseDrive) -> tuple[float, float]:
-    """(t0 - 5 sigma, t0 + 5 sigma), pulse time tau in [-5, 5]; arrays for
-    a batch with one sigma or t0 per drive.  Outside it the drive is below
-    3e-8 of its peak and is taken to be off, in ``evolve`` (exact
+    """(t0 - w sigma, t0 + w sigma), tau in [-w, w], w = PULSE_HALF_WIDTH;
+    arrays for a batch with one sigma or t0 per drive.  Outside it the drive
+    is below 3e-8 of its peak and is taken to be off, in ``evolve`` (exact
     propagation) and in ``emission_after_pulse`` (closed-form tail) alike."""
-    return (drive.t0 - 5 * drive.sigma, drive.t0 + 5 * drive.sigma)
+    half = PULSE_HALF_WIDTH * drive.sigma
+    return (drive.t0 - half, drive.t0 + half)
 
 
 def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
@@ -351,11 +354,11 @@ def _rk45_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     + (rp @ Y) deph.rate(omega_n)), with omega_n = drive.amplitude_at(tau),
     its amplitude at its own time t0 + sigma tau.  ``drive.sigma``,
     ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
-    drives of different sigma share the window tau in [-5, 5] and one step
-    sequence.  scipy's RK45 chooses every step, the first included, from
-    rtol = atol = tol/sqrt(N): the RMS error norm over all 11 N components
-    is at most 1 only if each drive's own norm at ``tol`` is; rtol never
-    falls below ``TOL_FLOOR``, RK45's own floor.  Drift beyond 100*tol at
+    drives of different sigma share the window |tau| <= PULSE_HALF_WIDTH
+    and one step sequence.  scipy's RK45 chooses every step, the first
+    included, from rtol = atol = tol/sqrt(N): the RMS error norm over all
+    11 N components is at most 1 only if each drive's own norm at ``tol``
+    is; rtol never falls below ``TOL_FLOOR``, RK45's own floor.  Drift beyond 100*tol at
     the start or at a step, a right-hand side that is not finite at the
     start, a failed step, or a step beyond ``_MAX_RK45_STEPS`` before
     ``tau_span`` ends (StepBudgetError) raises IntegrationError with its
@@ -565,7 +568,8 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
             deph.gamma_bg, deph.gamma_i0, deph.n_p)))
         with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
             for _, y in _rk45_steps(np.repeat(y0, len(w), axis=1), columns,
-                                    decay, rates, (-5.0, 5.0), tol):
+                                    decay, rates,
+                                    (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH), tol):
                 pass
         tail_b = y[B] if decay.gamma_b > 0 else 0.0
         tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0

@@ -72,7 +72,7 @@ def eig_hermitian(m: np.ndarray,
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > herm_tol:
+    if not defect <= herm_tol:  # NaN fails too
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e} "
             f"exceeds tolerance {herm_tol:.1e}")
@@ -98,10 +98,10 @@ def check_density_matrix(rho: np.ndarray, dim: int | None = None,
     if dim is not None and rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
     tr_err = abs(np.trace(rho) - 1.0)
-    if tr_err > trace_tol:
+    if not tr_err <= trace_tol:  # NaN fails too
         raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if not defect <= herm_tol:
         raise ValueError(f"hermiticity defect {defect:.3e} exceeds {herm_tol:.1e}")
     lam_min = min_eigenvalue(rho, herm_tol=max(herm_tol, 1e-8))
     if lam_min < -psd_tol:
@@ -120,9 +120,15 @@ def sqrtm_psd(m: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
     return (v * np.sqrt(_clip_spectrum(w))) @ dag(v)
 
 
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+def sqrt_spectrum(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of sqrt(rho) sigma sqrt(rho),
+    descending, with negative and near-noise ones clipped to 0."""
     s = sqrtm_psd(rho)
     inner = s @ sigma @ s
     w, _ = eig_hermitian(0.5 * (inner + dag(inner)), herm_tol=1e-6)
-    return float(np.sum(np.sqrt(_clip_spectrum(w))) ** 2)
+    return np.sqrt(_clip_spectrum(w))
+
+
+def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    return float(np.sum(sqrt_spectrum(rho, sigma)) ** 2)

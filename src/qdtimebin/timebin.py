@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import B, G
-from .linalg import (
-    _clip_spectrum,
-    check_density_matrix,
-    dag,
-    eig_hermitian,
-    sqrtm_psd,
-)
+from .dynamics import B, G, check_field
+from .linalg import check_density_matrix, sqrt_spectrum
 
 EE, EL, LE, LL = 0, 1, 2, 3
 
@@ -51,12 +45,12 @@ class TimeBinModelParams:
     pairing_weight: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.v_coh <= 1.0:
-            raise ValueError(f"v_coh must be in [0, 1], got {self.v_coh}")
-        if self.pairing_weight <= 0:
-            raise ValueError("pairing_weight must be positive")
+        check_field("phi_p", self.phi_p, np.isfinite, "finite")
+        for name in ("epsilon", "v_coh"):
+            check_field(name, getattr(self, name),
+                        lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]")
+        check_field("pairing_weight", self.pairing_weight,
+                    lambda v: (v > 0) & np.isfinite(v), "positive and finite")
 
     def accidental_fraction(self) -> float:
         """Weight of the white background among post-selected coincidences."""
@@ -137,11 +131,7 @@ def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a physical two-qubit state."""
     check_density_matrix(rho, dim=4, trace_tol=1e-8, herm_tol=1e-8,
                          psd_tol=1e-8)
-    rho_tilde = _YY @ rho.conj() @ _YY
-    root = sqrtm_psd(rho)
-    m = root @ rho_tilde @ root
-    w, _ = eig_hermitian(0.5 * (m + dag(m)), herm_tol=1e-6)
-    lam = np.sqrt(_clip_spectrum(w))  # clip keeps sqrt from amplifying noise
+    lam = sqrt_spectrum(rho, _YY @ rho.conj() @ _YY)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

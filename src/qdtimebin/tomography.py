@@ -1,26 +1,28 @@
 """Two-qubit state tomography in the time-bin encoding.
 
-Sixteen projective settings (per qubit: early, late, and two superposition
-phases) are simulated as Poisson coincidence counts and inverted either
-linearly or through a positivity-enforcing maximum-likelihood fit of
-rho = T^dag T / tr(T^dag T) over a full complex 4 x 4 factor T.
+A setting projects onto one joint ket |k> = |xx> (x) |x>, so the settings
+are held as the (n, 4) matrix of their kets and a count enters only through
+<k|rho|k>.  Poisson counts of the standard sixteen (per qubit: early, late,
+two superposition phases) are inverted by one least-squares solve, or by a
+positivity-enforcing maximum-likelihood fit of rho = T^dag T / tr(T^dag T)
+over a full complex 4 x 4 factor T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import dag, eig_hermitian, hermitian_basis
-
-_KET_E = np.array([1.0, 0.0], dtype=complex)
-_KET_L = np.array([0.0, 1.0], dtype=complex)
+from .linalg import dag, eig_hermitian
 
 # MLE stopping rule (relative log-likelihood improvement), L-BFGS-B cap.
 _MLE_FTOL = 1e-10
 _MLE_MAX_ITER = 2000
+# Largest optimality gap of a converged fit: fits at 500 and 1e5 counts end
+# below 3e-3, one stuck on a face of lower rank at 0.2 to 2.
+_MLE_GAP_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,10 @@ class Projector:
             raise ValueError(f"unknown projector kind {self.kind!r}")
 
     def ket(self) -> np.ndarray:
-        if self.kind == "E":
-            return _KET_E.copy()
-        if self.kind == "L":
-            return _KET_L.copy()
-        return (_KET_E + np.exp(1j * self.phase) * _KET_L) / np.sqrt(2.0)
+        if self.kind == "S":
+            return np.array([1.0, np.exp(1j * self.phase)]) / np.sqrt(2.0)
+        return np.array([1.0, 0.0] if self.kind == "E" else [0.0, 1.0],
+                        dtype=complex)
 
     def matrix(self) -> np.ndarray:
         k = self.ket()
@@ -92,27 +93,27 @@ class TomographyDataset:
         self.counts = np.asarray(self.counts, dtype=float)
         if len(self.counts) != len(self.settings):
             raise ValueError("counts and settings lengths differ")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
+        if not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
+            raise ValueError("counts must be finite and non-negative")
 
 
-def _setting_operators(settings: list[MeasurementSetting]) -> np.ndarray:
-    """The joint projector of each setting, shape (len(settings), 4, 4).
-
-    Each is the rank-1 projector onto the joint ket |xx> (x) |x>, built for
-    all settings at once; equal to stacking ``MeasurementSetting.operator``.
-    """
+def _setting_kets(settings: list[MeasurementSetting]) -> np.ndarray:
+    """The joint ket |k> = |xx> (x) |x> of each setting, shape
+    (len(settings), 4); the setting's operator is |k><k|."""
     kets = np.array([[s.xx.ket(), s.x.ket()] for s in settings]).reshape(
         len(settings), 2, 2)
-    joint = np.einsum("ki,kj->kij", kets[:, 0], kets[:, 1]).reshape(-1, 4)
-    return np.einsum("ki,kj->kij", joint, joint.conj())
+    return (kets[:, 0, :, None] * kets[:, 1, None, :]).reshape(-1, 4)
+
+
+def _probabilities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<k|rho|k> for each row k of ``kets``."""
+    return np.einsum("ki,ij,kj->k", kets.conj(), rho, kets).real
 
 
 def expected_counts(rho: np.ndarray, settings: list[MeasurementSetting],
                     n_mean: float) -> np.ndarray:
-    """Noise-free expected coincidences n_mean * tr(rho P) per setting."""
-    ops = _setting_operators(settings)
-    return n_mean * np.einsum("ij,kji->k", rho, ops).real
+    """Noise-free expected coincidences n_mean * <k|rho|k> per setting."""
+    return n_mean * _probabilities(_setting_kets(settings), rho)
 
 
 def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
@@ -153,22 +154,21 @@ class LinearReconstruction:
 
 
 def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
-    """Invert the 16 linear equations tr(P_k rho) = counts_k / n_hat.
+    """Solve <k|rho|k> = sum_ij conj(k_i) k_j rho_ij = counts_k / n_hat,
+    one equation per setting, for the 16 entries of rho by least squares.
 
-    The output is Hermitian with unit trace but may carry negative
-    eigenvalues at finite counts; ``physical`` flags whether it is PSD
-    within 1e-9.
+    The design must have rank 16.  The output is Hermitian with unit trace
+    but may carry negative eigenvalues at finite counts; ``physical`` flags
+    whether it is PSD within 1e-9.
     """
     n_hat = _estimate_norm(data)
-    probs = data.counts / n_hat
-    basis = hermitian_basis(4)
-    ops = _setting_operators(data.settings)
-    design = np.einsum("kij,bji->kb", ops, basis).real
-    if np.linalg.matrix_rank(design, tol=1e-10) < 16:
+    kets = _setting_kets(data.settings)
+    rows = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)
+    vec, _, rank, _ = np.linalg.lstsq(rows, data.counts / n_hat, rcond=1e-10)
+    if rank < 16:
         raise ValueError("singular design matrix: settings are not "
                          "informationally complete")
-    coeff = np.linalg.solve(design, probs)
-    rho = sum(c * b for c, b in zip(coeff, basis))
+    rho = vec.reshape(4, 4)
     rho = 0.5 * (rho + dag(rho))
     rho = rho / np.trace(rho).real
     w, _ = eig_hermitian(rho, herm_tol=1e-8)
@@ -182,7 +182,7 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
 class MleResult:
     rho: np.ndarray
     converged: bool
-    n_iter: int
+    n_iter: int  # L-BFGS-B iterations, of both runs after a restart
     log_likelihood: float
     deviance: float  # the optimizer's final objective, ~0 at a perfect fit
 
@@ -192,10 +192,11 @@ def _t_from_params(t: np.ndarray) -> np.ndarray:
     return (t[:16] + 1j * t[16:]).reshape(4, 4)
 
 
-def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
+def _poisson_nll_and_grad(t: np.ndarray, kets: np.ndarray,
                           counts: np.ndarray, n_hat: float):
     """Poisson deviance of rho = T^dag T / tr(T^dag T), with its analytic
-    gradient in the 32 real parameters of T.
+    gradient in the 32 real parameters of T.  Setting k, a row of ``kets``,
+    has the mean count mu_k = n_hat q_k / s, q_k = ||T k||^2, s = ||T||_F^2.
 
     The deviance is the negative log-likelihood shifted by the saturated
     model's value, so it is ~0 at a perfect fit; that keeps the optimizer's
@@ -204,23 +205,22 @@ def _poisson_nll_and_grad(t: np.ndarray, ops: np.ndarray,
     d = (mu - c) / c, or as mu where c = 0: neither can round below zero,
     and neither cancels to roundoff near the optimum.  The shift is
     constant in t, so the gradient is that of the log-likelihood itself:
-    with W = d(nll)/dG (Hermitian) at G = T^dag T,
-    d(nll) = 2 Re tr(W T^dag dT), so the gradient in Re T and Im T is the
-    real and imaginary part of 2 T W.
+    with coeff_k = (1 - c_k / mu_k) n_hat / s and K the 4 x n matrix of
+    kets, W = d(nll)/dG = K diag(coeff) K^dag - I sum coeff q / s at
+    G = T^dag T, d(nll) = 2 Re tr(W T^dag dT), and the gradient in Re T and
+    Im T is the real and imaginary part of 2 T W.
     """
     m = _t_from_params(t)
-    g = dag(m) @ m
-    s = np.trace(g).real
-    q = np.einsum("kij,ji->k", ops, g).real
+    tk = m @ kets.T
+    s = t @ t
+    q = np.sum(tk.real ** 2 + tk.imag ** 2, axis=0)
     mu = np.clip(n_hat * q / s, 1e-12, None)
     seen = counts > 0
     d = (mu[seen] - counts[seen]) / counts[seen]
     nll = float(np.sum(counts[seen] * (d - np.log1p(d)))
                 + np.sum(mu[~seen]))
     coeff = (1.0 - counts / mu) * (n_hat / s)
-    w = np.einsum("k,kij->ij", coeff, ops)
-    w = w - np.eye(4) * np.sum(coeff * q) / s
-    grad = 2.0 * m @ w
+    grad = 2.0 * ((tk * coeff) @ kets.conj() - m * (np.sum(coeff * q) / s))
     return nll, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
@@ -228,51 +228,53 @@ def reconstruct_mle(data: TomographyDataset) -> MleResult:
     """Maximum-likelihood density matrix from Poisson counts.
 
     rho = T^dag T / tr(T^dag T) with a full complex 4 x 4 T (32 real
-    parameters), maximizing the Poisson log-likelihood with one
+    parameters), maximizing the Poisson log-likelihood with a
     deterministic L-BFGS-B run from the PSD-projected linear inversion.
     A square factor leaves the factored problem without spurious local
-    minima (Burer and Monteiro, Math. Program. 103, 427 (2005)).
-    Convergence is declared at relative log-likelihood improvement below
-    ``_MLE_FTOL``, or when the line search stalls with no measurable
-    improvement; otherwise ``converged`` is false.
+    minima (Burer and Monteiro, Math. Program. 103, 427 (2005)).  A run
+    stops at relative log-likelihood improvement below ``_MLE_FTOL``.  The
+    deviance is convex in rho with gradient
+    G = n_hat sum_k (1 - c_k / mu_k) |k><k|, so no state lies more than the
+    optimality gap tr(G rho) - lambda_min(G) below the fit; it is
+    ``converged`` when that gap is within ``_MLE_GAP_TOL``.
     """
     if float(np.sum(data.counts)) <= 0:
         raise ValueError("degenerate dataset: all counts are zero, "
                          "likelihood is flat")
     n_hat = _estimate_norm(data)
-    ops = _setting_operators(data.settings)
+    kets = _setting_kets(data.settings)
     counts = data.counts
 
-    def nll_and_grad(t: np.ndarray):
-        return _poisson_nll_and_grad(t, ops, counts, n_hat)
-
-    w, v = eig_hermitian(reconstruct_linear(data).rho, herm_tol=1e-8)
-    w = np.clip(w, 0.0, None)
-    # A zero eigenvalue gives a zero row of T, where the gradient (2 T W)
-    # vanishes too, so L-BFGS-B could not grow that direction again.  Mixing
-    # 1e-8 of the identity (rows of norm 5e-5) lets it grow within the
-    # stopping rule; at 1e-12 some low-count fits stall on a rank-2 face.
-    w = (1 - 1e-8) * w / np.sum(w) + 1e-8 / 4.0
-    t0 = (np.sqrt(w)[:, None] * dag(v)).ravel()
-    t0 = np.concatenate([t0.real, t0.imag])
-
-    res = minimize(nll_and_grad, t0, jac=True, method="L-BFGS-B",
-                   options={"ftol": _MLE_FTOL, "gtol": 1e-12,
-                            "maxiter": _MLE_MAX_ITER,
-                            "maxfun": 10 * _MLE_MAX_ITER})
-    deviance = float(res.fun)
-    # a stall with no measurable improvement satisfies the relative
-    # log-likelihood stopping rule even when the line search aborts
-    improvement = nll_and_grad(t0)[0] - deviance
-    converged = bool(res.success) or (
-        improvement <= _MLE_FTOL * max(1.0, abs(deviance)))
-    m = _t_from_params(res.x)
-    g = dag(m) @ m
-    rho = g / np.trace(g).real
-    mu = np.clip(n_hat * np.einsum("kij,ji->k", ops, rho).real, 1e-12, None)
+    # T = diag(sqrt(w)) V^dag.  A zero eigenvalue gives a zero row of T,
+    # where the gradient (2 T W) vanishes too.  Mixing 1e-8 of I/4 (rows of
+    # norm 5e-5) lets it grow within the stopping rule; a fit that stops on
+    # a face of lower rank anyway is run once more, mixed 1e-2.
+    rho, n_iter = reconstruct_linear(data).rho, 0
+    for mix in (1e-8, 1e-2):
+        w, v = eig_hermitian(rho, herm_tol=1e-8)
+        w = np.clip(w, 0.0, None)
+        w = (1 - mix) * w / np.sum(w) + mix / 4.0
+        t0 = (np.sqrt(w)[:, None] * dag(v)).ravel()
+        t0 = np.concatenate([t0.real, t0.imag])
+        res = minimize(_poisson_nll_and_grad, t0, (kets, counts, n_hat),
+                       jac=True, method="L-BFGS-B",
+                       options={"ftol": _MLE_FTOL, "gtol": 1e-12,
+                                "maxiter": _MLE_MAX_ITER,
+                                "maxfun": 10 * _MLE_MAX_ITER})
+        n_iter += res.nit
+        m = _t_from_params(res.x)
+        g = dag(m) @ m
+        rho = g / np.trace(g).real
+        mu = np.clip(n_hat * _probabilities(kets, rho), 1e-12, None)
+        coeff = n_hat * (1.0 - counts / mu)
+        gap = (coeff @ mu / n_hat
+               - np.linalg.eigvalsh((kets.T * coeff) @ kets.conj())[0])
+        if gap <= _MLE_GAP_TOL:
+            break
     log_lik = float(np.sum(counts * np.log(mu) - mu))
-    return MleResult(rho=rho, converged=converged, n_iter=int(res.nit),
-                     log_likelihood=log_lik, deviance=deviance)
+    return MleResult(rho=rho, converged=bool(gap <= _MLE_GAP_TOL),
+                     n_iter=int(n_iter), log_likelihood=log_lik,
+                     deviance=float(res.fun))
 
 
 # --- dataset file ------------------------------------------------------------
@@ -293,12 +295,10 @@ def load_dataset(path) -> TomographyDataset:
             line = line.strip()
             if line.startswith("# n_mean"):
                 n_mean = float(line.split("=")[1])
-                continue
-            if not line or line.startswith("#"):
-                continue
-            _, xx, x, c = line.split()
-            settings.append(MeasurementSetting(Projector.from_label(xx),
-                                               Projector.from_label(x)))
-            counts.append(float(c))
+            elif line and not line.startswith("#"):
+                _, xx, x, c = line.split()
+                settings.append(MeasurementSetting(Projector.from_label(xx),
+                                                   Projector.from_label(x)))
+                counts.append(float(c))
     return TomographyDataset(settings=settings, counts=np.array(counts),
                              total_per_setting=n_mean)

@@ -141,22 +141,24 @@ def fringe_visibility(rho, relative_phase, n=2 ** 16):
     return (p.max() - p.min()) / (p.max() + p.min())
 
 
-def mle_optimality_gap(rho, counts):
-    """Upper bound on deviance(rho) - min deviance for 16 tomography counts.
+def mle_optimality_gap(rho, counts, kets=None):
+    """Upper bound on deviance(rho) - min deviance for tomography counts.
 
-    The counts are in the library's setting order: per qubit E, L, S(0),
-    S(pi/2), XX photon first, so the four time-basis settings are 0, 1, 4
-    and 5, and their sum is the count scale n.  With mu_k = n tr(P_k rho),
+    ``kets`` holds the joint ket of each setting, XX photon first; by
+    default the library's sixteen in its order: per qubit E, L, S(0),
+    S(pi/2).  The four time-basis settings must be 0, 1, 4 and 5, as in
+    that order and any list that extends it; their sum is the count scale n.  With mu_k = n tr(P_k rho),
     the deviance sum(mu_k - c_k log mu_k) is convex in rho, and its gradient
     is G = n sum_k (1 - c_k / mu_k) P_k.  Over unit-trace PSD states the
     minimum is then at least deviance(rho) - (tr(G rho) - lambda_min(G)).
     """
     counts = np.asarray(counts, dtype=float)
-    kets = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-            np.array([1.0, 1.0]) / np.sqrt(2.0),
-            np.array([1.0, 1.0j]) / np.sqrt(2.0)]
-    joint = [np.kron(a, b) for a in kets for b in kets]
-    ops = np.array([np.outer(k, k.conj()) for k in joint])
+    if kets is None:
+        per_qubit = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                     np.array([1.0, 1.0]) / np.sqrt(2.0),
+                     np.array([1.0, 1.0j]) / np.sqrt(2.0)]
+        kets = [np.kron(a, b) for a in per_qubit for b in per_qubit]
+    ops = np.array([np.outer(k, k.conj()) for k in kets])
     n = counts[[0, 1, 4, 5]].sum()
     mu = n * np.einsum("kij,ji->k", ops, rho).real
     grad = n * np.einsum("k,kij->ij", 1.0 - counts / mu, ops)

@@ -15,6 +15,8 @@ from qdtimebin.linalg import (
     state_fidelity,
 )
 
+from qdtimebin.timebin import concurrence
+
 from oracles import random_density_matrix, random_pure_state
 
 
@@ -112,6 +114,23 @@ def test_check_density_matrix_diagnostics():
         check_density_matrix(bad)
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density_matrix(np.diag([1.1, 0.2, -0.3]).astype(complex))
+
+
+def test_nan_entry_is_a_value_error():
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    for i, j in ((0, 1), (2, 2)):
+        bad = rho.copy()
+        bad[i, j] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(bad)
+        with pytest.raises(ValueError, match="(trace|hermiticity)"):
+            check_density_matrix(bad)
+        with pytest.raises(ValueError):
+            state_fidelity(bad, rho)
+        with pytest.raises(ValueError):
+            state_fidelity(rho, bad)
+        with pytest.raises(ValueError):
+            concurrence(bad)
 
 
 def test_min_eigenvalue():

@@ -122,6 +122,15 @@ def test_model_state_parameter_validation():
         TimeBinModelParams(pairing_weight=0.0)
 
 
+@pytest.mark.parametrize("field", ["phi_p", "epsilon", "v_coh",
+                                   "pairing_weight"])
+@pytest.mark.parametrize("value", [np.nan, True, np.inf],
+                         ids=["nan", "bool", "inf"])
+def test_model_params_reject_nan_inf_and_bool(field, value):
+    with pytest.raises(ValueError, match=field):
+        TimeBinModelParams(**{field: value})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0, 2 * np.pi), st.floats(0, 0.5), st.floats(0, 1))
 def test_model_state_physical(phi, eps, v):

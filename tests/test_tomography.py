@@ -12,7 +12,7 @@ from qdtimebin.tomography import (
     reconstruct_linear,
     reconstruct_mle,
     save_dataset,
-    _setting_operators,
+    _setting_kets,
     simulate_counts,
     standard_settings,
 )
@@ -22,6 +22,10 @@ from oracles import mle_optimality_gap, random_density_matrix
 
 def joint_ops(settings):
     return [s.operator() for s in settings]
+
+
+def joint_kets(settings):
+    return np.array([np.kron(s.xx.ket(), s.x.ket()) for s in settings])
 
 
 # --- settings -------------------------------------------------------------------
@@ -38,10 +42,11 @@ def test_sixteen_settings_informationally_complete():
 def test_setting_operators_match_kron_of_projectors():
     settings = standard_settings() + [
         MeasurementSetting(Projector("S", 1.23), Projector("L"))]
-    ops = _setting_operators(settings)
-    assert ops.shape == (17, 4, 4)
+    kets = _setting_kets(settings)
+    assert kets.shape == (17, 4)
+    ops = kets[:, :, None] * kets[:, None, :].conj()
     assert np.abs(ops - np.array(joint_ops(settings))).max() <= 1e-15
-    assert _setting_operators([]).shape == (0, 4, 4)
+    assert _setting_kets([]).shape == (0, 4)
 
 
 def test_projectors_rank_one_idempotent():
@@ -152,16 +157,16 @@ def test_mle_gradient_matches_finite_differences():
     rho = model_state(TimeBinModelParams(epsilon=0.1, v_coh=0.8))
     data = simulate_counts(rho, standard_settings(), 1e4, seed=3)
     n_hat = _estimate_norm(data)
-    ops = np.array([s.operator() for s in data.settings])
+    kets = joint_kets(data.settings)
     rng = np.random.default_rng(0)
     t = rng.normal(size=32) * 0.3 + np.concatenate([np.eye(4).ravel(),
                                                     np.zeros(16)])
-    val, ana = _poisson_nll_and_grad(t, ops, data.counts, n_hat)
+    val, ana = _poisson_nll_and_grad(t, kets, data.counts, n_hat)
     eps = 1e-6
     num = np.array([
-        (_poisson_nll_and_grad(t + eps * np.eye(32)[i], ops, data.counts,
+        (_poisson_nll_and_grad(t + eps * np.eye(32)[i], kets, data.counts,
                                n_hat)[0]
-         - _poisson_nll_and_grad(t - eps * np.eye(32)[i], ops, data.counts,
+         - _poisson_nll_and_grad(t - eps * np.eye(32)[i], kets, data.counts,
                                  n_hat)[0]) / (2 * eps)
         for i in range(32)])
     assert np.abs(ana - num).max() < 1e-4 * max(1.0, np.abs(num).max())
@@ -223,6 +228,25 @@ def test_mle_low_counts_reach_the_optimum(counts):
     assert mle_optimality_gap(res.rho, counts) <= 1e-2
 
 
+def test_overcomplete_settings_reconstruct():
+    # a 17th setting makes the design (17, 16): both reconstructions must
+    # take any informationally complete list, not only the square one
+    settings = standard_settings() + [
+        MeasurementSetting(Projector("S", 1.0), Projector("S", 2.0))]
+    rho = model_state(TimeBinModelParams(phi_p=0.3, epsilon=0.1, v_coh=0.8))
+    exact = TomographyDataset(settings=settings,
+                              counts=expected_counts(rho, settings, 1e6),
+                              total_per_setting=1e6)
+    assert np.abs(reconstruct_linear(exact).rho - rho).max() <= 1e-12
+    # the first L-BFGS-B run on these counts stops on a rank-3 face, with
+    # an optimality gap of 0.32; the second run must reach the optimum
+    data = simulate_counts(rho, settings, 500.0, seed=3)
+    res = reconstruct_mle(data)
+    assert res.converged
+    assert mle_optimality_gap(res.rho, data.counts,
+                              joint_kets(settings)) <= 1e-2
+
+
 def test_mle_output_always_physical():
     rng = np.random.default_rng(5)
     settings = standard_settings()
@@ -268,6 +292,10 @@ def test_dataset_validation_and_io(tmp_path):
                           total_per_setting=10.0)
     with pytest.raises(ValueError, match="non-negative"):
         TomographyDataset(settings=settings, counts=np.full(16, -1.0),
+                          total_per_setting=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        TomographyDataset(settings=settings,
+                          counts=np.append(np.ones(15), np.nan),
                           total_per_setting=10.0)
     data = simulate_counts(ideal_state(0.0), settings, 1e4, seed=1)
     path = tmp_path / "counts.txt"
