@@ -136,6 +136,16 @@ def _state_metrics(rho: np.ndarray) -> dict:
             "visibility_energy_90": v_e90}
 
 
+def _seed_metrics(rho: np.ndarray, rho_model: np.ndarray) -> dict:
+    """The metrics the report keeps for each seed's reconstruction: a
+    subset of ``_state_metrics``, without the energy-basis fringes."""
+    return {"concurrence": timebin.concurrence(rho),
+            "fidelity": timebin.fidelity_bell(rho)[0],
+            "coherence_abs": abs(timebin.coherence_metric(rho)[0]),
+            "visibility_time": timebin.time_visibility(rho),
+            "state_fidelity_to_model": state_fidelity(rho, rho_model)}
+
+
 def _batch_stats(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
@@ -168,8 +178,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     seeds = [int(s) for s in
              np.random.SeedSequence(seed).generate_state(cfg.tomography.n_seeds)]
     settings = tomography.standard_settings()
-    per_seed = {"concurrence": [], "fidelity": [], "coherence_abs": [],
-                "visibility_time": [], "state_fidelity_to_model": []}
+    per_seed = []
     mle_status = {"converged": [], "n_iter": [], "log_likelihood": [],
                   "deviance": []}
     first_reconstruction = None
@@ -179,10 +188,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         mle = tomography.reconstruct_mle(data)
         for key, values in mle_status.items():
             values.append(getattr(mle, key))
-        m = _state_metrics(mle.rho)
-        m["state_fidelity_to_model"] = state_fidelity(mle.rho, rho_model)
-        for key, values in per_seed.items():
-            values.append(m[key])
+        per_seed.append(_seed_metrics(mle.rho, rho_model))
         if first_reconstruction is None:
             first_reconstruction = mle.rho
             tomography.save_dataset(data, out / "tomography_counts.txt")
@@ -195,7 +201,8 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         "v_coh": v_coh,
         "accidental_fraction": params.accidental_fraction(),
         "model_metrics": _state_metrics(rho_model),
-        "reconstruction": {k: _batch_stats(v) for k, v in per_seed.items()},
+        "reconstruction": {k: _batch_stats([m[k] for m in per_seed])
+                           for k in per_seed[0]},
         "mle": mle_status,
     }
     path = out / "entangle_report.json"

@@ -17,8 +17,9 @@ construction; no other module indexes it.
 
 A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
-``DephasingModel``, may hold one value per drive as well.  One RK45 loop
-(``_rk45_steps``) steps it as one (11, N) system in pulse time
+``DephasingModel``, may hold one value per drive as well.  One window
+stepper (``_window_steps``: scipy's DOP853, or Radau for a window made
+stiff by dephasing) steps it as one (11, N) system in pulse time
 tau = (t - t0) / sigma, over the window |tau| <= ``PULSE_HALF_WIDTH`` that
 every drive shares whatever its sigma: ``emission_after_pulse`` over the
 pulse windows of a batch, adding the emission after the pulse in closed
@@ -34,9 +35,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import DOP853, Radau
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
+from scipy.sparse import csc_matrix
 
 from .linalg import commutator, dag, hermitian_basis, hermiticity_defect
 
@@ -44,7 +46,8 @@ G, X, B = 0, 1, 2
 
 LN2 = math.log(2.0)
 
-# Smallest integration tolerance: RK45 raises any rtol below it to it.
+# Smallest integration tolerance: scipy raises any rtol below it to it, in
+# DOP853 and Radau alike.
 TOL_FLOOR = 100 * np.finfo(float).eps
 # Half-width of a pulse window in pulse time tau = (t - t0) / sigma.
 PULSE_HALF_WIDTH = 5.0
@@ -57,10 +60,16 @@ _N_STATE = 11
 # Coordinates of a Hermitian m: tr(dual_k m), with dual_k = B_k / tr(B_k^2).
 _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 
-# Accepted RK45 steps one run of ``_rk45_steps`` may take.  A pulse window
-# takes 120-450 at tol 1e-8; a window made stiff by intensity dephasing
-# (sigma 1e-6 with gamma_i0 * omega0^2 ~ 3e12 /ps) would take millions.
-_MAX_RK45_STEPS = 100_000
+# Accepted steps one run of ``_window_steps`` may take, a guard.  At tol
+# 1e-8 a pulse window takes 40-440 DOP853 steps (40 under the cap of span/40)
+# and the batch of a fit 254; a window made stiff by intensity dephasing
+# (sigma 1e-6 with gamma_i0 * omega0^2 ~ 3e12 /ps) would take millions, and
+# is stepped by Radau instead.
+_MAX_WINDOW_STEPS = 100_000
+# Real stability limit of DOP853: h |lambda| <= 6.39 for a real negative
+# eigenvalue lambda, from the stability function of scipy's tableau
+# (RK45's is 3.31).
+_EXPLICIT_STABILITY = 6.39
 
 
 class IntegrationError(RuntimeError):
@@ -72,7 +81,8 @@ class IntegrationError(RuntimeError):
 
 
 class StepBudgetError(IntegrationError):
-    """``_rk45_steps`` took ``_MAX_RK45_STEPS`` steps before its span ended."""
+    """``_window_steps`` took ``_MAX_WINDOW_STEPS`` steps before its span
+    ended."""
 
 
 def check_field(name: str, value, ok, need: str) -> None:
@@ -301,7 +311,7 @@ def _check_drift(times, y: np.ndarray, cap: float) -> None:
 
 @dataclass
 class Trajectory:
-    """Master-equation solution at the accepted RK45 steps, spaced as
+    """Master-equation solution at the accepted window steps, spaced as
     ``tol`` allows, and at the rows of the exact drive-off propagation."""
 
     times: np.ndarray                  # strictly increasing, shape (n,)
@@ -341,9 +351,49 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     return start, end + 10.0 / decay.gamma_x
 
 
-def _rk45_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
-                deph: DephasingModel, tau_span: tuple[float, float],
-                tol: float):
+def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
+                   tau_span: tuple[float, float]):
+    """DOP853, or Radau for a batch whose dephasing alone would force DOP853
+    past ``_MAX_WINDOW_STEPS`` steps over ``tau_span``.
+
+    rp is diagonal, so sigma_n rate_n |rp| bounds the real eigenvalues of
+    drive n's generator that dephasing adds; DOP853 is stable only for
+    steps with h |lambda| <= ``_EXPLICIT_STABILITY``.  The rate is taken at
+    each drive's peak amplitude.  Windows limited by oscillation (a large
+    sigma times the detuning or the drive) stay explicit: an implicit step
+    must follow the oscillation too, so Radau would gain nothing there.
+    """
+    radius = np.abs(rp).max() * np.max(drive.sigma * deph.rate(drive.omega0))
+    steps = (tau_span[1] - tau_span[0]) * radius / _EXPLICIT_STABILITY
+    return Radau if steps > _MAX_WINDOW_STEPS else DOP853
+
+
+def _block_jacobian(drive: PulseDrive, deph: DephasingModel, r0, rd, rp,
+                    n: int):
+    """Jacobian of ``_window_steps``' right-hand side at pulse time tau, a
+    function of (tau, y).  For the (11, N) state raveled row-major it is
+    block diagonal over the drives: entry (k N + n, l N + n) is
+    sigma_n (r0 + omega_n rd + rate_n rp)[k, l], 121 N entries in all."""
+    size = _N_STATE * n
+    # in CSC order, column l N + n holds rows k N + n, k = 0 .. 10
+    rows = np.tile((np.arange(0, size, n) + np.arange(n)[:, None]).ravel(),
+                   _N_STATE)
+    starts = np.arange(0, _N_STATE * size + 1, _N_STATE)
+
+    def jac(tau, y):
+        omega_t = drive.amplitude_at(tau)
+        blocks = drive.sigma * (r0[:, :, None] + rd[:, :, None] * omega_t
+                                + rp[:, :, None] * deph.rate(omega_t))
+        blocks = np.broadcast_to(blocks, (_N_STATE, _N_STATE, n))
+        return csc_matrix((blocks.transpose(1, 2, 0).ravel(), rows, starts),
+                          shape=(size, size))
+
+    return jac
+
+
+def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
+                  deph: DephasingModel, tau_span: tuple[float, float],
+                  tol: float):
     """Step the N drives of ``drive`` (one per entry of its ``omega0``) from
     the (11, N) states ``y0`` as one system over ``tau_span`` in pulse time
     tau = (t - t0) / sigma; yield (t, Y) at the start and at each accepted
@@ -355,63 +405,74 @@ def _rk45_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     its amplitude at its own time t0 + sigma tau.  ``drive.sigma``,
     ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
     drives of different sigma share the window |tau| <= PULSE_HALF_WIDTH
-    and one step sequence.  scipy's RK45 chooses every step, the first
-    included, from rtol = atol = tol/sqrt(N): the RMS error norm over all
-    11 N components is at most 1 only if each drive's own norm at ``tol``
-    is; rtol never falls below ``TOL_FLOOR``, RK45's own floor.  Drift beyond 100*tol at
-    the start or at a step, a right-hand side that is not finite at the
-    start, a failed step, or a step beyond ``_MAX_RK45_STEPS`` before
-    ``tau_span`` ends (StepBudgetError) raises IntegrationError with its
-    time in ps: that of the drive that drifts or is not finite, or of the
-    first drive for a failure of the whole system, whose message gives the
-    tau where the shared step sequence stopped.  Iterate under
+    and one step sequence.  The method is scipy's DOP853, or Radau with the
+    exact sparse Jacobian where dephasing makes the window stiff
+    (``_window_method``); it chooses every step, the first included, from
+    rtol = atol = tol/sqrt(N): the RMS error norm over all 11 N components
+    is at most 1 only if each drive's own norm at ``tol`` is; rtol never
+    falls below ``TOL_FLOOR``.  Drift beyond 100*tol at the start or at a
+    step, a right-hand side that is not finite at the start, a failed step,
+    or a step beyond ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends
+    (StepBudgetError) raises IntegrationError with its time in ps: that of
+    the drive that drifts or is not finite, or of the first drive for a
+    failure of the whole system, whose message names the method and gives
+    the tau where the shared step sequence stopped.  Iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
-    r = np.vstack(_real_generator(drive, decay))
+    r0, rd, rp = _real_generator(drive, decay)
+    r = np.hstack((r0, rd, rp))
     sigma = drive.sigma
+    # rhs fills this with [sigma Y; sigma omega Y; sigma rate Y], so that
+    # one (11, 33) product applies the generator: fewer passes over the
+    # state and no temporaries, where scaling and adding r0 Y, rd Y and rp Y
+    # would take five of each
+    scaled = np.empty((3, _N_STATE, n))
 
     def times(tau):
         return drive.t0 + sigma * tau
 
     def rhs(tau, y):
         omega_t = drive.amplitude_at(tau)
-        a = r @ y.reshape(_N_STATE, n)
-        return (sigma * (a[:_N_STATE] + a[_N_STATE:2 * _N_STATE] * omega_t
-                         + a[2 * _N_STATE:] * deph.rate(omega_t))).ravel()
+        y = y.reshape(_N_STATE, n)
+        np.multiply(y, sigma, out=scaled[0])
+        np.multiply(y, sigma * omega_t, out=scaled[1])
+        np.multiply(y, sigma * deph.rate(omega_t), out=scaled[2])
+        return (r @ scaled.reshape(3 * _N_STATE, n)).ravel()
 
     tau0, tau1 = tau_span
     cap, rtol, y = 100.0 * tol, max(tol / math.sqrt(n), TOL_FLOOR), y0.ravel()
     _check_drift(times(tau0), y0, cap)
-    # RK45 with a derivative that is not finite never returns.
+    # A solver with a derivative that is not finite never returns.
     bad = ~np.isfinite(rhs(tau0, y).reshape(_N_STATE, n)).all(axis=0)
     if bad.any():
         raise IntegrationError("right-hand side is not finite",
                                _time_of(times(tau0), np.argmax(bad)))
-    # RK45's fifth argument caps each step at 1/40 of the span (sigma/4 in
-    # a pulse window).  The cap binds only on the rising edge of a pulse,
-    # where the drive is still weak and RK45 would step up to sigma/2: a
-    # few steps more, and at sigma 1 under quartic dephasing about half the
-    # error against a DOP853 reference.
-    solver = RK45(rhs, tau0, y, tau1, (tau1 - tau0) / 40.0, rtol=rtol,
-                  atol=rtol)
+    method = _window_method(drive, deph, rp, tau_span)
+    # Each step is capped at 1/40 of the span (sigma/4 in a pulse window).
+    # The cap binds only on the rising edge of a pulse, where the drive is
+    # still weak and the solver would step up to sigma/2.
+    options = ({"jac": _block_jacobian(drive, deph, r0, rd, rp, n)}
+               if method is Radau else {})
+    solver = method(rhs, tau0, y, tau1, max_step=(tau1 - tau0) / 40.0,
+                    rtol=rtol, atol=rtol, **options)
     yield times(tau0), y0
-    for _ in range(_MAX_RK45_STEPS):
+    for _ in range(_MAX_WINDOW_STEPS):
         if solver.status != "running":
             return
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(
-                f"integration failed at pulse time tau = {solver.t:.6g}: "
-                f"{message}", _time_of(times(solver.t), 0))
+                f"{method.__name__} integration failed at pulse time tau = "
+                f"{solver.t:.6g}: {message}", _time_of(times(solver.t), 0))
         y = solver.y.reshape(_N_STATE, n)
         _check_drift(times(solver.t), y, cap)
         yield times(solver.t), y
     if solver.status == "running":
         raise StepBudgetError(
-            f"RK45 step budget of {_MAX_RK45_STEPS} steps exhausted at pulse "
-            f"time tau = {solver.t:.6g}, before the span ends at tau = "
-            f"{tau1:.6g}: the equations are too stiff",
+            f"{method.__name__} step budget of {_MAX_WINDOW_STEPS} steps "
+            f"exhausted at pulse time tau = {solver.t:.6g}, before the span "
+            f"ends at tau = {tau1:.6g}: the window needs more steps",
             _time_of(times(solver.t), 0))
 
 
@@ -440,11 +501,11 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
            ) -> Trajectory:
     """Integrate the master equation from ``rho0`` over ``t_span``.
 
-    RK45 (``_rk45_steps``, one drive, rtol = atol = ``tol``) steps the part
+    ``_window_steps`` (one drive, rtol = atol = ``tol``) steps the part
     inside the pulse window of a ``PulseDrive`` in its pulse time, storing
     every accepted step at t0 + sigma tau; ``tol`` sets their length.  It
     bounds the error of each step, not of the result: against DOP853 at
-    rtol 1e-13, the emission it gives for one pulse is up to ~11*tol off.
+    rtol 1e-13, the emission it gives for one pulse is up to ~3*tol off.
     Outside the window the drive is off (``pulse_window``), and the state
     is propagated exactly with r0 + deph.rate(0) rp onto a uniform grid.
     A ``ConstantDrive`` is propagated exactly over the whole span with
@@ -471,7 +532,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     parts = [(np.array([t0]), _initial_state(rho0, cap, t0)[:, None])]
     # Overflow and NaN end as IntegrationError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # RK45 steps (a, b), where the drive is on; gen is constant outside
+        # the window is stepped over (a, b), where the drive is on; gen is
+        # constant outside
         if isinstance(drive, PulseDrive):
             a, b = (min(max(t, t0), t1) for t in pulse_window(drive))
             gen = r0 + float(deph.rate(0.0)) * rp
@@ -481,9 +543,9 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         if a > t0:
             parts.append(_propagate_exactly(gen, parts[-1][1][:, -1], t0, a, cap))
         if b > a:
-            steps = _rk45_steps(parts[-1][1][:, -1:], drive, decay, deph,
-                                ((a - drive.t0) / drive.sigma,
-                                 (b - drive.t0) / drive.sigma), tol)
+            steps = _window_steps(parts[-1][1][:, -1:], drive, decay, deph,
+                                  ((a - drive.t0) / drive.sigma,
+                                   (b - drive.t0) / drive.sigma), tol)
             next(steps)  # the start is stored already
             ts, ys = zip(*steps)
             parts.append((np.array(ts, dtype=float), np.hstack(ys)))
@@ -530,14 +592,14 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     amplitude.
 
     The pulse windows of all amplitudes are stepped as one system in pulse
-    time (``_rk45_steps``), whatever their sigma; p_i is gamma_i times the
+    time (``_window_steps``), whatever their sigma; p_i is gamma_i times the
     integral of the level-i population it carries, plus the emission after
     the pulse in closed form.  After the drive is off the populations decay
     freely, so the remaining emission of a level with a positive rate
     equals the population left on it, and rho_bb also feeds the exciton.
     A level with zero rate emits nothing after the pulse.  ``tol`` bounds
     the error of each step, not of p: against DOP853 at rtol 1e-13, p is up
-    to ~6*tol off in a batch and ~11*tol for one amplitude.  When
+    to ~3*tol off, in a batch and for one amplitude alike.  When
     tol/sqrt(N) would fall below ``TOL_FLOOR``, the amplitudes are stepped
     in chunks of floor((tol/TOL_FLOOR)^2), rounded down to a multiple of
     ``block`` but never below it: a chunk never splits a block of ``block``
@@ -545,7 +607,8 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     the amplitude.
     When the whole system fails (a failed step, or the step budget), an
     IntegrationError's ``t`` is drive 0's time, which may not be the drive
-    RK45 cannot follow; its message gives the pulse time tau shared by all.
+    the method cannot follow; its message names the method and gives the
+    pulse time tau shared by all.
     """
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
@@ -566,10 +629,11 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
                           t0=_entries(drive.t0, part))
         rates = DephasingModel(*(_entries(v, part) for v in (
             deph.gamma_bg, deph.gamma_i0, deph.n_p)))
-        with np.errstate(over="ignore", invalid="ignore"):  # see _rk45_steps
-            for _, y in _rk45_steps(np.repeat(y0, len(w), axis=1), columns,
-                                    decay, rates,
-                                    (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH), tol):
+        with np.errstate(over="ignore", invalid="ignore"):  # see _window_steps
+            for _, y in _window_steps(np.repeat(y0, len(w), axis=1), columns,
+                                      decay, rates,
+                                      (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH),
+                                      tol):
                 pass
         tail_b = y[B] if decay.gamma_b > 0 else 0.0
         tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0

@@ -104,10 +104,10 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str, curves: list,
     the batch fails, every point is integrated alone, curve by curve in
     index order, and each failed point leaves NaN entries and an (index,
     message) failure record.  omega0 increases with the index (both sweeps
-    demand increasing abscissae), and with it the coupling and the
-    dephasing rate at every t; so once a point exhausts the RK45 step
-    budget, every later point of its curve is recorded as failed without
-    being integrated.
+    demand increasing abscissae), and with it the coupling, the oscillation
+    rate and the dephasing rate at every t; so once a point exhausts the
+    window step budget, every later point of its curve is recorded as
+    failed without being integrated.
     """
     n = len(abscissa)
     drives, models = zip(*curves)
@@ -131,8 +131,8 @@ def _sweep_points(abscissa: np.ndarray, abscissa_kind: str, curves: list,
             if k in stiff:
                 failures[k].append((i, (
                     f"not integrated: point {stiff[k]} (abscissa "
-                    f"{abscissa[stiff[k]]:.6g}) exhausted the RK45 step "
-                    f"budget, and a larger omega0 is stiffer")))
+                    f"{abscissa[stiff[k]]:.6g}) exhausted the window step "
+                    f"budget, and a larger omega0 needs more steps")))
                 continue
             try:
                 (p_x[j],), (p_b[j],) = emission_after_pulse(
@@ -243,7 +243,7 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     with positive curvature the minimum.  The interpolant's values there
     are returned.
 
-    All drives of a batch are one RK45 system and share one step sequence,
+    All drives of a batch are one system and share one step sequence,
     so the integrator's error is a smooth function of area, and the
     interpolant converges spectrally, down to the integrator's tolerance.
     ``emission_after_pulse`` never splits the 48 areas into chunks.

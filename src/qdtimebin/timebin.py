@@ -115,16 +115,20 @@ def _fringe(rho: np.ndarray, relative_phase: float) -> float:
     return (hi - lo) / (hi + lo)
 
 
+def time_visibility(rho: np.ndarray) -> float:
+    """Time-basis correlation P_ee + P_ll - P_el - P_le."""
+    d = np.real(np.diag(rho))
+    return float(d[EE] + d[LL] - d[EL] - d[LE])
+
+
 def visibilities(rho: np.ndarray) -> tuple[float, float, float]:
     """(time-basis correlation, energy-basis fringe visibilities at 0, pi/2).
 
-    The time-basis value is P_ee + P_ll - P_el - P_le; the energy-basis
-    values are coincidence fringe contrasts when both analysis qubits are
+    The time-basis value is ``time_visibility``; the energy-basis values
+    are coincidence fringe contrasts when both analysis qubits are
     projected onto superposition states with a common scanned phase.
     """
-    d = np.real(np.diag(rho))
-    v_time = float(d[EE] + d[LL] - d[EL] - d[LE])
-    return v_time, _fringe(rho, 0.0), _fringe(rho, np.pi / 2.0)
+    return time_visibility(rho), _fringe(rho, 0.0), _fringe(rho, np.pi / 2.0)
 
 
 def concurrence(rho: np.ndarray) -> float:

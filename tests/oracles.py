@@ -61,14 +61,17 @@ def propagate_expm(rho0, h, jumps, t):
 
 
 def pulse_emission(areas, sigma, delta_x, gamma_b, gamma_x, gamma_bg,
-                   gamma_i0, n_p):
+                   gamma_i0, n_p, method="DOP853"):
     """Total (p_x, p_b) of a Gaussian two-photon pulse from the ground state,
     one entry per pulse area, on two-photon resonance.
 
-    DOP853 at rtol 1e-13 integrates the column-stacked density matrices of
-    all areas, with the integrals of rho_xx and rho_bb, over t0 +- 5 sigma
-    (t0 = 0).  The emission after the window is the population left on each
-    level with a positive rate, rho_bb also feeding the exciton.
+    scipy's ``method`` at rtol 1e-13 integrates the column-stacked density
+    matrices of all areas, with the integrals of rho_xx and rho_bb, over
+    t0 +- 5 sigma (t0 = 0), as the real and imaginary parts of one real
+    vector: Radau, for a window made stiff by dephasing, takes no complex
+    state, and gets a finite-difference Jacobian.  The emission after the
+    window is the population left on each level with a positive rate,
+    rho_bb also feeding the exciton.
     """
     areas = np.asarray(areas, dtype=float)
     n = len(areas)
@@ -82,18 +85,18 @@ def pulse_emission(areas, sigma, delta_x, gamma_b, gamma_x, gamma_bg,
     xx, bb = X + 3 * X, B + 3 * B  # column-stacking indices
 
     def rhs(t, y):
-        v = y.reshape(11, n)
+        v = np.ascontiguousarray(y).view(complex).reshape(11, n)
         omega = peak * np.exp(-np.log(2.0) * t ** 2 / sigma ** 2)
         rate = gamma_bg + gamma_i0 * omega ** n_p
         dv = (s_static @ v[:9] + (s_drive @ v[:9]) * omega
               + (s_deph @ v[:9]) * rate)
-        return np.vstack([dv, v[[xx, bb]]]).ravel()
+        return np.vstack([dv, v[[xx, bb]]]).ravel().view(float)
 
     y0 = np.zeros((11, n), dtype=complex)
     y0[0] = 1.0
-    sol = solve_ivp(rhs, (-5.0 * sigma, 5.0 * sigma), y0.ravel(),
-                    method="DOP853", rtol=1e-13, atol=1e-15)
-    v = sol.y[:, -1].reshape(11, n).real
+    sol = solve_ivp(rhs, (-5.0 * sigma, 5.0 * sigma), y0.ravel().view(float),
+                    method=method, rtol=1e-13, atol=1e-15)
+    v = sol.y[:, -1].view(complex).reshape(11, n).real
     tail_b = v[bb] if gamma_b > 0 else 0.0
     tail_x = v[xx] + tail_b if gamma_x > 0 else 0.0
     return gamma_x * v[9] + tail_x, gamma_b * v[10] + tail_b

@@ -46,6 +46,13 @@ import oracles
 DECAY = DecayRates(gamma_b=0.004, gamma_x=0.002)
 
 
+@pytest.fixture(autouse=True)
+def explicit_windows_only(window_methods):
+    # no acceptance regime is stiff: DOP853 steps every pulse window
+    yield
+    assert set(window_methods) <= {"DOP853"}
+
+
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail

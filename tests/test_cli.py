@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from qdtimebin import dynamics
 from qdtimebin.cli import main
 from qdtimebin.config import RunConfig
+
+import oracles
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -268,11 +271,11 @@ def test_wrong_type_value_exits_2_naming_key(key, value):
 def test_extreme_number_exits_0_2_or_3(key, value, command):
     # an extreme number is a config problem, a numerical failure or a
     # result, never an escaping exception or a numpy warning; a smaller
-    # step budget ends stiff cases quickly
+    # step budget ends long windows quickly
     _, path = key
     data = _full_config_with(path, value)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dynamics, "_MAX_RK45_STEPS", 2_000), \
+            mock.patch.object(dynamics, "_MAX_WINDOW_STEPS", 2_000), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         cfg = write_config(Path(tmp), data)
@@ -480,9 +483,26 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     assert out["achieved_ratio"] == pytest.approx(ratio, rel=1e-6)
 
 
-def test_stiff_pulse_window_exits_3_within_step_budget(tmp_path, capsys):
+def test_benchmark_configs_step_with_dop853(tmp_path, window_methods):
+    # every pulse window of the benchmark's passes, warm-ups included, is
+    # stepped by DOP853: none of its regimes is stiff
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        plan = workloads.build(name, 1)
+        for command, config in plan["warmup"] + plan["steps"]:
+            cfg = write_config(tmp_path, plan["configs"][config])
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+    assert len(window_methods) >= 6 and set(window_methods) == {"DOP853"}
+
+
+def test_stiff_pulse_window_steps_with_radau(tmp_path):
     # intensity dephasing of ~3e12 /ps at the peak of a 1e-6 ps pulse would
-    # take explicit RK45 ~1.4e6 steps; the step budget ends it
+    # take DOP853 millions of steps; Radau steps the window instead, and the
+    # yields match the oracle, integrated by Radau as well
     data = evolve_config(area=20.0)
     data["dot"]["delta_x"] = 3.5
     data["pulse"]["sigma"] = 1e-6
@@ -490,12 +510,20 @@ def test_stiff_pulse_window_exits_3_within_step_budget(tmp_path, capsys):
     cfg = write_config(tmp_path, data)
     start = time.monotonic()
     assert main(["evolve", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == 3
-    assert time.monotonic() - start < 60.0
-    err = capsys.readouterr().err
-    assert "numerical failure at t = " in err
-    assert "step budget" in err
-    assert err.count("t =") == 1
+                 "--out", str(tmp_path)]) == 0
+    assert time.monotonic() - start < 10.0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    pop, p_x, p_b = rows[:, 1:4], rows[:, 6], rows[:, 7]
+    assert (pop >= -1e-9).all() and (p_b >= 0.0).all()
+    assert (p_b <= p_x).all() and (p_x <= 1.0).all()
+    # after the last row each level emits the population left on it, and
+    # rho_bb feeds the exciton as well
+    ref_x, ref_b = oracles.pulse_emission([20.0], 1e-6, 3.5, 0.004, 0.002,
+                                          0.01, 0.0349, 2, method="Radau")
+    _, rho_xx, rho_bb = pop[-1]
+    assert p_x[-1] + rho_xx + rho_bb == pytest.approx(ref_x[0], abs=20e-8)
+    assert p_b[-1] + rho_bb == pytest.approx(ref_b[0], abs=20e-8)
 
 
 def test_entangle_report_records_mle_status_per_seed(tmp_path):

@@ -295,9 +295,9 @@ def test_constant_drive_is_propagated_exactly(monkeypatch):
     # a constant generator needs no stepping: one exact stretch, with the
     # intensity dephasing at the drive's constant amplitude
     def no_steps(*args, **kwargs):
-        raise AssertionError("a ConstantDrive was stepped by RK45")
+        raise AssertionError("a ConstantDrive was stepped")
 
-    monkeypatch.setattr(dynamics, "_rk45_steps", no_steps)
+    monkeypatch.setattr(dynamics, "_window_steps", no_steps)
     rng = np.random.default_rng(17)
     omega, dx, db, gb, gx = 1.1, 0.8, 0.2, 0.3, 0.6
     deph = DephasingModel(gamma_bg=0.05, gamma_i0=0.2, n_p=2)
@@ -354,7 +354,7 @@ def test_failed_mixed_sigma_batch_names_its_pulse_time(monkeypatch):
     # sigma 1000 with delta_x 3.5 is more than 2,000 steps can follow; the
     # whole system fails, so the message gives the pulse time at which the
     # shared step sequence stopped, and t is drive 0's time there
-    monkeypatch.setattr(dynamics, "_MAX_RK45_STEPS", 2_000)
+    monkeypatch.setattr(dynamics, "_MAX_WINDOW_STEPS", 2_000)
     sigma = np.repeat([4.0, 1000.0], 4)
     energies = np.tile([2.0, 5.5, 9.0, 16.0], 2)
     drive = PulseDrive(omega0=np.sqrt(energies / sigma), sigma=sigma,
@@ -367,6 +367,61 @@ def test_failed_mixed_sigma_batch_names_its_pulse_time(monkeypatch):
     tau = float(re.search(r"at pulse time tau = (\S+),", message).group(1))
     assert -5.0 < tau < 5.0
     assert err.value.t == pytest.approx(4.0 * tau, rel=1e-5)
+
+
+def test_stiff_window_steps_with_radau(window_methods):
+    # dephasing of ~3e12 /ps at the peak of a 1e-6 ps pulse would force
+    # DOP853 to millions of steps, past the budget: Radau steps that
+    # window; the 12 ps pulse of the same area and model is not stiff
+    deph = DephasingModel(0.01, 0.0349, 2)
+    for sigma in (1e-6, 12.0):
+        drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, sigma)]),
+                           sigma=sigma, delta_x=3.5)
+        p_x, p_b = emission_after_pulse(drive, DecayRates(0.004, 0.002), deph)
+        assert 0.0 <= p_b[0] <= p_x[0] <= 1.0
+    assert window_methods == ["Radau", "DOP853"]
+
+
+def test_forced_radau_matches_dop853(monkeypatch, window_methods):
+    # at sigma 1e-3 the bound on DOP853's steps is ~1.2e4; under a budget of
+    # 5,000 Radau steps the same batch, and the two agree
+    drive = PulseDrive(omega0=omega0_for_area(np.array([5.0, 20.0]), 1e-3),
+                       sigma=1e-3, delta_x=3.5)
+    decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
+    explicit = np.array(emission_after_pulse(drive, decay, deph))
+    monkeypatch.setattr(dynamics, "_MAX_WINDOW_STEPS", 5_000)
+    implicit = np.array(emission_after_pulse(drive, decay, deph))
+    assert window_methods == ["DOP853", "Radau"]
+    assert np.abs(implicit - explicit).max() < 1e-10
+
+
+def test_block_jacobian_applies_lindblad_rhs():
+    # Radau's Jacobian is, per drive, sigma times the master equation at
+    # its own time t0 + sigma tau, on the coordinates of rho, and sigma
+    # times rho_xx and rho_bb on the two integrals
+    drive = PulseDrive(omega0=np.array([0.3, 1.2, 2.0]),
+                       sigma=np.array([1.0, 4.0, 12.0]),
+                       t0=np.array([0.0, -3.0, 2.0]), delta_x=3.5,
+                       delta_b=0.1)
+    gamma_i0, decay = np.array([0.0, 0.0349, 0.1]), DecayRates(0.004, 0.002)
+    jac = dynamics._block_jacobian(
+        drive, DephasingModel(0.01, gamma_i0, 2),
+        *_real_generator(drive, decay), 3)(0.7, None)
+    assert jac.nnz == 121 * 3
+    y = np.random.default_rng(5).normal(size=(11, 3))
+    dy = (jac @ y.ravel()).reshape(11, 3)
+    basis = hermitian_basis(3)
+    for i in range(3):
+        one = PulseDrive(drive.omega0[i], drive.sigma[i], drive.t0[i],
+                         delta_x=3.5, delta_b=0.1)
+        rho = np.einsum("k,kij->ij", y[:9, i], basis)
+        ref = one.sigma * lindblad_rhs(
+            rho, one.t0 + 0.7 * one.sigma, one, decay,
+            DephasingModel(0.01, gamma_i0[i], 2))
+        assert np.abs(np.einsum("k,kij->ij", dy[:9, i], basis)
+                      - ref).max() < 1e-12
+        assert np.abs(dy[9:, i] - one.sigma * rho[[X, B], [X, B]]).max() \
+            < 1e-12
 
 
 @pytest.mark.parametrize("drive, deph, t_span", [
