@@ -178,23 +178,16 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     seeds = [int(s) for s in
              np.random.SeedSequence(seed).generate_state(cfg.tomography.n_seeds)]
     settings = tomography.standard_settings()
-    per_seed = []
-    mle_status = {"converged": [], "n_iter": [], "log_likelihood": [],
-                  "deviance": []}
-    first_reconstruction = None
-    for s in seeds:
-        data = tomography.simulate_counts(rho_model, settings,
-                                          cfg.tomography.n_mean, s)
-        mle = tomography.reconstruct_mle(data)
-        for key, values in mle_status.items():
-            values.append(getattr(mle, key))
-        per_seed.append(_seed_metrics(mle.rho, rho_model))
-        if first_reconstruction is None:
-            first_reconstruction = mle.rho
-            tomography.save_dataset(data, out / "tomography_counts.txt")
-
-    timebin.export_density_csv(first_reconstruction,
-                               out / "reconstructed_state.csv")
+    datasets = [tomography.simulate_counts(rho_model, settings,
+                                           cfg.tomography.n_mean, s)
+                for s in seeds]
+    fits = tomography.reconstruct_mle_many(datasets)
+    per_seed = [_seed_metrics(mle.rho, rho_model) for mle in fits]
+    mle_status = {key: [getattr(mle, key) for mle in fits]
+                  for key in ("converged", "n_iter", "log_likelihood",
+                              "deviance")}
+    tomography.save_dataset(datasets[0], out / "tomography_counts.txt")
+    timebin.export_density_csv(fits[0].rho, out / "reconstructed_state.csv")
     report = {
         "config": cfg.resolved(),
         "seed": seed,

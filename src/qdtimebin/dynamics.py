@@ -66,6 +66,13 @@ _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 # (sigma 1e-6 with gamma_i0 * omega0^2 ~ 3e12 /ps) would take millions, and
 # is stepped by Radau instead.
 _MAX_WINDOW_STEPS = 100_000
+# DOP853 steps that dephasing alone forces (``_window_method``) above which
+# Radau steps the window.  Measured crossover, sigma 1e-2 to 1.5e-4, area
+# 5-20, gamma_i0 0.0349, delta_x 3.5, tol 1e-8 (2-core x86-64 VM, one
+# thread): ~360 steps for one drive, ~1,500 for 48, ~3,500 for 288 and
+# ~6,000 for 1,000; at 12,000 Radau takes 0.22 s for one drive where DOP853
+# takes 2.66 s.
+_RADAU_STEPS = 6_000
 # Real stability limit of DOP853: h |lambda| <= 6.39 for a real negative
 # eigenvalue lambda, from the stability function of scipy's tableau
 # (RK45's is 3.31).
@@ -290,13 +297,14 @@ def _time_of(times, k: int) -> float:
     return float(times[k] if np.ndim(times) else times)
 
 
-def _check_drift(times, y: np.ndarray, cap: float) -> None:
+def _check_drift(times, y: np.ndarray, cap: float, where: str) -> None:
     """Raise IntegrationError at the first state that is not finite or whose
     trace drift exceeds ``cap``; rho is Hermitian by construction.
 
     ``y`` holds the integrated states as columns, shape (11, n), and
     ``times`` the time of each column (``_time_of``): the stored steps of
-    one trajectory, or the drives of a batch at one step.
+    one trajectory, or the drives of a batch at one step.  The message ends
+    "in the {where}", naming what computed the states.
     """
     drift = np.abs(y[:3].sum(axis=0) - 1.0)
     bad = ~((drift <= cap) & np.isfinite(y).all(axis=0))
@@ -304,7 +312,8 @@ def _check_drift(times, y: np.ndarray, cap: float) -> None:
         i = int(np.argmax(bad))
         message = (f"trace drift {drift[i]:.3e} exceeds {cap:.1e}"
                    if not drift[i] <= cap else "state is not finite")
-        raise IntegrationError(message, _time_of(times, i))
+        raise IntegrationError(f"{message} in the {where}",
+                               _time_of(times, i))
 
 
 # --- evolution --------------------------------------------------------------
@@ -354,18 +363,23 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
                    tau_span: tuple[float, float]):
     """DOP853, or Radau for a batch whose dephasing alone would force DOP853
-    past ``_MAX_WINDOW_STEPS`` steps over ``tau_span``.
+    past ``_RADAU_STEPS`` steps over ``tau_span``.
 
-    rp is diagonal, so sigma_n rate_n |rp| bounds the real eigenvalues of
-    drive n's generator that dephasing adds; DOP853 is stable only for
-    steps with h |lambda| <= ``_EXPLICIT_STABILITY``.  The rate is taken at
-    each drive's peak amplitude.  Windows limited by oscillation (a large
-    sigma times the detuning or the drive) stay explicit: an implicit step
-    must follow the oscillation too, so Radau would gain nothing there.
+    rp is diagonal, so sigma_n rate_n(tau) |rp| bounds the real eigenvalues
+    of drive n's generator that dephasing adds at pulse time tau; DOP853 is
+    stable only for steps with h |lambda| <= ``_EXPLICIT_STABILITY``, so it
+    takes at least the integral of sigma_n |rp| rate_n / 6.39 over the span
+    (trapezoids on 41 points: the rate of a Gaussian drive is smooth, and
+    an estimate needs no more).
+    Windows limited by oscillation (a large sigma times the detuning or the
+    drive) stay explicit: an implicit step must follow the oscillation too,
+    so Radau would gain nothing there.
     """
-    radius = np.abs(rp).max() * np.max(drive.sigma * deph.rate(drive.omega0))
-    steps = (tau_span[1] - tau_span[0]) * radius / _EXPLICIT_STABILITY
-    return Radau if steps > _MAX_WINDOW_STEPS else DOP853
+    tau = np.linspace(tau_span[0], tau_span[1], 41)
+    rate = deph.rate(drive.amplitude_at(tau[:, None]))
+    steps = (np.abs(rp).max() / _EXPLICIT_STABILITY * np.max(
+        drive.sigma * np.trapezoid(rate, tau, axis=0)))
+    return Radau if steps > _RADAU_STEPS else DOP853
 
 
 def _block_jacobian(drive: PulseDrive, deph: DephasingModel, r0, rd, rp,
@@ -415,8 +429,9 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     or a step beyond ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends
     (StepBudgetError) raises IntegrationError with its time in ps: that of
     the drive that drifts or is not finite, or of the first drive for a
-    failure of the whole system, whose message names the method and gives
-    the tau where the shared step sequence stopped.  Iterate under
+    failure of the whole system, which also gives the tau where the shared
+    step sequence stopped; every message but that of the right-hand side
+    names the method.  Iterate under
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
@@ -442,13 +457,14 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
 
     tau0, tau1 = tau_span
     cap, rtol, y = 100.0 * tol, max(tol / math.sqrt(n), TOL_FLOOR), y0.ravel()
-    _check_drift(times(tau0), y0, cap)
+    method = _window_method(drive, deph, rp, tau_span)
+    where = f"{method.__name__} window"
+    _check_drift(times(tau0), y0, cap, where)
     # A solver with a derivative that is not finite never returns.
     bad = ~np.isfinite(rhs(tau0, y).reshape(_N_STATE, n)).all(axis=0)
     if bad.any():
         raise IntegrationError("right-hand side is not finite",
                                _time_of(times(tau0), np.argmax(bad)))
-    method = _window_method(drive, deph, rp, tau_span)
     # Each step is capped at 1/40 of the span (sigma/4 in a pulse window).
     # The cap binds only on the rising edge of a pulse, where the drive is
     # still weak and the solver would step up to sigma/2.
@@ -466,7 +482,7 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
                 f"{method.__name__} integration failed at pulse time tau = "
                 f"{solver.t:.6g}: {message}", _time_of(times(solver.t), 0))
         y = solver.y.reshape(_N_STATE, n)
-        _check_drift(times(solver.t), y, cap)
+        _check_drift(times(solver.t), y, cap, where)
         yield times(solver.t), y
     if solver.status == "running":
         raise StepBudgetError(
@@ -481,7 +497,8 @@ def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,
     """(times, states) of exp(gen (t - t_start)) @ y on a uniform grid of
     (t_start, t_end]: 400 rows, or fewer where floats cannot resolve them.
     A generator that is not finite raises IntegrationError at t_start, and
-    drift beyond ``cap`` at the first row that shows it."""
+    drift beyond ``cap`` at the first row that shows it, "in the exact
+    propagation"."""
     if not np.isfinite(gen).all():
         raise IntegrationError("right-hand side is not finite", t_start)
     rows = int(min(400, max(1.0, (t_end - t_start) / (
@@ -492,7 +509,7 @@ def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,
     step = expm(gen * ((t_end - t_start) / rows))
     for k in range(rows):
         states[:, k + 1] = step @ states[:, k]
-    _check_drift(times, states, cap)
+    _check_drift(times, states, cap, "exact propagation")
     return times[1:], states[:, 1:]
 
 

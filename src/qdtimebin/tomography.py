@@ -3,9 +3,10 @@
 A setting projects onto one joint ket |k> = |xx> (x) |x>, so the settings
 are held as the (n, 4) matrix of their kets and a count enters only through
 <k|rho|k>.  Poisson counts of the standard sixteen (per qubit: early, late,
-two superposition phases) are inverted by one least-squares solve, or by a
-positivity-enforcing maximum-likelihood fit of rho = T^dag T / tr(T^dag T)
-over a full complex 4 x 4 factor T.
+two superposition phases) are inverted by least squares, or fitted by
+maximum likelihood over the density matrices: an accelerated projected
+gradient in rho that fits the datasets of one settings list as one stack,
+each stopping on its own (``reconstruct_mle_many``).
 """
 
 from __future__ import annotations
@@ -13,15 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import dag, eig_hermitian
+from .linalg import eig_hermitian
 
-# MLE stopping rule (relative log-likelihood improvement), L-BFGS-B cap.
-_MLE_FTOL = 1e-10
+# MLE stopping rule: a step without momentum that lowers a fit's deviance by
+# at most this fraction of max(deviance, 1) ends the fit.  Cap on its
+# iterations.
+_MLE_REL_DECREASE = 1e-12
 _MLE_MAX_ITER = 2000
-# Largest optimality gap of a converged fit: fits at 500 and 1e5 counts end
-# below 3e-3, one stuck on a face of lower rank at 0.2 to 2.
+# Factor on a fit's curvature estimate after each accepted step, so that
+# its steps grow again after a backtrack.  Measured at ~500 counts (240
+# fits in stacks of 40): 144 passes per stack at 0.9, 164 at 0.8, 198 at
+# 0.6.
+_MLE_L_SHRINK = 0.9
+# Largest optimality gap of a converged fit: 1,400 fits at ~500 and 1e5
+# counts end below 2.2e-4.
 _MLE_GAP_TOL = 1e-2
 
 
@@ -153,6 +160,27 @@ class LinearReconstruction:
     min_eigenvalue: float
 
 
+def _design(kets: np.ndarray) -> np.ndarray:
+    """The (n, 16) rows conj(k_i) k_j: row k applied to rho, raveled
+    row-major, is <k|rho|k>."""
+    return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)
+
+
+def _invert_linear(rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Solve rows @ vec(rho_s) = freqs[s] for every s by one least-squares
+    solve with len(freqs) right-hand sides; the (S, 4, 4) Hermitian parts,
+    each of unit trace."""
+    vec, _, rank, _ = np.linalg.lstsq(rows, freqs.T, rcond=1e-10)
+    if rank < 16:
+        raise ValueError("singular design matrix: settings are not "
+                         "informationally complete")
+    rho = vec.T.reshape(-1, 4, 4)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    # the real diagonal is summed: a complex trace of a stack can round
+    # differently from that of one of its matrices alone
+    return rho / np.diagonal(rho, axis1=1, axis2=2).real.sum(axis=1)[:, None, None]
+
+
 def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
     """Solve <k|rho|k> = sum_ij conj(k_i) k_j rho_ij = counts_k / n_hat,
     one equation per setting, for the 16 entries of rho by least squares.
@@ -161,16 +189,8 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
     but may carry negative eigenvalues at finite counts; ``physical`` flags
     whether it is PSD within 1e-9.
     """
-    n_hat = _estimate_norm(data)
-    kets = _setting_kets(data.settings)
-    rows = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)
-    vec, _, rank, _ = np.linalg.lstsq(rows, data.counts / n_hat, rcond=1e-10)
-    if rank < 16:
-        raise ValueError("singular design matrix: settings are not "
-                         "informationally complete")
-    rho = vec.reshape(4, 4)
-    rho = 0.5 * (rho + dag(rho))
-    rho = rho / np.trace(rho).real
+    rows = _design(_setting_kets(data.settings))
+    rho = _invert_linear(rows, data.counts[None] / _estimate_norm(data))[0]
     w, _ = eig_hermitian(rho, herm_tol=1e-8)
     return LinearReconstruction(rho=rho, physical=bool(w[-1] >= -1e-9),
                                 min_eigenvalue=float(w[-1]))
@@ -182,99 +202,179 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
 class MleResult:
     rho: np.ndarray
     converged: bool
-    n_iter: int  # L-BFGS-B iterations, of both runs after a restart
+    n_iter: int  # accelerated projected-gradient iterations
     log_likelihood: float
-    deviance: float  # the optimizer's final objective, ~0 at a perfect fit
+    deviance: float  # Poisson deviance of rho, ~0 at a perfect fit
 
 
-def _t_from_params(t: np.ndarray) -> np.ndarray:
-    """The full complex 4 x 4 factor T = t[:16] + 1j t[16:], row-major."""
-    return (t[:16] + 1j * t[16:]).reshape(4, 4)
+def _project_states(y: np.ndarray) -> np.ndarray:
+    """Nearest density matrix in Frobenius norm to each Hermitian matrix of
+    the (S, 4, 4) stack ``y``: its eigenvalues projected onto the
+    probability simplex, in its eigenbasis."""
+    w, v = np.linalg.eigh(y)
+    u = w[:, ::-1]
+    excess = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, 5)
+    rank = np.sum(u > excess, axis=1)
+    shift = np.take_along_axis(excess, rank[:, None] - 1, axis=1)
+    w = np.maximum(w - shift, 0.0)
+    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _poisson_nll_and_grad(t: np.ndarray, kets: np.ndarray,
-                          counts: np.ndarray, n_hat: float):
-    """Poisson deviance of rho = T^dag T / tr(T^dag T), with its analytic
-    gradient in the 32 real parameters of T.  Setting k, a row of ``kets``,
-    has the mean count mu_k = n_hat q_k / s, q_k = ||T k||^2, s = ||T||_F^2.
+def _deviance(mu: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Poisson deviance of each row of the mean counts ``mu``:
+    sum_k (mu_k - c_k) + c_k log(c_k / mu_k).
 
-    The deviance is the negative log-likelihood shifted by the saturated
-    model's value, so it is ~0 at a perfect fit; that keeps the optimizer's
-    relative-improvement stopping rule meaningful.  Each term,
-    (mu - c) + c log(c / mu), is summed as c (d - log1p(d)) with
-    d = (mu - c) / c, or as mu where c = 0: neither can round below zero,
-    and neither cancels to roundoff near the optimum.  The shift is
-    constant in t, so the gradient is that of the log-likelihood itself:
-    with coeff_k = (1 - c_k / mu_k) n_hat / s and K the 4 x n matrix of
-    kets, W = d(nll)/dG = K diag(coeff) K^dag - I sum coeff q / s at
-    G = T^dag T, d(nll) = 2 Re tr(W T^dag dT), and the gradient in Re T and
-    Im T is the real and imaginary part of 2 T W.
+    Each term is summed as c (d - log1p(d)) with d = (mu - c) / c, or as mu
+    where c = 0: neither can round below zero, and neither cancels to
+    roundoff near the optimum.  It is +inf where mu_k <= 0 on a setting with
+    c_k > 0.
     """
-    m = _t_from_params(t)
-    tk = m @ kets.T
-    s = t @ t
-    q = np.sum(tk.real ** 2 + tk.imag ** 2, axis=0)
-    mu = np.clip(n_hat * q / s, 1e-12, None)
     seen = counts > 0
-    d = (mu[seen] - counts[seen]) / counts[seen]
-    nll = float(np.sum(counts[seen] * (d - np.log1p(d)))
-                + np.sum(mu[~seen]))
-    coeff = (1.0 - counts / mu) * (n_hat / s)
-    grad = 2.0 * ((tk * coeff) @ kets.conj() - m * (np.sum(coeff * q) / s))
-    return nll, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+    d = np.divide(mu - counts, counts, out=np.zeros_like(mu), where=seen)
+    log = np.log1p(d, out=np.full_like(mu, -np.inf), where=d > -1.0)
+    return np.sum(np.where(seen, counts * (d - log), mu), axis=1)
+
+
+def _gradient(mu: np.ndarray, counts: np.ndarray, n_hat: np.ndarray,
+              projectors: np.ndarray) -> np.ndarray:
+    """Gradient in rho of each row's deviance (``_deviance``),
+    G = n_hat sum_k (1 - c_k / mu_k) |k><k|, shape (S, 4, 4); row k of
+    ``projectors`` is |k><k| raveled row-major, and ``mu`` must be positive
+    where c_k > 0.  The product is taken per row, as (1, n) @ (n, 16), so
+    that a row's rounding does not depend on how many rows there are."""
+    ratio = np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0)
+    weights = n_hat[:, None] * (1.0 - ratio)
+    return (weights[:, None] @ projectors).reshape(-1, 4, 4)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a b) of each pair of Hermitian matrices in two (S, 4, 4) stacks."""
+    return np.sum(a.conj() * b, axis=(1, 2)).real
+
+
+def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
+    """Maximum-likelihood density matrices of datasets that share one
+    settings list, fitted as one stack; ValueError if the lists differ.
+
+    Setting k, with joint ket |k>, has the mean count mu_k = n_hat <k|rho|k>
+    (n_hat from ``_estimate_norm``).  The Poisson deviance D (``_deviance``)
+    is convex in rho, with gradient G = n_hat sum_k (1 - c_k / mu_k) |k><k|.
+    Each fit is an accelerated projected gradient in rho over the density
+    matrices (Shang, Zhang and Ng, PRA 95, 062336 (2017)):
+
+    - Start: the linear inversion of every dataset, one least-squares
+      solve with a right-hand side per dataset, projected onto the density
+      matrices and mixed with 1e-8 of I/4, so that mu_k > 0 everywhere.
+    - Iteration: a Nesterov extrapolation from the last two iterates, a
+      step along -G / L from there, and the projection of the result: one
+      batched eigendecomposition, with the eigenvalues projected onto the
+      probability simplex.  Projection reaches faces of lower rank exactly.
+    - Step: each fit keeps its own curvature estimate L.  A step above the
+      quadratic bound D(base) + tr(G d) + L |d|^2 / 2 doubles L and is taken
+      again; an accepted step shrinks L by ``_MLE_L_SHRINK``.
+    - Restart: the momentum restarts when the extrapolated point has
+      mu_k <= 0 on a setting with counts (the step is taken from the last
+      iterate), and when an accepted step lowers D by at most
+      ``_MLE_REL_DECREASE`` of max(D, 1); a step that raises D is discarded.
+    - Stop: a fit leaves the stack when such a small decrease (or a rise)
+      comes from a step without momentum, or after ``_MLE_MAX_ITER``
+      iterations.  ``n_iter`` counts its accepted steps, discarded rises
+      included, and not the retries after a backtrack.
+
+    No state lies more than the optimality gap tr(G rho) - lambda_min(G)
+    below the fit; it is ``converged`` when that gap is within
+    ``_MLE_GAP_TOL``.  Every product is taken per fit, so each result is
+    the one its dataset gets alone.
+    """
+    if not datasets:
+        raise ValueError("no datasets to reconstruct")
+    settings = datasets[0].settings
+    if any(d.settings != settings for d in datasets[1:]):
+        raise ValueError("datasets of one reconstruction must share one "
+                         "settings list")
+    counts = np.array([d.counts for d in datasets])
+    if np.any(np.sum(counts, axis=1) <= 0):
+        raise ValueError("degenerate dataset: all counts are zero, "
+                         "likelihood is flat")
+    n_hat = np.array([_estimate_norm(d) for d in datasets])
+    kets = _setting_kets(settings)
+    rows = _design(kets)
+    projectors = rows.conj()  # |k><k| raveled row-major
+
+    # the product is taken per fit, as (1, 16) @ (16, n), so that a fit's
+    # rounding, and with it its answer, does not depend on the stack
+    def means(rho, scale):
+        return scale[:, None] * (rho.reshape(-1, 1, 16) @ rows.T)[:, 0].real
+
+    mix = 1e-8
+    start = ((1.0 - mix) * _project_states(
+        _invert_linear(rows, counts / n_hat[:, None])) + mix / 4.0 * np.eye(4))
+    fitted, n_iter = np.empty_like(start), np.zeros(len(datasets), dtype=int)
+    # the fits still running, one entry each: rho, the iterate before it
+    # (the momentum), the mean counts and deviance of rho, the momentum
+    # weight theta and the curvature estimate L
+    fit = np.arange(len(datasets))
+    c, scale, rho, prev = counts, n_hat, start, start.copy()
+    mu = means(rho, scale)
+    dev = _deviance(mu, c)
+    theta, lip, iters = np.ones(len(fit)), n_hat.copy(), np.zeros(len(fit), int)
+    while fit.size:
+        # extrapolate, unless that leaves a setting with counts unexplained
+        plain = theta == 1.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        base = rho + ((theta - 1.0) / theta_next)[:, None, None] * (rho - prev)
+        mu_base = means(base, scale)
+        lost = np.any((mu_base <= 0) & (c > 0), axis=1)
+        base[lost], mu_base[lost], theta_next[lost] = rho[lost], mu[lost], 1.0
+        plain |= lost
+        grad = _gradient(mu_base, c, scale, projectors)
+        step = _project_states(base - grad / lip[:, None, None])
+        delta = step - base
+        mu_step = means(step, scale)
+        dev_step = _deviance(mu_step, c)
+        # a step above the quadratic bound doubles L and is taken again
+        ok = dev_step <= (
+            _deviance(mu_base, c)
+            + _inner(grad, delta) + 0.5 * lip * _inner(delta, delta))
+        lip *= np.where(ok, _MLE_L_SHRINK, 2.0)
+        iters += ok
+        # a rise discards the step; a rise or a small decrease restarts the
+        # momentum, and ends the fit if the step was taken without it
+        small = ok & (dev - dev_step
+                      <= _MLE_REL_DECREASE * np.maximum(dev, 1.0))
+        theta[ok] = np.where(small[ok], 1.0, theta_next[ok])
+        move = ok & (dev_step <= dev)
+        done = small & plain
+        prev[move], rho[move] = rho[move], step[move]
+        mu[move], dev[move] = mu_step[move], dev_step[move]
+        stop = done | (iters >= _MLE_MAX_ITER)
+        if stop.any():
+            fitted[fit[stop]], n_iter[fit[stop]] = rho[stop], iters[stop]
+            fit, c, scale, rho, prev, mu, dev, theta, lip, iters = (
+                a[~stop] for a in (fit, c, scale, rho, prev, mu, dev, theta,
+                                   lip, iters))
+
+    rho = 0.5 * (fitted + fitted.conj().transpose(0, 2, 1))
+    mu = means(rho, n_hat)
+    dev = _deviance(mu, counts)
+    grad = _gradient(mu, counts, n_hat, projectors)
+    gap = _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+    seen = counts > 0
+    log_lik = np.sum(np.where(seen, counts * np.log(
+        mu, out=np.zeros_like(mu), where=seen), 0.0) - mu, axis=1)
+    return [MleResult(rho=rho[s], converged=bool(gap[s] <= _MLE_GAP_TOL),
+                      n_iter=int(n_iter[s]), log_likelihood=float(log_lik[s]),
+                      deviance=float(dev[s]))
+            for s in range(len(datasets))]
 
 
 def reconstruct_mle(data: TomographyDataset) -> MleResult:
-    """Maximum-likelihood density matrix from Poisson counts.
-
-    rho = T^dag T / tr(T^dag T) with a full complex 4 x 4 T (32 real
-    parameters), maximizing the Poisson log-likelihood with a
-    deterministic L-BFGS-B run from the PSD-projected linear inversion.
-    A square factor leaves the factored problem without spurious local
-    minima (Burer and Monteiro, Math. Program. 103, 427 (2005)).  A run
-    stops at relative log-likelihood improvement below ``_MLE_FTOL``.  The
-    deviance is convex in rho with gradient
-    G = n_hat sum_k (1 - c_k / mu_k) |k><k|, so no state lies more than the
-    optimality gap tr(G rho) - lambda_min(G) below the fit; it is
-    ``converged`` when that gap is within ``_MLE_GAP_TOL``.
-    """
-    if float(np.sum(data.counts)) <= 0:
-        raise ValueError("degenerate dataset: all counts are zero, "
-                         "likelihood is flat")
-    n_hat = _estimate_norm(data)
-    kets = _setting_kets(data.settings)
-    counts = data.counts
-
-    # T = diag(sqrt(w)) V^dag.  A zero eigenvalue gives a zero row of T,
-    # where the gradient (2 T W) vanishes too.  Mixing 1e-8 of I/4 (rows of
-    # norm 5e-5) lets it grow within the stopping rule; a fit that stops on
-    # a face of lower rank anyway is run once more, mixed 1e-2.
-    rho, n_iter = reconstruct_linear(data).rho, 0
-    for mix in (1e-8, 1e-2):
-        w, v = eig_hermitian(rho, herm_tol=1e-8)
-        w = np.clip(w, 0.0, None)
-        w = (1 - mix) * w / np.sum(w) + mix / 4.0
-        t0 = (np.sqrt(w)[:, None] * dag(v)).ravel()
-        t0 = np.concatenate([t0.real, t0.imag])
-        res = minimize(_poisson_nll_and_grad, t0, (kets, counts, n_hat),
-                       jac=True, method="L-BFGS-B",
-                       options={"ftol": _MLE_FTOL, "gtol": 1e-12,
-                                "maxiter": _MLE_MAX_ITER,
-                                "maxfun": 10 * _MLE_MAX_ITER})
-        n_iter += res.nit
-        m = _t_from_params(res.x)
-        g = dag(m) @ m
-        rho = g / np.trace(g).real
-        mu = np.clip(n_hat * _probabilities(kets, rho), 1e-12, None)
-        coeff = n_hat * (1.0 - counts / mu)
-        gap = (coeff @ mu / n_hat
-               - np.linalg.eigvalsh((kets.T * coeff) @ kets.conj())[0])
-        if gap <= _MLE_GAP_TOL:
-            break
-    log_lik = float(np.sum(counts * np.log(mu) - mu))
-    return MleResult(rho=rho, converged=bool(gap <= _MLE_GAP_TOL),
-                     n_iter=int(n_iter), log_likelihood=log_lik,
-                     deviance=float(res.fun))
+    """Maximum-likelihood density matrix from Poisson counts: the
+    accelerated projected gradient of ``reconstruct_mle_many`` on one
+    dataset, which stops once a step without momentum lowers the deviance
+    by at most 1e-12 of max(deviance, 1); ``n_iter`` counts its accepted
+    steps."""
+    return reconstruct_mle_many([data])[0]
 
 
 # --- dataset file ------------------------------------------------------------

@@ -144,26 +144,110 @@ def fringe_visibility(rho, relative_phase, n=2 ** 16):
     return (p.max() - p.min()) / (p.max() + p.min())
 
 
+def _standard_kets():
+    """Joint kets of the library's sixteen settings, XX photon first, in its
+    order: per qubit E, L, S(0), S(pi/2)."""
+    per_qubit = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                 np.array([1.0, 1.0]) / np.sqrt(2.0),
+                 np.array([1.0, 1.0j]) / np.sqrt(2.0)]
+    return np.array([np.kron(a, b) for a in per_qubit for b in per_qubit])
+
+
 def mle_optimality_gap(rho, counts, kets=None):
     """Upper bound on deviance(rho) - min deviance for tomography counts.
 
     ``kets`` holds the joint ket of each setting, XX photon first; by
-    default the library's sixteen in its order: per qubit E, L, S(0),
-    S(pi/2).  The four time-basis settings must be 0, 1, 4 and 5, as in
-    that order and any list that extends it; their sum is the count scale n.  With mu_k = n tr(P_k rho),
-    the deviance sum(mu_k - c_k log mu_k) is convex in rho, and its gradient
-    is G = n sum_k (1 - c_k / mu_k) P_k.  Over unit-trace PSD states the
-    minimum is then at least deviance(rho) - (tr(G rho) - lambda_min(G)).
+    default the library's sixteen (``_standard_kets``).  The four
+    time-basis settings must be 0, 1, 4 and 5, as in that order and any
+    list that extends it; their sum is the count scale n.  With
+    mu_k = n tr(P_k rho), the deviance sum(mu_k - c_k log mu_k) is convex in
+    rho, and its gradient is G = n sum_k (1 - c_k / mu_k) P_k.  Over
+    unit-trace PSD states the minimum is then at least
+    deviance(rho) - (tr(G rho) - lambda_min(G)).
     """
     counts = np.asarray(counts, dtype=float)
     if kets is None:
-        per_qubit = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                     np.array([1.0, 1.0]) / np.sqrt(2.0),
-                     np.array([1.0, 1.0j]) / np.sqrt(2.0)]
-        kets = [np.kron(a, b) for a in per_qubit for b in per_qubit]
+        kets = _standard_kets()
     ops = np.array([np.outer(k, k.conj()) for k in kets])
     n = counts[[0, 1, 4, 5]].sum()
     mu = n * np.einsum("kij,ji->k", ops, rho).real
     grad = n * np.einsum("k,kij->ij", 1.0 - counts / mu, ops)
     grad = 0.5 * (grad + grad.conj().T)
     return float(np.trace(grad @ rho).real - np.linalg.eigvalsh(grad)[0])
+
+
+def poisson_deviance(rho, counts, kets=None):
+    """sum_k (mu_k - c_k) + c_k log(c_k / mu_k), mu_k = n <k|rho|k>, with
+    ``kets`` and the count scale n as in ``mle_optimality_gap``; ~0 at a
+    perfect fit, and +inf where mu_k <= 0 on a setting with counts."""
+    counts = np.asarray(counts, dtype=float)
+    if kets is None:
+        kets = _standard_kets()
+    kets = np.asarray(kets)
+    mu = counts[[0, 1, 4, 5]].sum() * np.einsum(
+        "ki,ij,kj->k", kets.conj(), rho, kets).real
+    seen = counts > 0
+    if (mu[seen] <= 0).any():
+        return np.inf
+    return float(np.sum(mu - counts)
+                 + np.sum(counts[seen] * np.log(counts[seen] / mu[seen])))
+
+
+def mle_lbfgs(counts, kets=None):
+    """Reference maximum-likelihood fit: (rho, deviance, iterations).
+
+    rho = T^dag T / tr(T^dag T) over a full complex 4 x 4 factor T, by
+    scipy's L-BFGS-B (ftol 1e-10) from the linear inversion with its
+    negative eigenvalues clipped and 1e-8 of I/4 mixed in; a fit whose
+    ``mle_optimality_gap`` is above 1e-2 (stopped on a face of lower
+    rank) is run once more from its result mixed with 1e-2 of I/4.
+    ``kets`` and the count scale n are as in ``mle_optimality_gap``.  With
+    q_k = ||T k||^2 and s = ||T||_F^2, mu_k = n q_k / s; with
+    coeff_k = (1 - c_k / mu_k) n / s and W = K diag(coeff) K^dag
+    - I sum(coeff q) / s, the gradient in Re T and Im T is the real and
+    imaginary part of 2 T W.
+    """
+    from scipy.optimize import minimize
+
+    counts = np.asarray(counts, dtype=float)
+    if kets is None:
+        kets = _standard_kets()
+    kets = np.asarray(kets, dtype=complex)
+    n = counts[[0, 1, 4, 5]].sum()
+    seen = counts > 0
+
+    def factor(t):
+        return (t[:16] + 1j * t[16:]).reshape(4, 4)
+
+    def nll_and_grad(t):
+        m = factor(t)
+        tk = m @ kets.T
+        s = t @ t
+        q = np.sum(tk.real ** 2 + tk.imag ** 2, axis=0)
+        mu = np.clip(n * q / s, 1e-12, None)
+        d = (mu[seen] - counts[seen]) / counts[seen]
+        nll = np.sum(counts[seen] * (d - np.log1p(d))) + np.sum(mu[~seen])
+        coeff = (1.0 - counts / mu) * (n / s)
+        grad = 2.0 * ((tk * coeff) @ kets.conj() - m * (np.sum(coeff * q) / s))
+        return nll, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+    rows = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)
+    rho = np.linalg.lstsq(rows, counts / n, rcond=None)[0].reshape(4, 4)
+    rho = 0.5 * (rho + rho.conj().T)
+    n_iter = 0
+    for mix in (1e-8, 1e-2):
+        w, v = np.linalg.eigh(rho)
+        w = np.clip(w, 0.0, None)
+        w = (1 - mix) * w / np.sum(w) + mix / 4.0
+        t0 = (np.sqrt(w)[:, None] * v.conj().T).ravel()
+        res = minimize(nll_and_grad, np.concatenate([t0.real, t0.imag]),
+                       jac=True, method="L-BFGS-B",
+                       options={"ftol": 1e-10, "gtol": 1e-12,
+                                "maxiter": 2000, "maxfun": 20000})
+        n_iter += res.nit
+        m = factor(res.x)
+        g = m.conj().T @ m
+        rho = g / np.trace(g).real
+        if mle_optimality_gap(rho, counts, kets) <= 1e-2:
+            break
+    return rho, float(res.fun), n_iter

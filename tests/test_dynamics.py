@@ -371,25 +371,45 @@ def test_failed_mixed_sigma_batch_names_its_pulse_time(monkeypatch):
 
 def test_stiff_window_steps_with_radau(window_methods):
     # dephasing of ~3e12 /ps at the peak of a 1e-6 ps pulse would force
-    # DOP853 to millions of steps, past the budget: Radau steps that
-    # window; the 12 ps pulse of the same area and model is not stiff
+    # DOP853 to millions of steps, past the budget, and at 1.5e-4 ps to
+    # ~12,000 (2.6 s, against 0.2 s for Radau): Radau steps both windows;
+    # the 12 ps pulse of the same area and model is not stiff
     deph = DephasingModel(0.01, 0.0349, 2)
-    for sigma in (1e-6, 12.0):
+    for sigma in (1e-6, 1.5e-4, 12.0):
         drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, sigma)]),
                            sigma=sigma, delta_x=3.5)
         p_x, p_b = emission_after_pulse(drive, DecayRates(0.004, 0.002), deph)
         assert 0.0 <= p_b[0] <= p_x[0] <= 1.0
-    assert window_methods == ["Radau", "DOP853"]
+    assert window_methods == ["Radau", "Radau", "DOP853"]
+
+
+def test_window_method_bounds_the_explicit_steps():
+    # the bound integrates the rate over the window: at sigma 1.5e-4 it is
+    # ~12,100, as many as the DOP853 steps the window takes, where 10 units
+    # of tau at the peak rate gave ~80,000
+    deph = DephasingModel(0.01, 0.0349, 2)
+    drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 1.5e-4)]),
+                       sigma=1.5e-4, delta_x=3.5)
+    rp = _real_generator(drive, DecayRates(0.004, 0.002))[2]
+    rate = quad(lambda tau: float(deph.rate(drive.amplitude_at(tau))[0]),
+                -5.0, 5.0)[0]
+    steps = 1.5e-4 * np.abs(rp).max() * rate / dynamics._EXPLICIT_STABILITY
+    assert 12_000 < steps < 12_200
+    for limit, method in ((0.99 * steps, "Radau"), (1.01 * steps, "DOP853")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_RADAU_STEPS", limit)
+            chosen = dynamics._window_method(drive, deph, rp, (-5.0, 5.0))
+        assert chosen.__name__ == method
 
 
 def test_forced_radau_matches_dop853(monkeypatch, window_methods):
-    # at sigma 1e-3 the bound on DOP853's steps is ~1.2e4; under a budget of
-    # 5,000 Radau steps the same batch, and the two agree
+    # at sigma 1e-3 the bound on DOP853's steps is ~1,800; above a Radau
+    # threshold of 1,000 Radau steps the same batch, and the two agree
     drive = PulseDrive(omega0=omega0_for_area(np.array([5.0, 20.0]), 1e-3),
                        sigma=1e-3, delta_x=3.5)
     decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
     explicit = np.array(emission_after_pulse(drive, decay, deph))
-    monkeypatch.setattr(dynamics, "_MAX_WINDOW_STEPS", 5_000)
+    monkeypatch.setattr(dynamics, "_RADAU_STEPS", 1_000)
     implicit = np.array(emission_after_pulse(drive, decay, deph))
     assert window_methods == ["DOP853", "Radau"]
     assert np.abs(implicit - explicit).max() < 1e-10
@@ -562,6 +582,33 @@ def test_evolve_reports_trace_drift_at_start():
     with pytest.raises(IntegrationError, match="trace drift") as err:
         evolve(2.0 * GROUND, drive, DecayRates(), NO_DEPH, t_span=t_span)
     assert err.value.t == t_span[0]
+
+
+def test_drift_messages_name_the_method():
+    # a drift or a state that is not finite says what computed it: the
+    # DOP853 or Radau window, or the exact propagation outside it
+    stiff = PulseDrive(omega0=omega0_for_area(20.0, 1e-6), sigma=1e-6,
+                       delta_x=3.5)
+    drive = PulseDrive(omega0=0.5, sigma=4.0)
+    cases = [
+        (drive, NO_DEPH, pulse_window(drive), "DOP853 window"),
+        (stiff, DephasingModel(0.01, 0.0349, 2), pulse_window(stiff),
+         "Radau window"),
+        (drive, NO_DEPH, (-100.0, 20.0), "exact propagation"),
+        (ConstantDrive(0.5), NO_DEPH, (0.0, 10.0), "exact propagation"),
+    ]
+    for drv, deph, t_span, where in cases:
+        with pytest.raises(IntegrationError) as err:
+            evolve(2.0 * GROUND, drv, DecayRates(), deph, t_span=t_span)
+        assert str(err.value) == f"trace drift 1.000e+00 exceeds 1.0e-07 in the {where}"
+        assert err.value.t == t_span[0]
+    y = np.zeros((11, 2))
+    y[:3] = 1.0 / 3.0
+    y[4, 1] = math.nan
+    with pytest.raises(IntegrationError) as err:
+        dynamics._check_drift(np.array([0.0, 2.5]), y, 1e-7, "Radau window")
+    assert str(err.value) == "state is not finite in the Radau window"
+    assert err.value.t == 2.5
 
 
 def test_evolve_rejects_non_hermitian_start():
