@@ -8,7 +8,6 @@ from .dynamics import (
     IntegrationError,
     PulseDrive,
     Trajectory,
-    emission_probabilities,
     evolve,
     hamiltonian,
     lindblad_rhs,
@@ -40,7 +39,7 @@ from .tomography import (
 
 __all__ = [
     "ConstantDrive", "DecayRates", "DephasingModel", "PulseDrive",
-    "Trajectory", "emission_probabilities", "evolve", "hamiltonian",
+    "Trajectory", "evolve", "hamiltonian",
     "lindblad_rhs", "omega0_for_area", "pulse_area", "pulse_energy",
     "eig_hermitian", "state_fidelity", "IntegrationError",
     "FitResult", "SweepResult", "fit_gamma_i0", "rabi_sweep", "ratio_sweep",

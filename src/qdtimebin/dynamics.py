@@ -26,6 +26,8 @@ pulse windows of a batch, adding the emission after the pulse in closed
 form, and ``evolve`` for one drive, storing every accepted step.  Wherever
 the generator is constant, outside a pulse window and for the whole span of
 a ``ConstantDrive``, ``evolve`` propagates the state exactly instead.
+Time-resolved emission is read at a trajectory's stored rows
+(``cumulative_emission``); to read it at a given t_f, evolve to t_f.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import DOP853, Radau
-from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 
@@ -321,7 +322,10 @@ def _check_drift(times, y: np.ndarray, cap: float, where: str) -> None:
 @dataclass
 class Trajectory:
     """Master-equation solution at the accepted window steps, spaced as
-    ``tol`` allows, and at the rows of the exact drive-off propagation."""
+    ``tol`` allows, and at the rows of the exact drive-off propagation.
+
+    Quantities are known at these rows only: to read them at a time t_f,
+    evolve to t_f."""
 
     times: np.ndarray                  # strictly increasing, shape (n,)
     states: np.ndarray                 # shape (n, 3, 3) complex
@@ -576,24 +580,6 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
 
 # --- emission probabilities -------------------------------------------------
 
-def emission_probabilities(traj: Trajectory, decay: DecayRates,
-                           t_f: float) -> tuple[float, float]:
-    """Emitted-photon probabilities up to t_f.
-
-    P_i(t_f) = gamma_i * integral of the level-i population from the start
-    of the trajectory to t_f: the integral stored with each step, and
-    between steps its cubic Hermite interpolant with the populations as
-    derivatives.  Exciton emission includes the cascade fed by biexciton
-    decay, so P_x >= P_b in the absence of re-excitation.
-    """
-    ts = traj.times
-    if not ts[0] <= t_f <= ts[-1]:
-        raise ValueError(f"t_f = {t_f} outside trajectory range [{ts[0]}, {ts[-1]}]")
-    int_x, int_b = CubicHermiteSpline(ts, traj.integrals,
-                                      traj.populations[:, (X, B)])(t_f)
-    return float(decay.gamma_x * int_x), float(decay.gamma_b * int_b)
-
-
 def _entries(value, part: slice):
     """Entries ``part`` of a field with one value per drive, or the value
     all drives share."""
@@ -660,7 +646,13 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
 
 
 def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray, np.ndarray]:
-    """Emitted-photon probabilities (P_x, P_b) up to each stored time."""
+    """Emitted-photon probabilities (P_x, P_b) up to each stored time.
+
+    P_i = gamma_i times the integral of the level-i population from the
+    start of the trajectory, carried with each row; the last row gives the
+    emission over the whole span.  Exciton emission includes the cascade
+    fed by biexciton decay, so P_x >= P_b in the absence of re-excitation.
+    """
     return (decay.gamma_x * traj.integrals[:, 0],
             decay.gamma_b * traj.integrals[:, 1])
 

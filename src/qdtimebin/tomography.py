@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import check_field
 from .linalg import eig_hermitian
 
 # MLE stopping rule: a step without momentum that lowers a fit's deviance by
@@ -45,6 +46,7 @@ class Projector:
     def __post_init__(self):
         if self.kind not in ("E", "L", "S"):
             raise ValueError(f"unknown projector kind {self.kind!r}")
+        check_field("phase", self.phase, np.isfinite, "finite")
 
     def ket(self) -> np.ndarray:
         if self.kind == "S":
@@ -52,12 +54,10 @@ class Projector:
         return np.array([1.0, 0.0] if self.kind == "E" else [0.0, 1.0],
                         dtype=complex)
 
-    def matrix(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
-
     def label(self) -> str:
-        return self.kind if self.kind != "S" else f"S{self.phase:.6f}"
+        """E, L, or S followed by the phase; ``from_label`` reads back the
+        same phase exactly."""
+        return self.kind if self.kind != "S" else f"S{float(self.phase)!r}"
 
     @staticmethod
     def from_label(label: str) -> "Projector":
@@ -74,9 +74,6 @@ class MeasurementSetting:
 
     xx: Projector
     x: Projector
-
-    def operator(self) -> np.ndarray:
-        return np.kron(self.xx.matrix(), self.x.matrix())
 
 
 def standard_settings() -> list[MeasurementSetting]:

@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,6 @@ from qdtimebin.dynamics import (
     cumulative_emission,
     default_t_span,
     emission_after_pulse,
-    emission_probabilities,
     evolve,
     export_trajectory_csv,
     hamiltonian,
@@ -637,7 +640,7 @@ def test_emission_zero_drive_from_ground():
     drive = PulseDrive(omega0=0.0, sigma=1.0)
     traj = evolve(GROUND, drive, DecayRates(0.5, 0.25), NO_DEPH,
                   t_span=(0.0, 20.0))
-    p_x, p_b = emission_probabilities(traj, DecayRates(0.5, 0.25), 20.0)
+    p_x, p_b = np.array(cumulative_emission(traj, DecayRates(0.5, 0.25)))[:, -1]
     assert p_x == pytest.approx(0.0, abs=1e-12)
     assert p_b == pytest.approx(0.0, abs=1e-12)
 
@@ -647,12 +650,14 @@ def test_emission_cascade_complete():
     drive = ConstantDrive(omega0=0.0, delta_x=0.0)
     traj = evolve(BIEXCITON, drive, decay, NO_DEPH, t_span=(0.0, 20.0),
                   tol=1e-10)
-    p_x, p_b = emission_probabilities(traj, decay, 20.0)
+    p_x, p_b = np.array(cumulative_emission(traj, decay))[:, -1]
     assert p_x == pytest.approx(1.0, abs=1e-5)
     assert p_b == pytest.approx(1.0, abs=1e-5)
-    # intermediate time against the closed form
+    # intermediate time against the closed form: evolve to it
+    traj = evolve(BIEXCITON, drive, decay, NO_DEPH, t_span=(0.0, 3.7),
+                  tol=1e-10)
     ref_x, ref_b = oracles.cascade_emission(3.7, 2.0, 1.0)
-    p_x, p_b = emission_probabilities(traj, decay, 3.7)
+    p_x, p_b = np.array(cumulative_emission(traj, decay))[:, -1]
     assert p_x == pytest.approx(ref_x, abs=1e-6)
     assert p_b == pytest.approx(ref_b, abs=1e-6)
 
@@ -661,16 +666,9 @@ def test_emission_from_exciton_only():
     decay = DecayRates(gamma_b=2.0, gamma_x=1.0)
     traj = evolve(EXCITON, ConstantDrive(omega0=0.0, delta_x=0.0), decay,
                   NO_DEPH, t_span=(0.0, 25.0), tol=1e-10)
-    p_x, p_b = emission_probabilities(traj, decay, 25.0)
+    p_x, p_b = np.array(cumulative_emission(traj, decay))[:, -1]
     assert p_x == pytest.approx(1.0, abs=1e-5)
     assert p_b == pytest.approx(0.0, abs=1e-8)
-
-
-def test_emission_rejects_out_of_range():
-    traj = evolve(GROUND, PulseDrive(omega0=0.0, sigma=1.0), DecayRates(),
-                  DephasingModel(), t_span=(0.0, 1.0))
-    with pytest.raises(ValueError, match="outside"):
-        emission_probabilities(traj, DecayRates(), 2.0)
 
 
 # --- trajectory invariants ------------------------------------------------------
@@ -716,16 +714,15 @@ def test_trajectory_csv_export(tmp_path):
     assert last[7] == pytest.approx(ref_b, abs=1e-4)
 
 
-def test_csv_emission_columns_equal_emission_probabilities(tmp_path):
+def test_csv_emission_columns_match_closed_form_cascade(tmp_path):
     decay = DecayRates(gamma_b=2.0, gamma_x=1.0)
     traj = evolve(BIEXCITON, ConstantDrive(omega0=0.0, delta_x=0.0), decay,
                   NO_DEPH, t_span=(0.0, 5.0))
     path = tmp_path / "traj.csv"
     export_trajectory_csv(traj, decay, path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    ref = np.array([emission_probabilities(traj, decay, t)
-                    for t in traj.times])
-    assert np.abs(rows[:, 6:8] - ref).max() < 1e-12
+    ref = np.column_stack(oracles.cascade_emission(traj.times, 2.0, 1.0))
+    assert np.abs(rows[:, 6:8] - ref).max() < 1e-11
 
 
 def test_cumulative_emission_monotone():
@@ -735,3 +732,17 @@ def test_cumulative_emission_monotone():
     px, pb = cumulative_emission(traj, decay)
     assert np.all(np.diff(px) >= 0) and np.all(np.diff(pb) >= 0)
     assert px[0] == pb[0] == 0.0
+
+
+def test_package_import_leaves_out_scipy_interpolate():
+    # emission is read at a trajectory's rows, never between them, so the
+    # package has no use for an interpolant
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, qdtimebin; "
+            "print('scipy.interpolate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -22,8 +22,14 @@ from oracles import (mle_lbfgs, mle_optimality_gap, poisson_deviance,
                      random_density_matrix)
 
 
+def projector_matrix(p):
+    k = p.ket()
+    return np.outer(k, k.conj())
+
+
 def joint_ops(settings):
-    return [s.operator() for s in settings]
+    return [np.kron(projector_matrix(s.xx), projector_matrix(s.x))
+            for s in settings]
 
 
 def joint_kets(settings):
@@ -53,26 +59,35 @@ def test_setting_operators_match_kron_of_projectors():
 
 def test_projectors_rank_one_idempotent():
     for s in standard_settings():
-        for p in (s.xx.matrix(), s.x.matrix()):
+        for p in (projector_matrix(s.xx), projector_matrix(s.x)):
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_basis_projector_overlaps():
-    e = Projector("E").matrix()
-    l = Projector("L").matrix()
-    s0 = Projector("S", 0.0).matrix()
+    e = projector_matrix(Projector("E"))
+    l = projector_matrix(Projector("L"))
+    s0 = projector_matrix(Projector("S", 0.0))
     assert abs(np.trace(e @ l)) < 1e-15
     assert np.trace(s0 @ e).real == pytest.approx(0.5)
 
 
 def test_projector_labels_round_trip():
-    for p in (Projector("E"), Projector("L"), Projector("S", 1.23)):
-        q = Projector.from_label(p.label())
-        assert q.kind == p.kind
-        assert q.phase == pytest.approx(p.phase)
+    for p in (Projector("E"), Projector("L"), Projector("S", 1.23),
+              Projector("S", np.pi / 2.0), Projector("S", -np.pi / 3.0)):
+        assert Projector.from_label(p.label()) == p
     with pytest.raises(ValueError):
         Projector("Q")
+
+
+@pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+def test_projector_rejects_non_finite_phase(phase, tmp_path):
+    with pytest.raises(ValueError, match="phase"):
+        Projector("S", phase)
+    path = tmp_path / "counts.txt"
+    path.write_text(f"# n_mean = 1.0e+02\n0 S{phase} E 5\n")
+    with pytest.raises(ValueError, match="phase"):
+        load_dataset(path)
 
 
 # --- forward model ----------------------------------------------------------------
@@ -88,7 +103,8 @@ def test_expected_counts_basis_states():
     mu_ideal = expected_counts(ideal_state(0.0), settings, 1000.0)
     by_label = {(s.xx.label(), s.x.label()): m
                 for s, m in zip(settings, mu_ideal)}
-    assert by_label[("S0.000000", "S0.000000")] == pytest.approx(500.0)
+    s0 = Projector("S", 0.0).label()
+    assert by_label[(s0, s0)] == pytest.approx(500.0)
 
 
 def test_simulate_counts_deterministic():
@@ -359,5 +375,4 @@ def test_dataset_validation_and_io(tmp_path):
     back = load_dataset(path)
     assert np.array_equal(back.counts, data.counts)
     assert back.total_per_setting == data.total_per_setting
-    assert all(a.xx.label() == b.xx.label() and a.x.label() == b.x.label()
-               for a, b in zip(back.settings, data.settings))
+    assert back.settings == data.settings
