@@ -136,17 +136,18 @@ def _state_metrics(rho: np.ndarray) -> dict:
             "visibility_energy_90": v_e90}
 
 
-def _seed_metrics(rho: np.ndarray, rho_model: np.ndarray) -> dict:
-    """The metrics the report keeps for each seed's reconstruction: a
-    subset of ``_state_metrics``, without the energy-basis fringes."""
-    return {"concurrence": timebin.concurrence(rho),
-            "fidelity": timebin.fidelity_bell(rho)[0],
-            "coherence_abs": abs(timebin.coherence_metric(rho)[0]),
-            "visibility_time": timebin.time_visibility(rho),
-            "state_fidelity_to_model": state_fidelity(rho, rho_model)}
+def _seed_metrics(rhos: np.ndarray, rho_model: np.ndarray) -> dict:
+    """The metrics the report keeps for each seed's reconstruction, one
+    array entry per matrix of the (S, 4, 4) stack ``rhos``: a subset of
+    ``_state_metrics``, without the energy-basis fringes."""
+    return {"concurrence": timebin.concurrence(rhos),
+            "fidelity": timebin.fidelity_bell(rhos)[0],
+            "coherence_abs": np.abs(timebin.coherence_metric(rhos)[0]),
+            "visibility_time": timebin.time_visibility(rhos),
+            "state_fidelity_to_model": state_fidelity(rhos, rho_model)}
 
 
-def _batch_stats(values: list[float]) -> dict:
+def _batch_stats(values: np.ndarray) -> dict:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return {"mean": float(arr.mean()), "std": std,
@@ -177,12 +178,11 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     seed = args.seed if args.seed is not None else cfg.tomography.seed
     seeds = [int(s) for s in
              np.random.SeedSequence(seed).generate_state(cfg.tomography.n_seeds)]
-    settings = tomography.standard_settings()
-    datasets = [tomography.simulate_counts(rho_model, settings,
-                                           cfg.tomography.n_mean, s)
-                for s in seeds]
+    datasets = tomography.simulate_counts(
+        rho_model, tomography.standard_settings(), cfg.tomography.n_mean,
+        seeds)
     fits = tomography.reconstruct_mle_many(datasets)
-    per_seed = [_seed_metrics(mle.rho, rho_model) for mle in fits]
+    per_seed = _seed_metrics(np.array([mle.rho for mle in fits]), rho_model)
     mle_status = {key: [getattr(mle, key) for mle in fits]
                   for key in ("converged", "n_iter", "log_likelihood",
                               "deviance")}
@@ -194,8 +194,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         "v_coh": v_coh,
         "accidental_fraction": params.accidental_fraction(),
         "model_metrics": _state_metrics(rho_model),
-        "reconstruction": {k: _batch_stats([m[k] for m in per_seed])
-                           for k in per_seed[0]},
+        "reconstruction": {k: _batch_stats(v) for k, v in per_seed.items()},
         "mle": mle_status,
     }
     path = out / "entangle_report.json"
@@ -218,6 +217,18 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as ``tomography.seed``."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdtimebin",
@@ -230,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the tomography seed")
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="override the tomography seed (>= 0)")
     return parser
 
 

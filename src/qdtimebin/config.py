@@ -192,7 +192,8 @@ class TomographyConfig:
         _check_keys("tomography", data, {"n_mean", "seed", "n_seeds"})
         return cls(n_mean=_number("tomography", data, "n_mean", 1e5,
                                   minimum=1e-9, maximum=MAX_N_MEAN),
-                   seed=_integer("tomography.seed", data.get("seed", 1)),
+                   seed=_integer("tomography.seed", data.get("seed", 1),
+                                 minimum=0),
                    n_seeds=_integer("tomography.n_seeds",
                                     data.get("n_seeds", 1), minimum=1))
 

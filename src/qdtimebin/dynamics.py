@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import DOP853, Radau
+from scipy.integrate import DOP853, Radau, trapezoid
 from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 
@@ -68,12 +68,14 @@ _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 # is stepped by Radau instead.
 _MAX_WINDOW_STEPS = 100_000
 # DOP853 steps that dephasing alone forces (``_window_method``) above which
-# Radau steps the window.  Measured crossover, sigma 1e-2 to 1.5e-4, area
+# Radau steps a window of one drive; for N drives the threshold is
+# _RADAU_STEPS * N^0.4.  Measured crossover, sigma 1e-2 to 1.5e-4, area
 # 5-20, gamma_i0 0.0349, delta_x 3.5, tol 1e-8 (2-core x86-64 VM, one
 # thread): ~360 steps for one drive, ~1,500 for 48, ~3,500 for 288 and
-# ~6,000 for 1,000; at 12,000 Radau takes 0.22 s for one drive where DOP853
-# takes 2.66 s.
-_RADAU_STEPS = 6_000
+# ~6,000 for 1,000, which the rule gives within 13 %; at 12,000 Radau
+# takes 0.22 s for one drive where DOP853 takes 2.66 s, and at sigma 5e-4
+# (estimate 3,628) 0.09 s where DOP853 takes 0.27 s.
+_RADAU_STEPS = 360.0
 # Real stability limit of DOP853: h |lambda| <= 6.39 for a real negative
 # eigenvalue lambda, from the stability function of scipy's tableau
 # (RK45's is 3.31).
@@ -366,8 +368,8 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 
 def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
                    tau_span: tuple[float, float]):
-    """DOP853, or Radau for a batch whose dephasing alone would force DOP853
-    past ``_RADAU_STEPS`` steps over ``tau_span``.
+    """DOP853, or Radau for a batch of N drives whose dephasing alone would
+    force DOP853 past ``_RADAU_STEPS`` N^0.4 steps over ``tau_span``.
 
     rp is diagonal, so sigma_n rate_n(tau) |rp| bounds the real eigenvalues
     of drive n's generator that dephasing adds at pulse time tau; DOP853 is
@@ -382,27 +384,69 @@ def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
     tau = np.linspace(tau_span[0], tau_span[1], 41)
     rate = deph.rate(drive.amplitude_at(tau[:, None]))
     steps = (np.abs(rp).max() / _EXPLICIT_STABILITY * np.max(
-        drive.sigma * np.trapezoid(rate, tau, axis=0)))
-    return Radau if steps > _RADAU_STEPS else DOP853
+        drive.sigma * trapezoid(rate, tau, axis=0)))
+    n = np.size(drive.omega0)
+    return Radau if steps > _RADAU_STEPS * n ** 0.4 else DOP853
+
+
+def _pulse_coefficients(drive: PulseDrive, deph: DephasingModel, n: int):
+    """The products, taken once per window, from which the (3, N)
+    coefficient rows sigma, sigma omega and sigma rate(omega) of the N
+    drives follow at pulse time tau, where omega is each drive's amplitude
+    there: with e = exp(-ln2 tau^2), shared by every drive, the rows are
+    sigma, (sigma omega0) e and sigma gamma_bg + (sigma gamma_i0
+    omega0^n_p) e^n_p.
+
+    Returns sigma, sigma omega0, sigma gamma_bg and sigma gamma_i0
+    omega0^n_p, each of shape (N,), and n_p: one number when the drives
+    share it, so that e^n_p is one scalar power, else one per drive.
+    0.0**0 is 1, so n_p = 0 still folds gamma_i0 into a constant.  A drive
+    whose omega0^n_p overflows gets an infinite or NaN product, which
+    ``_window_steps`` reports at its start.
+    """
+    sigma = np.broadcast_to(np.asarray(drive.sigma, dtype=float), (n,))
+    omega0 = np.asarray(drive.omega0, dtype=float)
+    n_p = np.unique(deph.n_p)
+    n_p = n_p.item() if n_p.size == 1 else np.asarray(deph.n_p)
+    return (sigma, sigma * omega0, sigma * deph.gamma_bg,
+            sigma * deph.gamma_i0 * omega0 ** np.asarray(deph.n_p), n_p)
+
+
+def _pulse_rows(drive: PulseDrive, deph: DephasingModel, n: int):
+    """The function of pulse time tau that fills the (3, N) coefficient rows
+    of ``_pulse_coefficients`` from e = exp(-ln2 tau^2) and returns them:
+    one array, overwritten by the next call."""
+    sigma, amp, base, peak, n_p = _pulse_coefficients(drive, deph, n)
+    rows = np.empty((3, n))
+    rows[0] = sigma
+
+    def at(tau):
+        e = math.exp(-LN2 * tau * tau)
+        np.multiply(amp, e, out=rows[1])
+        np.multiply(peak, e ** n_p, out=rows[2])
+        rows[2] += base
+        return rows
+
+    return at
 
 
 def _block_jacobian(drive: PulseDrive, deph: DephasingModel, r0, rd, rp,
                     n: int):
     """Jacobian of ``_window_steps``' right-hand side at pulse time tau, a
-    function of (tau, y).  For the (11, N) state raveled row-major it is
-    block diagonal over the drives: entry (k N + n, l N + n) is
+    function of (tau, y), from the coefficient rows of ``_pulse_rows``.
+    For the (11, N) state raveled row-major it is block diagonal over the
+    drives: entry (k N + n, l N + n) is
     sigma_n (r0 + omega_n rd + rate_n rp)[k, l], 121 N entries in all."""
     size = _N_STATE * n
     # in CSC order, column l N + n holds rows k N + n, k = 0 .. 10
     rows = np.tile((np.arange(0, size, n) + np.arange(n)[:, None]).ravel(),
                    _N_STATE)
     starts = np.arange(0, _N_STATE * size + 1, _N_STATE)
+    parts = np.stack((r0, rd, rp), axis=-1)  # (11, 11, 3)
+    rows_at = _pulse_rows(drive, deph, n)
 
     def jac(tau, y):
-        omega_t = drive.amplitude_at(tau)
-        blocks = drive.sigma * (r0[:, :, None] + rd[:, :, None] * omega_t
-                                + rp[:, :, None] * deph.rate(omega_t))
-        blocks = np.broadcast_to(blocks, (_N_STATE, _N_STATE, n))
+        blocks = parts @ rows_at(tau)  # (11, 11, N)
         return csc_matrix((blocks.transpose(1, 2, 0).ravel(), rows, starts),
                           shape=(size, size))
 
@@ -420,7 +464,8 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
 
     Column n obeys dY/dtau = sigma_n (r0 @ Y + (rd @ Y) omega_n
     + (rp @ Y) deph.rate(omega_n)), with omega_n = drive.amplitude_at(tau),
-    its amplitude at its own time t0 + sigma tau.  ``drive.sigma``,
+    its amplitude at its own time t0 + sigma tau: the three parts weighted
+    by the coefficient rows of ``_pulse_coefficients``.  ``drive.sigma``,
     ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
     drives of different sigma share the window |tau| <= PULSE_HALF_WIDTH
     and one step sequence.  The method is scipy's DOP853, or Radau with the
@@ -440,24 +485,38 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     """
     n = y0.shape[1]
     r0, rd, rp = _real_generator(drive, decay)
-    r = np.hstack((r0, rd, rp))
-    sigma = drive.sigma
-    # rhs fills this with [sigma Y; sigma omega Y; sigma rate Y], so that
-    # one (11, 33) product applies the generator: fewer passes over the
-    # state and no temporaries, where scaling and adding r0 Y, rd Y and rp Y
-    # would take five of each
-    scaled = np.empty((3, _N_STATE, n))
 
     def times(tau):
-        return drive.t0 + sigma * tau
+        return drive.t0 + drive.sigma * tau
 
-    def rhs(tau, y):
-        omega_t = drive.amplitude_at(tau)
-        y = y.reshape(_N_STATE, n)
-        np.multiply(y, sigma, out=scaled[0])
-        np.multiply(y, sigma * omega_t, out=scaled[1])
-        np.multiply(y, sigma * deph.rate(omega_t), out=scaled[2])
-        return (r @ scaled.reshape(3 * _N_STATE, n)).ravel()
+    if n == 1:
+        # one drive: its (11, 11) generator is (gen0, gen1, gen2) @
+        # (1, e, e^n_p), the coefficient products folded into the parts
+        # once here.  Two products per call take 3.6 us, where the rows,
+        # the broadcast and the product of a batch take ~7 us at N = 1
+        # (2-core x86-64 VM, one thread); from N = 6 on the rows are faster.
+        sigma, amp, base, peak, n_p = _pulse_coefficients(drive, deph, 1)
+        gen = np.stack((sigma * r0 + base * rp, amp * rd, peak * rp),
+                       axis=-1).reshape(_N_STATE * _N_STATE, 3)
+
+        def rhs(tau, y):
+            e = math.exp(-LN2 * tau * tau)
+            return np.dot(gen, (1.0, e, e ** n_p)).reshape(
+                _N_STATE, _N_STATE) @ y
+    else:
+        r = np.hstack((r0, rd, rp))
+        rows_at = _pulse_rows(drive, deph, n)
+        # rhs scales Y by each coefficient row into this (3, 11, N) stack
+        # in one broadcast multiply, so that one (11, 33) product applies
+        # the generator: fewer passes over the state and no temporaries,
+        # where scaling and adding r0 Y, rd Y and rp Y would take five of
+        # each
+        scaled = np.empty((3, _N_STATE, n))
+
+        def rhs(tau, y):
+            np.multiply(rows_at(tau)[:, None, :], y.reshape(_N_STATE, n),
+                        out=scaled)
+            return (r @ scaled.reshape(3 * _N_STATE, n)).ravel()
 
     tau0, tau1 = tau_span
     cap, rtol, y = 100.0 * tol, max(tol / math.sqrt(n), TOL_FLOOR), y0.ravel()
@@ -477,23 +536,31 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     solver = method(rhs, tau0, y, tau1, max_step=(tau1 - tau0) / 40.0,
                     rtol=rtol, atol=rtol, **options)
     yield times(tau0), y0
-    for _ in range(_MAX_WINDOW_STEPS):
-        if solver.status != "running":
-            return
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"{method.__name__} integration failed at pulse time tau = "
-                f"{solver.t:.6g}: {message}", _time_of(times(solver.t), 0))
-        y = solver.y.reshape(_N_STATE, n)
-        _check_drift(times(solver.t), y, cap, where)
-        yield times(solver.t), y
-    if solver.status == "running":
-        raise StepBudgetError(
-            f"{method.__name__} step budget of {_MAX_WINDOW_STEPS} steps "
-            f"exhausted at pulse time tau = {solver.t:.6g}, before the span "
-            f"ends at tau = {tau1:.6g}: the window needs more steps",
-            _time_of(times(solver.t), 0))
+    try:
+        for _ in range(_MAX_WINDOW_STEPS):
+            if solver.status != "running":
+                return
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(
+                    f"{method.__name__} integration failed at pulse time "
+                    f"tau = {solver.t:.6g}: {message}",
+                    _time_of(times(solver.t), 0))
+            y = solver.y.reshape(_N_STATE, n)
+            _check_drift(times(solver.t), y, cap, where)
+            yield times(solver.t), y
+        if solver.status == "running":
+            raise StepBudgetError(
+                f"{method.__name__} step budget of {_MAX_WINDOW_STEPS} steps "
+                f"exhausted at pulse time tau = {solver.t:.6g}, before the "
+                f"span ends at tau = {tau1:.6g}: the window needs more steps",
+                _time_of(times(solver.t), 0))
+    finally:
+        # scipy's solver keeps closures over itself; dropping them lets its
+        # work arrays go when the window ends, not at a later cyclic
+        # collection (peak RSS of a 20 s perfbench fit run on a 2-core
+        # x86-64 VM: 86.5 -> 85.4 MB)
+        solver.fun = solver.fun_vectorized = solver.jac = None
 
 
 def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,

@@ -6,6 +6,11 @@ in the {|early>, |late>} basis; the joint basis order is fixed as
 ingredients: a white accidental background from double excitations of the
 emitter, and a contrast factor on the ee-ll coherence from phase noise of
 the excitation process.
+
+``concurrence``, ``fidelity_bell``, ``coherence_metric`` and
+``time_visibility`` take one 4x4 density matrix or a (..., 4, 4) stack of
+them, and return Python numbers for one matrix or arrays of one entry per
+matrix for a stack.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import B, G, check_field
-from .linalg import check_density_matrix, sqrt_spectrum
+from .linalg import check_density_matrix, per_matrix, sqrt_spectrum
 
 EE, EL, LE, LL = 0, 1, 2, 3
 
@@ -115,10 +120,11 @@ def _fringe(rho: np.ndarray, relative_phase: float) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def time_visibility(rho: np.ndarray) -> float:
-    """Time-basis correlation P_ee + P_ll - P_el - P_le."""
-    d = np.real(np.diag(rho))
-    return float(d[EE] + d[LL] - d[EL] - d[LE])
+def time_visibility(rho: np.ndarray):
+    """Time-basis correlation P_ee + P_ll - P_el - P_le, of one state or of
+    each state of a stack."""
+    d = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    return per_matrix(d[..., EE] + d[..., LL] - d[..., EL] - d[..., LE])
 
 
 def visibilities(rho: np.ndarray) -> tuple[float, float, float]:
@@ -131,31 +137,40 @@ def visibilities(rho: np.ndarray) -> tuple[float, float, float]:
     return time_visibility(rho), _fringe(rho, 0.0), _fringe(rho, np.pi / 2.0)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a physical two-qubit state."""
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence of a physical two-qubit state; a stack whose
+    matrix i is not a density matrix raises ValueError naming i."""
     check_density_matrix(rho, dim=4, trace_tol=1e-8, herm_tol=1e-8,
                          psd_tol=1e-8)
     lam = sqrt_spectrum(rho, _YY @ rho.conj() @ _YY)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return per_matrix(np.maximum(
+        0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
-def fidelity_bell(rho: np.ndarray) -> tuple[float, float]:
+def fidelity_bell(rho: np.ndarray):
     """Best overlap with (|ee> + e^{i phi} |ll>)/sqrt(2) over phi.
 
-    Returns (fidelity, optimal phi); closed form
-    f = (rho_ee,ee + rho_ll,ll)/2 + |rho_ee,ll|.
+    Returns (fidelity, optimal phi), floats for one state and arrays for a
+    stack; closed form f = (rho_ee,ee + rho_ll,ll)/2 + |rho_ee,ll|.
     """
-    f = 0.5 * (rho[EE, EE].real + rho[LL, LL].real) + abs(rho[EE, LL])
-    phi_opt = float(-np.angle(rho[EE, LL])) if rho[EE, LL] != 0 else 0.0
-    return float(f), phi_opt
+    c = rho[..., EE, LL]
+    f = 0.5 * (rho[..., EE, EE].real + rho[..., LL, LL].real) + abs(c)
+    phi_opt = np.where(c != 0, -np.angle(c), 0.0)
+    return per_matrix(f), per_matrix(phi_opt)
 
 
-def coherence_metric(rho: np.ndarray) -> tuple[complex, int, int]:
-    """Off-diagonal element of largest magnitude, with its indices."""
-    mags = np.abs(rho).copy()
-    np.fill_diagonal(mags, -1.0)  # never select a diagonal entry
-    i, j = np.unravel_index(np.argmax(mags), mags.shape)
-    return complex(rho[i, j]), int(i), int(j)
+def coherence_metric(rho: np.ndarray):
+    """Off-diagonal element of largest magnitude, with its indices: a
+    complex and two ints for one state, three arrays for a stack."""
+    n = rho.shape[-1]
+    mags = np.abs(rho)
+    mags[..., np.arange(n), np.arange(n)] = -1.0  # never a diagonal entry
+    k = np.argmax(mags.reshape(*rho.shape[:-2], n * n), axis=-1)
+    value = np.take_along_axis(rho.reshape(*rho.shape[:-2], n * n),
+                               k[..., None], axis=-1)[..., 0]
+    i, j = np.divmod(k, n)
+    return per_matrix(value, complex), per_matrix(i, int), \
+        per_matrix(j, int)
 
 
 # --- density matrix CSV ------------------------------------------------------

@@ -11,6 +11,7 @@ each stopping on its own (``reconstruct_mle_many``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +122,25 @@ def expected_counts(rho: np.ndarray, settings: list[MeasurementSetting],
 
 
 def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
-                    n_mean: float, seed: int) -> TomographyDataset:
-    """Poisson coincidence counts for each setting, deterministic per seed."""
+                    n_mean: float, seed: int | Sequence[int]
+                    ) -> TomographyDataset | list[TomographyDataset]:
+    """Poisson coincidence counts for each setting, deterministic per seed.
+
+    ``seed`` is one seed, which gives one dataset, or a sequence of seeds,
+    which gives one dataset per seed, each the one its seed gives alone:
+    every draw is ``np.random.default_rng(seed).poisson`` of one expected
+    count vector.
+    """
     if n_mean <= 0:
         raise ValueError("n_mean must be positive")
     mu = np.clip(expected_counts(rho, settings, n_mean), 0.0, None)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(mu).astype(float)
-    return TomographyDataset(settings=list(settings), counts=counts,
-                             total_per_setting=float(n_mean))
+    many = np.ndim(seed) > 0
+    datasets = [TomographyDataset(
+        settings=list(settings),
+        counts=np.random.default_rng(s).poisson(mu).astype(float),
+        total_per_setting=float(n_mean))
+        for s in (seed if many else [seed])]
+    return datasets if many else datasets[0]
 
 
 def _estimate_norm(data: TomographyDataset) -> float:

@@ -160,6 +160,8 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     pytest.param("entangle", _set(["tomography", "n_mean"], 1e300),
                  "tomography.n_mean",
                  id="entangle-edit-tomography.n_mean-above-poisson-limit"),
+    pytest.param("entangle", _set(["tomography"], {"seed": -3}),
+                 "tomography.seed", id="entangle-edit-tomography.seed-negative"),
     # a pulse of area 0 leaves rho_bb at 0, so it cannot calibrate v_coh
     pytest.param("entangle", _edits(
         _set(["pulse", "area"], 0.0), _set(["timebin"], {"epsilon": 0.06}),
@@ -408,6 +410,50 @@ def entangle_config():
                     "v_coh": 0.92},
         "tomography": {"n_mean": 2e4, "seed": 5, "n_seeds": 2},
     }
+
+
+def test_negative_seed_option_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, entangle_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["entangle", "--config", str(cfg), "--out", str(tmp_path),
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "entangle_report.json").exists()
+
+
+def test_entangle_computes_each_metric_once_per_run(tmp_path, monkeypatch):
+    # the counts of all seeds are drawn in one call, and each metric of the
+    # fitted states is taken on their stack: one call per run, whatever the
+    # number of seeds, plus one on the model state
+    from qdtimebin import cli, timebin, tomography
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("concurrence", "fidelity_bell", "coherence_metric",
+                 "time_visibility"):
+        counted(timebin, name)
+    counted(cli, "state_fidelity")
+    counted(tomography, "simulate_counts")
+    data = entangle_config()
+    data["tomography"]["n_seeds"] = 5
+    cfg = write_config(tmp_path, data)
+    assert main(["entangle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # the model state's time visibility comes through visibilities
+    assert calls == {"concurrence": 2, "fidelity_bell": 2,
+                     "coherence_metric": 2, "time_visibility": 2,
+                     "state_fidelity": 1, "simulate_counts": 1}
+    report = json.loads((tmp_path / "entangle_report.json").read_text())
+    assert all(len(v["values"]) == 5
+               for v in report["reconstruction"].values())
 
 
 def test_entangle_ideal_configuration(tmp_path):

@@ -406,16 +406,90 @@ def test_window_method_bounds_the_explicit_steps():
 
 
 def test_forced_radau_matches_dop853(monkeypatch, window_methods):
-    # at sigma 1e-3 the bound on DOP853's steps is ~1,800; above a Radau
-    # threshold of 1,000 Radau steps the same batch, and the two agree
+    # at sigma 1e-3 the bound on DOP853's steps is ~1,800, above the Radau
+    # threshold of ~475 for two drives: Radau steps the batch, and DOP853,
+    # forced by a threshold of ~13,000, agrees with it
     drive = PulseDrive(omega0=omega0_for_area(np.array([5.0, 20.0]), 1e-3),
                        sigma=1e-3, delta_x=3.5)
     decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
-    explicit = np.array(emission_after_pulse(drive, decay, deph))
-    monkeypatch.setattr(dynamics, "_RADAU_STEPS", 1_000)
     implicit = np.array(emission_after_pulse(drive, decay, deph))
-    assert window_methods == ["DOP853", "Radau"]
+    monkeypatch.setattr(dynamics, "_RADAU_STEPS", 10_000)
+    explicit = np.array(emission_after_pulse(drive, decay, deph))
+    assert window_methods == ["Radau", "DOP853"]
     assert np.abs(implicit - explicit).max() < 1e-10
+
+
+def test_moderately_stiff_single_drive_steps_with_radau(window_methods):
+    # at sigma 5e-4 dephasing alone forces DOP853 to ~3,600 steps (0.27 s
+    # against Radau's 0.09 s): past the threshold of 360 for one drive,
+    # Radau steps the window, within 20 tol of the oracle
+    decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
+    drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 5e-4)]),
+                       sigma=5e-4, delta_x=3.5)
+    p = np.array(emission_after_pulse(drive, decay, deph))
+    assert window_methods == ["Radau"]
+    ref = np.array(oracles.pulse_emission([20.0], 5e-4, 3.5, 0.004, 0.002,
+                                          0.01, 0.0349, 2, method="Radau"))
+    assert np.abs(p - ref).max() <= 20 * 1e-8
+
+
+def test_window_method_needs_no_numpy_trapezoid(monkeypatch):
+    # np.trapezoid is new in numpy 2.0; the estimate must not need it
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 1.5e-4)]),
+                       sigma=1.5e-4, delta_x=3.5)
+    rp = _real_generator(drive, DecayRates(0.004, 0.002))[2]
+    chosen = dynamics._window_method(
+        drive, DephasingModel(0.01, 0.0349, 2), rp, (-5.0, 5.0))
+    assert chosen.__name__ == "Radau"
+
+
+def _window_rhs(monkeypatch, drive, deph, decay):
+    """The right-hand side ``_window_steps`` hands its method."""
+    captured = []
+
+    class Capture:
+        def __init__(self, fun, *args, **options):
+            captured.append(fun)
+            self.status = "finished"
+
+    monkeypatch.setattr(dynamics, "_window_method", lambda *args: Capture)
+    n = np.size(drive.omega0)
+    y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
+    list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), 1e-8))
+    return captured[0]
+
+
+def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
+    # the coefficient rows give, per drive, sigma (r0 + omega rd + rate rp)
+    # with omega from amplitude_at and rate from DephasingModel.rate: for a
+    # batch with its own sigma, n_p 0, 2 and 4 and one drive off, and for
+    # each drive alone
+    drive = PulseDrive(omega0=np.array([0.3, 0.0, 1.2, 2.0]),
+                       sigma=np.array([1.0, 4.0, 12.0, 0.5]),
+                       t0=np.array([0.0, -3.0, 2.0, 1.0]), delta_x=3.5,
+                       delta_b=0.1)
+    deph = DephasingModel(np.array([0.01, 0.0, 0.02, 0.01]),
+                          np.array([0.0349, 0.1, 0.0219, 0.2]),
+                          np.array([0, 2, 4, 2]))
+    decay = DecayRates(0.004, 0.002)
+    r0, rd, rp = _real_generator(drive, decay)
+    y = np.random.default_rng(9).normal(size=(11, 4))
+    batch = _window_rhs(monkeypatch, drive, deph, decay)
+    for tau in (-4.2, -0.3, 0.0, 1.7):
+        dy = batch(tau, y.ravel()).reshape(11, 4)
+        for i in range(4):
+            one = PulseDrive(drive.omega0[i], drive.sigma[i], drive.t0[i],
+                             delta_x=3.5, delta_b=0.1)
+            rates = DephasingModel(deph.gamma_bg[i], deph.gamma_i0[i],
+                                   int(deph.n_p[i]))
+            omega = one.amplitude_at(tau)
+            ref = one.sigma * (r0 + omega * rd + rates.rate(omega) * rp) \
+                @ y[:, i]
+            scale = np.abs(ref).max()
+            assert np.abs(dy[:, i] - ref).max() <= 1e-13 * scale
+            alone = _window_rhs(monkeypatch, one, rates, decay)
+            assert np.abs(alone(tau, y[:, i]) - ref).max() <= 1e-13 * scale
 
 
 def test_block_jacobian_applies_lindblad_rhs():

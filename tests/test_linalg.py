@@ -11,6 +11,7 @@ from qdtimebin.linalg import (
     hermitian_basis,
     hermiticity_defect,
     min_eigenvalue,
+    sqrt_spectrum,
     sqrtm_psd,
     state_fidelity,
 )
@@ -154,3 +155,62 @@ def test_state_fidelity_pure_states():
     assert state_fidelity(fa, fa) == pytest.approx(1.0, abs=1e-9)
     assert state_fidelity(fa, fb) == pytest.approx(abs(np.vdot(a, b)) ** 2,
                                                    abs=1e-9)
+
+
+def random_stack(seed, n=6, dim=4):
+    rng = np.random.default_rng(seed)
+    return np.array([random_density_matrix(rng, dim) for _ in range(n)])
+
+
+def test_stacked_calls_match_one_matrix_calls():
+    rhos = random_stack(21)
+    sigma = random_stack(22, n=1)[0]
+    w, v = eig_hermitian(rhos)
+    roots, spectra = sqrtm_psd(rhos), sqrt_spectrum(rhos, sigma)
+    fidelities = state_fidelity(rhos, sigma)
+    check_density_matrix(rhos, dim=4)
+    for i, rho in enumerate(rhos):
+        w1, v1 = eig_hermitian(rho)
+        assert np.abs(w[i] - w1).max() <= 1e-13
+        assert np.abs(v[i] - v1).max() <= 1e-13
+        assert np.abs(roots[i] - sqrtm_psd(rho)).max() <= 1e-13
+        assert np.abs(spectra[i] - sqrt_spectrum(rho, sigma)).max() <= 1e-13
+        one = state_fidelity(rho, sigma)
+        assert isinstance(one, float)
+        assert abs(fidelities[i] - one) <= 1e-13
+    # stacks broadcast against each other and keep their leading shape
+    pairs = state_fidelity(rhos.reshape(2, 3, 4, 4), rhos[:3])
+    assert pairs.shape == (2, 3)
+    assert abs(pairs[1, 2] - state_fidelity(rhos[5], rhos[2])) <= 1e-13
+
+
+def _unphysical(kind):
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    if kind == "trace":
+        rho[0, 0] = 0.7
+    elif kind == "hermiticity":
+        rho[0, 1] = 0.1
+    elif kind == "eigenvalue":
+        rho = np.diag([0.6, 0.3, 0.3, -0.2]).astype(complex)
+    else:
+        rho[1, 2] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["trace", "hermiticity", "eigenvalue", "nan"])
+def test_stacked_check_names_the_first_bad_matrix(kind):
+    # matrix 3 fails the check; matrix 4 fails another, and is not named
+    rhos = random_stack(23)
+    rhos[3] = _unphysical(kind)
+    rhos[4] = _unphysical("trace" if kind != "trace" else "eigenvalue")
+    with pytest.raises(ValueError) as alone:
+        check_density_matrix(rhos[3])
+    with pytest.raises(ValueError) as stacked:
+        check_density_matrix(rhos)
+    assert str(stacked.value) == f"matrix 3 of the stack: {alone.value}"
+    if kind in ("hermiticity", "nan"):
+        with pytest.raises(ValueError, match="^matrix 3 of the stack: "
+                                             "matrix is not Hermitian"):
+            eig_hermitian(rhos)
+    with pytest.raises(ValueError, match="^matrix 3 of the stack"):
+        concurrence(rhos)

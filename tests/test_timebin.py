@@ -19,6 +19,7 @@ from qdtimebin.timebin import (
     ideal_state,
     import_density_csv,
     model_state,
+    time_visibility,
     visibilities,
 )
 
@@ -268,6 +269,25 @@ def test_coherence_metric_values():
     # magnitude bounded by 1/2 for physical states
     rho = model_state(TimeBinModelParams(epsilon=0.2, v_coh=0.9))
     assert abs(coherence_metric(rho)[0]) <= 0.5 + 1e-12
+
+
+def test_stacked_metrics_match_one_matrix_calls():
+    # a stack of states gives each metric of each matrix in one call; one
+    # matrix still gives Python numbers
+    rng = np.random.default_rng(31)
+    rhos = np.array([random_density_matrix(rng, 4) for _ in range(5)]
+                    + [ideal_state(0.7), MIXED])
+    c, (f, phi), (coh, i, j), v = (concurrence(rhos), fidelity_bell(rhos),
+                                   coherence_metric(rhos),
+                                   time_visibility(rhos))
+    for k, rho in enumerate(rhos):
+        one = (concurrence(rho), *fidelity_bell(rho), *coherence_metric(rho),
+               time_visibility(rho))
+        assert [type(x) for x in one] == [float, float, float, complex, int,
+                                          int, float]
+        stacked = (c[k], f[k], phi[k], coh[k], i[k], j[k], v[k])
+        assert np.abs(np.subtract(stacked, one)).max() <= 1e-13
+    assert coherence_metric(rhos.reshape(7, 1, 4, 4))[1].shape == (7, 1)
 
 
 # --- excitation coherence -----------------------------------------------------------

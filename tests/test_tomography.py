@@ -118,6 +118,23 @@ def test_simulate_counts_deterministic():
     assert np.all(a.counts >= 0)
 
 
+def test_simulate_counts_for_seeds_match_each_seed_alone():
+    # a sequence of seeds gives one dataset per seed, bit for bit the one
+    # its seed gives alone
+    rho = model_state(TimeBinModelParams(epsilon=0.06, v_coh=0.93))
+    settings = standard_settings()
+    seeds = [3, 0, 2 ** 40, 3]
+    many = simulate_counts(rho, settings, 512.0, seeds)
+    assert len(many) == len(seeds)
+    for seed, data in zip(seeds, many):
+        alone = simulate_counts(rho, settings, 512.0, seed)
+        assert np.array_equal(data.counts, alone.counts)
+        assert data.settings == alone.settings
+        assert data.total_per_setting == alone.total_per_setting
+    assert simulate_counts(rho, settings, 512.0, np.array(seeds))[2].counts \
+        .tolist() == many[2].counts.tolist()
+
+
 # --- linear inversion ---------------------------------------------------------------
 
 def noiseless_dataset(rho, n_mean=1e6):
