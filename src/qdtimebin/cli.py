@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,6 @@ from .dynamics import (
 )
 from .linalg import state_fidelity
 from .sweeps import export_sweep_csv
-from .timebin import TimeBinModelParams
 
 CONFIG_ERROR_EXIT = 2
 NUMERICAL_ERROR_EXIT = 3
@@ -36,7 +37,7 @@ NUMERICAL_ERROR_EXIT = 3
 
 def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "dephasing")
-    drive, decay = cfg.pulse.drive(cfg.dot), cfg.dot.decay()
+    drive, decay = cfg.pulse.drive(cfg.dot), cfg.dot.decay
     traj = evolve(GROUND, drive, decay, cfg.dephasing,
                   t_span=cfg.t_span(drive), tol=cfg.numerics.tol)
     path = out / "trajectory.csv"
@@ -50,7 +51,7 @@ def cmd_rabi(cfg: RunConfig, out: Path, args) -> None:
     if cfg.sweep.areas is None or not cfg.sweep.models:
         raise ConfigError("rabi needs 'sweep.areas' and 'sweep.models'")
     results = sweeps.rabi_sweep(cfg.pulse.sigma, cfg.sweep.models,
-                                cfg.dot.decay(), cfg.sweep.areas,
+                                cfg.dot.decay, cfg.sweep.areas,
                                 tol=cfg.numerics.tol, delta_x=cfg.dot.delta_x,
                                 delta_b=cfg.dot.delta_b)
     for i, res in enumerate(results):
@@ -66,7 +67,7 @@ def cmd_ratio(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "dephasing", "sweep")
     if cfg.sweep.energies is None or not cfg.sweep.sigmas:
         raise ConfigError("ratio needs 'sweep.energies' and 'sweep.sigmas'")
-    decay = cfg.dot.decay()
+    decay = cfg.dot.decay
     results = sweeps.ratio_sweep(cfg.sweep.sigmas, cfg.sweep.energies,
                                  cfg.dephasing, decay,
                                  delta_x=cfg.dot.delta_x,
@@ -97,17 +98,16 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
     # The fit's area window (sweeps.coherent_first_max_area) assumes
     # two-photon resonance and delta_x > 0; with gamma_b = 0 no biexciton
     # photon is emitted, so the Rabi curve it fits is flat.
-    dot = cfg.dot
-    for key, ok, need in (("delta_x", dot.delta_x > 0, "> 0"),
-                          ("delta_b", dot.delta_b == 0, "= 0"),
-                          ("gamma_b", dot.gamma_b > 0, "> 0")):
-        if not ok:
+    for key, value, need in (("delta_x", cfg.dot.delta_x, "> 0"),
+                             ("delta_b", cfg.dot.delta_b, "= 0"),
+                             ("gamma_b", cfg.dot.decay.gamma_b, "> 0")):
+        if not (value == 0 if need == "= 0" else value > 0):
             raise ConfigError(f"fit-dephasing needs 'dot.{key}' {need}, "
-                              f"got {getattr(dot, key)}")
+                              f"got {value}")
     try:
         fit = sweeps.fit_gamma_i0(
             cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
-            cfg.dot.decay(),
+            cfg.dot.decay,
             gamma_bg=cfg.dephasing.gamma_bg if cfg.dephasing else 0.0,
             delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
     except sweeps.UnreachableTargetError as exc:
@@ -156,22 +156,18 @@ def _batch_stats(values: np.ndarray) -> dict:
 
 def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("timebin", "tomography")
-    v_coh = cfg.timebin.v_coh
-    if v_coh is None:
+    params = cfg.timebin
+    if cfg.calibrate_v_coh:
         cfg.require("dot", "pulse", "dephasing")
         drive = cfg.pulse.drive(cfg.dot)
-        traj = evolve(GROUND, drive, cfg.dot.decay(), cfg.dephasing,
+        traj = evolve(GROUND, drive, cfg.dot.decay, cfg.dephasing,
                       t_span=pulse_window(drive), tol=cfg.numerics.tol)
         try:
             v_coh = timebin.excitation_coherence(traj.states[-1])
         except ValueError as exc:
             raise ConfigError(f"'timebin.v_coh' is unset and the pulse "
                               f"cannot calibrate it: {exc}") from exc
-
-    params = TimeBinModelParams(phi_p=cfg.timebin.phi_p,
-                                epsilon=cfg.timebin.epsilon,
-                                v_coh=v_coh,
-                                pairing_weight=cfg.timebin.pairing_weight)
+        params = replace(params, v_coh=v_coh)
     rho_model = timebin.model_state(params)
     timebin.export_density_csv(rho_model, out / "model_state.csv")
 
@@ -191,7 +187,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     report = {
         "config": cfg.resolved(),
         "seed": seed,
-        "v_coh": v_coh,
+        "v_coh": params.v_coh,
         "accidental_fraction": params.accidental_fraction(),
         "model_metrics": _state_metrics(rho_model),
         "reconstruction": {k: _batch_stats(v) for k, v in per_seed.items()},
@@ -229,6 +225,7 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdtimebin",

@@ -1,16 +1,23 @@
 """Strict JSON run configuration.
 
 Unknown keys are fatal: a typo in a rate name must never silently fall back
-to a default.  Each section maps onto the corresponding model dataclasses;
-commands pull only the sections they need and complain about missing ones
+to a default.  The rates of ``dot`` build a ``DecayRates``, ``dephasing``
+and each ``sweep.models[i]`` a ``DephasingModel``, ``timebin`` a
+``TimeBinModelParams``; these, and ``sweeps.check_fit_target`` for
+``sweep.fit``, check the ranges, and their ValueError becomes a ConfigError
+naming the key.  What no model holds at parse time keeps its bounds here:
+``pulse``, ``sweep.sigmas``, the grids, ``tomography`` and ``numerics``.
+Commands pull only the sections they need and complain about missing ones
 by name.
 """
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -24,6 +31,8 @@ from .dynamics import (
     default_t_span,
     omega0_for_area,
 )
+from .sweeps import check_fit_target
+from .timebin import TimeBinModelParams
 
 
 class ConfigError(ValueError):
@@ -64,14 +73,35 @@ def _number(section: str, data: dict, key: str, default=None,
     return _value(f"{section}.{key}", data[key], minimum, maximum)
 
 
-def _integer(name: str, v, minimum=None, maximum=None) -> int:
+def _integer(name: str, v, minimum=None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"'{name}' must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"'{name}' must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"'{name}' must be <= {maximum}, got {v}")
     return v
+
+
+@contextlib.contextmanager
+def _naming(section: str):
+    """A ValueError starting with a field name, as 'section.field'."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, need = str(exc).partition(" ")
+        raise ConfigError(f"'{section}.{name}' {need}") from exc
+
+
+def _model(section: str, data: dict, cls):
+    """``cls`` built from section ``data``, whose keys are its parameters; a
+    key absent, or null where the default is a float, takes the default."""
+    params = inspect.signature(cls).parameters.values()
+    _check_keys(section, data, {p.name for p in params})
+    values = {p.name: _integer(f"{section}.{p.name}",
+                               data.get(p.name, p.default))
+              if isinstance(p.default, int) else
+              _number(section, data, p.name, p.default) for p in params}
+    with _naming(section):
+        return cls(**values)
 
 
 def _grid(section: str, spec: Any, min_points: int = 1) -> np.ndarray:
@@ -99,22 +129,14 @@ def _grid(section: str, spec: Any, min_points: int = 1) -> np.ndarray:
 
 @dataclass
 class DotConfig:
-    gamma_x: float = 0.002
-    gamma_b: float = 0.004
+    gamma_x: InitVar[float] = 0.002
+    gamma_b: InitVar[float] = 0.004
     delta_x: float = 0.5
     delta_b: float = 0.0
+    decay: DecayRates = field(init=False)  # built from the two rates
 
-    @classmethod
-    def parse(cls, data: dict) -> "DotConfig":
-        _check_keys("dot", data, {"gamma_x", "gamma_b", "delta_x", "delta_b"})
-        return cls(
-            gamma_x=_number("dot", data, "gamma_x", cls.gamma_x, minimum=0.0),
-            gamma_b=_number("dot", data, "gamma_b", cls.gamma_b, minimum=0.0),
-            delta_x=_number("dot", data, "delta_x", cls.delta_x),
-            delta_b=_number("dot", data, "delta_b", cls.delta_b))
-
-    def decay(self) -> DecayRates:
-        return DecayRates(gamma_b=self.gamma_b, gamma_x=self.gamma_x)
+    def __post_init__(self, gamma_x, gamma_b):
+        self.decay = DecayRates(gamma_b=gamma_b, gamma_x=gamma_x)
 
 
 @dataclass
@@ -146,35 +168,6 @@ class PulseConfig:
             raise ConfigError("'pulse' needs 'area' or 'omega0' for this command")
         return PulseDrive(omega0=omega0, sigma=self.sigma, t0=self.t0,
                           delta_x=dot.delta_x, delta_b=dot.delta_b)
-
-
-def parse_dephasing(data: dict, section: str = "dephasing") -> DephasingModel:
-    _check_keys(section, data, {"gamma_bg", "gamma_i0", "n_p"})
-    return DephasingModel(
-        gamma_bg=_number(section, data, "gamma_bg", 0.0, minimum=0.0),
-        gamma_i0=_number(section, data, "gamma_i0", 0.0, minimum=0.0),
-        n_p=_integer(f"{section}.n_p", data.get("n_p", 2), minimum=0))
-
-
-@dataclass
-class TimebinConfig:
-    phi_p: float = 0.0
-    epsilon: float = 0.0
-    pairing_weight: float = 4.0
-    v_coh: float | None = None  # None: calibrate from the pulse dynamics
-
-    @classmethod
-    def parse(cls, data: dict) -> "TimebinConfig":
-        _check_keys("timebin", data,
-                    {"phi_p", "epsilon", "pairing_weight", "v_coh"})
-        return cls(
-            phi_p=_number("timebin", data, "phi_p", 0.0),
-            epsilon=_number("timebin", data, "epsilon", 0.0, minimum=0.0,
-                            maximum=1.0),
-            pairing_weight=_number("timebin", data, "pairing_weight", 4.0,
-                                   minimum=1e-12),
-            v_coh=_number("timebin", data, "v_coh", minimum=0.0, maximum=1.0,
-                          allow_none=True))
 
 
 # numpy's Poisson sampler refuses a mean above ~9.2e18.
@@ -233,18 +226,16 @@ class SweepConfig:
         if "models" in data:
             if not isinstance(data["models"], list) or not data["models"]:
                 raise ConfigError("'sweep.models' must be a non-empty list")
-            cfg.models = [parse_dephasing(m, f"sweep.models[{i}]")
+            cfg.models = [_model(f"sweep.models[{i}]", m, DephasingModel)
                           for i, m in enumerate(data["models"])]
         if "fit" in data:
             _check_keys("sweep.fit", data["fit"], {"n_p", "target_ratio"},
                         {"n_p", "target_ratio"})
-            cfg.fit_n_p = _integer("sweep.fit.n_p", data["fit"]["n_p"],
-                                   minimum=0, maximum=4)
+            cfg.fit_n_p = _integer("sweep.fit.n_p", data["fit"]["n_p"])
             cfg.fit_target_ratio = _number("sweep.fit", data["fit"],
                                            "target_ratio")
-            if cfg.fit_target_ratio <= 1.0:
-                raise ConfigError("'sweep.fit.target_ratio' must exceed 1, "
-                                  f"got {cfg.fit_target_ratio}")
+            with _naming("sweep.fit"):
+                check_fit_target(cfg.fit_n_p, cfg.fit_target_ratio)
         return cfg
 
 
@@ -299,7 +290,8 @@ class RunConfig:
     dot: DotConfig
     pulse: PulseConfig | None
     dephasing: DephasingModel | None
-    timebin: TimebinConfig
+    timebin: TimeBinModelParams
+    calibrate_v_coh: bool  # timebin.v_coh absent or null: from the pulse
     tomography: TomographyConfig
     sweep: SweepConfig
     numerics: NumericsConfig
@@ -309,18 +301,23 @@ class RunConfig:
         _check_keys("<root>", data, _SECTIONS)
         cfg = cls(
             raw=data,
-            dot=DotConfig.parse(data.get("dot", {})),
+            dot=_model("dot", data.get("dot", {}), DotConfig),
             pulse=PulseConfig.parse(data["pulse"]) if "pulse" in data else None,
-            dephasing=(parse_dephasing(data["dephasing"])
+            dephasing=(_model("dephasing", data["dephasing"], DephasingModel)
                        if "dephasing" in data else None),
-            timebin=TimebinConfig.parse(data.get("timebin", {})),
+            timebin=_model("timebin", data.get("timebin", {}),
+                           TimeBinModelParams),
+            calibrate_v_coh=data.get("timebin", {}).get("v_coh") is None,
             tomography=TomographyConfig.parse(data.get("tomography", {})),
             sweep=SweepConfig.parse(data.get("sweep", {})),
             numerics=NumericsConfig.parse(data.get("numerics", {})))
         # Every rate and detuning, with its key; a dephasing model counts
         # with its zero-drive rate.
-        rates = [(f"dot.{k}", abs(getattr(cfg.dot, k)))
-                 for k in ("gamma_x", "gamma_b", "delta_x", "delta_b")]
+        dot = cfg.dot
+        rates = [("dot.gamma_x", dot.decay.gamma_x),
+                 ("dot.gamma_b", dot.decay.gamma_b),
+                 ("dot.delta_x", abs(dot.delta_x)),
+                 ("dot.delta_b", abs(dot.delta_b))]
         models = [("dephasing", cfg.dephasing)] if cfg.dephasing else []
         models += [(f"sweep.models[{i}]", m)
                    for i, m in enumerate(cfg.sweep.models)]
@@ -345,10 +342,10 @@ class RunConfig:
         """'numerics.t_span', or the default span of the pulse and its decay."""
         if self.numerics.t_span is not None:
             return self.numerics.t_span
-        if self.dot.gamma_x <= 0:
+        if self.dot.decay.gamma_x <= 0:
             raise ConfigError(
                 "'numerics.t_span' is required when 'dot.gamma_x' is 0")
-        return default_t_span(drive, self.dot.decay())
+        return default_t_span(drive, self.dot.decay)
 
     def resolved(self) -> dict:
         """Canonical JSON-ready form embedded in every output header."""

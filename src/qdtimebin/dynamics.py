@@ -96,10 +96,10 @@ class StepBudgetError(IntegrationError):
 
 
 def check_field(name: str, value, ok, need: str) -> None:
-    """Raise ValueError unless ``value``, a number or an array of them, is
-    not bool and satisfies ``ok`` at every entry; NaN satisfies none."""
+    """Raise ValueError unless ``value``, an int or float or an array of
+    them (no bool or object), satisfies ``ok`` everywhere; NaN never does."""
     v = np.asarray(value)
-    if v.dtype == bool or not np.all(ok(v)):
+    if v.dtype.kind not in "iuf" or not np.all(ok(v)):
         raise ValueError(f"{name} must be {need}, got {value}")
 
 

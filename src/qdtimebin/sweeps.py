@@ -289,6 +289,14 @@ class FitResult:
         return self.evaluations[-_FIT_SAMPLES][0], self.evaluations[-1][0]
 
 
+def check_fit_target(n_p: int, target_ratio: float) -> None:
+    """Raise ValueError naming the argument that fit_gamma_i0 refuses."""
+    if isinstance(n_p, (bool, np.bool_)) or n_p not in (0, 1, 2, 3, 4):
+        raise ValueError(f"n_p must be an integer in 0..4, got {n_p!r}")
+    if not target_ratio > 1.0:
+        raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
+
+
 def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
                  decay: DecayRates, gamma_bg: float = 0.0,
                  delta_x: float = 0.5, tol: float = 1e-8) -> FitResult:
@@ -312,10 +320,7 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
     Raises UnreachableTargetError when the ratio at gamma_i0 = 0 is below
     the target, or the ratio at ``GAMMA_I0_BRACKET_MAX`` above it.
     """
-    if not target_ratio > 1.0:
-        raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
-    if isinstance(n_p, (bool, np.bool_)) or n_p not in (0, 1, 2, 3, 4):
-        raise ValueError(f"n_p must be an integer in 0..4, got {n_p!r}")
+    check_fit_target(n_p, target_ratio)
     evaluations = []
 
     def sample(lo: float, hi: float):

@@ -104,6 +104,18 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     ("evolve", _set(["dot", "gamma_x"], 0.0), "numerics.t_span"),
     ("evolve", _set(["dot", "delta_x"], float("nan")), "dot.delta_x"),
     ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
+    pytest.param("evolve", _set(["dephasing", "n_p"], 10**20),
+                 "dephasing.n_p", id="evolve-edit-dephasing.n_p-past-64-bits"),
+    pytest.param("evolve", _set(["dephasing", "n_p"], None), "dephasing.n_p",
+                 id="evolve-edit-dephasing.n_p-null"),
+    # every section is checked at parse time, used by the command or not
+    ("evolve", _set(["timebin", "epsilon"], 1.5), "timebin.epsilon"),
+    ("evolve", _set(["sweep"], {"models": [{"gamma_bg": -1.0}]}),
+     "sweep.models[0].gamma_bg"),
+    pytest.param("evolve", _set(["sweep"], {"fit": {
+        "n_p": 7, "target_ratio": 2.0}}), "sweep.fit.n_p",
+                 id="evolve-edit-sweep.fit.n_p-unused"),
+    ("evolve", _set(["dot", "gamma_b"], -1.0), "dot.gamma_b"),
     ("evolve", _set(["pulse", "area"], -3.0), "pulse.area"),
     ("evolve", _set(["pulse", "t0"], 1e300), "pulse.t0"),
     pytest.param("evolve", _set(["pulse", "sigma"], 1e300), "pulse.sigma",

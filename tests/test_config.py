@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qdtimebin.config import ConfigError, RunConfig, load_config
+from qdtimebin.dynamics import DecayRates, DephasingModel
+from qdtimebin.timebin import TimeBinModelParams
 
 
 def minimal_config():
@@ -68,7 +70,21 @@ def test_timebin_and_tomography_sections():
     data["timebin"] = {"phi_p": 0.1, "epsilon": 0.06, "v_coh": None}
     data["tomography"] = {"n_mean": 1e5, "seed": 9, "n_seeds": 3}
     cfg = RunConfig.parse(data)
-    assert cfg.timebin.v_coh is None
+    # the config builds the model objects; v_coh null or absent means
+    # "calibrate from the pulse"
+    assert isinstance(cfg.dot.decay, DecayRates)
+    # the config's own defaults, not DecayRates' 0.002 / 0.001
+    assert RunConfig.parse({}).dot.decay == DecayRates(gamma_b=0.004,
+                                                       gamma_x=0.002)
+    assert isinstance(cfg.dephasing, DephasingModel)
+    assert isinstance(cfg.timebin, TimeBinModelParams)
+    assert (cfg.timebin.phi_p, cfg.timebin.epsilon) == (0.1, 0.06)
+    assert cfg.calibrate_v_coh
+    del data["timebin"]["v_coh"]
+    assert RunConfig.parse(data).calibrate_v_coh
+    data["timebin"]["v_coh"] = 0.9
+    cfg = RunConfig.parse(data)
+    assert not cfg.calibrate_v_coh and cfg.timebin.v_coh == 0.9
     assert cfg.tomography.n_seeds == 3
     data["tomography"]["seed"] = "seven"
     with pytest.raises(ConfigError, match="seed"):

@@ -103,6 +103,9 @@ def test_dephasing_model_rate():
         DephasingModel(gamma_i0=-1.0)
     with pytest.raises(ValueError):
         DephasingModel(n_p=-1)
+    # an int past 64 bits makes an object array
+    with pytest.raises(ValueError, match="n_p"):
+        DephasingModel(n_p=10**20)
 
 
 @pytest.mark.parametrize("make, field", [
