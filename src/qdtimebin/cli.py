@@ -2,10 +2,12 @@
 
 Subcommands regenerate the pulse-dynamics, Rabi-sweep, yield-ratio and
 entanglement analyses as plot-ready data files.  A run is fully determined
-by its config file plus the seed: identical inputs give byte-identical
-outputs.
+by its config file, plus for ``entangle`` the ``--seed`` that overrides
+``tomography.seed`` (no other subcommand takes it): identical inputs give
+byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure or an
+allocation too large for memory.
 """
 
 from __future__ import annotations
@@ -35,6 +37,23 @@ CONFIG_ERROR_EXIT = 2
 NUMERICAL_ERROR_EXIT = 3
 
 
+def _write_json(path: Path, data: dict, note: str = "") -> None:
+    """Write a JSON report (sorted keys, indent 2) and say so on stdout."""
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
+    print(f"wrote {path}{note}")
+
+
+def _write_curves(cfg: RunConfig, results: list, paths: list[Path]) -> None:
+    """Write each sweep curve as CSV, noting its failed points on stderr."""
+    for res, path in zip(results, paths):
+        export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
+        print(f"wrote {path}")
+        if res.failures:
+            print(f"  {len(res.failures)} point(s) failed integration",
+                  file=sys.stderr)
+
+
 def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "dephasing")
     drive, decay = cfg.pulse.drive(cfg.dot), cfg.dot.decay
@@ -54,13 +73,8 @@ def cmd_rabi(cfg: RunConfig, out: Path, args) -> None:
                                 cfg.dot.decay, cfg.sweep.areas,
                                 tol=cfg.numerics.tol, delta_x=cfg.dot.delta_x,
                                 delta_b=cfg.dot.delta_b)
-    for i, res in enumerate(results):
-        path = out / f"rabi_model{i}_np{res.deph.n_p}.csv"
-        export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
-        print(f"wrote {path}")
-        if res.failures:
-            print(f"  {len(res.failures)} point(s) failed integration",
-                  file=sys.stderr)
+    _write_curves(cfg, results, [out / f"rabi_model{i}_np{res.deph.n_p}.csv"
+                                 for i, res in enumerate(results)])
 
 
 def cmd_ratio(cfg: RunConfig, out: Path, args) -> None:
@@ -73,22 +87,12 @@ def cmd_ratio(cfg: RunConfig, out: Path, args) -> None:
                                  delta_x=cfg.dot.delta_x,
                                  delta_b=cfg.dot.delta_b,
                                  tol=cfg.numerics.tol)
-    peaks = []
-    for res in results:
-        path = out / f"ratio_sigma{res.sigma:g}.csv"
-        export_sweep_csv(res, path, extra_params={"config": cfg.resolved()})
-        print(f"wrote {path}")
-        if res.failures:
-            print(f"  {len(res.failures)} point(s) failed integration",
-                  file=sys.stderr)
-        peaks.append({"sigma": res.sigma, "peak_energy": res.peak_abscissa,
-                      "peak_ratio": res.peak_ratio,
-                      "interior": res.peak_interior})
-    peak_path = out / "ratio_peaks.json"
-    peak_path.write_text(json.dumps(
-        {"config": cfg.resolved(), "peaks": peaks},
-        sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {peak_path}")
+    _write_curves(cfg, results, [out / f"ratio_sigma{res.sigma:g}.csv"
+                                 for res in results])
+    _write_json(out / "ratio_peaks.json", {"config": cfg.resolved(), "peaks": [
+        {"sigma": res.sigma, "peak_energy": res.peak_abscissa,
+         "peak_ratio": res.peak_ratio, "interior": res.peak_interior}
+        for res in results]})
 
 
 def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
@@ -112,16 +116,14 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
             delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
     except sweeps.UnreachableTargetError as exc:
         raise ConfigError(f"'sweep.fit.target_ratio': {exc}") from exc
-    path = out / "fit_dephasing.json"
-    path.write_text(json.dumps(
-        {"config": cfg.resolved(), "n_p": cfg.sweep.fit_n_p,
-         "target_ratio": cfg.sweep.fit_target_ratio,
-         "gamma_i0": fit.gamma_i0, "achieved_ratio": fit.ratio,
-         "bracket": list(fit.bracket),
-         "evaluations": [{"gamma_i0": g, "ratio": r}
-                         for g, r in fit.evaluations]},
-        sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path} (gamma_i0 = {fit.gamma_i0:.6g})")
+    _write_json(out / "fit_dephasing.json",
+                {"config": cfg.resolved(), "n_p": cfg.sweep.fit_n_p,
+                 "target_ratio": cfg.sweep.fit_target_ratio,
+                 "gamma_i0": fit.gamma_i0, "achieved_ratio": fit.ratio,
+                 "bracket": list(fit.bracket),
+                 "evaluations": [{"gamma_i0": g, "ratio": r}
+                                 for g, r in fit.evaluations]},
+                f" (gamma_i0 = {fit.gamma_i0:.6g})")
 
 
 def _state_metrics(rho: np.ndarray) -> dict:
@@ -193,10 +195,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         "reconstruction": {k: _batch_stats(v) for k, v in per_seed.items()},
         "mle": mle_status,
     }
-    path = out / "entangle_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    print(f"wrote {path}")
+    _write_json(out / "entangle_report.json", report)
     print(f"model: C = {report['model_metrics']['concurrence']:.4f}, "
           f"F = {report['model_metrics']['fidelity']:.4f}; "
           f"reconstruction F = "
@@ -238,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="override the tomography seed (>= 0)")
+        if name == "entangle":
+            p.add_argument("--seed", type=_seed, default=None,
+                           help="override the tomography seed (>= 0)")
     return parser
 
 
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return NUMERICAL_ERROR_EXIT
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR_EXIT
+    except MemoryError as exc:  # numpy's message names the size
+        print(f"out of memory: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR_EXIT
     return 0
 

@@ -55,7 +55,12 @@ def _value(name: str, v, minimum=None, maximum=None) -> float:
     """A finite number within [minimum, maximum]; ``name`` is the full key."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"'{name}' must be a number, got {v!r}")
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"'{name}' must be finite, got an integer too "
+                          f"large for a float") from None
+    if not finite:
         raise ConfigError(f"'{name}' must be finite, got {v}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"'{name}' must be >= {minimum}, got {v}")

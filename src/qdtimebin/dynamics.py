@@ -727,13 +727,11 @@ def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray
 def export_trajectory_csv(traj: Trajectory, decay: DecayRates, path,
                           params: dict | None = None) -> None:
     """Write the trajectory as CSV with the resolved parameters in the header."""
-    px, pb = cumulative_emission(traj, decay)
-    with open(path, "w", encoding="utf-8") as fh:
-        if params is not None:
-            fh.write("# " + json.dumps(params, sort_keys=True) + "\n")
-        fh.write("t,rho_gg,rho_xx,rho_bb,re_gb,im_gb,p_x,p_b\n")
-        for i, t in enumerate(traj.times):
-            pop = traj.populations[i]
-            c = traj.gb_coherence[i]
-            fh.write(f"{t:.12e},{pop[G]:.12e},{pop[X]:.12e},{pop[B]:.12e},"
-                     f"{c.real:.12e},{c.imag:.12e},{px[i]:.12e},{pb[i]:.12e}\n")
+    header = "t,rho_gg,rho_xx,rho_bb,re_gb,im_gb,p_x,p_b"
+    if params is not None:
+        header = "# " + json.dumps(params, sort_keys=True) + "\n" + header
+    np.savetxt(path, np.column_stack((
+        traj.times, traj.populations, traj.gb_coherence.real,
+        traj.gb_coherence.imag, *cumulative_emission(traj, decay))),
+        fmt="%.12e", delimiter=",", header=header, comments="",
+        encoding="utf-8")

@@ -38,6 +38,8 @@ from .dynamics import (
     StepBudgetError,
     emission_after_pulse,
     omega0_for_area,
+    pulse_area,
+    pulse_energy,
 )
 
 # Positive floor for the direct-exciton yield p_x - p_b; at or below the
@@ -421,14 +423,12 @@ def export_sweep_csv(result: SweepResult, path, extra_params: dict | None = None
     }
     if extra_params:
         params.update(extra_params)
-    sqrt_area = math.sqrt(math.pi / LN2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(params, sort_keys=True) + "\n")
-        fh.write("theta,omega0,energy,p_b,p_x,ratio,saturated\n")
-        for i in range(len(result.abscissa)):
-            w = float(result.omega0[i])  # w * w may overflow to inf silently
-            theta = w * result.sigma * sqrt_area
-            energy = w * w * result.sigma
-            fh.write(f"{theta:.12e},{w:.12e},{energy:.12e},"
-                     f"{result.p_b[i]:.12e},{result.p_x[i]:.12e},"
-                     f"{result.ratio[i]:.12e},{int(result.saturated[i])}\n")
+    drive = PulseDrive(result.omega0, result.sigma)
+    with np.errstate(over="ignore"):  # an overflowing energy is written as inf
+        theta, energy = pulse_area(drive), pulse_energy(drive)
+    np.savetxt(path, np.column_stack((
+        theta, result.omega0, energy, result.p_b, result.p_x, result.ratio,
+        result.saturated)), fmt=["%.12e"] * 6 + ["%d"], delimiter=",",
+        header="# " + json.dumps(params, sort_keys=True)
+        + "\ntheta,omega0,energy,p_b,p_x,ratio,saturated",
+        comments="", encoding="utf-8")

@@ -178,22 +178,13 @@ def coherence_metric(rho: np.ndarray):
 def export_density_csv(rho: np.ndarray, path) -> None:
     """Write a 4x4 density matrix as a real block over an imaginary block."""
     rho = np.asarray(rho)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# 4x4 real part, then 4x4 imaginary part\n")
-        for block in (rho.real, rho.imag):
-            for row in block:
-                fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+    np.savetxt(path, np.vstack((rho.real, rho.imag)), fmt="%.12e",
+               delimiter=",", header="4x4 real part, then 4x4 imaginary part",
+               encoding="utf-8")
 
 
 def import_density_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if len(rows) != 8 or any(len(r) != 4 for r in rows):
+    arr = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+    if arr.shape != (8, 4):
         raise ValueError("expected 8 rows of 4 values (real block, imag block)")
-    arr = np.asarray(rows)
     return arr[:4] + 1j * arr[4:]

@@ -110,15 +110,10 @@ def _setting_kets(settings: list[MeasurementSetting]) -> np.ndarray:
     return (kets[:, 0, :, None] * kets[:, 1, None, :]).reshape(-1, 4)
 
 
-def _probabilities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """<k|rho|k> for each row k of ``kets``."""
-    return np.einsum("ki,ij,kj->k", kets.conj(), rho, kets).real
-
-
 def expected_counts(rho: np.ndarray, settings: list[MeasurementSetting],
                     n_mean: float) -> np.ndarray:
     """Noise-free expected coincidences n_mean * <k|rho|k> per setting."""
-    return n_mean * _probabilities(_setting_kets(settings), rho)
+    return n_mean * (_design(_setting_kets(settings)) @ rho.ravel()).real
 
 
 def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],

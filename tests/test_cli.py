@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtimebin import dynamics
+from qdtimebin import cli, dynamics, tomography
 from qdtimebin.cli import main
 from qdtimebin.config import RunConfig
 
@@ -135,6 +135,21 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     pytest.param("evolve", _set(["dephasing", "gamma_bg"], 1e300),
                  "dephasing.gamma_bg",
                  id="evolve-edit-dephasing.gamma_bg-overflowing"),
+    # a JSON integer past the float range
+    pytest.param("evolve", _set(["dephasing", "gamma_bg"], 10**400),
+                 "dephasing.gamma_bg",
+                 id="evolve-edit-dephasing.gamma_bg-integer-past-float"),
+    pytest.param("evolve", _set(["pulse", "sigma"], 10**400), "pulse.sigma",
+                 id="evolve-edit-pulse.sigma-integer-past-float"),
+    pytest.param("evolve", _set(["numerics", "tol"], 10**400),
+                 "numerics.tol",
+                 id="evolve-edit-numerics.tol-integer-past-float"),
+    pytest.param("rabi", _set(["sweep"], dict(_AREAS, areas=[1.0, 10**400])),
+                 "sweep.areas[1]",
+                 id="rabi-edit-sweep.areas-integer-past-float"),
+    pytest.param("entangle", _set(["tomography", "n_mean"], 10**400),
+                 "tomography.n_mean",
+                 id="entangle-edit-tomography.n_mean-integer-past-float"),
     pytest.param("evolve", _set(["dot", "gamma_x"], 1e300), "dot.gamma_x",
                  id="evolve-edit-dot.gamma_x-overflowing"),
     pytest.param("rabi", _set(["sweep"], dict(_AREAS, areas=[1.0])),
@@ -432,6 +447,40 @@ def test_negative_seed_option_exits_2_naming_it(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "entangle_report.json").exists()
+
+
+@pytest.mark.parametrize("command",
+                         ["evolve", "rabi", "ratio", "fit-dephasing"])
+def test_seed_option_belongs_to_entangle(tmp_path, capsys, command):
+    # only entangle draws counts; elsewhere --seed would be ignored
+    cfg = write_config(tmp_path, evolve_config())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path),
+              "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("rabi", cli, "load_config"),
+    ("entangle", tomography, "simulate_counts"),
+])
+def test_allocation_too_large_exits_3(tmp_path, monkeypatch, capsys,
+                                      command, module, name):
+    # an oversized grid or seed count makes numpy refuse the allocation;
+    # the refusal is faked here, since a real one may instead be granted
+    # by an overcommitting system and then exhaust its memory
+    message = ("Unable to allocate 7.28 TiB for an array with shape "
+               "(1000000000000,) and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, refuse)
+    cfg = write_config(tmp_path, entangle_config())
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_entangle_computes_each_metric_once_per_run(tmp_path, monkeypatch):
