@@ -357,10 +357,20 @@ class RunConfig:
         return json.loads(json.dumps(self.raw, sort_keys=True))
 
 
+def _json_int(text: str):
+    """A JSON integer literal as an int, or as a float (+-inf) past Python's
+    limit on the digits of an integer string, so that the value checks
+    name its key."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -18,16 +18,17 @@ construction; no other module indexes it.
 A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
 ``DephasingModel``, may hold one value per drive as well.  One window
-stepper (``_window_steps``: scipy's DOP853, or Radau for a window made
-stiff by dephasing) steps it as one (11, N) system in pulse time
-tau = (t - t0) / sigma, over the window |tau| <= ``PULSE_HALF_WIDTH`` that
-every drive shares whatever its sigma: ``emission_after_pulse`` over the
-pulse windows of a batch, adding the emission after the pulse in closed
-form, and ``evolve`` for one drive, storing every accepted step.  Wherever
-the generator is constant, outside a pulse window and for the whole span of
-a ``ConstantDrive``, ``evolve`` propagates the state exactly instead.
-Time-resolved emission is read at a trajectory's stored rows
-(``cumulative_emission``); to read it at a given t_f, evolve to t_f.
+stepper (``_window_steps``: DOP853 with an error norm per drive, or Radau
+for a window made stiff by dephasing) steps it as one (11, N) system in
+pulse time tau = (t - t0) / sigma, over the window |tau| <=
+``PULSE_HALF_WIDTH`` that every drive shares whatever its sigma:
+``emission_after_pulse`` over the pulse windows of a batch, adding the
+emission after the pulse in closed form, and ``evolve`` for one drive,
+storing every accepted step.  Wherever the generator is constant, outside
+a pulse window and for the whole span of a ``ConstantDrive``, ``evolve``
+propagates the state exactly instead.  Time-resolved emission is read at a
+trajectory's stored rows (``cumulative_emission``); to read it at a given
+t_f, evolve to t_f.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import DOP853, Radau, trapezoid
+import scipy.integrate
+from scipy.integrate import Radau, trapezoid
 from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 
@@ -63,18 +65,24 @@ _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 
 # Accepted steps one run of ``_window_steps`` may take, a guard.  At tol
 # 1e-8 a pulse window takes 40-440 DOP853 steps (40 under the cap of span/40)
-# and the batch of a fit 254; a window made stiff by intensity dephasing
+# and the batch of a fit 190; a window made stiff by intensity dephasing
 # (sigma 1e-6 with gamma_i0 * omega0^2 ~ 3e12 /ps) would take millions, and
 # is stepped by Radau instead.
 _MAX_WINDOW_STEPS = 100_000
 # DOP853 steps that dephasing alone forces (``_window_method``) above which
 # Radau steps a window of one drive; for N drives the threshold is
-# _RADAU_STEPS * N^0.4.  Measured crossover, sigma 1e-2 to 1.5e-4, area
-# 5-20, gamma_i0 0.0349, delta_x 3.5, tol 1e-8 (2-core x86-64 VM, one
-# thread): ~360 steps for one drive, ~1,500 for 48, ~3,500 for 288 and
-# ~6,000 for 1,000, which the rule gives within 13 %; at 12,000 Radau
-# takes 0.22 s for one drive where DOP853 takes 2.66 s, and at sigma 5e-4
-# (estimate 3,628) 0.09 s where DOP853 takes 0.27 s.
+# _RADAU_STEPS * N^0.4.  Measured crossover of one ``emission_after_pulse``
+# batch, DOP853 with its per-drive norm at rtol tol against Radau at
+# tol/sqrt(N), sigma 1e-2 to 2.2e-4, areas 5-20 (20 for one drive),
+# gamma_i0 0.0349, delta_x 3.5, tol 1e-8 (2-core x86-64 VM, one thread):
+# ~1,500 steps for 48 drives and ~3,100 for 288, which the rule gives
+# within 13 %.  Where dephasing sets the step, stability and not the norm
+# limits DOP853, so these are the crossovers of the RMS norm at
+# tol/sqrt(N) too.  One drive crosses over at ~800, not 360: DOP853 is
+# faster there than when the rule was fitted, and Radau takes 1.5 times as
+# long at an estimate of 480.  At 12,000 Radau takes 0.08 s for one drive
+# where DOP853 takes 0.86 s, and at sigma 5e-4 (estimate 3,628) 0.08 s
+# where DOP853 takes 0.27 s.
 _RADAU_STEPS = 360.0
 # Real stability limit of DOP853: h |lambda| <= 6.39 for a real negative
 # eigenvalue lambda, from the stability function of scipy's tableau
@@ -366,6 +374,29 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     return start, end + 10.0 / decay.gamma_x
 
 
+class DOP853(scipy.integrate.DOP853):
+    """scipy's DOP853 on the (11, N) state of N drives, raveled row-major,
+    with an error norm that bounds each drive's error: the largest over the
+    drives of scipy's norm of that drive's 11 components (column n).  Each
+    drive of a batch then steps at rtol = atol = tol as if it were alone.
+    For N = 1 the norm is scipy's own."""
+
+    _E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
+
+    def _estimate_error_norm(self, K, h, scale):
+        n = scale.size // _N_STATE
+        if n == 1:
+            return super()._estimate_error_norm(K, h, scale)
+        err = (self._E @ K) / scale
+        err *= err
+        err5, err3 = err.reshape(2, _N_STATE, n).sum(axis=1)
+        denom = err5 + 0.01 * err3
+        if not np.isfinite(denom).all():  # a NaN or inf rejects the step
+            return math.inf
+        denom[denom == 0.0] = 1.0  # a drive with no error reads 0
+        return (abs(h) * err5 / np.sqrt(_N_STATE * denom)).max()
+
+
 def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
                    tau_span: tuple[float, float]):
     """DOP853, or Radau for a batch of N drives whose dephasing alone would
@@ -468,15 +499,17 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     by the coefficient rows of ``_pulse_coefficients``.  ``drive.sigma``,
     ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
     drives of different sigma share the window |tau| <= PULSE_HALF_WIDTH
-    and one step sequence.  The method is scipy's DOP853, or Radau with the
-    exact sparse Jacobian where dephasing makes the window stiff
-    (``_window_method``); it chooses every step, the first included, from
-    rtol = atol = tol/sqrt(N): the RMS error norm over all 11 N components
-    is at most 1 only if each drive's own norm at ``tol`` is; rtol never
-    falls below ``TOL_FLOOR``.  Drift beyond 100*tol at the start or at a
-    step, a right-hand side that is not finite at the start, a failed step,
-    or a step beyond ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends
-    (StepBudgetError) raises IntegrationError with its time in ps: that of
+    and one step sequence.  The method is ``DOP853``, whose error norm is
+    the largest of the drives' own norms, at rtol = atol = tol whatever N;
+    or Radau with the exact sparse Jacobian where dephasing makes the
+    window stiff (``_window_method``).  Radau's norm is scipy's RMS over
+    all 11 N components, which no subclass can replace, so it steps at
+    rtol = atol = tol/sqrt(N): that RMS is at most 1 only if each drive's
+    own norm at ``tol`` is, and rtol never falls below ``TOL_FLOOR``.
+    Drift beyond 100*tol at the start or at a step, a right-hand side that
+    is not finite at the start, a failed step, or a step beyond
+    ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends (StepBudgetError)
+    raises IntegrationError with its time in ps: that of
     the drive that drifts or is not finite, or of the first drive for a
     failure of the whole system, which also gives the tau where the shared
     step sequence stopped; every message but that of the right-hand side
@@ -519,8 +552,9 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
             return (r @ scaled.reshape(3 * _N_STATE, n)).ravel()
 
     tau0, tau1 = tau_span
-    cap, rtol, y = 100.0 * tol, max(tol / math.sqrt(n), TOL_FLOOR), y0.ravel()
     method = _window_method(drive, deph, rp, tau_span)
+    cap, y = 100.0 * tol, y0.ravel()
+    rtol = tol if method is DOP853 else max(tol / math.sqrt(n), TOL_FLOOR)
     where = f"{method.__name__} window"
     _check_drift(times(tau0), y0, cap, where)
     # A solver with a derivative that is not finite never returns.
@@ -668,13 +702,15 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     freely, so the remaining emission of a level with a positive rate
     equals the population left on it, and rho_bb also feeds the exciton.
     A level with zero rate emits nothing after the pulse.  ``tol`` bounds
-    the error of each step, not of p: against DOP853 at rtol 1e-13, p is up
-    to ~3*tol off, in a batch and for one amplitude alike.  When
-    tol/sqrt(N) would fall below ``TOL_FLOOR``, the amplitudes are stepped
-    in chunks of floor((tol/TOL_FLOOR)^2), rounded down to a multiple of
-    ``block`` but never below it: a chunk never splits a block of ``block``
-    consecutive amplitudes, whose errors then stay one smooth function of
-    the amplitude.
+    each amplitude's error of each step, not of p (``_window_steps``:
+    DOP853 bounds each amplitude's own norm at ``tol``, Radau the batch's
+    RMS at tol/sqrt(N)); against DOP853 at rtol 1e-13, p is up to ~3*tol
+    off, in a batch and for one amplitude alike.  The amplitudes are
+    stepped in chunks of floor((tol/TOL_FLOOR)^2), rounded down to a
+    multiple of ``block`` but never below it, so that Radau's tol/sqrt(N)
+    never falls below ``TOL_FLOOR``; a DOP853 batch is chunked alike.  A
+    chunk never splits a block of ``block`` consecutive amplitudes, whose
+    errors then stay one smooth function of the amplitude.
     When the whole system fails (a failed step, or the step budget), an
     IntegrationError's ``t`` is drive 0's time, which may not be the drive
     the method cannot follow; its message names the method and gives the

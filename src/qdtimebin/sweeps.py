@@ -30,7 +30,6 @@ from numpy.polynomial import polyutils as pu
 from numpy.polynomial.chebyshev import chebinterpolate, chebpts2
 
 from .dynamics import (
-    LN2,
     DecayRates,
     DephasingModel,
     IntegrationError,
@@ -182,8 +181,11 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
     """
     if not delta_x > 0:
         raise ValueError(f"delta_x must be > 0, got {delta_x}")
-    omega_sq = 2.0 * math.pi * delta_x / (sigma * math.sqrt(math.pi / (2 * LN2)))
-    return math.sqrt(omega_sq) * sigma * math.sqrt(math.pi / LN2)
+    # omega^2 is a Gaussian of width sigma / sqrt(2), of area omega0^2 times
+    # that of a unit drive of this width
+    squared = pulse_area(PulseDrive(1.0, sigma / math.sqrt(2.0)))
+    return pulse_area(PulseDrive(math.sqrt(2.0 * math.pi * delta_x / squared),
+                                 sigma))
 
 
 def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,

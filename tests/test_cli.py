@@ -19,9 +19,15 @@ from qdtimebin.config import RunConfig
 import oracles
 
 
+# Stands for a JSON integer literal of 5,001 digits, past Python's limit of
+# 4,300 on an integer string, which json.dumps cannot write.
+HUGE_INT = "<1 followed by 5,000 zeros>"
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(data, indent=1))
+    path.write_text(json.dumps(data, indent=1).replace(
+        json.dumps(HUGE_INT), "1" + "0" * 5000))
     return path
 
 
@@ -150,6 +156,14 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
     pytest.param("entangle", _set(["tomography", "n_mean"], 10**400),
                  "tomography.n_mean",
                  id="entangle-edit-tomography.n_mean-integer-past-float"),
+    pytest.param("evolve", _set(["dephasing", "gamma_bg"], HUGE_INT),
+                 "dephasing.gamma_bg",
+                 id="evolve-edit-dephasing.gamma_bg-integer-past-digit-limit"),
+    pytest.param("entangle", _edits(
+        _set(["timebin"], {"epsilon": 0.06}),
+        _set(["tomography"], {"n_mean": 1e4, "seed": 3, "n_seeds": HUGE_INT})),
+                 "tomography.n_seeds",
+                 id="entangle-edit-tomography.n_seeds-integer-past-digit-limit"),
     pytest.param("evolve", _set(["dot", "gamma_x"], 1e300), "dot.gamma_x",
                  id="evolve-edit-dot.gamma_x-overflowing"),
     pytest.param("rabi", _set(["sweep"], dict(_AREAS, areas=[1.0])),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from qdtimebin import dynamics
@@ -445,6 +446,65 @@ def test_window_method_needs_no_numpy_trapezoid(monkeypatch):
     chosen = dynamics._window_method(
         drive, DephasingModel(0.01, 0.0349, 2), rp, (-5.0, 5.0))
     assert chosen.__name__ == "Radau"
+
+
+def _error_norm_inputs(n: int, seed: int):
+    """A DOP853 solver of n drives and random (K, h, scale) for its error
+    norm: K holds the 13 stages of the 11 n components."""
+    rng = np.random.default_rng(seed)
+    solver = dynamics.DOP853(lambda t, y: -y, 0.0, np.ones(11 * n), 1.0)
+    return (solver, rng.normal(size=(13, 11 * n)), 0.37,
+            rng.uniform(1e-9, 1e-7, size=11 * n))
+
+
+def test_dop853_error_norm_is_scipys_for_one_drive():
+    solver, K, h, scale = _error_norm_inputs(1, 3)
+    assert solver._estimate_error_norm(K, h, scale) \
+        == scipy.integrate.DOP853._estimate_error_norm(solver, K, h, scale)
+
+
+def test_dop853_error_norm_is_the_largest_drive_norm():
+    # drive n of the (11, 5) state raveled row-major holds components n::5
+    solver, K, h, scale = _error_norm_inputs(5, 4)
+    alone = [scipy.integrate.DOP853._estimate_error_norm(
+        solver, K[:, n::5], h, scale[n::5]) for n in range(5)]
+    assert solver._estimate_error_norm(K, h, scale) == pytest.approx(
+        max(alone), rel=1e-14, abs=0.0)
+    # a drive with no error reads 0 and leaves the other drive's norm
+    solver, K, h, scale = _error_norm_inputs(2, 5)
+    K[:, 0::2] = 0.0
+    assert solver._estimate_error_norm(K, h, scale) == pytest.approx(
+        scipy.integrate.DOP853._estimate_error_norm(
+            solver, K[:, 1::2], h, scale[1::2]), rel=1e-14, abs=0.0)
+    assert solver._estimate_error_norm(0.0 * K, h, scale) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dop853_error_norm_rejects_a_non_finite_drive(bad):
+    solver, K, h, scale = _error_norm_inputs(5, 6)
+    K[:, 2] = bad  # component 0 of drive 2
+    with np.errstate(invalid="ignore"):  # as ``_window_steps`` is iterated
+        assert not solver._estimate_error_norm(K, h, scale) < 1.0
+
+
+def test_dop853_steps_a_batch_through_its_error_norm(monkeypatch):
+    # scipy must call the hook: a two-drive window takes one call per step
+    # tried, at least one per accepted step
+    calls = []
+    norm = dynamics.DOP853._estimate_error_norm
+
+    def counted(self, K, h, scale):
+        calls.append(scale.size)
+        return norm(self, K, h, scale)
+
+    monkeypatch.setattr(dynamics.DOP853, "_estimate_error_norm", counted)
+    drive = PulseDrive(omega0=omega0_for_area(np.array([3.0, 9.0]), 12.0),
+                       sigma=12.0, delta_x=3.5)
+    y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], 2, 1)
+    steps = len(list(dynamics._window_steps(
+        y0, drive, DecayRates(0.004, 0.002), NO_DEPH, (-5.0, 5.0), 1e-8))) - 1
+    assert steps > 0 and len(calls) >= steps
+    assert set(calls) == {22}
 
 
 def _window_rhs(monkeypatch, drive, deph, decay):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from qdtimebin import IntegrationError, dynamics, sweeps
@@ -50,6 +51,18 @@ def test_rabi_sweep_validates_grid():
         rabi_sweep(12.0, [NO_DEPH], DECAY, areas=[2.0, 1.0])
     with pytest.raises(ValueError, match="dephasing model"):
         rabi_sweep(12.0, [], DECAY, areas=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("sigma, delta_x", [(12.0, 0.5), (12.0, 3.5),
+                                            (1e-3, 3.5)])
+def test_coherent_first_max_area_is_a_two_photon_pi_pulse(sigma, delta_x):
+    # the effective two-photon coupling omega(t)^2 / (2 delta_x) integrates
+    # to pi over the pulse
+    drive = PulseDrive(omega0_for_area(
+        coherent_first_max_area(sigma, delta_x), sigma), sigma)
+    t = np.linspace(-8.0 * sigma, 8.0 * sigma, 4001)
+    area = trapezoid(drive.amplitude(t) ** 2, t) / (2.0 * delta_x)
+    assert area == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_rabi_sweep_oscillates_and_damps():
@@ -381,6 +394,35 @@ def test_batch_blocks_match_single_searches():
         alone = first_cycle_ratio(12.0, DephasingModel(0.0, gamma_i0, 2),
                                   DECAY, delta_x=3.5)
         assert v_max / v_min == pytest.approx(alone, rel=1e-7)
+
+
+def _window_step_count(drive: PulseDrive, deph: DephasingModel) -> int:
+    """Accepted steps of the pulse windows of ``drive`` at tol 1e-8."""
+    n = np.size(drive.omega0)
+    y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
+    return len(list(dynamics._window_steps(
+        y0, drive, DECAY, deph, (-5.0, 5.0), 1e-8))) - 1
+
+
+@pytest.mark.parametrize("gamma_i0", [0.0, 0.0349])
+def test_batch_steps_as_its_hardest_drive(monkeypatch, gamma_i0):
+    # DOP853 bounds each drive's own error, so the 48 areas of a first-cycle
+    # search take about the steps of the drive that needs most alone (1.02
+    # and 1.05 times); bounding the batch's RMS at tol/sqrt(48) took 1.21
+    # and 1.25 times
+    drives = []
+
+    def recorded(drive, *args, **kwargs):
+        drives.append(drive)
+        return emission_after_pulse(drive, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "emission_after_pulse", recorded)
+    deph = DephasingModel(0.0, gamma_i0, 2)
+    sweeps._first_cycles(12.0, deph, DECAY, 3.5, 1e-8)
+    (batch,) = drives
+    hardest = max(_window_step_count(replace(batch, omega0=batch.omega0[i:i + 1]),
+                                     deph) for i in range(48))
+    assert _window_step_count(batch, deph) <= 1.1 * hardest
 
 
 @pytest.mark.parametrize("gamma_i0", [0.0, 0.0349])
