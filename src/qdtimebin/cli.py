@@ -121,6 +121,7 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
                  "target_ratio": cfg.sweep.fit_target_ratio,
                  "gamma_i0": fit.gamma_i0, "achieved_ratio": fit.ratio,
                  "bracket": list(fit.bracket),
+                 "scan_samples": fit.scan_samples, "scan_tail": fit.scan_tail,
                  "evaluations": [{"gamma_i0": g, "ratio": r}
                                  for g, r in fit.evaluations]},
                 f" (gamma_i0 = {fit.gamma_i0:.6g})")

@@ -65,9 +65,9 @@ _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 
 # Accepted steps one run of ``_window_steps`` may take, a guard.  At tol
 # 1e-8 a pulse window takes 40-440 DOP853 steps (40 under the cap of span/40)
-# and the batch of a fit 190; a window made stiff by intensity dephasing
-# (sigma 1e-6 with gamma_i0 * omega0^2 ~ 3e12 /ps) would take millions, and
-# is stepped by Radau instead.
+# and the 216-drive batch of a fit 190; a window made stiff by intensity
+# dephasing (sigma 1e-6 with gamma_i0 * omega0^2 ~ 3e12 /ps) would take
+# millions, and is stepped by Radau instead.
 _MAX_WINDOW_STEPS = 100_000
 # DOP853 steps that dephasing alone forces (``_window_method``) above which
 # Radau steps a window of one drive; for N drives the threshold is
@@ -627,7 +627,10 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     inside the pulse window of a ``PulseDrive`` in its pulse time, storing
     every accepted step at t0 + sigma tau; ``tol`` sets their length.  It
     bounds the error of each step, not of the result: against DOP853 at
-    rtol 1e-13, the emission it gives for one pulse is up to ~3*tol off.
+    rtol 1e-13 on the same window, the emission it gives for one pulse is
+    up to ~3*tol off.  Below tol 1e-8 the window's neglected drive sets
+    the error instead: 30*tol at tol 1e-9 and 293*tol at 1e-10 against a
+    window of |tau| <= 8 (sigma 1, delta_x 0.5; ``emission_after_pulse``).
     Outside the window the drive is off (``pulse_window``), and the state
     is propagated exactly with r0 + deph.rate(0) rp onto a uniform grid.
     A ``ConstantDrive`` is propagated exactly over the whole span with
@@ -704,11 +707,16 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     A level with zero rate emits nothing after the pulse.  ``tol`` bounds
     each amplitude's error of each step, not of p (``_window_steps``:
     DOP853 bounds each amplitude's own norm at ``tol``, Radau the batch's
-    RMS at tol/sqrt(N)); against DOP853 at rtol 1e-13, p is up to ~3*tol
-    off, in a batch and for one amplitude alike.  The amplitudes are
-    stepped in chunks of floor((tol/TOL_FLOOR)^2), rounded down to a
+    RMS at tol/sqrt(N)).  Against DOP853 at rtol 1e-13 on the same window,
+    p is up to ~3*tol off, in a batch and for one amplitude alike.  The
+    window neglects the drive outside |tau| <= ``PULSE_HALF_WIDTH``, and
+    below tol 1e-8 that sets the error: against a window of |tau| <= 8 at
+    rtol 1e-13 (sigma 1, delta_x 0.5, no dephasing, areas 1-30) the worst
+    measured error is 5.6*tol at tol 1e-8, 30*tol at 1e-9 and 293*tol at
+    1e-10.  A batch that ``_window_method`` sends to Radau is stepped in
+    chunks of floor((tol/TOL_FLOOR)^2) amplitudes, rounded down to a
     multiple of ``block`` but never below it, so that Radau's tol/sqrt(N)
-    never falls below ``TOL_FLOOR``; a DOP853 batch is chunked alike.  A
+    never falls below ``TOL_FLOOR``; a DOP853 batch is stepped whole.  A
     chunk never splits a block of ``block`` consecutive amplitudes, whose
     errors then stay one smooth function of the amplitude.
     When the whole system fails (a failed step, or the step budget), an
@@ -727,7 +735,12 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
         raise ValueError(f"pulse window ({start[i]}, {end[i]}) has no width")
     y0 = _initial_state(GROUND, 100.0 * tol, start[0])[:, None]
     p_x, p_b = np.empty(n), np.empty(n)
+    span = (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH)
     chunk = max(1, int((tol / TOL_FLOOR) ** 2) // block) * block
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chunk < n and _window_method(drive, deph, _real_generator(
+                drive, decay)[2], span) is not Radau:
+            chunk = n  # DOP853 steps each drive at rtol tol whatever N
     for first in range(0, n, chunk):
         part = slice(first, first + chunk)
         w = omega0[part]
@@ -737,9 +750,7 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
             deph.gamma_bg, deph.gamma_i0, deph.n_p)))
         with np.errstate(over="ignore", invalid="ignore"):  # see _window_steps
             for _, y in _window_steps(np.repeat(y0, len(w), axis=1), columns,
-                                      decay, rates,
-                                      (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH),
-                                      tol):
+                                      decay, rates, span, tol):
                 pass
         tail_b = y[B] if decay.gamma_b > 0 else 0.0
         tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0

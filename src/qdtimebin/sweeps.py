@@ -11,11 +11,14 @@ stepped in pulse time so that drives of different sigma and dephasing
 share one step sequence.  A sweep is one batch over all its curves (every
 dephasing model of a Rabi sweep, every sigma of a ratio sweep), and if it
 fails, each point is integrated alone.  A first-cycle search is one batch:
-p_b at 48 Chebyshev points of area, whose interpolant gives the first
-maximum and minimum.  A fit searches 6 gamma_i0 values in one batch of 6
-such blocks, the Chebyshev-Lobatto points of an interval, and takes the
-root of the interpolant of 1/ratio on the first interval that brackets its
-target; its ``FitResult`` holds every (gamma_i0, ratio) pair integrated.
+p_b at 36 Chebyshev points of area, whose interpolant gives the first
+maximum and minimum, integrated again at 48 points when the tail of that
+interpolant's Chebyshev series exceeds tol.  A fit searches 6 gamma_i0
+values in one batch of 6 such blocks, the Chebyshev-Lobatto points of an
+interval, and takes the root of the interpolant of 1/ratio on the first
+interval that brackets its target; its ``FitResult`` holds every
+(gamma_i0, ratio) pair integrated, and the area count and tail of the
+interval that gave the fit.
 """
 
 from __future__ import annotations
@@ -45,9 +48,14 @@ from .dynamics import (
 # floor the ratio is reported as saturated rather than divergent.
 DIRECT_EXCITON_FLOOR = 1e-6
 
-# A first-cycle search integrates p_b at this many Chebyshev points of
-# this window, in units of the coherent first-maximum area.
-_SCAN_SAMPLES = 48
+# A first-cycle search integrates p_b at the Chebyshev points of this
+# window, in units of the coherent first-maximum area: as many as the first
+# count, then, if the interpolant of any block leaves a tail above tol, as
+# many as the second, once.  Tails at tol 1e-8, sigma 12, delta_x 3.5:
+# n_p 2 with gamma_i0 0-0.24 reads <= 1.2e-12 at 36 areas; n_p 4 reads
+# <= 2e-9, but 2e-8 at gamma_i0 0.08, which reruns (at 32 areas gamma_i0
+# 0.03 and 0.04 read 3e-8 and 5e-8).
+_SCAN_SAMPLES = (36, 48)
 _SCAN_WINDOW = (0.15, 2.2)
 # A fit integrates this many gamma_i0 values per batch: the
 # Chebyshev-Lobatto points of one interval, both ends included.
@@ -189,17 +197,25 @@ def coherent_first_max_area(sigma: float, delta_x: float) -> float:
 
 
 def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,
-                  delta_x: float, tol: float) -> list:
+                  delta_x: float, tol: float) -> tuple[list, int, float]:
     """First-cycle extrema of p_b versus area for each of the K values in
     ``deph.gamma_i0``, as one ``emission_after_pulse`` batch of K blocks of
-    48 areas; ``first_cycle_extrema`` is the case K = 1.
+    36 areas; ``first_cycle_extrema`` is the case K = 1.
 
-    Returns one (area_max, pb_max, area_min, pb_min) per value, or None
-    where no interior first maximum and following minimum survive the
-    damping.  A fit's batch is 6 x 48 = 288 drives, which
-    ``emission_after_pulse`` chunks for tol below ~3.8e-13 (48 drives:
-    ~1.5e-13); a chunk holds whole blocks, so each block keeps one step
-    sequence.
+    The tail of a block is the larger magnitude of the last two Chebyshev
+    coefficients of its interpolant (Aurentz and Trefethen, "Chopping a
+    Chebyshev series", ACM TOMS 43 (2017)).  If any block's tail exceeds
+    ``tol``, the absolute tolerance of each p_b, every block is integrated
+    again in one batch of 48 areas, which is kept whatever its tail: the
+    interpolant of a block never mixes two batches, and the blocks of a
+    fit's interval share one step sequence.  A fit's batch is 6 x 36 = 216
+    drives; ``emission_after_pulse`` steps it whole with DOP853, and would
+    chunk it, whole blocks at a time, only where Radau steps it.
+
+    Returns the extrema, one (area_max, pb_max, area_min, pb_min) per value
+    or None where no interior first maximum and following minimum survive
+    the damping; the area count of the batch they come from; and the
+    largest tail of its blocks.
     """
     gamma_i0 = np.atleast_1d(deph.gamma_i0)
     window = np.array(_SCAN_WINDOW) * coherent_first_max_area(sigma, delta_x)
@@ -214,8 +230,13 @@ def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,
                                    block=len(areas))[1]
         return p_b.reshape(len(gamma_i0), len(areas)).T
 
+    for samples in _SCAN_SAMPLES:
+        coefs = chebinterpolate(pb_of_x, samples - 1)  # (samples, K)
+        tail = float(np.abs(coefs[-2:]).max())
+        if tail <= tol:
+            break
     extrema = []
-    for coef in chebinterpolate(pb_of_x, _SCAN_SAMPLES - 1).T:
+    for coef in coefs.T:
         pb = Chebyshev(coef, domain=window)
         roots = pb.deriv().roots()
         roots = roots[(roots.imag == 0) & (roots.real > window[0])
@@ -231,7 +252,7 @@ def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,
         a_max, a_min = roots[i_max], roots[i_min]
         extrema.append((float(a_max), float(pb(a_max)), float(a_min),
                         float(pb(a_min))))
-    return extrema
+    return extrema, samples, tail
 
 
 def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
@@ -239,23 +260,25 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     """Locate the first maximum and following minimum of p_b versus area.
 
     Returns (area_max, pb_max, area_min, pb_min).  p_b is integrated in one
-    ``emission_after_pulse`` batch at the 48 Chebyshev points of the
+    ``emission_after_pulse`` batch at the 36 Chebyshev points of the
     window [0.15, 2.2] x ``coherent_first_max_area``, and interpolated
-    there by a degree-47 Chebyshev series (``chebinterpolate`` mapped onto
-    the window).  The extrema are the real roots of its derivative inside
-    the window: the first with negative curvature is the maximum, the next
-    with positive curvature the minimum.  The interpolant's values there
-    are returned.
+    there by a degree-35 Chebyshev series (``chebinterpolate`` mapped onto
+    the window); if the tail of that series exceeds ``tol``, at 48 points
+    and degree 47 instead (``_first_cycles``).  The extrema are the real
+    roots of its derivative inside the window: the first with negative
+    curvature is the maximum, the next with positive curvature the
+    minimum.  The interpolant's values there are returned.
 
     All drives of a batch are one system and share one step sequence,
     so the integrator's error is a smooth function of area, and the
     interpolant converges spectrally, down to the integrator's tolerance.
-    ``emission_after_pulse`` never splits the 48 areas into chunks.
+    ``emission_after_pulse`` never splits the areas of a search into
+    chunks.
 
     Raises OverdampedError when no interior extremum pair survives the
     damping.
     """
-    (extrema,) = _first_cycles(sigma, deph, decay, delta_x, tol)
+    (extrema,), _, _ = _first_cycles(sigma, deph, decay, delta_x, tol)
     if extrema is None:
         raise OverdampedError("no interior first maximum followed by a "
                               "minimum in the scanned window")
@@ -280,11 +303,15 @@ class UnreachableTargetError(ValueError):
 @dataclass(frozen=True)
 class FitResult:
     """Fitted gamma_i0, its ratio, and each (gamma_i0, ratio) integrated,
-    in order."""
+    in order; ``scan_samples`` and ``scan_tail`` are the area count of the
+    batch of the interval that gave ``gamma_i0`` and the largest tail of
+    its blocks (``_first_cycles``)."""
 
     gamma_i0: float
     ratio: float
     evaluations: list[tuple[float, float]]
+    scan_samples: int
+    scan_tail: float
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -319,19 +346,22 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
     again.  The fit is the root of the degree-5 Chebyshev interpolant of
     1/ratio on the first interval whose ends bracket the target, and its
     ``ratio`` is the interpolant's value there; ``evaluations`` holds
-    every sample, interval by interval.
+    every sample, interval by interval, and ``scan_samples`` and
+    ``scan_tail`` say how well that interval's batch resolved its Rabi
+    curves.
 
     Raises UnreachableTargetError when the ratio at gamma_i0 = 0 is below
     the target, or the ratio at ``GAMMA_I0_BRACKET_MAX`` above it.
     """
     check_fit_target(n_p, target_ratio)
-    evaluations = []
+    evaluations, scans = [], []
 
     def sample(lo: float, hi: float):
         x = chebpts2(_FIT_SAMPLES)
         gammas = 0.5 * (lo * (1.0 - x) + hi * (1.0 + x))  # ends exact
         deph = DephasingModel(gamma_bg=gamma_bg, gamma_i0=gammas, n_p=n_p)
-        extrema = _first_cycles(sigma, deph, decay, delta_x, tol)
+        extrema, *scan = _first_cycles(sigma, deph, decay, delta_x, tol)
+        scans.append(scan)
         ratios = np.array([1.0 if e is None else e[1] / e[3]
                            for e in extrema])
         evaluations.extend(zip(gammas.tolist(), ratios.tolist()))
@@ -365,7 +395,7 @@ def fit_gamma_i0(n_p: int, target_ratio: float, sigma: float,
     roots = np.sort(roots[roots.imag == 0].real)
     outside = np.abs(roots - np.clip(roots, lo, hi))
     gamma = float(np.clip(roots[np.argmin(outside)], lo, hi))
-    return FitResult(gamma, float(1.0 / fit(gamma)), evaluations)
+    return FitResult(gamma, float(1.0 / fit(gamma)), evaluations, *scans[-1])
 
 
 def ratio_sweep(sigmas, energy_axis, deph: DephasingModel, decay: DecayRates,

@@ -569,11 +569,14 @@ def test_fit_dephasing_round_trip(tmp_path):
     out = json.loads((tmp_path / "fit_dephasing.json").read_text())
     assert out["achieved_ratio"] == pytest.approx(3.2, rel=0.011)
     assert out["gamma_i0"] > 0
+    # the interval that gave the fit was resolved at 36 areas
+    assert out["scan_samples"] == 36
+    assert 0.0 < out["scan_tail"] <= 1e-8
 
 
 def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     # the acceptance-05 target lies in the first interval [0.02, 0.04]: one
-    # batch of 6 gamma_i0 values x 48 areas, whose interpolant of 1/ratio
+    # batch of 6 gamma_i0 values x 36 areas, whose interpolant of 1/ratio
     # gives gamma_i0; the report records that bracket and each sample
     from qdtimebin import sweeps
     batches = []
@@ -591,7 +594,7 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     assert main(["fit-dephasing", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "fit_dephasing.json").read_text())
-    assert batches == [288]
+    assert batches == [216]
     assert out["gamma_i0"] == pytest.approx(0.0349, rel=1e-6)
     assert out["bracket"] == [0.02, 0.04]
     searched = [e["gamma_i0"] for e in out["evaluations"]]

@@ -147,8 +147,9 @@ def test_batch_matches_drives_alone():
     assert np.abs(p_b - alone[:, 1]).max() < 1e-8
 
 
-def test_tiny_tolerance_integrates_in_chunks():
-    # (tol / TOL_FLOOR)^2 = 3.2: no more than 3 drives fit in one batch
+def test_tiny_tolerance_batch_matches_drives_alone():
+    # (tol / TOL_FLOOR)^2 = 3.2: Radau would step no more than 3 drives at
+    # once, but DOP853 steps the 4 whole, each at rtol tol as if alone
     tol = 4e-14
     deph = DephasingModel(0.0, 0.0349, 2)
     areas = np.array([6.0, 12.0, 18.0, 24.0])
@@ -163,8 +164,9 @@ def test_tiny_tolerance_integrates_in_chunks():
 
 
 def test_chunks_never_split_a_block(monkeypatch):
-    # (tol / TOL_FLOOR)^2 = 3.2 drives fit in a chunk, but a block is 4:
-    # each chunk is one whole block, its own dephasing columns included
+    # (tol / TOL_FLOOR)^2 = 3.2 drives fit in a Radau chunk, but a block is
+    # 4: each chunk is one whole block, its own dephasing columns included.
+    # At sigma 1e-3 dephasing makes the windows stiff, so Radau steps them
     tol = 4e-14
     sizes = []
     steps = dynamics._window_steps
@@ -174,14 +176,14 @@ def test_chunks_never_split_a_block(monkeypatch):
         return steps(y0, drive, decay, deph, t_span, tol)
 
     monkeypatch.setattr(dynamics, "_window_steps", counted)
-    areas = np.tile([6.0, 12.0, 18.0, 24.0], 2)
-    drive = PulseDrive(omega0=omega0_for_area(areas, 4.0), sigma=4.0,
+    areas = np.tile([5.0, 10.0, 15.0, 20.0], 2)
+    drive = PulseDrive(omega0=omega0_for_area(areas, 1e-3), sigma=1e-3,
                        delta_x=3.5)
-    deph = DephasingModel(0.0, np.repeat([0.0, 0.0349], 4), 2)
+    deph = DephasingModel(0.01, np.repeat([0.02, 0.0349], 4), 2)
     p_x, p_b = emission_after_pulse(drive, DECAY, deph, tol=tol, block=4)
     assert sizes == [(4, 4), (4, 4)]
     alone = emission_after_pulse(replace(drive, omega0=drive.omega0[4:]),
-                                 DECAY, DephasingModel(0.0, 0.0349, 2),
+                                 DECAY, DephasingModel(0.01, 0.0349, 2),
                                  tol=tol, block=4)
     assert np.array_equal(p_x[4:], alone[0])
     assert np.array_equal(p_b[4:], alone[1])
@@ -388,8 +390,8 @@ def test_fit_gamma_i0_next_to_overdamping():
 
 def test_batch_blocks_match_single_searches():
     gammas = np.array([0.0, 0.005, 0.02, 0.0349, 0.06, 0.1])
-    batch = sweeps._first_cycles(12.0, DephasingModel(0.0, gammas, 2), DECAY,
-                                 3.5, 1e-8)
+    batch, _, _ = sweeps._first_cycles(
+        12.0, DephasingModel(0.0, gammas, 2), DECAY, 3.5, 1e-8)
     for gamma_i0, (_, v_max, _, v_min) in zip(gammas, batch):
         alone = first_cycle_ratio(12.0, DephasingModel(0.0, gamma_i0, 2),
                                   DECAY, delta_x=3.5)
@@ -406,10 +408,10 @@ def _window_step_count(drive: PulseDrive, deph: DephasingModel) -> int:
 
 @pytest.mark.parametrize("gamma_i0", [0.0, 0.0349])
 def test_batch_steps_as_its_hardest_drive(monkeypatch, gamma_i0):
-    # DOP853 bounds each drive's own error, so the 48 areas of a first-cycle
-    # search take about the steps of the drive that needs most alone (1.02
-    # and 1.05 times); bounding the batch's RMS at tol/sqrt(48) took 1.21
-    # and 1.25 times
+    # DOP853 bounds each drive's own error, so the 36 areas of a
+    # first-cycle search take about the steps of the drive that needs most
+    # alone (1.02 and 1.05 times, as at 48 areas); bounding the batch's RMS
+    # at tol/sqrt(48) took 1.21 and 1.25 times at 48 areas
     drives = []
 
     def recorded(drive, *args, **kwargs):
@@ -421,8 +423,84 @@ def test_batch_steps_as_its_hardest_drive(monkeypatch, gamma_i0):
     sweeps._first_cycles(12.0, deph, DECAY, 3.5, 1e-8)
     (batch,) = drives
     hardest = max(_window_step_count(replace(batch, omega0=batch.omega0[i:i + 1]),
-                                     deph) for i in range(48))
+                                     deph) for i in range(len(batch.omega0)))
     assert _window_step_count(batch, deph) <= 1.1 * hardest
+
+
+def _recorded_batches(monkeypatch, module, name, drive_arg):
+    """Drive counts of each call to ``module.name``, whose positional
+    argument ``drive_arg`` is the drive, in call order."""
+    sizes = []
+    call = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        sizes.append(np.size(args[drive_arg].omega0))
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return sizes
+
+
+ACCEPTANCE_04_DECAY = DecayRates(gamma_b=2e-4, gamma_x=1e-4)
+
+
+@pytest.mark.parametrize("sigma, deph, decay, delta_x", [
+    *(pytest.param(12.0, DephasingModel(0.0, g, 2), DECAY, 3.5,
+                   id=f"n_p2-{g}")
+      for g in (0.0, 0.02, 0.0349, 0.04, 0.12, 0.24)),
+    *(pytest.param(12.0, DephasingModel(0.0, g, 4), DECAY, 3.5,
+                   id=f"n_p4-{g}") for g in (0.0021, 0.0219)),
+    pytest.param(12.0, NO_DEPH, ACCEPTANCE_04_DECAY, 0.5, id="acceptance-04"),
+    pytest.param(4.0, DephasingModel(0.0, 0.0349, 2), DECAY, 3.5, id="sigma4"),
+    pytest.param(30.0, DephasingModel(0.0, 0.0349, 2), DECAY, 3.5,
+                 id="sigma30"),
+])
+def test_first_cycle_resolved_at_36_areas(monkeypatch, sigma, deph, decay,
+                                          delta_x):
+    # at tol 1e-8 the 36-area interpolant's tail is within tol, so one
+    # batch of 36 areas gives the extrema of a 64-area search within tol
+    # (measured: values within 9e-11, areas within 2e-9)
+    tol = 1e-8
+    batches = _recorded_batches(monkeypatch, sweeps, "emission_after_pulse",
+                                0)
+    (got,), samples, tail = sweeps._first_cycles(sigma, deph, decay, delta_x,
+                                                 tol)
+    assert batches == [36] and samples == 36 and tail <= tol
+    monkeypatch.setattr(sweeps, "_SCAN_SAMPLES", (64,))
+    (reference,), _, _ = sweeps._first_cycles(sigma, deph, decay, delta_x,
+                                              tol)
+    a_max, v_max, a_min, v_min = got
+    assert abs(v_max - reference[1]) <= tol
+    assert abs(v_min - reference[3]) <= tol
+    assert a_max == pytest.approx(reference[0], rel=1e-6)
+    assert a_min == pytest.approx(reference[2], rel=1e-6)
+
+
+def test_unresolved_search_reruns_at_48_areas(monkeypatch):
+    # n_p 4, gamma_i0 0.08: the 36-area tail is ~2e-8 > tol, so the search
+    # is integrated again at 48 areas, and that batch alone gives the result
+    deph = DephasingModel(0.0, 0.08, 4)
+    batches = _recorded_batches(monkeypatch, sweeps, "emission_after_pulse",
+                                0)
+    (got,), samples, tail = sweeps._first_cycles(12.0, deph, DECAY, 3.5, 1e-8)
+    assert batches == [36, 48] and samples == 48 and tail <= 1e-8
+    monkeypatch.setattr(sweeps, "_SCAN_SAMPLES", (48,))
+    assert first_cycle_extrema(12.0, deph, DECAY, delta_x=3.5) == got
+
+
+def test_tight_fit_interval_reruns_whole_batches(monkeypatch):
+    # at tol 1e-13 the 36-area tails of a fit interval exceed tol: the
+    # interval is integrated again at 48 areas, each time as one DOP853
+    # batch, never in chunks, and gives what a 48-area search gives
+    tol = 1e-13
+    deph = DephasingModel(0.0, np.linspace(0.02, 0.04, 6), 2)
+    batches = _recorded_batches(monkeypatch, dynamics, "_window_steps", 1)
+    got, samples, tail = sweeps._first_cycles(12.0, deph, DECAY, 3.5, tol)
+    assert batches == [216, 288] and samples == 48
+    monkeypatch.setattr(sweeps, "_SCAN_SAMPLES", (48,))
+    assert sweeps._first_cycles(12.0, deph, DECAY, 3.5, tol) == (got, 48,
+                                                                 tail)
+    assert batches == [216, 288, 288]
 
 
 @pytest.mark.parametrize("gamma_i0", [0.0, 0.0349])
