@@ -70,20 +70,21 @@ _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 # millions, and is stepped by Radau instead.
 _MAX_WINDOW_STEPS = 100_000
 # DOP853 steps that dephasing alone forces (``_window_method``) above which
-# Radau steps a window of one drive; for N drives the threshold is
-# _RADAU_STEPS * N^0.4.  Measured crossover of one ``emission_after_pulse``
+# Radau steps a window of N drives: max(_RADAU_MIN_STEPS,
+# _RADAU_STEPS * N^0.4).  Measured crossover of one ``emission_after_pulse``
 # batch, DOP853 with its per-drive norm at rtol tol against Radau at
 # tol/sqrt(N), sigma 1e-2 to 2.2e-4, areas 5-20 (20 for one drive),
 # gamma_i0 0.0349, delta_x 3.5, tol 1e-8 (2-core x86-64 VM, one thread):
 # ~1,500 steps for 48 drives and ~3,100 for 288, which the rule gives
-# within 13 %.  Where dephasing sets the step, stability and not the norm
-# limits DOP853, so these are the crossovers of the RMS norm at
-# tol/sqrt(N) too.  One drive crosses over at ~800, not 360: DOP853 is
-# faster there than when the rule was fitted, and Radau takes 1.5 times as
-# long at an estimate of 480.  At 12,000 Radau takes 0.08 s for one drive
-# where DOP853 takes 0.86 s, and at sigma 5e-4 (estimate 3,628) 0.08 s
-# where DOP853 takes 0.27 s.
+# (1,694 and 3,478) within 13 %, and ~800 for one drive: at sigma 3.8e-3
+# (estimate 477) DOP853 takes 0.041 s where Radau takes 0.057 s, and at
+# 2e-3 (estimate 907) both take ~0.06 s.  Where dephasing sets the step,
+# stability and not the norm limits DOP853, so these are the crossovers of
+# the RMS norm at tol/sqrt(N) too.  At 12,000 Radau takes 0.08 s for one
+# drive where DOP853 takes 0.86 s, and at sigma 5e-4 (estimate 3,628)
+# 0.08 s where DOP853 takes 0.27 s.
 _RADAU_STEPS = 360.0
+_RADAU_MIN_STEPS = 800.0
 # Real stability limit of DOP853: h |lambda| <= 6.39 for a real negative
 # eigenvalue lambda, from the stability function of scipy's tableau
 # (RK45's is 3.31).
@@ -400,7 +401,8 @@ class DOP853(scipy.integrate.DOP853):
 def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
                    tau_span: tuple[float, float]):
     """DOP853, or Radau for a batch of N drives whose dephasing alone would
-    force DOP853 past ``_RADAU_STEPS`` N^0.4 steps over ``tau_span``.
+    force DOP853 past max(``_RADAU_MIN_STEPS``, ``_RADAU_STEPS`` N^0.4)
+    steps over ``tau_span``.
 
     rp is diagonal, so sigma_n rate_n(tau) |rp| bounds the real eigenvalues
     of drive n's generator that dephasing adds at pulse time tau; DOP853 is
@@ -417,45 +419,51 @@ def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
     steps = (np.abs(rp).max() / _EXPLICIT_STABILITY * np.max(
         drive.sigma * trapezoid(rate, tau, axis=0)))
     n = np.size(drive.omega0)
-    return Radau if steps > _RADAU_STEPS * n ** 0.4 else DOP853
+    limit = max(_RADAU_MIN_STEPS, _RADAU_STEPS * n ** 0.4)
+    return Radau if steps > limit else DOP853
 
 
 def _pulse_coefficients(drive: PulseDrive, deph: DephasingModel, n: int):
-    """The products, taken once per window, from which the (3, N)
-    coefficient rows sigma, sigma omega and sigma rate(omega) of the N
-    drives follow at pulse time tau, where omega is each drive's amplitude
-    there: with e = exp(-ln2 tau^2), shared by every drive, the rows are
-    sigma, (sigma omega0) e and sigma gamma_bg + (sigma gamma_i0
-    omega0^n_p) e^n_p.
+    """The matrix C and the exponents p, taken once per window, from which
+    the (3, N) coefficient rows sigma, sigma omega and sigma rate(omega) of
+    the N drives, raveled row-major, are C @ e**p at pulse time tau, where
+    omega is each drive's amplitude there and e = exp(-ln2 tau^2) is
+    shared by every drive: the rows are sigma, (sigma omega0) e and
+    sigma gamma_bg + (sigma gamma_i0 omega0^n_p) e^n_p.
 
-    Returns sigma, sigma omega0, sigma gamma_bg and sigma gamma_i0
-    omega0^n_p, each of shape (N,), and n_p: one number when the drives
-    share it, so that e^n_p is one scalar power, else one per drive.
-    0.0**0 is 1, so n_p = 0 still folds gamma_i0 into a constant.  A drive
-    whose omega0^n_p overflows gets an infinite or NaN product, which
-    ``_window_steps`` reports at its start.
+    Returns C, of shape (3N, m), and p = (0, 1, then each distinct n_p of
+    the batch), of shape (m,).  0.0**0 is 1, so n_p = 0 still folds
+    gamma_i0 into a constant.  A drive whose omega0^n_p overflows gets an
+    infinite or NaN entry, which ``_window_steps`` reports at its start.
     """
     sigma = np.broadcast_to(np.asarray(drive.sigma, dtype=float), (n,))
     omega0 = np.asarray(drive.omega0, dtype=float)
-    n_p = np.unique(deph.n_p)
-    n_p = n_p.item() if n_p.size == 1 else np.asarray(deph.n_p)
-    return (sigma, sigma * omega0, sigma * deph.gamma_bg,
-            sigma * deph.gamma_i0 * omega0 ** np.asarray(deph.n_p), n_p)
+    n_p, column = np.unique(np.broadcast_to(deph.n_p, (n,)),
+                            return_inverse=True)
+    coef = np.zeros((3, n, 2 + n_p.size))
+    coef[0, :, 0] = sigma
+    coef[1, :, 1] = sigma * omega0
+    coef[2, :, 0] = sigma * deph.gamma_bg
+    coef[2, np.arange(n), 2 + column] = (
+        sigma * deph.gamma_i0 * omega0 ** np.asarray(deph.n_p))
+    return coef.reshape(3 * n, -1), np.concatenate(([0.0, 1.0], n_p))
 
 
-def _pulse_rows(drive: PulseDrive, deph: DephasingModel, n: int):
-    """The function of pulse time tau that fills the (3, N) coefficient rows
-    of ``_pulse_coefficients`` from e = exp(-ln2 tau^2) and returns them:
-    one array, overwritten by the next call."""
-    sigma, amp, base, peak, n_p = _pulse_coefficients(drive, deph, n)
-    rows = np.empty((3, n))
-    rows[0] = sigma
+def _pulse_rows(coef: np.ndarray, p: np.ndarray, shape: tuple):
+    """The function of pulse time tau that returns coef @ e**p, with
+    e = exp(-ln2 tau^2) and (coef, p) from ``_pulse_coefficients`` or a
+    generator folded from them, in ``shape``: one array, overwritten by
+    the next call.  The powers fill one preallocated vector, by Python's
+    float power (for a few exponents cheaper than a numpy call), and one
+    product the rows."""
+    powers, rows = np.ones(p.size), np.empty(shape)
+    flat, exponents = rows.reshape(-1), tuple(enumerate(p[2:].tolist(), 2))
 
     def at(tau):
-        e = math.exp(-LN2 * tau * tau)
-        np.multiply(amp, e, out=rows[1])
-        np.multiply(peak, e ** n_p, out=rows[2])
-        rows[2] += base
+        e = powers[1] = math.exp(-LN2 * tau * tau)
+        for i, k in exponents:
+            powers[i] = e ** k
+        np.dot(coef, powers, out=flat)
         return rows
 
     return at
@@ -474,7 +482,7 @@ def _block_jacobian(drive: PulseDrive, deph: DephasingModel, r0, rd, rp,
                    _N_STATE)
     starts = np.arange(0, _N_STATE * size + 1, _N_STATE)
     parts = np.stack((r0, rd, rp), axis=-1)  # (11, 11, 3)
-    rows_at = _pulse_rows(drive, deph, n)
+    rows_at = _pulse_rows(*_pulse_coefficients(drive, deph, n), (3, n))
 
     def jac(tau, y):
         blocks = parts @ rows_at(tau)  # (11, 11, N)
@@ -522,23 +530,21 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     def times(tau):
         return drive.t0 + drive.sigma * tau
 
+    coef, p = _pulse_coefficients(drive, deph, n)
     if n == 1:
-        # one drive: its (11, 11) generator is (gen0, gen1, gen2) @
-        # (1, e, e^n_p), the coefficient products folded into the parts
-        # once here.  Two products per call take 3.6 us, where the rows,
-        # the broadcast and the product of a batch take ~7 us at N = 1
-        # (2-core x86-64 VM, one thread); from N = 6 on the rows are faster.
-        sigma, amp, base, peak, n_p = _pulse_coefficients(drive, deph, 1)
-        gen = np.stack((sigma * r0 + base * rp, amp * rd, peak * rp),
-                       axis=-1).reshape(_N_STATE * _N_STATE, 3)
+        # one drive: its (11, 11) generator is gen @ e**p, the three rows
+        # of C folded into the parts once here.  A call takes 1.5 us, where
+        # the rows of a batch take 2.7 us at N = 1 (2-core x86-64 VM, one
+        # thread); a generator per drive is faster than the rows up to
+        # N = 2, and from N = 4 on the rows are.
+        gen_at = _pulse_rows(sum(part.reshape(-1, 1) * c for part, c in
+                                 zip((r0, rd, rp), coef)), p, r0.shape)
 
         def rhs(tau, y):
-            e = math.exp(-LN2 * tau * tau)
-            return np.dot(gen, (1.0, e, e ** n_p)).reshape(
-                _N_STATE, _N_STATE) @ y
+            return gen_at(tau) @ y
     else:
         r = np.hstack((r0, rd, rp))
-        rows_at = _pulse_rows(drive, deph, n)
+        rows_at = _pulse_rows(coef, p, (3, 1, n))
         # rhs scales Y by each coefficient row into this (3, 11, N) stack
         # in one broadcast multiply, so that one (11, 33) product applies
         # the generator: fewer passes over the state and no temporaries,
@@ -547,7 +553,7 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
         scaled = np.empty((3, _N_STATE, n))
 
         def rhs(tau, y):
-            np.multiply(rows_at(tau)[:, None, :], y.reshape(_N_STATE, n),
+            np.multiply(rows_at(tau), y.reshape(_N_STATE, n),
                         out=scaled)
             return (r @ scaled.reshape(3 * _N_STATE, n)).ravel()
 

@@ -411,7 +411,7 @@ def test_window_method_bounds_the_explicit_steps():
 
 def test_forced_radau_matches_dop853(monkeypatch, window_methods):
     # at sigma 1e-3 the bound on DOP853's steps is ~1,800, above the Radau
-    # threshold of ~475 for two drives: Radau steps the batch, and DOP853,
+    # threshold of 800 for two drives: Radau steps the batch, and DOP853,
     # forced by a threshold of ~13,000, agrees with it
     drive = PulseDrive(omega0=omega0_for_area(np.array([5.0, 20.0]), 1e-3),
                        sigma=1e-3, delta_x=3.5)
@@ -425,7 +425,7 @@ def test_forced_radau_matches_dop853(monkeypatch, window_methods):
 
 def test_moderately_stiff_single_drive_steps_with_radau(window_methods):
     # at sigma 5e-4 dephasing alone forces DOP853 to ~3,600 steps (0.27 s
-    # against Radau's 0.09 s): past the threshold of 360 for one drive,
+    # against Radau's 0.09 s): past the threshold of 800 for one drive,
     # Radau steps the window, within 20 tol of the oracle
     decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
     drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 5e-4)]),
@@ -433,6 +433,20 @@ def test_moderately_stiff_single_drive_steps_with_radau(window_methods):
     p = np.array(emission_after_pulse(drive, decay, deph))
     assert window_methods == ["Radau"]
     ref = np.array(oracles.pulse_emission([20.0], 5e-4, 3.5, 0.004, 0.002,
+                                          0.01, 0.0349, 2, method="Radau"))
+    assert np.abs(p - ref).max() <= 20 * 1e-8
+
+
+def test_mildly_stiff_single_drive_steps_with_dop853(window_methods):
+    # at sigma 3.8e-3 the bound on DOP853's steps is ~477, under the
+    # threshold of 800 for one drive, where DOP853 (0.04 s) is faster than
+    # Radau (0.06 s): DOP853 steps the window, within 20 tol of the oracle
+    decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
+    drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 3.8e-3)]),
+                       sigma=3.8e-3, delta_x=3.5)
+    p = np.array(emission_after_pulse(drive, decay, deph))
+    assert window_methods == ["DOP853"]
+    ref = np.array(oracles.pulse_emission([20.0], 3.8e-3, 3.5, 0.004, 0.002,
                                           0.01, 0.0349, 2, method="Radau"))
     assert np.abs(p - ref).max() <= 20 * 1e-8
 
@@ -526,22 +540,25 @@ def _window_rhs(monkeypatch, drive, deph, decay):
 def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
     # the coefficient rows give, per drive, sigma (r0 + omega rd + rate rp)
     # with omega from amplitude_at and rate from DephasingModel.rate: for a
-    # batch with its own sigma, n_p 0, 2 and 4 and one drive off, and for
-    # each drive alone
-    drive = PulseDrive(omega0=np.array([0.3, 0.0, 1.2, 2.0]),
-                       sigma=np.array([1.0, 4.0, 12.0, 0.5]),
-                       t0=np.array([0.0, -3.0, 2.0, 1.0]), delta_x=3.5,
-                       delta_b=0.1)
-    deph = DephasingModel(np.array([0.01, 0.0, 0.02, 0.01]),
-                          np.array([0.0349, 0.1, 0.0219, 0.2]),
-                          np.array([0, 2, 4, 2]))
+    # batch with its own sigma, n_p 0, 2, 4 and 60 and two drives off, and
+    # for each drive alone, out to the window ends, where e^60 underflows
+    # to 0; the drive off with n_p 0 has rate gamma_bg + gamma_i0, as
+    # 0.0**0 is 1
+    drive = PulseDrive(omega0=np.array([0.3, 0.0, 1.2, 2.0, 2.0, 0.0]),
+                       sigma=np.array([1.0, 4.0, 12.0, 0.5, 3.0, 2.0]),
+                       t0=np.array([0.0, -3.0, 2.0, 1.0, 0.5, -1.0]),
+                       delta_x=3.5, delta_b=0.1)
+    deph = DephasingModel(np.array([0.01, 0.0, 0.02, 0.01, 0.01, 0.02]),
+                          np.array([0.0349, 0.1, 0.0219, 0.2, 0.03, 0.05]),
+                          np.array([0, 2, 4, 2, 60, 0]))
     decay = DecayRates(0.004, 0.002)
     r0, rd, rp = _real_generator(drive, decay)
-    y = np.random.default_rng(9).normal(size=(11, 4))
+    y = np.random.default_rng(9).normal(size=(11, 6))
     batch = _window_rhs(monkeypatch, drive, deph, decay)
-    for tau in (-4.2, -0.3, 0.0, 1.7):
-        dy = batch(tau, y.ravel()).reshape(11, 4)
-        for i in range(4):
+    for tau in (-5.0, -4.2, -0.3, 0.0, 1.7, 5.0):
+        dy = batch(tau, y.ravel()).reshape(11, 6)
+        assert np.isfinite(dy).all()
+        for i in range(6):
             one = PulseDrive(drive.omega0[i], drive.sigma[i], drive.t0[i],
                              delta_x=3.5, delta_b=0.1)
             rates = DephasingModel(deph.gamma_bg[i], deph.gamma_i0[i],
@@ -553,6 +570,22 @@ def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
             assert np.abs(dy[:, i] - ref).max() <= 1e-13 * scale
             alone = _window_rhs(monkeypatch, one, rates, decay)
             assert np.abs(alone(tau, y[:, i]) - ref).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_window_rhs_returns_a_new_array_each_call(monkeypatch, n):
+    # scipy keeps the derivatives it is given (the solver's f and the stage
+    # rows of K), so a reused output array would change accepted stages
+    drive = PulseDrive(omega0=np.linspace(0.3, 1.2, n), sigma=4.0,
+                       delta_x=3.5)
+    rhs = _window_rhs(monkeypatch, drive, DephasingModel(0.01, 0.0349, 2),
+                      DecayRates(0.004, 0.002))
+    y = np.random.default_rng(3).normal(size=11 * n)
+    first = rhs(-0.4, y)
+    kept = first.copy()
+    second = rhs(1.3, y)
+    assert second is not first and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
 
 def test_block_jacobian_applies_lindblad_rhs():
