@@ -184,7 +184,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     per_seed = _seed_metrics(np.array([mle.rho for mle in fits]), rho_model)
     mle_status = {key: [getattr(mle, key) for mle in fits]
                   for key in ("converged", "n_iter", "log_likelihood",
-                              "deviance")}
+                              "deviance", "gap")}
     tomography.save_dataset(datasets[0], out / "tomography_counts.txt")
     timebin.export_density_csv(fits[0].rho, out / "reconstructed_state.csv")
     report = {

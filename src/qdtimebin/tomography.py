@@ -4,9 +4,11 @@ A setting projects onto one joint ket |k> = |xx> (x) |x>, so the settings
 are held as the (n, 4) matrix of their kets and a count enters only through
 <k|rho|k>.  Poisson counts of the standard sixteen (per qubit: early, late,
 two superposition phases) are inverted by least squares, or fitted by
-maximum likelihood over the density matrices: an accelerated projected
-gradient in rho that fits the datasets of one settings list as one stack,
-each stopping on its own (``reconstruct_mle_many``).
+maximum likelihood over the density matrices (``reconstruct_mle_many``):
+the datasets of one settings list are fitted as one stack, each by an
+accelerated projected gradient in rho until its rank settles, then by
+damped Newton steps on the face of that rank, and each stops on its own
+once its optimality gap certifies it.
 """
 
 from __future__ import annotations
@@ -19,19 +21,34 @@ import numpy as np
 from .dynamics import check_field
 from .linalg import eig_hermitian
 
-# MLE stopping rule: a step without momentum that lowers a fit's deviance by
-# at most this fraction of max(deviance, 1) ends the fit.  Cap on its
-# iterations.
-_MLE_REL_DECREASE = 1e-12
+# MLE stopping rule: a fit stops once its certified optimality gap is at
+# most this fraction of max(deviance, 1).  At ~500 counts (deviance ~10) the
+# deviance cannot resolve a smaller gap.  Cap on its steps.
+_MLE_TOL = 1e-7
+# The gap is a difference of terms of G = n_hat sum_k (1 - c_k / mu_k)
+# |k><k|, so it cannot be resolved below a few tens of eps n_hat: Newton
+# fits at 1e5-1e15 counts reach 0.5-27 eps n_hat and no lower.  A gap within
+# this multiple of n_hat certifies too; it binds above ~7e6 counts.
+_MLE_GAP_ROUNDING = 64 * np.finfo(float).eps
 _MLE_MAX_ITER = 2000
 # Factor on a fit's curvature estimate after each accepted step, so that
 # its steps grow again after a backtrack.  Measured at ~500 counts (240
 # fits in stacks of 40): 144 passes per stack at 0.9, 164 at 0.8, 198 at
 # 0.6.
 _MLE_L_SHRINK = 0.9
-# Largest optimality gap of a converged fit: 1,400 fits at ~500 and 1e5
-# counts end below 2.2e-4.
-_MLE_GAP_TOL = 1e-2
+# Projected-gradient steps that lower the deviance at one rank, after which
+# a fit finishes with Newton steps on that rank's face.
+_MLE_RANK_HOLD = 5
+# Each term c_k (d - log1p(d)), d = (mu_k - c_k) / c_k, of the deviance
+# rounds by ~eps |mu_k - c_k|: a Newton step that raises the deviance by at
+# most this multiple of sum_k |mu_k - c_k| is not a rise.  Without it, steps
+# near the optimum are judged by rounding, and at ~500 counts 1 fit in 40
+# (perfbench tomo seed 303) fails its damping at a gap of 2.7e-7.
+_MLE_DEV_ROUNDING = 4 * np.finfo(float).eps
+# Levenberg-Marquardt damping of the Newton steps, relative to the largest
+# diagonal entry of a fit's Hessian: its start, and the value past which
+# the fit goes back to the projected gradient.
+_MLE_DAMPING = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -204,23 +221,24 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
 @dataclass
 class MleResult:
     rho: np.ndarray
-    converged: bool
-    n_iter: int  # accelerated projected-gradient iterations
+    converged: bool  # the gap certifies the fit (reconstruct_mle_many)
+    n_iter: int  # accepted projected-gradient steps plus accepted Newton steps
     log_likelihood: float
     deviance: float  # Poisson deviance of rho, ~0 at a perfect fit
+    gap: float  # tr(G rho) - lambda_min(G), the most any state lowers D
 
 
-def _project_states(y: np.ndarray) -> np.ndarray:
+def _project_states(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest density matrix in Frobenius norm to each Hermitian matrix of
     the (S, 4, 4) stack ``y``: its eigenvalues projected onto the
-    probability simplex, in its eigenbasis."""
+    probability simplex, in its eigenbasis; and the rank of each."""
     w, v = np.linalg.eigh(y)
     u = w[:, ::-1]
     excess = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, 5)
     rank = np.sum(u > excess, axis=1)
     shift = np.take_along_axis(excess, rank[:, None] - 1, axis=1)
     w = np.maximum(w - shift, 0.0)
-    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1), rank
 
 
 def _deviance(mu: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -255,6 +273,212 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a.conj() * b, axis=(1, 2)).real
 
 
+class _Likelihood:
+    """The deviance of a stack of fits that share one settings list: one
+    row of ``counts`` and one count scale of ``n_hat`` per fit.  Every
+    product is taken per fit, so that a fit's rounding, and with it its
+    answer, does not depend on the stack."""
+
+    def __init__(self, kets: np.ndarray, counts: np.ndarray,
+                 n_hat: np.ndarray):
+        self.kets, self.counts, self.n_hat = kets, counts, n_hat
+        self.rows = _design(kets)
+        self.projectors = self.rows.conj()  # |k><k| raveled row-major
+
+    def means(self, rho: np.ndarray, fits) -> np.ndarray:
+        """mu_k = n_hat <k|rho|k> of each fit, as (1, 16) @ (16, n)."""
+        return self.n_hat[fits, None] * (
+            rho.reshape(-1, 1, 16) @ self.rows.T)[:, 0].real
+
+    def deviance(self, mu: np.ndarray, fits) -> np.ndarray:
+        return _deviance(mu, self.counts[fits])
+
+    def gradient(self, mu: np.ndarray, fits) -> np.ndarray:
+        return _gradient(mu, self.counts[fits], self.n_hat[fits],
+                         self.projectors)
+
+    def certified(self, rho, mu, dev, fits):
+        """The gradient G at each rho, its optimality gap
+        tr(G rho) - lambda_min(G), and whether the gap certifies: it is
+        within ``_MLE_TOL`` * max(dev, 1), or within ``_MLE_GAP_ROUNDING``
+        * n_hat, the rounding of the gap itself."""
+        grad = self.gradient(mu, fits)
+        gap = _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+        return grad, gap, gap <= np.maximum(
+            _MLE_TOL * np.maximum(dev, 1.0),
+            _MLE_GAP_ROUNDING * self.n_hat[fits])
+
+
+def _apg(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
+         iters: np.ndarray):
+    """Accelerated projected-gradient steps from each ``rho`` until its
+    projected rank has held for ``_MLE_RANK_HOLD`` steps that lower D, or
+    ``iters`` reaches ``_MLE_MAX_ITER``; see ``reconstruct_mle_many``.
+    Returns the final (rho, iters) and, per fit, the rank of the face to
+    finish on with Newton steps, or 0 for a fit that is done: its gap
+    certifies, or it is out of steps."""
+    out_rho, out_iters = rho.copy(), iters.copy()
+    face = np.zeros(len(fits), dtype=int)
+    # the fits still running, one entry each: rho, the iterate before it
+    # (the momentum), the mean counts and deviance of rho, the momentum
+    # weight theta, the curvature estimate L, and the projected rank of rho
+    # and how many steps that lower D it has held
+    at = np.arange(len(fits))
+    prev, rho, iters = rho.copy(), rho.copy(), iters.copy()
+    mu = lik.means(rho, fits)
+    dev = lik.deviance(mu, fits)
+    theta, lip = np.ones(len(fits)), lik.n_hat[fits].copy()
+    rank, hold = np.zeros(len(fits), dtype=int), np.zeros(len(fits), int)
+    while at.size:
+        # extrapolate, unless that leaves a setting with counts unexplained
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        base = rho + ((theta - 1.0) / theta_next)[:, None, None] * (rho - prev)
+        mu_base = lik.means(base, fits)
+        lost = np.any((mu_base <= 0) & (lik.counts[fits] > 0), axis=1)
+        base[lost], mu_base[lost], theta_next[lost] = rho[lost], mu[lost], 1.0
+        grad = lik.gradient(mu_base, fits)
+        step, step_rank = _project_states(base - grad / lip[:, None, None])
+        delta = step - base
+        mu_step = lik.means(step, fits)
+        dev_step = lik.deviance(mu_step, fits)
+        # a step above the quadratic bound doubles L and is taken again
+        ok = dev_step <= (
+            lik.deviance(mu_base, fits)
+            + _inner(grad, delta) + 0.5 * lip * _inner(delta, delta))
+        lip *= np.where(ok, _MLE_L_SHRINK, 2.0)
+        iters += ok
+        # a rise discards the step and restarts the momentum
+        move = ok & (dev_step <= dev)
+        theta[ok] = np.where(move[ok], theta_next[ok], 1.0)
+        prev[move], rho[move] = rho[move], step[move]
+        mu[move], dev[move] = mu_step[move], dev_step[move]
+        hold[move] = np.where(step_rank[move] == rank[move], hold[move] + 1, 1)
+        rank[move] = step_rank[move]
+        # a fit whose rank has held goes on with Newton steps unless its
+        # gap already certifies it
+        held = hold >= _MLE_RANK_HOLD
+        newton = held.copy()
+        if held.any():
+            newton[held] = ~lik.certified(rho[held], mu[held], dev[held],
+                                          fits[held])[2]
+        stop = held | (iters >= _MLE_MAX_ITER)
+        if stop.any():
+            out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
+            face[at[stop]] = np.where(newton[stop], rank[stop], 0)
+            keep = ~stop
+            at, fits, rho, prev, mu, dev, theta, lip, rank, hold, iters = (
+                a[keep] for a in (at, fits, rho, prev, mu, dev, theta, lip,
+                                  rank, hold, iters))
+    return out_rho, out_iters, face
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """Real coordinates of each complex array of a stack: its real parts,
+    then its imaginary parts, raveled along the last axis."""
+    z = z.reshape(*z.shape[:-2], -1)
+    return np.concatenate((z.real, z.imag), axis=-1)
+
+
+def _newton_system(lik: _Likelihood, fits, t, rho, mu, grad):
+    """Gradient (S, 8r) and Hessian (S, 8r, 8r) of each fit's deviance in
+    the real coordinates (``_real``) of its unit-norm (4, r) factor T,
+    rho = T T^dag / |T|^2.
+
+    With A = G - tr(G rho) I the gradient is 2 A T.  The deviance is
+    sum_k phi_k(mu_k) with mu_k = n_hat |T^dag k|^2 / |T|^2, so the Hessian
+    is J^T diag(c / mu^2) J, J_k = 2 (n_hat |k><k| T - mu_k T) the
+    gradient of mu_k, plus the Hessian of the Rayleigh quotient
+    tr(T^dag G T) / |T|^2 at fixed G: H -> 2 (A H - 2 T <A T, H>
+    - 2 A T <T, H>), with the real inner product <X, Y> = Re tr(X^dag Y).
+    """
+    r = t.shape[2]
+    a = grad - _inner(grad, rho)[:, None, None] * np.eye(4)
+    at = a @ t
+    tk = lik.kets.conj() @ t  # <k|T, (S, n, r)
+    jac = lik.kets[:, :, None] * tk[:, :, None, :]  # |k><k|T, (S, n, 4, r)
+    jac *= lik.n_hat[fits, None, None, None]
+    jac -= mu[:, :, None, None] * t[:, None]
+    jac = _real(2.0 * jac)
+    c = lik.counts[fits]
+    curv = np.divide(c, mu ** 2, out=np.zeros_like(mu), where=c > 0)
+    hess = jac.transpose(0, 2, 1) @ (curv[:, :, None] * jac)
+    # A H with H raveled row-major is kron(A, I_r) on the complex entries
+    m = 4 * r
+    left = np.einsum("sil,jk->sijlk", 2.0 * a, np.eye(r)).reshape(-1, m, m)
+    hess[:, :m, :m] += left.real
+    hess[:, m:, m:] += left.real
+    hess[:, :m, m:] -= left.imag
+    hess[:, m:, :m] += left.imag
+    tv, av = _real(t), _real(at)
+    outer = 4.0 * tv[:, :, None] * av[:, None, :]
+    hess -= outer
+    hess -= outer.transpose(0, 2, 1)
+    return 2.0 * av, hess
+
+
+def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
+            iters: np.ndarray, r: int):
+    """Damped Newton steps on the rank-r face from each ``rho``, in a (4, r)
+    factor T of its top r eigenpairs, until its gap certifies or it stalls;
+    see ``reconstruct_mle_many``.  Returns the final (rho, iters) and
+    whether each fit certified."""
+    out_rho, out_iters = rho.copy(), iters.copy()
+    certified = np.zeros(len(fits), dtype=bool)
+    w, v = np.linalg.eigh(rho)
+    t = v[:, :, 4 - r:] * np.sqrt(np.maximum(w[:, None, 4 - r:], 0.0))
+    t /= np.linalg.norm(t, axis=(1, 2))[:, None, None]
+    at = np.arange(len(fits))
+    iters = iters.copy()
+    rho = t @ t.conj().transpose(0, 2, 1)
+    mu = lik.means(rho, fits)
+    dev = lik.deviance(mu, fits)
+    grad, gap, done = lik.certified(rho, mu, dev, fits)
+    g, hess = _newton_system(lik, fits, t, rho, mu, grad)
+    damp = np.full(len(fits), _MLE_DAMPING[0])
+    gap_prev = np.full(len(fits), np.inf)
+    eye = np.eye(8 * r)
+    # a fit that already certifies takes no step
+    stop = done.copy()
+    while True:
+        if stop.any():
+            out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
+            certified[at[stop]] = done[stop]
+            keep = ~stop
+            at, fits, t, rho, mu, dev, gap, gap_prev, g, hess, damp, iters = (
+                a[keep] for a in (at, fits, t, rho, mu, dev, gap, gap_prev, g,
+                                  hess, damp, iters))
+        if not at.size:
+            return out_rho, out_iters, certified
+        scale = np.max(np.diagonal(hess, axis1=1, axis2=2), axis=1)
+        step = np.linalg.solve(
+            hess + (damp * scale)[:, None, None] * eye, -g[:, :, None])[:, :, 0]
+        t_new = t + (step[:, :4 * r] + 1j * step[:, 4 * r:]).reshape(-1, 4, r)
+        t_new /= np.linalg.norm(t_new, axis=(1, 2))[:, None, None]
+        rho_new = t_new @ t_new.conj().transpose(0, 2, 1)
+        mu_new = lik.means(rho_new, fits)
+        dev_new = lik.deviance(mu_new, fits)
+        ok = dev_new <= dev + _MLE_DEV_ROUNDING * np.sum(
+            np.abs(mu - lik.counts[fits]), axis=1)
+        damp *= np.where(ok, 0.1, 10.0)
+        iters += ok
+        stop = ~ok & (damp > _MLE_DAMPING[1])
+        done = np.zeros(len(at), dtype=bool)
+        if ok.any():
+            t[ok], rho[ok], mu[ok], dev[ok] = (
+                t_new[ok], rho_new[ok], mu_new[ok], dev_new[ok])
+            # a stall: the gap is not below the larger of the two before it
+            gap_old = np.maximum(gap[ok], gap_prev[ok])
+            gap_prev[ok] = gap[ok]
+            grad, gap[ok], done[ok] = lik.certified(rho[ok], mu[ok], dev[ok],
+                                                    fits[ok])
+            stop[ok] = done[ok] | (gap[ok] >= gap_old)
+            go = ~stop[ok]
+            on = np.flatnonzero(ok)[go]
+            if on.size:
+                g[on], hess[on] = _newton_system(lik, fits[on], t[on],
+                                                 rho[on], mu[on], grad[go])
+
+
 def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     """Maximum-likelihood density matrices of datasets that share one
     settings list, fitted as one stack; ValueError if the lists differ.
@@ -262,32 +486,52 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     Setting k, with joint ket |k>, has the mean count mu_k = n_hat <k|rho|k>
     (n_hat from ``_estimate_norm``).  The Poisson deviance D (``_deviance``)
     is convex in rho, with gradient G = n_hat sum_k (1 - c_k / mu_k) |k><k|.
-    Each fit is an accelerated projected gradient in rho over the density
-    matrices (Shang, Zhang and Ng, PRA 95, 062336 (2017)):
+    No state lies more than the optimality gap tr(G rho) - lambda_min(G)
+    below rho, and every fit stops once that certified gap is at most
+    ``_MLE_TOL`` * max(D, 1), or within ``_MLE_GAP_ROUNDING`` * n_hat, its
+    own rounding; it is then ``converged``.  Each fit starts
+    with an accelerated projected gradient in rho over the density
+    matrices (Shang, Zhang and Ng, PRA 95, 062336 (2017)) and finishes with
+    Newton steps on the face of fixed rank its iterates reach (Absil,
+    Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
+    2008):
 
     - Start: the linear inversion of every dataset, one least-squares
       solve with a right-hand side per dataset, projected onto the density
-      matrices and mixed with 1e-8 of I/4, so that mu_k > 0 everywhere.
-    - Iteration: a Nesterov extrapolation from the last two iterates, a
-      step along -G / L from there, and the projection of the result: one
-      batched eigendecomposition, with the eigenvalues projected onto the
-      probability simplex.  Projection reaches faces of lower rank exactly.
-    - Step: each fit keeps its own curvature estimate L.  A step above the
-      quadratic bound D(base) + tr(G d) + L |d|^2 / 2 doubles L and is taken
-      again; an accepted step shrinks L by ``_MLE_L_SHRINK``.
-    - Restart: the momentum restarts when the extrapolated point has
-      mu_k <= 0 on a setting with counts (the step is taken from the last
-      iterate), and when an accepted step lowers D by at most
-      ``_MLE_REL_DECREASE`` of max(D, 1); a step that raises D is discarded.
-    - Stop: a fit leaves the stack when such a small decrease (or a rise)
-      comes from a step without momentum, or after ``_MLE_MAX_ITER``
-      iterations.  ``n_iter`` counts its accepted steps, discarded rises
-      included, and not the retries after a backtrack.
+      matrices; a projection of rank below 4 is mixed with 1e-8 of I/4, so
+      that mu_k > 0 everywhere.  A start that certifies (at high counts the
+      inversion is often physical, and then exact) takes no step.
+    - Projected gradient: a Nesterov extrapolation from the last two
+      iterates, a step along -G / L from there, and the projection of the
+      result: one batched eigendecomposition, with the eigenvalues
+      projected onto the probability simplex.  Projection reaches faces of
+      lower rank exactly.  Each fit keeps its own curvature estimate L: a
+      step above the quadratic bound D(base) + tr(G d) + L |d|^2 / 2
+      doubles L and is taken again, and an accepted step shrinks L by
+      ``_MLE_L_SHRINK``.  The momentum restarts when the extrapolated
+      point has mu_k <= 0 on a setting with counts (the step is taken from
+      the last iterate), and when an accepted step raises D, which
+      discards it.
+    - Newton: once the projected rank r has held for ``_MLE_RANK_HOLD``
+      steps that lower D, a fit that does not certify takes damped Newton
+      steps in a factor T of its top r eigenpairs, rho = T T^dag / |T|^2
+      (``_newton_system``).  Each fit keeps its own Levenberg-Marquardt
+      damping, relative to its Hessian's largest diagonal entry: x0.1
+      after a step that does not raise D beyond its rounding
+      (``_MLE_DEV_ROUNDING``), x10 after one that does, which is
+      discarded.  The damping also handles the directions T -> T U and
+      T -> a T, along which D is constant.  A fit goes back to the
+      projected gradient from its Newton point when an accepted step
+      leaves its gap no lower than the larger of its two gaps before (the
+      rank is the wrong one), or when its damping passes
+      ``_MLE_DAMPING[1]``.
+    - Stop: on the certified gap, or after ``_MLE_MAX_ITER`` steps.
+      ``n_iter`` counts the projected-gradient steps within the quadratic
+      bound, a discarded rise included but not a retry after a backtrack,
+      and the Newton steps that are not discarded.
 
-    No state lies more than the optimality gap tr(G rho) - lambda_min(G)
-    below the fit; it is ``converged`` when that gap is within
-    ``_MLE_GAP_TOL``.  Every product is taken per fit, so each result is
-    the one its dataset gets alone.
+    Every product is taken per fit and the Newton fits are grouped by r,
+    so each result is the one its dataset gets alone.
     """
     if not datasets:
         raise ValueError("no datasets to reconstruct")
@@ -300,83 +544,47 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
         raise ValueError("degenerate dataset: all counts are zero, "
                          "likelihood is flat")
     n_hat = np.array([_estimate_norm(d) for d in datasets])
-    kets = _setting_kets(settings)
-    rows = _design(kets)
-    projectors = rows.conj()  # |k><k| raveled row-major
+    lik = _Likelihood(_setting_kets(settings), counts, n_hat)
 
-    # the product is taken per fit, as (1, 16) @ (16, n), so that a fit's
-    # rounding, and with it its answer, does not depend on the stack
-    def means(rho, scale):
-        return scale[:, None] * (rho.reshape(-1, 1, 16) @ rows.T)[:, 0].real
-
+    rho, rank = _project_states(
+        _invert_linear(lik.rows, counts / n_hat[:, None]))
     mix = 1e-8
-    start = ((1.0 - mix) * _project_states(
-        _invert_linear(rows, counts / n_hat[:, None])) + mix / 4.0 * np.eye(4))
-    fitted, n_iter = np.empty_like(start), np.zeros(len(datasets), dtype=int)
-    # the fits still running, one entry each: rho, the iterate before it
-    # (the momentum), the mean counts and deviance of rho, the momentum
-    # weight theta and the curvature estimate L
-    fit = np.arange(len(datasets))
-    c, scale, rho, prev = counts, n_hat, start, start.copy()
-    mu = means(rho, scale)
-    dev = _deviance(mu, c)
-    theta, lip, iters = np.ones(len(fit)), n_hat.copy(), np.zeros(len(fit), int)
-    while fit.size:
-        # extrapolate, unless that leaves a setting with counts unexplained
-        plain = theta == 1.0
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-        base = rho + ((theta - 1.0) / theta_next)[:, None, None] * (rho - prev)
-        mu_base = means(base, scale)
-        lost = np.any((mu_base <= 0) & (c > 0), axis=1)
-        base[lost], mu_base[lost], theta_next[lost] = rho[lost], mu[lost], 1.0
-        plain |= lost
-        grad = _gradient(mu_base, c, scale, projectors)
-        step = _project_states(base - grad / lip[:, None, None])
-        delta = step - base
-        mu_step = means(step, scale)
-        dev_step = _deviance(mu_step, c)
-        # a step above the quadratic bound doubles L and is taken again
-        ok = dev_step <= (
-            _deviance(mu_base, c)
-            + _inner(grad, delta) + 0.5 * lip * _inner(delta, delta))
-        lip *= np.where(ok, _MLE_L_SHRINK, 2.0)
-        iters += ok
-        # a rise discards the step; a rise or a small decrease restarts the
-        # momentum, and ends the fit if the step was taken without it
-        small = ok & (dev - dev_step
-                      <= _MLE_REL_DECREASE * np.maximum(dev, 1.0))
-        theta[ok] = np.where(small[ok], 1.0, theta_next[ok])
-        move = ok & (dev_step <= dev)
-        done = small & plain
-        prev[move], rho[move] = rho[move], step[move]
-        mu[move], dev[move] = mu_step[move], dev_step[move]
-        stop = done | (iters >= _MLE_MAX_ITER)
-        if stop.any():
-            fitted[fit[stop]], n_iter[fit[stop]] = rho[stop], iters[stop]
-            fit, c, scale, rho, prev, mu, dev, theta, lip, iters = (
-                a[~stop] for a in (fit, c, scale, rho, prev, mu, dev, theta,
-                                   lip, iters))
+    rho[rank < 4] = (1.0 - mix) * rho[rank < 4] + mix / 4.0 * np.eye(4)
+    n_iter = np.zeros(len(datasets), dtype=int)
+    every = np.arange(len(datasets))
+    mu = lik.means(rho, every)
+    running = every[~lik.certified(rho, mu, lik.deviance(mu, every), every)[2]]
+    while running.size:
+        rho[running], n_iter[running], face = _apg(
+            lik, running, rho[running], n_iter[running])
+        back = [running[:0]]
+        for r in np.unique(face[face > 0]):
+            fits = running[face == r]
+            rho[fits], n_iter[fits], certified = _newton(
+                lik, fits, rho[fits], n_iter[fits], r)
+            back.append(fits[~certified])
+        # a fit whose Newton steps stalled goes on from its Newton point
+        running = np.sort(np.concatenate(back))
+        running = running[n_iter[running] < _MLE_MAX_ITER]
 
-    rho = 0.5 * (fitted + fitted.conj().transpose(0, 2, 1))
-    mu = means(rho, n_hat)
-    dev = _deviance(mu, counts)
-    grad = _gradient(mu, counts, n_hat, projectors)
-    gap = _inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    mu = lik.means(rho, every)
+    dev = lik.deviance(mu, every)
+    _, gap, converged = lik.certified(rho, mu, dev, every)
     seen = counts > 0
     log_lik = np.sum(np.where(seen, counts * np.log(
         mu, out=np.zeros_like(mu), where=seen), 0.0) - mu, axis=1)
-    return [MleResult(rho=rho[s], converged=bool(gap[s] <= _MLE_GAP_TOL),
+    return [MleResult(rho=rho[s], converged=bool(converged[s]),
                       n_iter=int(n_iter[s]), log_likelihood=float(log_lik[s]),
-                      deviance=float(dev[s]))
+                      deviance=float(dev[s]), gap=float(gap[s]))
             for s in range(len(datasets))]
 
 
 def reconstruct_mle(data: TomographyDataset) -> MleResult:
-    """Maximum-likelihood density matrix from Poisson counts: the
-    accelerated projected gradient of ``reconstruct_mle_many`` on one
-    dataset, which stops once a step without momentum lowers the deviance
-    by at most 1e-12 of max(deviance, 1); ``n_iter`` counts its accepted
-    steps."""
+    """Maximum-likelihood density matrix from Poisson counts: the fit of
+    ``reconstruct_mle_many`` on one dataset, which stops once its certified
+    optimality gap is at most 1e-7 of max(deviance, 1); ``n_iter`` counts
+    its accepted projected-gradient and Newton steps."""
     return reconstruct_mle_many([data])[0]
 
 

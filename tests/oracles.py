@@ -251,3 +251,42 @@ def mle_lbfgs(counts, kets=None):
         if mle_optimality_gap(rho, counts, kets) <= 1e-2:
             break
     return rho, float(res.fun), n_iter
+
+
+def mle_face_newton(rho, counts, kets=None, steps=3):
+    """Reference fit polished on the face of ``rho``: Newton steps in a
+    factor T of its r eigenvalues above 1e-9 (T is 4 x r, rho = T T^dag /
+    |T|^2), with ``kets`` and the count scale n as in
+    ``mle_optimality_gap``.  The gradient in Re T and Im T is the real and
+    imaginary part of 2 (G - tr(G rho) I) T / |T|^2; the Hessian is its
+    central difference, and each step its least-squares solve, since
+    T -> T U and T -> a T leave rho unchanged."""
+    counts = np.asarray(counts, dtype=float)
+    if kets is None:
+        kets = _standard_kets()
+    ops = np.array([np.outer(k, k.conj()) for k in kets])
+    n = counts[[0, 1, 4, 5]].sum()
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-9
+    shape = (4, int(keep.sum()))
+
+    def state(x):
+        t = (x[:x.size // 2] + 1j * x[x.size // 2:]).reshape(shape)
+        return t, t @ t.conj().T / (x @ x)
+
+    def gradient(x):
+        t, r = state(x)
+        mu = n * np.einsum("kij,ji->k", ops, r).real
+        g = n * np.einsum("k,kij->ij", 1.0 - counts / mu, ops)
+        gt = 2.0 * (g - np.trace(g @ r).real * np.eye(4)) @ t / (x @ x)
+        return np.concatenate([gt.real.ravel(), gt.imag.ravel()])
+
+    t = v[:, keep] * np.sqrt(w[keep])
+    x = np.concatenate([t.real.ravel(), t.imag.ravel()])
+    h = 1e-6
+    for _ in range(steps):
+        hess = np.array([(gradient(x + e) - gradient(x - e)) / (2.0 * h)
+                         for e in h * np.eye(x.size)])
+        x = x + np.linalg.lstsq(0.5 * (hess + hess.T), -gradient(x),
+                                rcond=1e-9)[0]
+    return state(x)[1]

@@ -246,6 +246,22 @@ def test_integration_failure_exits_3_with_time(tmp_path, capsys):
         assert err.count("t = -60") == 1
 
 
+@pytest.mark.parametrize("method", ["DOP853", "Radau"])
+def test_overflow_mid_window_exits_3_with_time(tmp_path, capsys,
+                                               rows_overflow_past_half,
+                                               method):
+    # a window whose rates overflow past tau = 0.5 fails there, t = 6 ps
+    rows_overflow_past_half(method)
+    data = evolve_config(area=20.0)
+    data["dephasing"]["gamma_i0"] = 0.0349
+    cfg = write_config(tmp_path, data)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure at t = 6: {method} integration "
+                          "failed at pulse time tau = 0.5: ")
+    assert err.count("t = ") == 1
+
+
 def full_config():
     """A valid config with every section and every scalar key set."""
     data = evolve_config(area=1.0)
@@ -656,7 +672,8 @@ def test_entangle_report_records_mle_status_per_seed(tmp_path):
     assert main(["entangle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     mle = json.loads((tmp_path / "entangle_report.json").read_text())["mle"]
     n_seeds = data["tomography"]["n_seeds"]
-    assert sorted(mle) == ["converged", "deviance", "log_likelihood", "n_iter"]
+    assert sorted(mle) == ["converged", "deviance", "gap", "log_likelihood",
+                           "n_iter"]
     assert all(len(v) == n_seeds for v in mle.values())
     assert all(isinstance(c, bool) for c in mle["converged"])
     assert all(isinstance(n, int) and n >= 0 for n in mle["n_iter"])
@@ -664,6 +681,9 @@ def test_entangle_report_records_mle_status_per_seed(tmp_path):
     # the deviance is >= 0 up to roundoff: ~0 when the linear inversion is
     # already physical
     assert all(d > -1e-9 and np.isfinite(d) for d in mle["deviance"])
+    # each seed's certified optimality gap bounds its excess deviance
+    assert all(c and -1e-9 <= g <= 1e-7 * max(d, 1.0) for c, g, d in zip(
+        mle["converged"], mle["gap"], mle["deviance"]))
 
 
 def test_byte_identical_reruns(tmp_path):

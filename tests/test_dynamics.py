@@ -784,6 +784,31 @@ def test_drift_messages_name_the_method():
     assert err.value.t == 2.5
 
 
+@pytest.mark.parametrize("method", ["DOP853", "Radau"])
+def test_overflow_mid_window_fails_with_its_time(rows_overflow_past_half,
+                                                 window_methods, method):
+    # past tau = 0.5 (t = 6) every step has a NaN or inf error norm, so the
+    # stepper rejects it until it fails there: one drive and a batch end
+    # with one time each, never with a state that is not finite
+    rows_overflow_past_half(method)
+    decay, deph = DecayRates(0.004, 0.002), DephasingModel(0.01, 0.0349, 2)
+    omega0 = omega0_for_area(np.array([5.0, 20.0]), 12.0)
+    runs = [lambda: evolve(GROUND, PulseDrive(omega0=omega0[1], sigma=12.0,
+                                              delta_x=3.5),
+                           decay, deph, t_span=(-100.0, 100.0)),
+            lambda: emission_after_pulse(
+                PulseDrive(omega0=omega0, sigma=12.0, delta_x=3.5), decay,
+                deph)]
+    for run in runs:
+        with pytest.raises(IntegrationError,
+                           match=f"^{method} integration failed at pulse "
+                                 "time tau = 0.5: ") as err:
+            run()
+        assert isinstance(err.value.t, float)
+        assert err.value.t == pytest.approx(6.0, rel=1e-12)
+    assert window_methods == [method, method]
+
+
 def test_evolve_rejects_non_hermitian_start():
     # the state keeps only the Hermitian part of rho0, so a defect must fail
     drive = PulseDrive(omega0=0.5, sigma=4.0)

@@ -18,8 +18,8 @@ from qdtimebin.tomography import (
     standard_settings,
 )
 
-from oracles import (mle_lbfgs, mle_optimality_gap, poisson_deviance,
-                     random_density_matrix)
+from oracles import (mle_face_newton, mle_lbfgs, mle_optimality_gap,
+                     poisson_deviance, random_density_matrix)
 
 
 def projector_matrix(p):
@@ -254,12 +254,18 @@ def test_mle_converged_at_high_counts():
     assert stalled == []
 
 
-@pytest.mark.parametrize("counts", [
+LOW_COUNT_ROWS = [
     [254, 18, 105, 121, 13, 217, 129, 106, 135, 124, 249, 120, 154, 116, 111, 22],
     [243, 13, 123, 123, 20, 244, 100, 130, 117, 117, 234, 122, 129, 125, 129, 16],
     [254, 11, 118, 120, 13, 234, 113, 134, 109, 112, 242, 128, 128, 125, 132, 13],
     [231, 18, 125, 125, 10, 213, 113, 123, 115, 111, 242, 128, 117, 118, 113, 24],
-])
+    # its Newton steps reach a gap of 2.7e-7 where the deviance (0.89)
+    # changes by less than its rounding
+    [253, 17, 134, 113, 17, 256, 167, 142, 119, 118, 252, 132, 110, 127, 141, 22],
+]
+
+
+@pytest.mark.parametrize("counts", LOW_COUNT_ROWS)
 def test_mle_low_counts_reach_the_optimum(counts):
     # low-count datasets of the tomo benchmark on which a fit can stop on a
     # rank-2 face, 0.005-0.03 above the minimum deviance, and still report
@@ -334,6 +340,81 @@ def test_stacked_fits_match_each_fit_alone():
         reconstruct_mle_many(mixed)
     with pytest.raises(ValueError, match="no datasets"):
         reconstruct_mle_many([])
+
+
+def _gap_regimes():
+    """(name, datasets, bound on |rho - reference|) of each regime."""
+    settings = standard_settings()
+    model = model_state(TimeBinModelParams(epsilon=0.06, v_coh=0.93,
+                                           pairing_weight=4.0))
+    over = settings + [MeasurementSetting(Projector("S", 1.0),
+                                          Projector("S", 2.0))]
+    rho17 = model_state(TimeBinModelParams(phi_p=0.3, epsilon=0.1, v_coh=0.8))
+    return [
+        ("tomo ~510", _tomo_low_counts(), 1e-6),
+        ("tomo 1e5", simulate_counts(model, settings, 1e5, list(range(40))),
+         1e-6),
+        ("noiseless pure", [noiseless_dataset(ideal_state(0.4))], 1e-6),
+        # at a rank-1 fit the gap grows as the square of the distance to the
+        # optimum, so a gap within 1e-7 max(D, 1) pins rho to ~3e-5 only
+        ("pure at 50", simulate_counts(ideal_state(0.0), settings, 50.0,
+                                       list(range(10))), 1e-4),
+        ("mixed at 20", simulate_counts(np.eye(4) / 4.0, settings, 20.0,
+                                        list(range(10))), 1e-6),
+        ("low-count rows", [TomographyDataset(
+            settings=settings, counts=np.array(c, dtype=float),
+            total_per_setting=500.0) for c in LOW_COUNT_ROWS], 1e-6),
+        ("17 settings", simulate_counts(rho17, over, 500.0, [3, 4, 5]), 1e-6),
+    ]
+
+
+def test_mle_certifies_its_gap():
+    # every fit stops on a gap within 1e-7 of max(D, 1), by the independent
+    # oracle, and lies near a reference polished on its face to a far
+    # smaller gap, no lower in deviance than the fit by more than that gap
+    for name, datasets, bound in _gap_regimes():
+        kets = _setting_kets(datasets[0].settings)
+        for data, res in zip(datasets, reconstruct_mle_many(datasets)):
+            allowed = 1e-7 * max(res.deviance, 1.0)
+            gap = mle_optimality_gap(res.rho, data.counts, kets)
+            assert res.converged and gap <= allowed, name
+            assert res.n_iter <= 50, name
+            # the two gaps agree to their rounding, tens of eps times the
+            # count scale
+            rounding = 64 * np.finfo(float).eps * data.counts[[0, 1, 4, 5]].sum()
+            assert res.gap == pytest.approx(gap, rel=1e-6, abs=rounding), name
+            ref = mle_face_newton(res.rho, data.counts, kets)
+            assert mle_optimality_gap(ref, data.counts, kets) <= 1e-2 * allowed
+            assert np.abs(res.rho - ref).max() <= bound, name
+            assert res.deviance <= poisson_deviance(
+                ref, data.counts, kets) + gap, name
+
+
+def test_mle_leaves_a_wrong_face(monkeypatch):
+    # a rank that has held for one step sends a fit to Newton steps on a
+    # face that is not the optimum's: it goes back to the projected
+    # gradient, and still ends within 1e-9 of the reference deviance
+    from qdtimebin import tomography
+
+    datasets = _tomo_low_counts()
+    reference = reconstruct_mle_many(datasets)
+    newton, faces = tomography._newton, []
+
+    def spy(lik, fits, rho, iters, r):
+        out = newton(lik, fits, rho, iters, r)
+        faces.append((r, len(fits), int(np.sum(~out[2]))))
+        return out
+
+    monkeypatch.setattr(tomography, "_newton", spy)
+    monkeypatch.setattr(tomography, "_MLE_RANK_HOLD", 1)
+    for data, ref, res in zip(datasets, reference,
+                              reconstruct_mle_many(datasets)):
+        assert res.converged
+        assert abs(res.deviance - ref.deviance) <= 1e-9
+        assert mle_optimality_gap(res.rho, data.counts) <= 1e-7 * max(
+            res.deviance, 1.0)
+    assert sum(n for _, n, _ in faces) >= len(datasets)
+    assert sum(back for _, _, back in faces) > 0
 
 
 def test_mle_output_always_physical():
