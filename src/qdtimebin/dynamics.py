@@ -18,12 +18,13 @@ construction; no other module indexes it.
 A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
 ``DephasingModel``, may hold one value per drive as well.  One window
-stepper (``_window_steps``: DOP853 with an error norm per drive, or Radau
-for a window made stiff by dephasing) steps it as one (11, N) system in
-pulse time tau = (t - t0) / sigma, over the window |tau| <=
-``PULSE_HALF_WIDTH`` that every drive shares whatever its sigma:
-``emission_after_pulse`` over the pulse windows of a batch, adding the
-emission after the pulse in closed form, and ``evolve`` for one drive,
+stepper (``_window_steps``: DOP853 with an error norm per drive, whose
+step forms the operators of all its stages in one product and applies
+them in one loop, or Radau for a window made stiff by dephasing) steps it
+as one (11, N) system in pulse time tau = (t - t0) / sigma, over the
+window |tau| <= ``PULSE_HALF_WIDTH`` that every drive shares whatever its
+sigma: ``emission_after_pulse`` over the pulse windows of a batch, adding
+the emission after the pulse in closed form, and ``evolve`` for one drive,
 storing every accepted step.  Wherever the generator is constant, outside
 a pulse window and for the whole span of a ``ConstantDrive``, ``evolve``
 propagates the state exactly instead.  Time-resolved emission is read at a
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import scipy.integrate
 from scipy.integrate import Radau, trapezoid
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 
@@ -377,12 +379,45 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 
 class DOP853(scipy.integrate.DOP853):
     """scipy's DOP853 on the (11, N) state of N drives, raveled row-major,
-    with an error norm that bounds each drive's error: the largest over the
-    drives of scipy's norm of that drive's 11 components (column n).  Each
-    drive of a batch then steps at rtol = atol = tol as if it were alone.
-    For N = 1 the norm is scipy's own."""
+    with an error norm per drive and a stage loop of its own.
+
+    The error norm bounds each drive's error: the largest over the drives
+    of scipy's norm of that drive's 11 components (column n).  Each drive
+    of a batch then steps at rtol = atol = tol as if it were alone.  For
+    N = 1 the norm is scipy's own.
+
+    The right-hand side of a window is linear in the state, so a step
+    takes its stages from two functions that ``_window_steps`` hands over
+    instead of calling ``fun`` once per stage: ``operators(taus)`` stacks
+    the operators of the right-hand side at the pulse times ``taus``, and
+    ``apply(op, y, out)`` writes op applied to y into ``out``.  Each
+    attempted step forms its 12 operators in one call, at tau + c h for
+    the stages c = C[1:] and for its end, c = 1.  Then it runs the stage
+    recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into scipy's ``K``, in
+    the order of operations of scipy's ``rk_step``, and takes the
+    derivative at its end, counting 12 evaluations in ``nfev``.  Where
+    op y is ``fun(tau, y)`` bit for bit, as ``_window_steps`` makes it,
+    the steps are scipy's bit for bit too.  The tableau, the initial step
+    (two calls of ``fun``), the step-size control (``_step_impl``, scipy's
+    line for line) and the status are scipy's.  A solver made without
+    ``operators`` estimates error norms but cannot step.
+    """
 
     _E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
+    # pulse times of the stages 1 .. 11 and of the step's end, in units of h
+    _TIMES = np.append(scipy.integrate.DOP853.C[1:], 1.0)
+
+    def __init__(self, fun, t0, y0, t_bound, *, operators=None, apply=None,
+                 **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.operators, self.apply = operators, apply
+        # per stage s = 1 .. 11, then the step's end: the weights of the
+        # stages before it (A[s, :s], then B), those stages as columns, and
+        # the row of K that its derivative fills
+        K = self.K
+        self._stages = [(self.A[s, :s], K[:s].T, K[s])
+                        for s in range(1, self.n_stages)]
+        self._stages.append((self.B, K[:-1].T, K[-1]))
 
     def _estimate_error_norm(self, K, h, scale):
         n = scale.size // _N_STATE
@@ -396,6 +431,87 @@ class DOP853(scipy.integrate.DOP853):
             return math.inf
         denom[denom == 0.0] = 1.0  # a drive with no error reads 0
         return (abs(h) * err5 / np.sqrt(_N_STATE * denom)).max()
+
+    def _rk_step(self, t, y, h):
+        """(y_new, f_new) of scipy's ``rk_step(self.fun, t, y, self.f, h,
+        A, B, C, K)``, from one call of ``operators``."""
+        self.nfev += len(self._TIMES)
+        self.K[0] = self.f
+        apply = self.apply
+        for (a, stages, out), op in zip(
+                self._stages, self.operators(t + h * self._TIMES)):
+            y_s = np.dot(stages, a)  # y + (K[:s].T @ a) h, rounded as scipy
+            y_s *= h
+            y_s += y
+            apply(op, y_s, out)
+        return y_s, self.K[-1].copy()
+
+    def _step_impl(self):
+        # scipy's RungeKutta._step_impl, calling _rk_step for rk_step
+        t = self.t
+        y = self.y
+
+        max_step = self.max_step
+        rtol = self.rtol
+        atol = self.atol
+
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+
+        if self.h_abs > max_step:
+            h_abs = max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_accepted = False
+        step_rejected = False
+
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+
+            h = h_abs * self.direction
+            t_new = t + h
+
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** self.error_exponent)
+
+                if step_rejected:
+                    factor = min(1, factor)
+
+                h_abs *= factor
+
+                step_accepted = True
+            else:
+                h_abs *= max(MIN_FACTOR,
+                             SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+
+        self.t = t_new
+        self.y = y_new
+
+        self.h_abs = h_abs
+        self.f = f_new
+
+        return True, None
 
 
 def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
@@ -455,11 +571,23 @@ def _pulse_rows(coef: np.ndarray, p: np.ndarray, shape: tuple):
     generator folded from them, in ``shape``: one array, overwritten by
     the next call.  The powers fill one preallocated vector, by Python's
     float power (for a few exponents cheaper than a numpy call), and one
-    product the rows."""
+    product the rows.
+
+    An array of k pulse times gives a new (k, *shape) array, the rows at
+    each: the same powers, stacked, and one matmul of k matrix-vector
+    products, so that each is bit for bit the rows of its tau alone (numpy's
+    exp and power, and a matrix-matrix product, round differently)."""
     powers, rows = np.ones(p.size), np.empty(shape)
     flat, exponents = rows.reshape(-1), tuple(enumerate(p[2:].tolist(), 2))
 
     def at(tau):
+        if isinstance(tau, np.ndarray):
+            e = [math.exp(-LN2 * t * t) for t in tau.tolist()]
+            stacked = np.ones((len(e), p.size, 1))
+            stacked[:, 1, 0] = e
+            for i, k in exponents:
+                stacked[:, i, 0] = [x ** k for x in e]
+            return np.matmul(coef, stacked).reshape(tau.shape + shape)
         e = powers[1] = math.exp(-LN2 * tau * tau)
         for i, k in exponents:
             powers[i] = e ** k
@@ -508,9 +636,13 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
     drives of different sigma share the window |tau| <= PULSE_HALF_WIDTH
     and one step sequence.  The method is ``DOP853``, whose error norm is
-    the largest of the drives' own norms, at rtol = atol = tol whatever N;
-    or Radau with the exact sparse Jacobian where dephasing makes the
-    window stiff (``_window_method``).  Radau's norm is scipy's RMS over
+    the largest of the drives' own norms, at rtol = atol = tol whatever N,
+    and which takes its stages from the operators of the right-hand side
+    (``_pulse_rows`` at the stage times: the generator of one drive, or
+    the coefficient rows of a batch) and the function that applies one,
+    both handed to it here; or Radau, calling the right-hand side, with
+    the exact sparse Jacobian where dephasing makes the window stiff
+    (``_window_method``).  Radau's norm is scipy's RMS over
     all 11 N components, which no subclass can replace, so it steps at
     rtol = atol = tol/sqrt(N): that RMS is at most 1 only if each drive's
     own norm at ``tol`` is, and rtol never falls below ``TOL_FLOOR``.
@@ -533,29 +665,34 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     coef, p = _pulse_coefficients(drive, deph, n)
     if n == 1:
         # one drive: its (11, 11) generator is gen @ e**p, the three rows
-        # of C folded into the parts once here.  A call takes 1.5 us, where
-        # the rows of a batch take 2.7 us at N = 1 (2-core x86-64 VM, one
-        # thread); a generator per drive is faster than the rows up to
-        # N = 2, and from N = 4 on the rows are.
-        gen_at = _pulse_rows(sum(part.reshape(-1, 1) * c for part, c in
-                                 zip((r0, rd, rp), coef)), p, r0.shape)
-
-        def rhs(tau, y):
-            return gen_at(tau) @ y
+        # of C folded into the parts once here, and applies by np.dot.  In
+        # DOP853's stage loop a 160-step window takes 6.5 ms this way and
+        # 9.0 ms through the rows of a batch (2-core x86-64 VM, one
+        # thread).  A call of rhs, which builds the solver and which Radau
+        # makes at each step, takes 1.5 us this way and 2.7 us by the rows.
+        at = _pulse_rows(sum(part.reshape(-1, 1) * c for part, c in
+                             zip((r0, rd, rp), coef)), p, r0.shape)
+        apply = np.dot
     else:
         r = np.hstack((r0, rd, rp))
-        rows_at = _pulse_rows(coef, p, (3, 1, n))
-        # rhs scales Y by each coefficient row into this (3, 11, N) stack
+        at = _pulse_rows(coef, p, (3, 1, n))
+        # apply scales Y by each coefficient row into this (3, 11, N) stack
         # in one broadcast multiply, so that one (11, 33) product applies
         # the generator: fewer passes over the state and no temporaries,
         # where scaling and adding r0 Y, rd Y and rp Y would take five of
         # each
         scaled = np.empty((3, _N_STATE, n))
+        stacked = scaled.reshape(3 * _N_STATE, n)
 
-        def rhs(tau, y):
-            np.multiply(rows_at(tau), y.reshape(_N_STATE, n),
-                        out=scaled)
-            return (r @ scaled.reshape(3 * _N_STATE, n)).ravel()
+        def apply(rows, y, out):
+            np.multiply(rows, y.reshape(_N_STATE, n), out=scaled)
+            np.dot(r, stacked, out=out.reshape(_N_STATE, n))
+
+    def rhs(tau, y):
+        # a new array each call: scipy keeps the derivatives it is given
+        out = np.empty_like(y)
+        apply(at(tau), y, out)
+        return out
 
     tau0, tau1 = tau_span
     method = _window_method(drive, deph, rp, tau_span)
@@ -572,7 +709,7 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     # The cap binds only on the rising edge of a pulse, where the drive is
     # still weak and the solver would step up to sigma/2.
     options = ({"jac": _block_jacobian(drive, deph, r0, rd, rp, n)}
-               if method is Radau else {})
+               if method is Radau else {"operators": at, "apply": apply})
     solver = method(rhs, tau0, y, tau1, max_step=(tau1 - tau0) / 40.0,
                     rtol=rtol, atol=rtol, **options)
     t, y = times(tau0), y0

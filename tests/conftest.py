@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qdtimebin import dynamics
@@ -24,7 +25,8 @@ def window_methods(monkeypatch):
 @pytest.fixture
 def rows_overflow_past_half(monkeypatch):
     """Make the coefficient rows of every pulse window infinite past pulse
-    time tau = 0.5, as for a drive whose rates overflow mid-window.
+    time tau = 0.5, as for a drive whose rates overflow mid-window: at one
+    tau, and at each tau of the stage times of a DOP853 step.
     Returns a function that forces the window method, "DOP853" or
     "Radau"."""
     rows = dynamics._pulse_rows
@@ -34,8 +36,7 @@ def rows_overflow_past_half(monkeypatch):
 
         def at_tau(tau):
             out = at(tau)
-            if tau > 0.5:
-                out.fill(math.inf)
+            out[np.greater(tau, 0.5)] = math.inf
             return out
 
         return at_tau

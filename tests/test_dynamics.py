@@ -537,13 +537,9 @@ def _window_rhs(monkeypatch, drive, deph, decay):
     return captured[0]
 
 
-def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
-    # the coefficient rows give, per drive, sigma (r0 + omega rd + rate rp)
-    # with omega from amplitude_at and rate from DephasingModel.rate: for a
-    # batch with its own sigma, n_p 0, 2, 4 and 60 and two drives off, and
-    # for each drive alone, out to the window ends, where e^60 underflows
-    # to 0; the drive off with n_p 0 has rate gamma_bg + gamma_i0, as
-    # 0.0**0 is 1
+def _mixed_batch():
+    """(drive, deph, decay) of six drives, each with its own sigma and t0,
+    n_p 0, 2, 4 and 60, and two drives off."""
     drive = PulseDrive(omega0=np.array([0.3, 0.0, 1.2, 2.0, 2.0, 0.0]),
                        sigma=np.array([1.0, 4.0, 12.0, 0.5, 3.0, 2.0]),
                        t0=np.array([0.0, -3.0, 2.0, 1.0, 0.5, -1.0]),
@@ -551,7 +547,17 @@ def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
     deph = DephasingModel(np.array([0.01, 0.0, 0.02, 0.01, 0.01, 0.02]),
                           np.array([0.0349, 0.1, 0.0219, 0.2, 0.03, 0.05]),
                           np.array([0, 2, 4, 2, 60, 0]))
-    decay = DecayRates(0.004, 0.002)
+    return drive, deph, DecayRates(0.004, 0.002)
+
+
+def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
+    # the coefficient rows give, per drive, sigma (r0 + omega rd + rate rp)
+    # with omega from amplitude_at and rate from DephasingModel.rate: for a
+    # batch with its own sigma, n_p 0, 2, 4 and 60 and two drives off, and
+    # for each drive alone, out to the window ends, where e^60 underflows
+    # to 0; the drive off with n_p 0 has rate gamma_bg + gamma_i0, as
+    # 0.0**0 is 1
+    drive, deph, decay = _mixed_batch()
     r0, rd, rp = _real_generator(drive, decay)
     y = np.random.default_rng(9).normal(size=(11, 6))
     batch = _window_rhs(monkeypatch, drive, deph, decay)
@@ -570,6 +576,63 @@ def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
             assert np.abs(dy[:, i] - ref).max() <= 1e-13 * scale
             alone = _window_rhs(monkeypatch, one, rates, decay)
             assert np.abs(alone(tau, y[:, i]) - ref).max() <= 1e-13 * scale
+
+
+def _one_drive():
+    """(drive, deph, decay) of the pulse that calibrates v_coh in the
+    benchmark's entangle runs."""
+    return (PulseDrive(omega0=omega0_for_area(14.0, 12.0), sigma=12.0,
+                       delta_x=3.5),
+            DephasingModel(0.0, 0.0349, 2), DecayRates(0.004, 0.002))
+
+
+def _mixed_batch_off_stiffness():
+    """``_mixed_batch`` with its n_p = 60 drive at omega0 1: at 2 its rate,
+    ~3e16 /ps, makes the window stiff, and Radau steps it."""
+    drive, deph, decay = _mixed_batch()
+    omega0 = drive.omega0.copy()
+    omega0[4] = 1.0
+    return replace(drive, omega0=omega0), deph, decay
+
+
+@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
+                         ids=["one-drive", "mixed-batch"])
+def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
+    # the fused stage loop takes the steps of scipy's own (rk_step, one
+    # call of the right-hand side per stage) with the same right-hand side
+    # and per-drive norm: as many accepted steps, at the same pulse times,
+    # to the same state, with as many right-hand side evaluations
+    drive, deph, decay = window()
+    tol, made = 1e-8, []
+
+    class Recorded(dynamics.DOP853):
+        def __init__(self, fun, *args, **options):
+            super().__init__(fun, *args, **options)
+            made.append((self, fun))
+
+    class Stock(dynamics.DOP853):
+        _step_impl = scipy.integrate.DOP853._step_impl
+
+    monkeypatch.setattr(dynamics, "DOP853", Recorded)
+    n = np.size(drive.omega0)
+    y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
+    steps = list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0),
+                                        tol))
+    (solver, rhs), = made
+    taus = [dynamics._time_of((t - drive.t0) / drive.sigma, 0)
+            for t, _ in steps]
+    stock = Stock(rhs, -5.0, y0.ravel(), 5.0, max_step=0.25, rtol=tol,
+                  atol=tol)
+    stock_taus = [stock.t]
+    while stock.status == "running":
+        stock.step()
+        stock_taus.append(stock.t)
+    assert stock.status == "finished" and len(taus) == len(stock_taus)
+    assert np.abs(np.subtract(taus, stock_taus)).max() <= 1e-12
+    final = stock.y.reshape(11, n)
+    assert (np.abs(steps[-1][1] - final) <= 1e-13 * np.abs(final).max(
+        axis=0)).all()
+    assert solver.nfev == stock.nfev > 12 * (len(taus) - 1)
 
 
 @pytest.mark.parametrize("n", [1, 3])
