@@ -19,8 +19,9 @@ A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
 ``DephasingModel``, may hold one value per drive as well.  One window
 stepper (``_window_steps``: DOP853 with an error norm per drive, whose
-step forms the operators of all its stages in one product and applies
-them in one loop, or Radau for a window made stiff by dephasing) steps it
+step forms the operators of all its stages in one product and sums each
+stage in one product over [y; K], taking scipy's steps up to rounding, or
+Radau for a window made stiff by dephasing) steps it
 as one (11, N) system in pulse time tau = (t - t0) / sigma, over the
 window |tau| <= ``PULSE_HALF_WIDTH`` that every drive shares whatever its
 sigma: ``emission_after_pulse`` over the pulse windows of a batch, adding
@@ -393,31 +394,48 @@ class DOP853(scipy.integrate.DOP853):
     ``apply(op, y, out)`` writes op applied to y into ``out``.  Each
     attempted step forms its 12 operators in one call, at tau + c h for
     the stages c = C[1:] and for its end, c = 1.  Then it runs the stage
-    recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into scipy's ``K``, in
-    the order of operations of scipy's ``rk_step``, and takes the
-    derivative at its end, counting 12 evaluations in ``nfev``.  Where
-    op y is ``fun(tau, y)`` bit for bit, as ``_window_steps`` makes it,
-    the steps are scipy's bit for bit too.  The tableau, the initial step
-    (two calls of ``fun``), the step-size control (``_step_impl``, scipy's
-    line for line) and the status are scipy's.  A solver made without
+    recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into scipy's ``K`` and
+    takes the derivative at its end, counting 12 evaluations in ``nfev``.
+    Each stage sum is one product of the weights (1, h A[s, :s]), or
+    (1, h B) at the end, with the rows [y; K[:s]] of one work array that
+    holds y and then scipy's ``K_extended``, whose first 13 rows are
+    ``K``; scipy's dense output reads its stages there.  These sums round
+    differently from scipy's ``rk_step``, which adds y after the weighted
+    stages.  A step from the same state agrees with scipy's to rounding.
+    The error estimate E K is a cancelling sum, which magnifies that
+    rounding into the step sizes, so a window's pulse times can move by
+    ~1e-9 against scipy's (in the tests and the benchmark's windows, over
+    as many steps).  The tableau, the initial step (two calls of
+    ``fun``), the step-size control (``_step_impl``, scipy's line for
+    line) and the status are scipy's.  A solver made without
     ``operators`` estimates error norms but cannot step.
     """
 
     _E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
     # pulse times of the stages 1 .. 11 and of the step's end, in units of h
     _TIMES = np.append(scipy.integrate.DOP853.C[1:], 1.0)
+    # weights of K[0] .. K[11] in the sums of the stages 1 .. 11 (A[s]),
+    # then of the step's end (B), in units of h
+    _WEIGHTS = np.vstack((scipy.integrate.DOP853.A[1:],
+                          scipy.integrate.DOP853.B))
 
     def __init__(self, fun, t0, y0, t_bound, *, operators=None, apply=None,
                  **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.operators, self.apply = operators, apply
-        # per stage s = 1 .. 11, then the step's end: the weights of the
-        # stages before it (A[s, :s], then B), those stages as columns, and
-        # the row of K that its derivative fills
-        K = self.K
-        self._stages = [(self.A[s, :s], K[:s].T, K[s])
-                        for s in range(1, self.n_stages)]
-        self._stages.append((self.B, K[:-1].T, K[-1]))
+        # the step's work array W: y in row 0, then scipy's K_extended,
+        # whose first 13 rows are K; and the weights of W's rows in the
+        # sums, (1, h A[s, :s]) per stage s, then (1, h B), whose 1s stay
+        W = np.empty((1 + len(self.K_extended), self.n))
+        self.K_extended = W[1:]
+        self.K = self.K_extended[:self.n_stages + 1]
+        self._W = W
+        self._sums = np.ones((self.n_stages, self.n_stages + 1))
+        # per stage s = 1 .. 11, then the step's end: its weights, the rows
+        # of W they weight (y, K[:s]) and the row of K that its derivative
+        # fills
+        self._stages = [(self._sums[i, :i + 2], W[:i + 2], W[i + 2])
+                        for i in range(self.n_stages)]
 
     def _estimate_error_norm(self, K, h, scale):
         n = scale.size // _N_STATE
@@ -434,15 +452,15 @@ class DOP853(scipy.integrate.DOP853):
 
     def _rk_step(self, t, y, h):
         """(y_new, f_new) of scipy's ``rk_step(self.fun, t, y, self.f, h,
-        A, B, C, K)``, from one call of ``operators``."""
+        A, B, C, K)``, up to rounding, from one call of ``operators``."""
         self.nfev += len(self._TIMES)
+        self._W[0] = y
         self.K[0] = self.f
-        apply = self.apply
-        for (a, stages, out), op in zip(
+        np.multiply(self._WEIGHTS, h, out=self._sums[:, 1:])
+        y_s, apply = np.empty(self.n), self.apply
+        for (sums, rows, out), op in zip(
                 self._stages, self.operators(t + h * self._TIMES)):
-            y_s = np.dot(stages, a)  # y + (K[:s].T @ a) h, rounded as scipy
-            y_s *= h
-            y_s += y
+            np.dot(sums, rows, out=y_s)  # y + h (K[:s].T @ A[s, :s])
             apply(op, y_s, out)
         return y_s, self.K[-1].copy()
 
@@ -574,20 +592,18 @@ def _pulse_rows(coef: np.ndarray, p: np.ndarray, shape: tuple):
     product the rows.
 
     An array of k pulse times gives a new (k, *shape) array, the rows at
-    each: the same powers, stacked, and one matmul of k matrix-vector
-    products, so that each is bit for bit the rows of its tau alone (numpy's
-    exp and power, and a matrix-matrix product, round differently)."""
+    each: numpy's exp and power of all k at once, and one matmul.  These
+    round differently from the scalar path, so the rows of a tau in an
+    array equal those of the tau alone to rounding, not bit for bit."""
     powers, rows = np.ones(p.size), np.empty(shape)
     flat, exponents = rows.reshape(-1), tuple(enumerate(p[2:].tolist(), 2))
+    by_power = coef.T.copy()  # (m, rows), for (k, m) powers @ by_power
 
     def at(tau):
         if isinstance(tau, np.ndarray):
-            e = [math.exp(-LN2 * t * t) for t in tau.tolist()]
-            stacked = np.ones((len(e), p.size, 1))
-            stacked[:, 1, 0] = e
-            for i, k in exponents:
-                stacked[:, i, 0] = [x ** k for x in e]
-            return np.matmul(coef, stacked).reshape(tau.shape + shape)
+            e = np.exp(-LN2 * np.square(tau))
+            return np.matmul(np.power(e[:, None], p), by_power).reshape(
+                tau.shape + shape)
         e = powers[1] = math.exp(-LN2 * tau * tau)
         for i, k in exponents:
             powers[i] = e ** k
@@ -640,10 +656,11 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     and which takes its stages from the operators of the right-hand side
     (``_pulse_rows`` at the stage times: the generator of one drive, or
     the coefficient rows of a batch) and the function that applies one,
-    both handed to it here; or Radau, calling the right-hand side, with
-    the exact sparse Jacobian where dephasing makes the window stiff
-    (``_window_method``).  Radau's norm is scipy's RMS over
-    all 11 N components, which no subclass can replace, so it steps at
+    both handed to it here, and steps as scipy's DOP853 would with this
+    right-hand side, up to rounding; or Radau, calling the right-hand
+    side, with the exact sparse Jacobian where dephasing makes the window
+    stiff (``_window_method``).  Radau's norm is scipy's RMS over all 11 N
+    components, which no subclass can replace, so it steps at
     rtol = atol = tol/sqrt(N): that RMS is at most 1 only if each drive's
     own norm at ``tol`` is, and rtol never falls below ``TOL_FLOOR``.
     Drift beyond 100*tol at the start or at the end, a right-hand side that
@@ -666,26 +683,27 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     if n == 1:
         # one drive: its (11, 11) generator is gen @ e**p, the three rows
         # of C folded into the parts once here, and applies by np.dot.  In
-        # DOP853's stage loop a 160-step window takes 6.5 ms this way and
-        # 9.0 ms through the rows of a batch (2-core x86-64 VM, one
+        # DOP853's stage loop a 160-step window takes 4.8 ms this way and
+        # 7.5 ms through the rows of a batch (2-core x86-64 VM, one
         # thread).  A call of rhs, which builds the solver and which Radau
-        # makes at each step, takes 1.5 us this way and 2.7 us by the rows.
+        # makes at each step, takes 1.4 us this way and 2.7 us by the rows.
         at = _pulse_rows(sum(part.reshape(-1, 1) * c for part, c in
                              zip((r0, rd, rp), coef)), p, r0.shape)
         apply = np.dot
     else:
-        r = np.hstack((r0, rd, rp))
+        # columns 9 and 10 of every part are 0: the integrals feed nothing
+        r = np.hstack((r0[:, :9], rd[:, :9], rp[:, :9]))
         at = _pulse_rows(coef, p, (3, 1, n))
-        # apply scales Y by each coefficient row into this (3, 11, N) stack
-        # in one broadcast multiply, so that one (11, 33) product applies
-        # the generator: fewer passes over the state and no temporaries,
-        # where scaling and adding r0 Y, rd Y and rp Y would take five of
-        # each
-        scaled = np.empty((3, _N_STATE, n))
-        stacked = scaled.reshape(3 * _N_STATE, n)
+        # apply scales the 9 coordinates of rho in Y by each coefficient
+        # row into this (3, 9, N) stack in one broadcast multiply, so that
+        # one (11, 27) product applies the generator: fewer passes over the
+        # state and no temporaries, where scaling and adding r0 Y, rd Y and
+        # rp Y would take five of each
+        scaled = np.empty((3, 9, n))
+        stacked = scaled.reshape(3 * 9, n)
 
         def apply(rows, y, out):
-            np.multiply(rows, y.reshape(_N_STATE, n), out=scaled)
+            np.multiply(rows, y.reshape(_N_STATE, n)[:9], out=scaled)
             np.dot(r, stacked, out=out.reshape(_N_STATE, n))
 
     def rhs(tau, y):
@@ -760,8 +778,15 @@ def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,
     states = np.empty((_N_STATE, rows + 1))
     states[:, 0] = y
     step = expm(gen * ((t_end - t_start) / rows))
-    for k in range(rows):
-        states[:, k + 1] = step @ states[:, k]
+    states[:, 1] = step @ y
+    # with rows 1 .. m filled and step raised to the m-th power, rows
+    # m + 1 .. 2m are step @ rows 1 .. m: 2 log2(rows) products, not rows
+    m = 1
+    while m < rows:
+        k = min(m, rows - m)
+        states[:, m + 1:m + k + 1] = step @ states[:, 1:k + 1]
+        step = step @ step
+        m += k
     _check_drift(times, states, cap, "exact propagation")
     return times[1:], states[:, 1:]
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from qdtimebin import dynamics
 from qdtimebin.dynamics import (
@@ -595,44 +596,96 @@ def _mixed_batch_off_stiffness():
     return replace(drive, omega0=omega0), deph, decay
 
 
-@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
-                         ids=["one-drive", "mixed-batch"])
-def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
-    # the fused stage loop takes the steps of scipy's own (rk_step, one
-    # call of the right-hand side per stage) with the same right-hand side
-    # and per-drive norm: as many accepted steps, at the same pulse times,
-    # to the same state, with as many right-hand side evaluations
+def _recorded_window(monkeypatch, window, tol):
+    """(solver, rhs, y0, steps) of ``window``'s DOP853 pulse window: the
+    solver ``_window_steps`` made, the right-hand side it was given, the
+    (11, N) start and the generator of the window's (t, Y) steps."""
     drive, deph, decay = window()
-    tol, made = 1e-8, []
+    made = []
 
     class Recorded(dynamics.DOP853):
         def __init__(self, fun, *args, **options):
             super().__init__(fun, *args, **options)
             made.append((self, fun))
 
-    class Stock(dynamics.DOP853):
-        _step_impl = scipy.integrate.DOP853._step_impl
-
     monkeypatch.setattr(dynamics, "DOP853", Recorded)
     n = np.size(drive.omega0)
     y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
-    steps = list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0),
-                                        tol))
+    steps = dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), tol)
+    next(steps)
     (solver, rhs), = made
-    taus = [dynamics._time_of((t - drive.t0) / drive.sigma, 0)
-            for t, _ in steps]
+    return solver, rhs, y0, steps
+
+
+def _per_drive(a, n):
+    """Largest |a| of each drive, for rows of the (11, N) state raveled."""
+    return np.abs(a).reshape(-1, 11, n).max(axis=(0, 1))
+
+
+@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
+                         ids=["one-drive", "mixed-batch"])
+def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
+    # The stage loop takes scipy's steps (rk_step, one call of the
+    # right-hand side per stage, with the same right-hand side and per-drive
+    # norm) up to rounding: its stage sums, one product over [y; K], round
+    # differently.  From the same (t, y, f, h), at each of scipy's accepted
+    # steps, y_new agrees within 1e-14 of each drive's scale (measured
+    # 5.6e-16), and f_new = op(y_new) within 1e-11 of the drive's largest
+    # stage derivative (measured 6.6e-13): the operator's entries, up to
+    # sigma delta_x = 42, exceed the derivatives, which cancel near the
+    # ground state.  Stepped alone, the window takes as many accepted
+    # steps, with as many evaluations, to the same state.  Its pulse times
+    # agree within 1e-7 (measured 5.6e-9): the error estimate E K is a
+    # cancelling sum, which magnifies a stage's rounding into the step size.
+    tol = 1e-8
+    solver, rhs, y0, steps = _recorded_window(monkeypatch, window, tol)
+    n = y0.shape[1]
+    resync = dynamics.DOP853(rhs, -5.0, y0.ravel(), 5.0,
+                             operators=solver.operators, apply=solver.apply)
+
+    class Stock(dynamics.DOP853):
+        _step_impl = scipy.integrate.DOP853._step_impl
+
     stock = Stock(rhs, -5.0, y0.ravel(), 5.0, max_step=0.25, rtol=tol,
                   atol=tol)
     stock_taus = [stock.t]
     while stock.status == "running":
+        t, y, resync.f = stock.t, stock.y, stock.f
         stock.step()
         stock_taus.append(stock.t)
-    assert stock.status == "finished" and len(taus) == len(stock_taus)
-    assert np.abs(np.subtract(taus, stock_taus)).max() <= 1e-12
-    final = stock.y.reshape(11, n)
-    assert (np.abs(steps[-1][1] - final) <= 1e-13 * np.abs(final).max(
-        axis=0)).all()
+        y_new, f_new = resync._rk_step(t, y, stock.h_previous)
+        assert (_per_drive(y_new - stock.y, n)
+                <= 1e-14 * _per_drive(stock.y, n)).all()
+        assert (_per_drive(f_new - stock.f, n)
+                <= 1e-11 * _per_drive(stock.K, n)).all()
+    assert stock.status == "finished"
+    taus = [-5.0] + [solver.t for _ in steps]
+    assert len(taus) == len(stock_taus)
+    assert np.abs(np.subtract(taus, stock_taus)).max() <= 1e-7
+    assert (_per_drive(solver.y - stock.y, n)
+            <= 1e-13 * _per_drive(stock.y, n)).all()
     assert solver.nfev == stock.nfev > 12 * (len(taus) - 1)
+
+
+@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
+                         ids=["one-drive", "mixed-batch"])
+def test_dop853_dense_output_is_scipys(monkeypatch, window):
+    # scipy's dense output reads K_extended, which the stage loop keeps in
+    # its work array: after a window step it interpolates as a stock scipy
+    # DOP853 that takes the same step from the same state
+    tol = 1e-8
+    solver, rhs, y0, steps = _recorded_window(monkeypatch, window, tol)
+    n = y0.shape[1]
+    for _ in range(40):
+        next(steps)
+    stock = scipy.integrate.DOP853(
+        rhs, solver.t_old, solver.y_old, 5.0, first_step=solver.h_previous,
+        max_step=0.25, rtol=tol, atol=tol)
+    stock.step()
+    assert stock.t == pytest.approx(solver.t, rel=0.0, abs=1e-15)
+    taus = np.linspace(solver.t_old, min(solver.t, stock.t), 7)
+    ours, ref = solver.dense_output()(taus), stock.dense_output()(taus)
+    assert (_per_drive(ours - ref, n) <= 1e-14 * _per_drive(ref, n)).all()
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -783,6 +836,22 @@ def test_drive_off_stretch_is_propagated_exactly():
         rho0, h, jumps, traj.times[i] + 100.0)).max()
         for i in np.flatnonzero(before))
     assert err < 1e-12
+
+
+def test_exact_propagation_rows_are_expm_of_their_time():
+    # the rows come from powers of one step, each product doubling the rows
+    # filled: row k is exp(gen (t_k - t_start)) @ y, the integrals too,
+    # across each doubling and in the last, partial one (rows 257 .. 400)
+    drive = PulseDrive(omega0=0.3, sigma=4.0, delta_x=0.6, delta_b=-0.1)
+    r0, rd, rp = _real_generator(drive, DecayRates(0.08, 0.05))
+    gen = r0 + 0.7 * rd + 0.02 * rp
+    y = dynamics._initial_state(oracles.random_density_matrix(
+        np.random.default_rng(11), 3), 1e-12, 2.0)
+    times, states = dynamics._propagate_exactly(gen, y, 2.0, 62.0, 1e-9)
+    assert len(times) == 400 and times[-1] == 62.0
+    for k in (0, 1, 2, 3, 4, 127, 128, 255, 256, 257, 398, 399):
+        ref = expm(gen * (times[k] - 2.0)) @ y
+        assert np.abs(states[:, k] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_picosecond_fraction_pulse_evolves_quickly():
