@@ -14,10 +14,9 @@ by name.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -97,14 +96,15 @@ def _naming(section: str):
 
 
 def _model(section: str, data: dict, cls):
-    """``cls`` built from section ``data``, whose keys are its parameters; a
-    key absent, or null where the default is a float, takes the default."""
-    params = inspect.signature(cls).parameters.values()
-    _check_keys(section, data, {p.name for p in params})
-    values = {p.name: _integer(f"{section}.{p.name}",
-                               data.get(p.name, p.default))
-              if isinstance(p.default, int) else
-              _number(section, data, p.name, p.default) for p in params}
+    """The dataclass ``cls`` built from section ``data``, whose keys are its
+    init fields; a key absent, or null where the default is a float, takes
+    the default."""
+    params = [f for f in fields(cls) if f.init]
+    _check_keys(section, data, {f.name for f in params})
+    values = {f.name: _integer(f"{section}.{f.name}",
+                               data.get(f.name, f.default))
+              if isinstance(f.default, int) else
+              _number(section, data, f.name, f.default) for f in params}
     with _naming(section):
         return cls(**values)
 
@@ -134,14 +134,14 @@ def _grid(section: str, spec: Any, min_points: int = 1) -> np.ndarray:
 
 @dataclass
 class DotConfig:
-    gamma_x: InitVar[float] = 0.002
-    gamma_b: InitVar[float] = 0.004
+    gamma_x: float = 0.002
+    gamma_b: float = 0.004
     delta_x: float = 0.5
     delta_b: float = 0.0
     decay: DecayRates = field(init=False)  # built from the two rates
 
-    def __post_init__(self, gamma_x, gamma_b):
-        self.decay = DecayRates(gamma_b=gamma_b, gamma_x=gamma_x)
+    def __post_init__(self):
+        self.decay = DecayRates(gamma_b=self.gamma_b, gamma_x=self.gamma_x)
 
 
 @dataclass

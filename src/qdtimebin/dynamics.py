@@ -19,9 +19,10 @@ A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
 ``DephasingModel``, may hold one value per drive as well.  One window
 stepper (``_window_steps``: DOP853 with an error norm per drive, whose
-step forms the operators of all its stages in one product and sums each
-stage in one product over [y; K], taking scipy's steps up to rounding, or
-Radau for a window made stiff by dephasing) steps it
+step forms the operators of all its stages in one product, sums each
+stage in one product over [y; K] and ends in one product for y_new and the
+error estimates, taking scipy's steps up to rounding, or Radau for a
+window made stiff by dephasing) steps it
 as one (11, N) system in pulse time tau = (t - t0) / sigma, over the
 window |tau| <= ``PULSE_HALF_WIDTH`` that every drive shares whatever its
 sigma: ``emission_after_pulse`` over the pulse windows of a batch, adding
@@ -380,155 +381,183 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
 
 class DOP853(scipy.integrate.DOP853):
     """scipy's DOP853 on the (11, N) state of N drives, raveled row-major,
-    with an error norm per drive and a stage loop of its own.
+    with an error norm per drive and a step of its own.
 
     The error norm bounds each drive's error: the largest over the drives
     of scipy's norm of that drive's 11 components (column n).  Each drive
-    of a batch then steps at rtol = atol = tol as if it were alone.  For
-    N = 1 the norm is scipy's own.
+    of a batch then steps at rtol = atol = tol as if it were alone.
 
     The right-hand side of a window is linear in the state, so a step
     takes its stages from two functions that ``_window_steps`` hands over
     instead of calling ``fun`` once per stage: ``operators(taus)`` stacks
     the operators of the right-hand side at the pulse times ``taus``, and
-    ``apply(op, y, out)`` writes op applied to y into ``out``.  Each
-    attempted step forms its 12 operators in one call, at tau + c h for
-    the stages c = C[1:] and for its end, c = 1.  Then it runs the stage
-    recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into scipy's ``K`` and
-    takes the derivative at its end, counting 12 evaluations in ``nfev``.
-    Each stage sum is one product of the weights (1, h A[s, :s]), or
-    (1, h B) at the end, with the rows [y; K[:s]] of one work array that
-    holds y and then scipy's ``K_extended``, whose first 13 rows are
-    ``K``; scipy's dense output reads its stages there.  These sums round
-    differently from scipy's ``rk_step``, which adds y after the weighted
-    stages.  A step from the same state agrees with scipy's to rounding.
-    The error estimate E K is a cancelling sum, which magnifies that
-    rounding into the step sizes, so a window's pulse times can move by
-    ~1e-9 against scipy's (in the tests and the benchmark's windows, over
-    as many steps).  The tableau, the initial step (two calls of
-    ``fun``), the step-size control (``_step_impl``, scipy's line for
-    line) and the status are scipy's.  A solver made without
-    ``operators`` estimates error norms but cannot step.
+    ``apply(op, y, out)`` writes op applied to y into ``out``, both (11, N)
+    views.  Each attempted step forms its 12 operators in one call, at
+    tau + c h for the stages c = C[1:] and for its end, c = 1.  Then it
+    runs the stage recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into
+    scipy's ``K`` and takes the derivative at its end, counting 12
+    evaluations in ``nfev``.  Each stage sum is one product of the weights
+    (1, h A[s, :s]) with the rows [y; K[:s]] of one work array that holds
+    y and then scipy's ``K_extended``, whose first 13 rows are ``K``;
+    scipy's dense output reads its stages there.  The step's end is one
+    product too: the weights (1, h B) give y_new and scipy's E5 and E3 the
+    two error estimates, exactly as from all 13 stages, since E5 and E3
+    weight K[12], the derivative at the end, by 0.  Every view of the
+    work array a step reads or writes is made once, here.
+
+    These sums round differently from scipy's ``rk_step``, which adds y
+    after the weighted stages, so a step from the same state agrees with
+    scipy's to rounding.  The error estimate E K is a cancelling sum,
+    which magnifies that rounding into the step sizes, so a window's pulse
+    times can move by ~1e-9 against scipy's (in the tests and the
+    benchmark's windows, over as many steps).
+
+    scipy's are the tableau, the step-size constants ``SAFETY``,
+    ``MIN_FACTOR`` and ``MAX_FACTOR``, the control law of
+    ``RungeKutta._step_impl``, which ``_step_impl`` runs on Python floats,
+    the initial step (two calls of ``fun``), the dense output and the
+    status.  The scale atol + rtol max(|y|, |y_new|) reuses |y| from the
+    step that accepted y.  A solver made without ``operators`` estimates
+    error norms but cannot step.
     """
 
+    # scipy's error estimates E5 K and E3 K, for ``_estimate_error_norm``
     _E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
-    # pulse times of the stages 1 .. 11 and of the step's end, in units of h
-    _TIMES = np.append(scipy.integrate.DOP853.C[1:], 1.0)
-    # weights of K[0] .. K[11] in the sums of the stages 1 .. 11 (A[s]),
-    # then of the step's end (B), in units of h
-    _WEIGHTS = np.vstack((scipy.integrate.DOP853.A[1:],
-                          scipy.integrate.DOP853.B))
+    # in units of h, per stage 1 .. 11 and then the step's end: the weights
+    # of K[0] .. K[11] in its sum (A[s], then B), and its pulse time
+    _BY_H = np.column_stack((
+        np.vstack((scipy.integrate.DOP853.A[1:], scipy.integrate.DOP853.B)),
+        np.append(scipy.integrate.DOP853.C[1:], 1.0)))
+    # sums over a drive's 11 components of the squared E5 K / scale and
+    # E3 K / scale, stacked: its e5 and e5 + e3 / 100
+    _SQUARES = np.kron([[1.0, 0.0], [1.0, 0.01]], np.ones(_N_STATE))
+    _TINY = np.finfo(float).tiny
 
     def __init__(self, fun, t0, y0, t_bound, *, operators=None, apply=None,
                  **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.operators, self.apply = operators, apply
+        # the control law runs on floats, where scipy's may be numpy's
+        self.t, self.t_bound = float(self.t), float(self.t_bound)
+        self.h_abs, self.max_step = float(self.h_abs), float(self.max_step)
+        self.direction = float(self.direction)
+        self._rtol, self._atol = float(self.rtol), float(self.atol)
+        self._abs_y = np.abs(self.y)
+        m = self.n_stages
         # the step's work array W: y in row 0, then scipy's K_extended,
-        # whose first 13 rows are K; and the weights of W's rows in the
-        # sums, (1, h A[s, :s]) per stage s, then (1, h B), whose 1s stay
+        # whose first 13 rows are K
         W = np.empty((1 + len(self.K_extended), self.n))
         self.K_extended = W[1:]
-        self.K = self.K_extended[:self.n_stages + 1]
+        self.K = self.K_extended[:m + 1]
         self._W = W
-        self._sums = np.ones((self.n_stages, self.n_stages + 1))
-        # per stage s = 1 .. 11, then the step's end: its weights, the rows
-        # of W they weight (y, K[:s]) and the row of K that its derivative
-        # fills
-        self._stages = [(self._sums[i, :i + 2], W[:i + 2], W[i + 2])
-                        for i in range(self.n_stages)]
+        # the weights of W[:13] = [y; K[:12]]: (1, h A[s, :s]) per stage
+        # s = 1 .. 11, then those of the step's end, (1, h B) for y_new and
+        # (0, E5[:12]) and (0, E3[:12]) for the error estimates, exact as E5
+        # and E3 weight K[12] by 0; then, in the last column, h times the
+        # pulse times of the stages and the end.  One multiply by h fills
+        # each step's; the 1s, the 0s and the E rows stay.
+        sums = np.ones((m + 2, m + 2))
+        sums[m:, 0] = 0.0
+        sums[m:, 1:-1] = self._E[:, :m]
+        self._by_h, self._h_times = sums[:m, 1:], sums[:m, -1]
+        # the step's end: y_new in row 0, then the error estimates
+        ends = np.empty((3, self.n))
+        self._ends, self._err = ends, ends[1:]
+        self._end_sums, self._end_rows = sums[m - 1:, :-1], W[:m + 1]
+        # views (11, N), as apply takes them: of a stage's sum y_s, of
+        # y_new and of the rows of K; per stage s = 1 .. 11, its weights,
+        # the rows of W they weight (y, K[:s]), y_s flat and as a view, and
+        # the row of K that its derivative fills
+        shape = (_N_STATE, self.n // _N_STATE)
+        y_s, k = np.empty(self.n), W.reshape(len(W), *shape)
+        self._stages = [(sums[i, :i + 2], W[:i + 2], y_s, y_s.reshape(shape),
+                         k[i + 2]) for i in range(m - 1)]
+        self._end = (ends[0].reshape(shape), k[m + 1])
+
+    def _error_norm(self, err, h, scale):
+        """The error norm of scipy's error estimates err = (E5 K, E3 K), of
+        shape (2, 11 N), at step h and scale: the largest over the drives
+        of |h| e5 / sqrt(11 (e5 + e3 / 100)), where e5 and e3 are the sums
+        of squares of the drive's 11 components of E5 K / scale and
+        E3 K / scale, scipy's norm for each drive alone.  A drive with no
+        error reads 0, and a NaN or inf rejects the step (returns inf).
+        Overwrites err."""
+        np.divide(err, scale, out=err)
+        np.multiply(err, err, out=err)
+        # (e5, e5 + e3 / 100) of each drive
+        squares = np.dot(self._SQUARES, err.reshape(2 * _N_STATE, -1))
+        if squares.shape[1] == 1:  # one drive, on floats
+            (e5,), (denom,) = squares.tolist()
+            if not denom < math.inf:
+                return math.inf
+            return abs(h) * e5 / math.sqrt(_N_STATE * denom) if denom else 0.0
+        e5, denom = squares
+        if not denom.max() < math.inf:
+            return math.inf
+        # a drive with no error has e5 = denom = 0: its e5^2 / denom reads 0
+        np.maximum(denom, self._TINY, out=denom)
+        np.divide(e5, denom, out=denom)
+        denom *= e5
+        return abs(h) * math.sqrt(denom.max() / _N_STATE)
 
     def _estimate_error_norm(self, K, h, scale):
-        n = scale.size // _N_STATE
-        if n == 1:
-            return super()._estimate_error_norm(K, h, scale)
-        err = (self._E @ K) / scale
-        err *= err
-        err5, err3 = err.reshape(2, _N_STATE, n).sum(axis=1)
-        denom = err5 + 0.01 * err3
-        if not np.isfinite(denom).all():  # a NaN or inf rejects the step
-            return math.inf
-        denom[denom == 0.0] = 1.0  # a drive with no error reads 0
-        return (abs(h) * err5 / np.sqrt(_N_STATE * denom)).max()
+        # scipy's hook, which its own RungeKutta._step_impl calls
+        return self._error_norm(self._E @ K, h, scale)
 
     def _rk_step(self, t, y, h):
         """(y_new, f_new) of scipy's ``rk_step(self.fun, t, y, self.f, h,
-        A, B, C, K)``, up to rounding, from one call of ``operators``."""
-        self.nfev += len(self._TIMES)
-        self._W[0] = y
-        self.K[0] = self.f
-        np.multiply(self._WEIGHTS, h, out=self._sums[:, 1:])
-        y_s, apply = np.empty(self.n), self.apply
-        for (sums, rows, out), op in zip(
-                self._stages, self.operators(t + h * self._TIMES)):
+        A, B, C, K)``, up to rounding, from one call of ``operators``.
+        Leaves scipy's error estimates (E5 K, E3 K) in ``_err``."""
+        self.nfev += len(self._h_times)
+        W, apply = self._W, self.apply
+        W[0] = y
+        W[1] = self.f
+        np.multiply(self._BY_H, h, out=self._by_h)
+        ops = self.operators(self._h_times + t)
+        for (sums, rows, y_s, y_in, out), op in zip(self._stages, ops):
             np.dot(sums, rows, out=y_s)  # y + h (K[:s].T @ A[s, :s])
-            apply(op, y_s, out)
-        return y_s, self.K[-1].copy()
+            apply(op, y_in, out)
+        np.dot(self._end_sums, self._end_rows, out=self._ends)
+        apply(ops[-1], *self._end)
+        return self._ends[0].copy(), self.K[-1].copy()
 
     def _step_impl(self):
-        # scipy's RungeKutta._step_impl, calling _rk_step for rk_step
-        t = self.t
-        y = self.y
-
-        max_step = self.max_step
-        rtol = self.rtol
-        atol = self.atol
-
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-
-        if self.h_abs > max_step:
-            h_abs = max_step
-        elif self.h_abs < min_step:
+        # the control law of scipy's RungeKutta._step_impl, on floats
+        t, y, direction = self.t, self.y, self.direction
+        exponent = self.error_exponent
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = self.h_abs
+        if h_abs > self.max_step:
+            h_abs = self.max_step
+        elif h_abs < min_step:
             h_abs = min_step
-        else:
-            h_abs = self.h_abs
-
-        step_accepted = False
-        step_rejected = False
-
-        while not step_accepted:
+        rejected = False
+        while True:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
-
-            h = h_abs * self.direction
-            t_new = t + h
-
-            if self.direction * (t_new - self.t_bound) > 0:
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
-
             h = t_new - t
-            h_abs = np.abs(h)
-
+            h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
-
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** self.error_exponent)
-
-                if step_rejected:
-                    factor = min(1, factor)
-
-                h_abs *= factor
-
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR,
-                             SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-
-        self.h_previous = h
-        self.y_old = y
-
-        self.t = t_new
-        self.y = y_new
-
-        self.h_abs = h_abs
-        self.f = f_new
-
+            abs_y = np.abs(y_new)
+            scale = np.maximum(self._abs_y, abs_y)
+            scale *= self._rtol
+            scale += self._atol
+            error_norm = self._error_norm(self._err, h, scale)
+            if error_norm < 1.0:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            rejected = True
+        if error_norm == 0.0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** exponent)
+        if rejected:
+            factor = min(1.0, factor)
+        self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
+        self.h_abs, self.f, self._abs_y = h_abs * factor, f_new, abs_y
         return True, None
 
 
@@ -655,14 +684,18 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     the largest of the drives' own norms, at rtol = atol = tol whatever N,
     and which takes its stages from the operators of the right-hand side
     (``_pulse_rows`` at the stage times: the generator of one drive, or
-    the coefficient rows of a batch) and the function that applies one,
-    both handed to it here, and steps as scipy's DOP853 would with this
-    right-hand side, up to rounding; or Radau, calling the right-hand
-    side, with the exact sparse Jacobian where dephasing makes the window
-    stiff (``_window_method``).  Radau's norm is scipy's RMS over all 11 N
-    components, which no subclass can replace, so it steps at
-    rtol = atol = tol/sqrt(N): that RMS is at most 1 only if each drive's
-    own norm at ``tol`` is, and rtol never falls below ``TOL_FLOOR``.
+    the coefficient rows of a batch) and the function that applies one to
+    (11, N) views of its work array, both handed to it here.  It forms its
+    stage sums, error estimates and scale itself; scipy's are its tableau,
+    its step-size constants and control law, which it runs on floats, its
+    initial step and its dense output.  So it steps as scipy's DOP853
+    would with this right-hand side, up to rounding.  Or the method is
+    Radau, calling the right-hand side, with the exact sparse Jacobian
+    where dephasing makes the window stiff (``_window_method``).  Radau's
+    norm is scipy's RMS over all 11 N components, which no subclass can
+    replace, so it steps at rtol = atol = tol/sqrt(N): that RMS is at most
+    1 only if each drive's own norm at ``tol`` is, and rtol never falls
+    below ``TOL_FLOOR``.
     Drift beyond 100*tol at the start or at the end, a right-hand side that
     is not finite at the start, a failed step, or a step beyond
     ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends (StepBudgetError)
@@ -683,10 +716,10 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     if n == 1:
         # one drive: its (11, 11) generator is gen @ e**p, the three rows
         # of C folded into the parts once here, and applies by np.dot.  In
-        # DOP853's stage loop a 160-step window takes 4.8 ms this way and
-        # 7.5 ms through the rows of a batch (2-core x86-64 VM, one
+        # DOP853's stage loop a 160-step window takes 3.9 ms this way and
+        # 5.9 ms through the rows of a batch (2-core x86-64 VM, one
         # thread).  A call of rhs, which builds the solver and which Radau
-        # makes at each step, takes 1.4 us this way and 2.7 us by the rows.
+        # makes at each step, takes 1.6 us this way and 2.7 us by the rows.
         at = _pulse_rows(sum(part.reshape(-1, 1) * c for part, c in
                              zip((r0, rd, rp), coef)), p, r0.shape)
         apply = np.dot
@@ -703,13 +736,13 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
         stacked = scaled.reshape(3 * 9, n)
 
         def apply(rows, y, out):
-            np.multiply(rows, y.reshape(_N_STATE, n)[:9], out=scaled)
-            np.dot(r, stacked, out=out.reshape(_N_STATE, n))
+            np.multiply(rows, y[:9], out=scaled)
+            np.dot(r, stacked, out=out)
 
     def rhs(tau, y):
         # a new array each call: scipy keeps the derivatives it is given
         out = np.empty_like(y)
-        apply(at(tau), y, out)
+        apply(at(tau), y.reshape(_N_STATE, n), out.reshape(_N_STATE, n))
         return out
 
     tau0, tau1 = tau_span

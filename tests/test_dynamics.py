@@ -473,9 +473,12 @@ def _error_norm_inputs(n: int, seed: int):
 
 
 def test_dop853_error_norm_is_scipys_for_one_drive():
+    # the same formula as scipy's, with sums of squares for its squared
+    # np.linalg.norm: equal to rounding
     solver, K, h, scale = _error_norm_inputs(1, 3)
-    assert solver._estimate_error_norm(K, h, scale) \
-        == scipy.integrate.DOP853._estimate_error_norm(solver, K, h, scale)
+    assert solver._estimate_error_norm(K, h, scale) == pytest.approx(
+        scipy.integrate.DOP853._estimate_error_norm(solver, K, h, scale),
+        rel=1e-14, abs=0.0)
 
 
 def test_dop853_error_norm_is_the_largest_drive_norm():
@@ -503,16 +506,16 @@ def test_dop853_error_norm_rejects_a_non_finite_drive(bad):
 
 
 def test_dop853_steps_a_batch_through_its_error_norm(monkeypatch):
-    # scipy must call the hook: a two-drive window takes one call per step
-    # tried, at least one per accepted step
+    # the step must decide by the per-drive norm: a two-drive window takes
+    # one call per step tried, at least one per accepted step
     calls = []
-    norm = dynamics.DOP853._estimate_error_norm
+    norm = dynamics.DOP853._error_norm
 
-    def counted(self, K, h, scale):
+    def counted(self, err, h, scale):
         calls.append(scale.size)
-        return norm(self, K, h, scale)
+        return norm(self, err, h, scale)
 
-    monkeypatch.setattr(dynamics.DOP853, "_estimate_error_norm", counted)
+    monkeypatch.setattr(dynamics.DOP853, "_error_norm", counted)
     drive = PulseDrive(omega0=omega0_for_area(np.array([3.0, 9.0]), 12.0),
                        sigma=12.0, delta_x=3.5)
     y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], 2, 1)
@@ -520,6 +523,83 @@ def test_dop853_steps_a_batch_through_its_error_norm(monkeypatch):
         y0, drive, DecayRates(0.004, 0.002), NO_DEPH, (-5.0, 5.0), 1e-8))) - 1
     assert steps > 0 and len(calls) >= steps
     assert set(calls) == {22}
+
+
+class _Scripted(dynamics.DOP853):
+    """A DOP853 of one drive whose attempted steps take y + h and whose
+    error norms are ``norms``, in turn: what its control law sees."""
+
+    def __init__(self, norms, t0, t_bound, first_step):
+        super().__init__(lambda t, y: -y, t0, np.ones(11), t_bound,
+                         first_step=first_step, max_step=1.0)
+        self.K_extended[:] = 0.0
+        self.norms, self.tried = iter(norms), 0
+
+    def _rk_step(self, t, y, h):
+        return y + h, self.f
+
+    def _error_norm(self, err, h, scale):
+        self.tried += 1
+        return next(self.norms)
+
+
+def _control_decisions(solver):
+    """(t, h_previous, next h_abs, status, message, steps tried so far)
+    after each step of ``solver``, until it stops running."""
+    decisions = []
+    while solver.status == "running":
+        message = solver.step()
+        decisions.append((solver.t, solver.h_previous, solver.h_abs,
+                          solver.status, message, solver.tried))
+    return decisions
+
+
+@pytest.mark.parametrize("norms, t0, t_bound, first_step, status", [
+    # a rejection, then an accepted step that may not grow (min(1, factor)),
+    # then growth by MAX_FACTOR (norm 0) up to max_step, a rejection
+    # followed by norm 0, whose factor is 1, and a last step clipped to
+    # t_bound
+    ([3.0, 0.4, 0.0, 0.5, 0.9, 2.0, 0.0, 1e-3, 0.3], 0.0, 4.5, 0.2,
+     "finished"),
+    # a step clipped to t_bound, integrating backwards
+    ([0.7, 0.0, 0.2, 0.0], 0.5, -0.3, 0.1, "finished"),
+    # rejected down to TOO_SMALL_STEP: h falls below 10 ulp of t
+    ([2.0, 0.0] + [1e30] * 40, 1.0, 4.0, 0.1, "failed"),
+], ids=["reject-grow", "clip", "too-small"])
+def test_dop853_step_control_decides_as_scipys(monkeypatch, norms, t0,
+                                               t_bound, first_step, status):
+    # the step runs scipy's control law on floats: fed the same error norms
+    # (scipy's RungeKutta._step_impl reads them through the
+    # _estimate_error_norm hook), it takes the same steps to the same t,
+    # h_previous and next h_abs, bit for bit, and fails as scipy's does
+    monkeypatch.setattr(scipy.integrate._ivp.rk, "rk_step",
+                        lambda fun, t, y, f, h, A, B, C, K: (y + h, f))
+
+    class Stock(_Scripted):
+        _step_impl = scipy.integrate.DOP853._step_impl
+
+    ours = _control_decisions(_Scripted(norms, t0, t_bound, first_step))
+    theirs = _control_decisions(Stock(norms, t0, t_bound, first_step))
+    assert ours == theirs
+    last_t, _, _, last_status, message, _ = ours[-1]
+    assert len(ours) >= 2 and last_status == status
+    if status == "failed":
+        assert message == _Scripted.TOO_SMALL_STEP
+    else:
+        assert last_t == t_bound
+
+
+def test_dop853_error_estimates_come_from_the_end_product(monkeypatch):
+    # the end product's error rows are scipy's E5 K and E3 K over all 13
+    # stages, up to rounding: E5 and E3 weight K[12] by 0
+    solver, rhs, y0, steps = _recorded_window(
+        monkeypatch, _mixed_batch_off_stiffness, 1e-8)
+    for _ in range(30):
+        next(steps)
+    solver._rk_step(solver.t, solver.y, 0.05)
+    ref = solver._E @ solver.K
+    assert np.abs(solver._err - ref).max() <= 1e-13 * np.abs(solver.K).max()
+    assert np.abs(ref).max() > 1e-6 * np.abs(solver.K).max()
 
 
 def _window_rhs(monkeypatch, drive, deph, decay):

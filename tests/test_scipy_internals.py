@@ -1,11 +1,15 @@
 """What ``dynamics.DOP853`` takes from scipy's private Runge-Kutta module.
 
-Its step copies ``RungeKutta._step_impl`` with that module's step-size
-constants, and its stage loop runs scipy's DOP853 tableau.  It keeps
-scipy's ``K_extended`` as rows of its own work array, with ``K`` a view of
-the first rows, where scipy's dense output reads them.  This module
-imports scipy only, so that a scipy release which moves any of these fails
-here by name, even when ``qdtimebin.dynamics`` no longer imports.
+Its step runs scipy's step-size control law, that of
+``RungeKutta._step_impl``, with that module's step-size constants and the
+solver's error exponent, and its stage loop runs scipy's DOP853 tableau.
+It takes the error estimates E5 K and E3 K from the product that ends the
+step, over the stages before the last, which holds only while E5 and E3
+weight the last stage by 0.  It keeps scipy's ``K_extended`` as rows of
+its own work array, with ``K`` a view of the first rows, where scipy's
+dense output reads them.  This module imports scipy only, so that a scipy
+release which moves or changes any of these fails here by name, even when
+``qdtimebin.dynamics`` no longer imports.
 """
 
 import numbers
@@ -15,11 +19,26 @@ import scipy.integrate
 from scipy.integrate._ivp import rk
 
 
-def test_step_size_constants_are_where_the_step_copy_reads_them():
-    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
-        value = getattr(rk, name, None)
-        assert isinstance(value, numbers.Real), \
+def test_step_size_constants_are_where_the_control_law_reads_them():
+    for name, value in (("SAFETY", 0.9), ("MIN_FACTOR", 0.2),
+                        ("MAX_FACTOR", 10)):
+        found = getattr(rk, name, None)
+        assert isinstance(found, numbers.Real), \
             f"scipy.integrate._ivp.rk.{name} is gone"
+        assert found == value, \
+            f"scipy.integrate._ivp.rk.{name} is {found}, not {value}"
+
+
+def test_dop853_error_exponent_is_minus_one_eighth():
+    solver = scipy.integrate.DOP853(lambda t, y: -y, 0.0, np.ones(3), 1.0)
+    assert solver.error_exponent == -1 / 8, \
+        f"DOP853's error_exponent is {solver.error_exponent}, not -1/8"
+
+
+def test_dop853_error_estimates_do_not_weight_the_last_stage():
+    dop853 = scipy.integrate.DOP853
+    assert dop853.E3[12] == dop853.E5[12] == 0.0, \
+        "E3 or E5 weights K[12], the derivative at the step's end"
 
 
 def test_dop853_tableau_has_the_shapes_the_stage_loop_reads():
