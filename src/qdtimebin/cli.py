@@ -3,8 +3,12 @@
 Subcommands regenerate the pulse-dynamics, Rabi-sweep, yield-ratio and
 entanglement analyses as plot-ready data files.  A run is fully determined
 by its config file, plus for ``entangle`` the ``--seed`` that overrides
-``tomography.seed`` (no other subcommand takes it): identical inputs give
-byte-identical outputs.
+``tomography.seed`` (no other subcommand takes it): on one numpy/BLAS
+build, identical inputs give byte-identical outputs.  Across builds they
+need not: DOP853's step-size control magnifies a rounding difference of
+one step about 10^7-fold into the pulse times of the steps after it, so
+``trajectory.csv``, written at 13 significant digits, can differ from
+about its 9th.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure or an
 allocation too large for memory.

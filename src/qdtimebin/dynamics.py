@@ -283,17 +283,24 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
     return np.einsum("kij,...ji->...k", _DUAL, m).real
 
 
-def _real_generator(drive, decay: DecayRates):
+def _real_generator(drive, decay: DecayRates) -> np.ndarray:
     """The parts of ``lindblad_rhs`` as real 11x11 maps (r0, rd, rp) of the
-    integrated state: column k of each is the coordinates of that part
-    applied to basis element k, and r0 has two rows that integrate rho_xx
-    and rho_bb.  The generator at amplitude omega is
-    r0 + omega rd + deph.rate(omega) rp."""
-    r0, rd, rp = np.zeros((3, _N_STATE, _N_STATE))
-    for r, part in zip((r0, rd, rp), _lindblad_parts(_BASIS, drive, decay)):
+    integrated state, stacked (3, 11, 11): column k of each is the
+    coordinates of that part applied to basis element k, and r0 has two
+    rows that integrate rho_xx and rho_bb.  The generator at amplitude
+    omega is r0 + omega rd + deph.rate(omega) rp."""
+    parts = np.zeros((3, _N_STATE, _N_STATE))
+    for r, part in zip(parts, _lindblad_parts(_BASIS, drive, decay)):
         r[:9, :9] = _coordinates(part).T
-    r0[9, X] = r0[10, B] = 1.0
-    return r0, rd, rp
+    parts[0, 9, X] = parts[0, 10, B] = 1.0
+    return parts
+
+
+# rp is one diagonal whatever the drive and decay, with entries 0, -1 and
+# -5/2, so sigma rate times its largest |entry| bounds the real eigenvalues
+# that dephasing adds to a window's generator (``_window_method``).
+_RP_MAX = float(np.abs(
+    _real_generator(ConstantDrive(0.0), DecayRates())[2]).max())
 
 
 def _initial_state(rho: np.ndarray, cap: float, t0: float) -> np.ndarray:
@@ -561,16 +568,16 @@ class DOP853(scipy.integrate.DOP853):
         return True, None
 
 
-def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
+def _window_method(drive: PulseDrive, deph: DephasingModel,
                    tau_span: tuple[float, float]):
     """DOP853, or Radau for a batch of N drives whose dephasing alone would
     force DOP853 past max(``_RADAU_MIN_STEPS``, ``_RADAU_STEPS`` N^0.4)
     steps over ``tau_span``.
 
-    rp is diagonal, so sigma_n rate_n(tau) |rp| bounds the real eigenvalues
-    of drive n's generator that dephasing adds at pulse time tau; DOP853 is
-    stable only for steps with h |lambda| <= ``_EXPLICIT_STABILITY``, so it
-    takes at least the integral of sigma_n |rp| rate_n / 6.39 over the span
+    sigma_n rate_n(tau) ``_RP_MAX`` bounds the real eigenvalues of drive
+    n's generator that dephasing adds at pulse time tau; DOP853 is stable
+    only for steps with h |lambda| <= ``_EXPLICIT_STABILITY``, so it takes
+    at least the integral of sigma_n _RP_MAX rate_n / 6.39 over the span
     (trapezoids on 41 points: the rate of a Gaussian drive is smooth, and
     an estimate needs no more).
     Windows limited by oscillation (a large sigma times the detuning or the
@@ -579,8 +586,8 @@ def _window_method(drive: PulseDrive, deph: DephasingModel, rp: np.ndarray,
     """
     tau = np.linspace(tau_span[0], tau_span[1], 41)
     rate = deph.rate(drive.amplitude_at(tau[:, None]))
-    steps = (np.abs(rp).max() / _EXPLICIT_STABILITY * np.max(
-        drive.sigma * trapezoid(rate, tau, axis=0)))
+    steps = (_RP_MAX / _EXPLICIT_STABILITY
+             * np.max(drive.sigma * trapezoid(rate, tau, axis=0)))
     n = np.size(drive.omega0)
     limit = max(_RADAU_MIN_STEPS, _RADAU_STEPS * n ** 0.4)
     return Radau if steps > limit else DOP853
@@ -594,8 +601,8 @@ def _pulse_coefficients(drive: PulseDrive, deph: DephasingModel, n: int):
     shared by every drive: the rows are sigma, (sigma omega0) e and
     sigma gamma_bg + (sigma gamma_i0 omega0^n_p) e^n_p.
 
-    Returns C, of shape (3N, m), and p = (0, 1, then each distinct n_p of
-    the batch), of shape (m,).  0.0**0 is 1, so n_p = 0 still folds
+    Returns C.T, of shape (m, 3N), and p = (0, 1, then each distinct n_p
+    of the batch), of shape (m,).  0.0**0 is 1, so n_p = 0 still folds
     gamma_i0 into a constant.  A drive whose omega0^n_p overflows gets an
     infinite or NaN entry, which ``_window_steps`` reports at its start.
     """
@@ -603,62 +610,48 @@ def _pulse_coefficients(drive: PulseDrive, deph: DephasingModel, n: int):
     omega0 = np.asarray(drive.omega0, dtype=float)
     n_p, column = np.unique(np.broadcast_to(deph.n_p, (n,)),
                             return_inverse=True)
-    coef = np.zeros((3, n, 2 + n_p.size))
-    coef[0, :, 0] = sigma
-    coef[1, :, 1] = sigma * omega0
-    coef[2, :, 0] = sigma * deph.gamma_bg
-    coef[2, np.arange(n), 2 + column] = (
+    by_power = np.zeros((2 + n_p.size, 3, n))
+    by_power[0, 0] = sigma
+    by_power[1, 1] = sigma * omega0
+    by_power[0, 2] = sigma * deph.gamma_bg
+    by_power[2 + column, 2, np.arange(n)] = (
         sigma * deph.gamma_i0 * omega0 ** np.asarray(deph.n_p))
-    return coef.reshape(3 * n, -1), np.concatenate(([0.0, 1.0], n_p))
+    return by_power.reshape(-1, 3 * n), np.concatenate(([0.0, 1.0], n_p))
 
 
-def _pulse_rows(coef: np.ndarray, p: np.ndarray, shape: tuple):
-    """The function of pulse time tau that returns coef @ e**p, with
-    e = exp(-ln2 tau^2) and (coef, p) from ``_pulse_coefficients`` or a
-    generator folded from them, in ``shape``: one array, overwritten by
-    the next call.  The powers fill one preallocated vector, by Python's
-    float power (for a few exponents cheaper than a numpy call), and one
-    product the rows.
-
-    An array of k pulse times gives a new (k, *shape) array, the rows at
-    each: numpy's exp and power of all k at once, and one matmul.  These
-    round differently from the scalar path, so the rows of a tau in an
-    array equal those of the tau alone to rounding, not bit for bit."""
-    powers, rows = np.ones(p.size), np.empty(shape)
-    flat, exponents = rows.reshape(-1), tuple(enumerate(p[2:].tolist(), 2))
-    by_power = coef.T.copy()  # (m, rows), for (k, m) powers @ by_power
+def _pulse_rows(by_power: np.ndarray, p: np.ndarray, shape: tuple):
+    """The function of pulse time tau that returns e**p @ ``by_power``,
+    with e = exp(-ln2 tau^2), in shape np.shape(tau) + ``shape``: tau is
+    one number, or an array with the rows at each of its entries.
+    (by_power, p) are those of ``_pulse_coefficients``, which give the
+    coefficient rows of a batch, or a generator folded from them.  The
+    powers are exp(-ln2 p tau^2), one exp over every p and tau, and each
+    call returns a new array."""
+    exponents = -LN2 * p
 
     def at(tau):
-        if isinstance(tau, np.ndarray):
-            e = np.exp(-LN2 * np.square(tau))
-            return np.matmul(np.power(e[:, None], p), by_power).reshape(
-                tau.shape + shape)
-        e = powers[1] = math.exp(-LN2 * tau * tau)
-        for i, k in exponents:
-            powers[i] = e ** k
-        np.dot(coef, powers, out=flat)
-        return rows
+        powers = np.exp(np.square(tau)[..., None] * exponents)
+        return (powers @ by_power).reshape(powers.shape[:-1] + shape)
 
     return at
 
 
-def _block_jacobian(drive: PulseDrive, deph: DephasingModel, r0, rd, rp,
-                    n: int):
+def _block_jacobian(parts: np.ndarray, at, n: int):
     """Jacobian of ``_window_steps``' right-hand side at pulse time tau, a
-    function of (tau, y), from the coefficient rows of ``_pulse_rows``.
-    For the (11, N) state raveled row-major it is block diagonal over the
-    drives: entry (k N + n, l N + n) is
+    function of (tau, y), from the parts (r0, rd, rp) of
+    ``_real_generator`` and ``at``, the coefficient rows of the N drives
+    (``_pulse_rows``).  For the (11, N) state raveled row-major it is block
+    diagonal over the drives: entry (k N + n, l N + n) is
     sigma_n (r0 + omega_n rd + rate_n rp)[k, l], 121 N entries in all."""
     size = _N_STATE * n
     # in CSC order, column l N + n holds rows k N + n, k = 0 .. 10
     rows = np.tile((np.arange(0, size, n) + np.arange(n)[:, None]).ravel(),
                    _N_STATE)
     starts = np.arange(0, _N_STATE * size + 1, _N_STATE)
-    parts = np.stack((r0, rd, rp), axis=-1)  # (11, 11, 3)
-    rows_at = _pulse_rows(*_pulse_coefficients(drive, deph, n), (3, n))
+    parts = np.moveaxis(parts, 0, -1)  # (11, 11, 3)
 
     def jac(tau, y):
-        blocks = parts @ rows_at(tau)  # (11, 11, N)
+        blocks = parts @ at(tau).reshape(3, n)  # (11, 11, N)
         return csc_matrix((blocks.transpose(1, 2, 0).ravel(), rows, starts),
                           shape=(size, size))
 
@@ -690,12 +683,13 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     its step-size constants and control law, which it runs on floats, its
     initial step and its dense output.  So it steps as scipy's DOP853
     would with this right-hand side, up to rounding.  Or the method is
-    Radau, calling the right-hand side, with the exact sparse Jacobian
-    where dephasing makes the window stiff (``_window_method``).  Radau's
-    norm is scipy's RMS over all 11 N components, which no subclass can
-    replace, so it steps at rtol = atol = tol/sqrt(N): that RMS is at most
-    1 only if each drive's own norm at ``tol`` is, and rtol never falls
-    below ``TOL_FLOOR``.
+    Radau where dephasing makes the window stiff (``_window_method``),
+    calling the right-hand side, with the exact Jacobian from the same
+    operators: one drive's generator, or a batch's ``_block_jacobian``.
+    Radau's norm is scipy's RMS over all 11 N components, which no
+    subclass can replace, so it steps at rtol = atol = tol/sqrt(N): that
+    RMS is at most 1 only if each drive's own norm at ``tol`` is, and rtol
+    never falls below ``TOL_FLOOR``.
     Drift beyond 100*tol at the start or at the end, a right-hand side that
     is not finite at the start, a failed step, or a step beyond
     ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends (StepBudgetError)
@@ -707,26 +701,24 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
     """
     n = y0.shape[1]
-    r0, rd, rp = _real_generator(drive, decay)
+    parts = _real_generator(drive, decay)
 
     def times(tau):
         return drive.t0 + drive.sigma * tau
 
-    coef, p = _pulse_coefficients(drive, deph, n)
+    by_power, p = _pulse_coefficients(drive, deph, n)
     if n == 1:
-        # one drive: its (11, 11) generator is gen @ e**p, the three rows
-        # of C folded into the parts once here, and applies by np.dot.  In
-        # DOP853's stage loop a 160-step window takes 3.9 ms this way and
-        # 5.9 ms through the rows of a batch (2-core x86-64 VM, one
-        # thread).  A call of rhs, which builds the solver and which Radau
-        # makes at each step, takes 1.6 us this way and 2.7 us by the rows.
-        at = _pulse_rows(sum(part.reshape(-1, 1) * c for part, c in
-                             zip((r0, rd, rp), coef)), p, r0.shape)
+        # one drive: its operator is its (11, 11) generator, the parts
+        # folded with its coefficients once here, applied by np.dot and
+        # Radau's dense Jacobian.  In DOP853's stage loop a 160-step window
+        # takes 6.2 ms this way and 9.1 ms through the rows of a batch, and
+        # a call of rhs 4.4 against 5.9 us (2-core x86-64 VM, one thread).
+        at = _pulse_rows(by_power @ parts.reshape(3, -1), p, parts.shape[1:])
         apply = np.dot
     else:
         # columns 9 and 10 of every part are 0: the integrals feed nothing
-        r = np.hstack((r0[:, :9], rd[:, :9], rp[:, :9]))
-        at = _pulse_rows(coef, p, (3, 1, n))
+        r = np.hstack(parts[:, :, :9])
+        at = _pulse_rows(by_power, p, (3, 1, n))
         # apply scales the 9 coordinates of rho in Y by each coefficient
         # row into this (3, 9, N) stack in one broadcast multiply, so that
         # one (11, 27) product applies the generator: fewer passes over the
@@ -746,7 +738,7 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
         return out
 
     tau0, tau1 = tau_span
-    method = _window_method(drive, deph, rp, tau_span)
+    method = _window_method(drive, deph, tau_span)
     cap, y = 100.0 * tol, y0.ravel()
     rtol = tol if method is DOP853 else max(tol / math.sqrt(n), TOL_FLOOR)
     where = f"{method.__name__} window"
@@ -759,8 +751,11 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     # Each step is capped at 1/40 of the span (sigma/4 in a pulse window).
     # The cap binds only on the rising edge of a pulse, where the drive is
     # still weak and the solver would step up to sigma/2.
-    options = ({"jac": _block_jacobian(drive, deph, r0, rd, rp, n)}
-               if method is Radau else {"operators": at, "apply": apply})
+    if method is DOP853:
+        options = {"operators": at, "apply": apply}
+    else:  # one drive's operator, its generator, is its own Jacobian
+        options = {"jac": _block_jacobian(parts, at, n) if n > 1
+                   else lambda tau, y: at(tau)}
     solver = method(rhs, tau0, y, tau1, max_step=(tau1 - tau0) / 40.0,
                     rtol=rtol, atol=rtol, **options)
     t, y = times(tau0), y0
@@ -944,8 +939,7 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     span = (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH)
     chunk = max(1, int((tol / TOL_FLOOR) ** 2) // block) * block
     with np.errstate(over="ignore", invalid="ignore"):
-        if chunk < n and _window_method(drive, deph, _real_generator(
-                drive, decay)[2], span) is not Radau:
+        if chunk < n and _window_method(drive, deph, span) is not Radau:
             chunk = n  # DOP853 steps each drive at rtol tol whatever N
     for first in range(0, n, chunk):
         part = slice(first, first + chunk)
@@ -979,7 +973,13 @@ def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray
 
 def export_trajectory_csv(traj: Trajectory, decay: DecayRates, path,
                           params: dict | None = None) -> None:
-    """Write the trajectory as CSV with the resolved parameters in the header."""
+    """Write the trajectory as CSV with the resolved parameters in the header.
+
+    Values are written at 13 significant digits.  DOP853's step-size
+    control magnifies rounding about 10^7-fold into the pulse-window rows
+    and their times, so these are byte-reproducible on one numpy/BLAS
+    build only: another may change them from about the 9th digit.
+    """
     header = "t,rho_gg,rho_xx,rho_bb,re_gb,im_gb,p_x,p_b"
     if params is not None:
         header = "# " + json.dumps(params, sort_keys=True) + "\n" + header

@@ -406,8 +406,26 @@ def test_window_method_bounds_the_explicit_steps():
     for limit, method in ((0.99 * steps, "Radau"), (1.01 * steps, "DOP853")):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_RADAU_STEPS", limit)
-            chosen = dynamics._window_method(drive, deph, rp, (-5.0, 5.0))
+            chosen = dynamics._window_method(drive, deph, (-5.0, 5.0))
         assert chosen.__name__ == method
+
+
+@pytest.mark.parametrize("drive, decay", [
+    (PulseDrive(omega0=1.3, sigma=4.0, delta_x=3.5, delta_b=0.1),
+     DecayRates(0.004, 0.002)),
+    (PulseDrive(omega0=0.2, sigma=12.0, delta_x=-0.7, delta_b=2.0),
+     NO_DECAY),
+    (ConstantDrive(omega0=5.0, delta_x=0.0, delta_b=0.0),
+     DecayRates(0.5, 0.0)),
+])
+def test_dephasing_part_is_one_diagonal(drive, decay):
+    # _window_method bounds the dephasing eigenvalues by _RP_MAX, taken
+    # once: rp is diagonal, the same whatever the drive and decay, with
+    # entries 0 (populations and integrals), -1 (g-b) and -5/2 (g-x, x-b)
+    rp = _real_generator(drive, decay)[2]
+    assert np.array_equal(rp, np.diag(np.diag(rp)))
+    assert sorted(set(np.diag(rp))) == [-2.5, -1.0, 0.0]
+    assert dynamics._RP_MAX == np.abs(rp).max() == 2.5
 
 
 def test_forced_radau_matches_dop853(monkeypatch, window_methods):
@@ -457,9 +475,8 @@ def test_window_method_needs_no_numpy_trapezoid(monkeypatch):
     monkeypatch.delattr(np, "trapezoid", raising=False)
     drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 1.5e-4)]),
                        sigma=1.5e-4, delta_x=3.5)
-    rp = _real_generator(drive, DecayRates(0.004, 0.002))[2]
     chosen = dynamics._window_method(
-        drive, DephasingModel(0.01, 0.0349, 2), rp, (-5.0, 5.0))
+        drive, DephasingModel(0.01, 0.0349, 2), (-5.0, 5.0))
     assert chosen.__name__ == "Radau"
 
 
@@ -793,9 +810,10 @@ def test_block_jacobian_applies_lindblad_rhs():
                        t0=np.array([0.0, -3.0, 2.0]), delta_x=3.5,
                        delta_b=0.1)
     gamma_i0, decay = np.array([0.0, 0.0349, 0.1]), DecayRates(0.004, 0.002)
-    jac = dynamics._block_jacobian(
-        drive, DephasingModel(0.01, gamma_i0, 2),
-        *_real_generator(drive, decay), 3)(0.7, None)
+    rows = dynamics._pulse_rows(*dynamics._pulse_coefficients(
+        drive, DephasingModel(0.01, gamma_i0, 2), 3), (3, 3))
+    jac = dynamics._block_jacobian(_real_generator(drive, decay), rows,
+                                   3)(0.7, None)
     assert jac.nnz == 121 * 3
     y = np.random.default_rng(5).normal(size=(11, 3))
     dy = (jac @ y.ravel()).reshape(11, 3)
@@ -811,6 +829,49 @@ def test_block_jacobian_applies_lindblad_rhs():
                       - ref).max() < 1e-12
         assert np.abs(dy[9:, i] - one.sigma * rho[[X, B], [X, B]]).max() \
             < 1e-12
+
+
+def _radau_window(monkeypatch, window):
+    """(fun, jac, N): the right-hand side and Jacobian ``_window_steps``
+    hands Radau for ``window`` of N drives, with Radau forced as
+    ``rows_overflow_past_half`` forces it."""
+    monkeypatch.setattr(dynamics, "_RADAU_STEPS", 0.0)
+    monkeypatch.setattr(dynamics, "_RADAU_MIN_STEPS", 0.0)
+    captured = []
+
+    class Capture:
+        def __init__(self, fun, *args, jac=None, **options):
+            captured.append((fun, jac))
+            self.status = "finished"
+
+    monkeypatch.setattr(dynamics, "Radau", Capture)
+    drive, deph, decay = window()
+    n = np.size(drive.omega0)
+    y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
+    list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), 1e-8))
+    (fun, jac), = captured
+    return fun, jac, n
+
+
+@pytest.mark.parametrize("window", [_one_drive, _mixed_batch],
+                         ids=["one-drive", "mixed-batch"])
+def test_radau_jacobian_is_the_derivative_of_its_rhs(monkeypatch, window):
+    # the right-hand side is linear in the state, so Radau's Jacobian at
+    # pulse time tau applied to any y is the right-hand side there: one
+    # drive's is its dense (11, 11) generator, a batch's the block-diagonal
+    # CSC matrix of 121 entries per drive
+    fun, jac, n = _radau_window(monkeypatch, window)
+    y = np.random.default_rng(11).normal(size=11 * n)
+    for tau in (-5.0, -0.3, 0.0, 1.7, 5.0):
+        J = jac(tau, y)
+        if n == 1:
+            assert isinstance(J, np.ndarray) and J.shape == (11, 11)
+        else:
+            assert J.format == "csc" and J.nnz == 121 * n
+        ref = fun(tau, y)
+        assert np.isfinite(ref).all()
+        assert (_per_drive(J @ y - ref, n)
+                <= 1e-13 * _per_drive(ref, n)).all()
 
 
 @pytest.mark.parametrize("drive, deph, t_span", [
