@@ -21,8 +21,8 @@ amplitudes; its ``sigma`` and ``t0``, and the fields of its
 stepper (``_window_steps``: DOP853 with an error norm per drive, whose
 step forms the operators of all its stages in one product, sums each
 stage in one product over [y; K] and ends in one product for y_new and the
-error estimates, taking scipy's steps up to rounding, or Radau for a
-window made stiff by dephasing) steps it
+error estimates, taking scipy's steps up to rounding, with no dense
+output, or Radau for a window made stiff by dephasing) steps it
 as one (11, N) system in pulse time tau = (t - t0) / sigma, over the
 window |tau| <= ``PULSE_HALF_WIDTH`` that every drive shares whatever its
 sigma: ``emission_after_pulse`` over the pulse windows of a batch, adding
@@ -75,18 +75,19 @@ _DUAL = _BASIS / np.einsum("kij,kji->k", _BASIS, _BASIS).real[:, None, None]
 _MAX_WINDOW_STEPS = 100_000
 # DOP853 steps that dephasing alone forces (``_window_method``) above which
 # Radau steps a window of N drives: max(_RADAU_MIN_STEPS,
-# _RADAU_STEPS * N^0.4).  Measured crossover of one ``emission_after_pulse``
-# batch, DOP853 with its per-drive norm at rtol tol against Radau at
-# tol/sqrt(N), sigma 1e-2 to 2.2e-4, areas 5-20 (20 for one drive),
-# gamma_i0 0.0349, delta_x 3.5, tol 1e-8 (2-core x86-64 VM, one thread):
-# ~1,500 steps for 48 drives and ~3,100 for 288, which the rule gives
-# (1,694 and 3,478) within 13 %, and ~800 for one drive: at sigma 3.8e-3
-# (estimate 477) DOP853 takes 0.041 s where Radau takes 0.057 s, and at
-# 2e-3 (estimate 907) both take ~0.06 s.  Where dephasing sets the step,
-# stability and not the norm limits DOP853, so these are the crossovers of
-# the RMS norm at tol/sqrt(N) too.  At 12,000 Radau takes 0.08 s for one
-# drive where DOP853 takes 0.86 s, and at sigma 5e-4 (estimate 3,628)
-# 0.08 s where DOP853 takes 0.27 s.
+# _RADAU_STEPS * N^0.4).  Both were fitted, before DOP853 formed its own
+# stage sums, to the crossover of one ``emission_after_pulse`` batch,
+# DOP853 with its per-drive norm at rtol tol against Radau at tol/sqrt(N):
+# then ~800 steps for one drive, ~1,500 for 48 and ~3,100 for 288 drives.
+# Now (sigma 3.8e-3 to 1.5e-4, areas 5-20, 20 for one drive, gamma_i0
+# 0.0349, delta_x 3.5, tol 1e-8; medians of 3-5 alternating runs, 2-core
+# x86-64 VM, one thread) it is ~2,000 for one drive and 3,600-6,000 for 48
+# and 288.  One drive, DOP853 against Radau: estimate 477 (sigma 3.8e-3)
+# 0.025 against 0.070 s, 907 (2e-3) 0.040 against 0.074 s, 1,814 (1e-3)
+# 0.073 against 0.080 s, 3,628 (5e-4) 0.13-0.15 against 0.08 s, 12,000
+# (1.5e-4) 0.45 against 0.15 s.  Where dephasing sets the step, stability
+# and not the norm limits DOP853, so these are the crossovers of the RMS
+# norm at tol/sqrt(N) too.
 _RADAU_STEPS = 360.0
 _RADAU_MIN_STEPS = 800.0
 # Real stability limit of DOP853: h |lambda| <= 6.39 for a real negative
@@ -402,15 +403,14 @@ class DOP853(scipy.integrate.DOP853):
     views.  Each attempted step forms its 12 operators in one call, at
     tau + c h for the stages c = C[1:] and for its end, c = 1.  Then it
     runs the stage recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into
-    scipy's ``K`` and takes the derivative at its end, counting 12
-    evaluations in ``nfev``.  Each stage sum is one product of the weights
-    (1, h A[s, :s]) with the rows [y; K[:s]] of one work array that holds
-    y and then scipy's ``K_extended``, whose first 13 rows are ``K``;
-    scipy's dense output reads its stages there.  The step's end is one
-    product too: the weights (1, h B) give y_new and scipy's E5 and E3 the
-    two error estimates, exactly as from all 13 stages, since E5 and E3
-    weight K[12], the derivative at the end, by 0.  Every view of the
-    work array a step reads or writes is made once, here.
+    ``K`` and takes the derivative at its end, counting 12 evaluations in
+    ``nfev``.  Each stage sum is one product of the weights
+    (1, h A[s, :s]) with the rows [y; K[:s]] of one work array [y; K].
+    The step's end is one product too: the weights (1, h B) give y_new and
+    scipy's E5 and E3 the two error estimates, exactly as from all 13
+    stages, since E5 and E3 weight K[12], the derivative at the end, by 0.
+    Every view of the work array a step reads or writes is made once,
+    here.
 
     These sums round differently from scipy's ``rk_step``, which adds y
     after the weighted stages, so a step from the same state agrees with
@@ -422,14 +422,13 @@ class DOP853(scipy.integrate.DOP853):
     scipy's are the tableau, the step-size constants ``SAFETY``,
     ``MIN_FACTOR`` and ``MAX_FACTOR``, the control law of
     ``RungeKutta._step_impl``, which ``_step_impl`` runs on Python floats,
-    the initial step (two calls of ``fun``), the dense output and the
-    status.  The scale atol + rtol max(|y|, |y_new|) reuses |y| from the
-    step that accepted y.  A solver made without ``operators`` estimates
-    error norms but cannot step.
+    the initial step (two calls of ``fun``) and the status.  The scale
+    atol + rtol max(|y|, |y_new|) reuses |y| from the step that accepted
+    y.  The solver has no dense output (``dense_output()`` raises): a
+    window is read at its accepted steps.  A solver made without
+    ``operators`` estimates error norms but cannot step.
     """
 
-    # scipy's error estimates E5 K and E3 K, for ``_estimate_error_norm``
-    _E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
     # in units of h, per stage 1 .. 11 and then the step's end: the weights
     # of K[0] .. K[11] in its sum (A[s], then B), and its pulse time
     _BY_H = np.column_stack((
@@ -451,12 +450,11 @@ class DOP853(scipy.integrate.DOP853):
         self._rtol, self._atol = float(self.rtol), float(self.atol)
         self._abs_y = np.abs(self.y)
         m = self.n_stages
-        # the step's work array W: y in row 0, then scipy's K_extended,
-        # whose first 13 rows are K
-        W = np.empty((1 + len(self.K_extended), self.n))
-        self.K_extended = W[1:]
-        self.K = self.K_extended[:m + 1]
-        self._W = W
+        # the step's work array W: y in row 0, then the 13 rows of K; no
+        # dense output reads the stages scipy's K_extended would add
+        del self.K_extended
+        W = np.empty((1 + len(self.K), self.n))
+        self.K, self._W = W[1:], W
         # the weights of W[:13] = [y; K[:12]]: (1, h A[s, :s]) per stage
         # s = 1 .. 11, then those of the step's end, (1, h B) for y_new and
         # (0, E5[:12]) and (0, E3[:12]) for the error estimates, exact as E5
@@ -465,7 +463,7 @@ class DOP853(scipy.integrate.DOP853):
         # each step's; the 1s, the 0s and the E rows stay.
         sums = np.ones((m + 2, m + 2))
         sums[m:, 0] = 0.0
-        sums[m:, 1:-1] = self._E[:, :m]
+        sums[m:, 1:-1] = self.E5[:m], self.E3[:m]
         self._by_h, self._h_times = sums[:m, 1:], sums[:m, -1]
         # the step's end: y_new in row 0, then the error estimates
         ends = np.empty((3, self.n))
@@ -506,10 +504,6 @@ class DOP853(scipy.integrate.DOP853):
         np.divide(e5, denom, out=denom)
         denom *= e5
         return abs(h) * math.sqrt(denom.max() / _N_STATE)
-
-    def _estimate_error_norm(self, K, h, scale):
-        # scipy's hook, which its own RungeKutta._step_impl calls
-        return self._error_norm(self._E @ K, h, scale)
 
     def _rk_step(self, t, y, h):
         """(y_new, f_new) of scipy's ``rk_step(self.fun, t, y, self.f, h,
@@ -680,12 +674,13 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     the coefficient rows of a batch) and the function that applies one to
     (11, N) views of its work array, both handed to it here.  It forms its
     stage sums, error estimates and scale itself; scipy's are its tableau,
-    its step-size constants and control law, which it runs on floats, its
-    initial step and its dense output.  So it steps as scipy's DOP853
-    would with this right-hand side, up to rounding.  Or the method is
-    Radau where dephasing makes the window stiff (``_window_method``),
-    calling the right-hand side, with the exact Jacobian from the same
-    operators: one drive's generator, or a batch's ``_block_jacobian``.
+    its step-size constants and control law, which it runs on floats, and
+    its initial step.  So it steps as scipy's DOP853 would with this
+    right-hand side, up to rounding; it has no dense output, so the window
+    is read at its accepted steps.  Or the method is Radau where dephasing
+    makes the window stiff (``_window_method``), calling the right-hand
+    side, with the exact Jacobian from the same operators: one drive's
+    generator, or a batch's ``_block_jacobian``.
     Radau's norm is scipy's RMS over all 11 N components, which no
     subclass can replace, so it steps at rtol = atol = tol/sqrt(N): that
     RMS is at most 1 only if each drive's own norm at ``tol`` is, and rtol

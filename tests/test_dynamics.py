@@ -480,9 +480,13 @@ def test_window_method_needs_no_numpy_trapezoid(monkeypatch):
     assert chosen.__name__ == "Radau"
 
 
+# scipy's DOP853 error estimates E5 K and E3 K, stacked
+_E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
+
+
 def _error_norm_inputs(n: int, seed: int):
     """A DOP853 solver of n drives and random (K, h, scale) for its error
-    norm: K holds the 13 stages of the 11 n components."""
+    norm of (E5 K, E3 K): K holds the 13 stages of the 11 n components."""
     rng = np.random.default_rng(seed)
     solver = dynamics.DOP853(lambda t, y: -y, 0.0, np.ones(11 * n), 1.0)
     return (solver, rng.normal(size=(13, 11 * n)), 0.37,
@@ -493,7 +497,7 @@ def test_dop853_error_norm_is_scipys_for_one_drive():
     # the same formula as scipy's, with sums of squares for its squared
     # np.linalg.norm: equal to rounding
     solver, K, h, scale = _error_norm_inputs(1, 3)
-    assert solver._estimate_error_norm(K, h, scale) == pytest.approx(
+    assert solver._error_norm(_E @ K, h, scale) == pytest.approx(
         scipy.integrate.DOP853._estimate_error_norm(solver, K, h, scale),
         rel=1e-14, abs=0.0)
 
@@ -503,15 +507,15 @@ def test_dop853_error_norm_is_the_largest_drive_norm():
     solver, K, h, scale = _error_norm_inputs(5, 4)
     alone = [scipy.integrate.DOP853._estimate_error_norm(
         solver, K[:, n::5], h, scale[n::5]) for n in range(5)]
-    assert solver._estimate_error_norm(K, h, scale) == pytest.approx(
+    assert solver._error_norm(_E @ K, h, scale) == pytest.approx(
         max(alone), rel=1e-14, abs=0.0)
     # a drive with no error reads 0 and leaves the other drive's norm
     solver, K, h, scale = _error_norm_inputs(2, 5)
     K[:, 0::2] = 0.0
-    assert solver._estimate_error_norm(K, h, scale) == pytest.approx(
+    assert solver._error_norm(_E @ K, h, scale) == pytest.approx(
         scipy.integrate.DOP853._estimate_error_norm(
             solver, K[:, 1::2], h, scale[1::2]), rel=1e-14, abs=0.0)
-    assert solver._estimate_error_norm(0.0 * K, h, scale) == 0.0
+    assert solver._error_norm(_E @ (0.0 * K), h, scale) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -519,7 +523,7 @@ def test_dop853_error_norm_rejects_a_non_finite_drive(bad):
     solver, K, h, scale = _error_norm_inputs(5, 6)
     K[:, 2] = bad  # component 0 of drive 2
     with np.errstate(invalid="ignore"):  # as ``_window_steps`` is iterated
-        assert not solver._estimate_error_norm(K, h, scale) < 1.0
+        assert not solver._error_norm(_E @ K, h, scale) < 1.0
 
 
 def test_dop853_steps_a_batch_through_its_error_norm(monkeypatch):
@@ -549,7 +553,7 @@ class _Scripted(dynamics.DOP853):
     def __init__(self, norms, t0, t_bound, first_step):
         super().__init__(lambda t, y: -y, t0, np.ones(11), t_bound,
                          first_step=first_step, max_step=1.0)
-        self.K_extended[:] = 0.0
+        self.K[:] = 0.0
         self.norms, self.tried = iter(norms), 0
 
     def _rk_step(self, t, y, h):
@@ -558,6 +562,17 @@ class _Scripted(dynamics.DOP853):
     def _error_norm(self, err, h, scale):
         self.tried += 1
         return next(self.norms)
+
+
+class _ScipysStep:
+    """scipy's step, ``RungeKutta._step_impl``, in place of the solver's:
+    it calls ``rk_step`` and then scipy's error hook, which here reads
+    the solver's ``_error_norm`` of (E5 K, E3 K)."""
+
+    _step_impl = scipy.integrate.DOP853._step_impl
+
+    def _estimate_error_norm(self, K, h, scale):
+        return self._error_norm(_E @ K, h, scale)
 
 
 def _control_decisions(solver):
@@ -586,14 +601,14 @@ def _control_decisions(solver):
 def test_dop853_step_control_decides_as_scipys(monkeypatch, norms, t0,
                                                t_bound, first_step, status):
     # the step runs scipy's control law on floats: fed the same error norms
-    # (scipy's RungeKutta._step_impl reads them through the
-    # _estimate_error_norm hook), it takes the same steps to the same t,
-    # h_previous and next h_abs, bit for bit, and fails as scipy's does
+    # (scipy's RungeKutta._step_impl reads them through its error hook),
+    # it takes the same steps to the same t, h_previous and next h_abs, bit
+    # for bit, and fails as scipy's does
     monkeypatch.setattr(scipy.integrate._ivp.rk, "rk_step",
                         lambda fun, t, y, f, h, A, B, C, K: (y + h, f))
 
-    class Stock(_Scripted):
-        _step_impl = scipy.integrate.DOP853._step_impl
+    class Stock(_ScipysStep, _Scripted):
+        pass
 
     ours = _control_decisions(_Scripted(norms, t0, t_bound, first_step))
     theirs = _control_decisions(Stock(norms, t0, t_bound, first_step))
@@ -614,7 +629,7 @@ def test_dop853_error_estimates_come_from_the_end_product(monkeypatch):
     for _ in range(30):
         next(steps)
     solver._rk_step(solver.t, solver.y, 0.05)
-    ref = solver._E @ solver.K
+    ref = _E @ solver.K
     assert np.abs(solver._err - ref).max() <= 1e-13 * np.abs(solver.K).max()
     assert np.abs(ref).max() > 1e-6 * np.abs(solver.K).max()
 
@@ -740,8 +755,8 @@ def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
     resync = dynamics.DOP853(rhs, -5.0, y0.ravel(), 5.0,
                              operators=solver.operators, apply=solver.apply)
 
-    class Stock(dynamics.DOP853):
-        _step_impl = scipy.integrate.DOP853._step_impl
+    class Stock(_ScipysStep, dynamics.DOP853):
+        pass
 
     stock = Stock(rhs, -5.0, y0.ravel(), 5.0, max_step=0.25, rtol=tol,
                   atol=tol)
@@ -764,25 +779,16 @@ def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
     assert solver.nfev == stock.nfev > 12 * (len(taus) - 1)
 
 
-@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
-                         ids=["one-drive", "mixed-batch"])
-def test_dop853_dense_output_is_scipys(monkeypatch, window):
-    # scipy's dense output reads K_extended, which the stage loop keeps in
-    # its work array: after a window step it interpolates as a stock scipy
-    # DOP853 that takes the same step from the same state
-    tol = 1e-8
-    solver, rhs, y0, steps = _recorded_window(monkeypatch, window, tol)
-    n = y0.shape[1]
-    for _ in range(40):
+def test_dop853_has_no_dense_output(monkeypatch):
+    # a window is read at its accepted steps: its solver keeps no stages
+    # for scipy's interpolant, which fails loudly instead of reading stale
+    # rows
+    solver, rhs, y0, steps = _recorded_window(monkeypatch, _one_drive, 1e-8)
+    for _ in range(3):
         next(steps)
-    stock = scipy.integrate.DOP853(
-        rhs, solver.t_old, solver.y_old, 5.0, first_step=solver.h_previous,
-        max_step=0.25, rtol=tol, atol=tol)
-    stock.step()
-    assert stock.t == pytest.approx(solver.t, rel=0.0, abs=1e-15)
-    taus = np.linspace(solver.t_old, min(solver.t, stock.t), 7)
-    ours, ref = solver.dense_output()(taus), stock.dense_output()(taus)
-    assert (_per_drive(ours - ref, n) <= 1e-14 * _per_drive(ref, n)).all()
+    assert solver.t_old < solver.t
+    with pytest.raises(AttributeError, match="K_extended"):
+        solver.dense_output()
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -1,17 +1,16 @@
 """What ``dynamics.DOP853`` takes from scipy's private Runge-Kutta module.
 
-Its step runs scipy's step-size control law, that of
-``RungeKutta._step_impl``, with that module's step-size constants and the
-solver's error exponent, and its stage loop runs scipy's DOP853 tableau.
+Its step reads scipy's DOP853 tableau, the step-size constants
+``SAFETY``, ``MIN_FACTOR`` and ``MAX_FACTOR``, the solver's
+``error_exponent`` and the initial step that scipy's ``__init__`` takes.
 It takes the error estimates E5 K and E3 K from the product that ends the
 step, over the stages before the last, which holds only while E5 and E3
-weight the last stage by 0.  It keeps scipy's ``K_extended`` as rows of
-its own work array, with ``K`` a view of the first rows, where scipy's
-dense output reads them.  This module imports scipy only, so that a scipy
-release which moves or changes any of these fails here by name, even when
-``qdtimebin.dynamics`` no longer imports.
+weight the last stage by 0.  This module imports scipy only, so that a
+scipy release which moves or changes any of these fails here by name,
+even when ``qdtimebin.dynamics`` no longer imports.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -50,16 +49,33 @@ def test_dop853_tableau_has_the_shapes_the_stage_loop_reads():
     assert dop853.C[0] == 0.0  # stage 0 is the derivative at the start
 
 
-def test_dop853_keeps_its_stages_where_the_work_array_puts_them():
+def test_dop853_init_hands_the_step_what_it_reads():
+    # the step reads f = fun(t0, y0), a K of n_stages + 1 rows (its work
+    # array is [y; K]) and h_abs, max_step, rtol and atol as given
     dop853 = scipy.integrate.DOP853
-    solver = dop853(lambda t, y: -y, 0.0, np.ones(3), 1.0)
-    extended = getattr(solver, "K_extended", None)
-    assert extended is not None, "DOP853 no longer allocates K_extended"
-    assert extended.shape == (16, 3), \
-        f"K_extended has {extended.shape[0]} rows, not N_STAGES_EXTENDED = 16"
-    extended[:] = np.arange(16.0)[:, None]
-    assert solver.K.shape == (dop853.n_stages + 1, 3) and np.array_equal(
-        solver.K, extended[:dop853.n_stages + 1]) and np.shares_memory(
-        solver.K, extended), "K is no longer a view of K_extended's first rows"
-    assert dop853.A_EXTRA.shape == (3, 16), "A_EXTRA changed shape"
-    assert dop853.C_EXTRA.shape == (3,), "C_EXTRA changed shape"
+    y0 = np.array([1.0, -2.0, 3.0])
+    try:
+        solver = dop853(lambda t, y: -y, 0.5, y0, 4.0, first_step=0.1,
+                        max_step=0.25, rtol=1e-8, atol=1e-9)
+    except TypeError as exc:
+        raise AssertionError(
+            "DOP853 no longer takes first_step, max_step, rtol and atol: "
+            f"{exc}") from None
+    assert solver.h_abs == 0.1, "DOP853's h_abs is not first_step"
+    assert solver.max_step == 0.25, "DOP853's max_step is not as given"
+    assert solver.rtol == 1e-8 and solver.atol == 1e-9, \
+        "DOP853's rtol and atol are not as given"
+    f = getattr(solver, "f", None)
+    assert f is not None and np.array_equal(f, -y0), \
+        "DOP853.__init__ no longer sets f = fun(t0, y0)"
+    K = getattr(solver, "K", None)
+    assert K is not None and K.shape == (dop853.n_stages + 1, 3), \
+        "DOP853.__init__ no longer allocates K of n_stages + 1 rows"
+    # with no first_step, scipy picks it; the step clips it to max_step
+    # itself, so this case is one whose initial step lies under max_step
+    # whatever scipy's rule
+    solver = dop853(lambda t, y: -40.0 * y, 0.0, y0, 4.0, max_step=0.25,
+                    rtol=1e-8, atol=1e-8)
+    h_abs = float(solver.h_abs)
+    assert math.isfinite(h_abs) and 0.0 < h_abs <= 0.25, \
+        f"DOP853's initial step h_abs = {h_abs} is not in (0, max_step]"
