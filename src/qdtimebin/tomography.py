@@ -5,10 +5,10 @@ are held as the (n, 4) matrix of their kets and a count enters only through
 <k|rho|k>.  Poisson counts of the standard sixteen (per qubit: early, late,
 two superposition phases) are inverted by least squares, or fitted by
 maximum likelihood over the density matrices (``reconstruct_mle_many``):
-the datasets of one settings list are fitted as one stack, each by an
-accelerated projected gradient in rho until its rank settles, then by
-damped Newton steps on the face of that rank, and each stops on its own
-once its optimality gap certifies it.
+the datasets of one settings list are fitted as one stack, each by a few
+projected-gradient steps in rho, then by damped Newton steps on the face
+of the rank they reach, and each stops on its own once its optimality gap
+certifies it.
 """
 
 from __future__ import annotations
@@ -31,14 +31,9 @@ _MLE_TOL = 1e-7
 # this multiple of n_hat certifies too; it binds above ~7e6 counts.
 _MLE_GAP_ROUNDING = 64 * np.finfo(float).eps
 _MLE_MAX_ITER = 2000
-# Factor on a fit's curvature estimate after each accepted step, so that
-# its steps grow again after a backtrack.  Measured at ~500 counts (240
-# fits in stacks of 40): 144 passes per stack at 0.9, 164 at 0.8, 198 at
-# 0.6.
-_MLE_L_SHRINK = 0.9
-# Projected-gradient steps that lower the deviance at one rank, after which
-# a fit finishes with Newton steps on that rank's face.
-_MLE_RANK_HOLD = 5
+# Accepted projected-gradient steps, after which a fit goes on with Newton
+# steps on the face of its last step's rank.
+_MLE_PG_STEPS = 5
 # Each term c_k (d - log1p(d)), d = (mu_k - c_k) / c_k, of the deviance
 # rounds by ~eps |mu_k - c_k|: a Newton step that raises the deviance by at
 # most this multiple of sum_k |mu_k - c_k| is not a rise.  Without it, steps
@@ -112,11 +107,15 @@ class TomographyDataset:
     total_per_setting: float
 
     def __post_init__(self):
+        # a total_per_setting of 0 is a file without its n_mean header
+        # (``load_dataset``)
+        for name in ("counts", "total_per_setting"):
+            check_field(name, getattr(self, name),
+                        lambda v: np.isfinite(v) & (v >= 0),
+                        "finite and non-negative")
         self.counts = np.asarray(self.counts, dtype=float)
         if len(self.counts) != len(self.settings):
             raise ValueError("counts and settings lengths differ")
-        if not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
-            raise ValueError("counts must be finite and non-negative")
 
 
 def _setting_kets(settings: list[MeasurementSetting]) -> np.ndarray:
@@ -130,6 +129,8 @@ def _setting_kets(settings: list[MeasurementSetting]) -> np.ndarray:
 def expected_counts(rho: np.ndarray, settings: list[MeasurementSetting],
                     n_mean: float) -> np.ndarray:
     """Noise-free expected coincidences n_mean * <k|rho|k> per setting."""
+    check_field("n_mean", n_mean, lambda v: np.isfinite(v) & (v > 0),
+                "finite and positive")
     return n_mean * (_design(_setting_kets(settings)) @ rho.ravel()).real
 
 
@@ -143,8 +144,6 @@ def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
     every draw is ``np.random.default_rng(seed).poisson`` of one expected
     count vector.
     """
-    if n_mean <= 0:
-        raise ValueError("n_mean must be positive")
     mu = np.clip(expected_counts(rho, settings, n_mean), 0.0, None)
     many = np.ndim(seed) > 0
     datasets = [TomographyDataset(
@@ -222,7 +221,7 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
 class MleResult:
     rho: np.ndarray
     converged: bool  # the gap certifies the fit (reconstruct_mle_many)
-    n_iter: int  # accepted projected-gradient steps plus accepted Newton steps
+    n_iter: int  # projected-gradient and Newton steps taken, no retries
     log_likelihood: float
     deviance: float  # Poisson deviance of rho, ~0 at a perfect fit
     gap: float  # tr(G rho) - lambda_min(G), the most any state lowers D
@@ -309,67 +308,46 @@ class _Likelihood:
             _MLE_GAP_ROUNDING * self.n_hat[fits])
 
 
-def _apg(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
-         iters: np.ndarray):
-    """Accelerated projected-gradient steps from each ``rho`` until its
-    projected rank has held for ``_MLE_RANK_HOLD`` steps that lower D, or
-    ``iters`` reaches ``_MLE_MAX_ITER``; see ``reconstruct_mle_many``.
-    Returns the final (rho, iters) and, per fit, the rank of the face to
-    finish on with Newton steps, or 0 for a fit that is done: its gap
-    certifies, or it is out of steps."""
+def _pg(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
+        iters: np.ndarray):
+    """Projected-gradient steps from each ``rho``, ``_MLE_PG_STEPS`` of
+    them or until ``iters`` reaches ``_MLE_MAX_ITER``; see
+    ``reconstruct_mle_many``.  Returns the final (rho, iters) and the
+    projected rank of each fit's last step."""
     out_rho, out_iters = rho.copy(), iters.copy()
-    face = np.zeros(len(fits), dtype=int)
-    # the fits still running, one entry each: rho, the iterate before it
-    # (the momentum), the mean counts and deviance of rho, the momentum
-    # weight theta, the curvature estimate L, and the projected rank of rho
-    # and how many steps that lower D it has held
+    out_rank = np.zeros(len(fits), dtype=int)
+    # the fits still running, one entry each: rho, its mean counts and
+    # deviance, the curvature estimate L, the rank of the last step, and
+    # the steps taken
     at = np.arange(len(fits))
-    prev, rho, iters = rho.copy(), rho.copy(), iters.copy()
+    rho, iters = rho.copy(), iters.copy()
     mu = lik.means(rho, fits)
     dev = lik.deviance(mu, fits)
-    theta, lip = np.ones(len(fits)), lik.n_hat[fits].copy()
-    rank, hold = np.zeros(len(fits), dtype=int), np.zeros(len(fits), int)
+    lip = lik.n_hat[fits].copy()
+    rank, taken = np.zeros(len(fits), dtype=int), np.zeros(len(fits), int)
     while at.size:
-        # extrapolate, unless that leaves a setting with counts unexplained
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-        base = rho + ((theta - 1.0) / theta_next)[:, None, None] * (rho - prev)
-        mu_base = lik.means(base, fits)
-        lost = np.any((mu_base <= 0) & (lik.counts[fits] > 0), axis=1)
-        base[lost], mu_base[lost], theta_next[lost] = rho[lost], mu[lost], 1.0
-        grad = lik.gradient(mu_base, fits)
-        step, step_rank = _project_states(base - grad / lip[:, None, None])
-        delta = step - base
+        grad = lik.gradient(mu, fits)
+        step, step_rank = _project_states(rho - grad / lip[:, None, None])
+        delta = step - rho
         mu_step = lik.means(step, fits)
         dev_step = lik.deviance(mu_step, fits)
         # a step above the quadratic bound doubles L and is taken again
         ok = dev_step <= (
-            lik.deviance(mu_base, fits)
-            + _inner(grad, delta) + 0.5 * lip * _inner(delta, delta))
-        lip *= np.where(ok, _MLE_L_SHRINK, 2.0)
+            dev + _inner(grad, delta) + 0.5 * lip * _inner(delta, delta))
+        lip[~ok] *= 2.0
+        rho[ok], mu[ok], dev[ok] = step[ok], mu_step[ok], dev_step[ok]
+        rank[ok] = step_rank[ok]
         iters += ok
-        # a rise discards the step and restarts the momentum
-        move = ok & (dev_step <= dev)
-        theta[ok] = np.where(move[ok], theta_next[ok], 1.0)
-        prev[move], rho[move] = rho[move], step[move]
-        mu[move], dev[move] = mu_step[move], dev_step[move]
-        hold[move] = np.where(step_rank[move] == rank[move], hold[move] + 1, 1)
-        rank[move] = step_rank[move]
-        # a fit whose rank has held goes on with Newton steps unless its
-        # gap already certifies it
-        held = hold >= _MLE_RANK_HOLD
-        newton = held.copy()
-        if held.any():
-            newton[held] = ~lik.certified(rho[held], mu[held], dev[held],
-                                          fits[held])[2]
-        stop = held | (iters >= _MLE_MAX_ITER)
+        taken += ok
+        stop = (taken >= _MLE_PG_STEPS) | (iters >= _MLE_MAX_ITER)
         if stop.any():
             out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
-            face[at[stop]] = np.where(newton[stop], rank[stop], 0)
+            out_rank[at[stop]] = rank[stop]
             keep = ~stop
-            at, fits, rho, prev, mu, dev, theta, lip, rank, hold, iters = (
-                a[keep] for a in (at, fits, rho, prev, mu, dev, theta, lip,
-                                  rank, hold, iters))
-    return out_rho, out_iters, face
+            at, fits, rho, mu, dev, lip, rank, taken, iters = (
+                a[keep] for a in (at, fits, rho, mu, dev, lip, rank, taken,
+                                  iters))
+    return out_rho, out_iters, out_rank
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -433,22 +411,28 @@ def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
     mu = lik.means(rho, fits)
     dev = lik.deviance(mu, fits)
     grad, gap, done = lik.certified(rho, mu, dev, fits)
-    g, hess = _newton_system(lik, fits, t, rho, mu, grad)
+    g = np.zeros((len(fits), 8 * r))
+    hess = np.zeros((len(fits), 8 * r, 8 * r))
     damp = np.full(len(fits), _MLE_DAMPING[0])
     gap_prev = np.full(len(fits), np.inf)
     eye = np.eye(8 * r)
-    # a fit that already certifies takes no step
-    stop = done.copy()
+    # a fit that already certifies takes no step; the Newton system is
+    # built for the fits that moved and go on
+    stop, moved = done, ~done
     while True:
         if stop.any():
             out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
             certified[at[stop]] = done[stop]
             keep = ~stop
-            at, fits, t, rho, mu, dev, gap, gap_prev, g, hess, damp, iters = (
-                a[keep] for a in (at, fits, t, rho, mu, dev, gap, gap_prev, g,
-                                  hess, damp, iters))
+            (at, fits, t, rho, mu, dev, grad, gap, gap_prev, g, hess, damp,
+             iters, moved) = (
+                a[keep] for a in (at, fits, t, rho, mu, dev, grad, gap,
+                                  gap_prev, g, hess, damp, iters, moved))
         if not at.size:
             return out_rho, out_iters, certified
+        if moved.any():
+            g[moved], hess[moved] = _newton_system(
+                lik, fits[moved], t[moved], rho[moved], mu[moved], grad[moved])
         scale = np.max(np.diagonal(hess, axis1=1, axis2=2), axis=1)
         step = np.linalg.solve(
             hess + (damp * scale)[:, None, None] * eye, -g[:, :, None])[:, :, 0]
@@ -469,14 +453,10 @@ def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
             # a stall: the gap is not below the larger of the two before it
             gap_old = np.maximum(gap[ok], gap_prev[ok])
             gap_prev[ok] = gap[ok]
-            grad, gap[ok], done[ok] = lik.certified(rho[ok], mu[ok], dev[ok],
-                                                    fits[ok])
+            grad[ok], gap[ok], done[ok] = lik.certified(
+                rho[ok], mu[ok], dev[ok], fits[ok])
             stop[ok] = done[ok] | (gap[ok] >= gap_old)
-            go = ~stop[ok]
-            on = np.flatnonzero(ok)[go]
-            if on.size:
-                g[on], hess[on] = _newton_system(lik, fits[on], t[on],
-                                                 rho[on], mu[on], grad[go])
+        moved = ok & ~stop
 
 
 def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
@@ -490,31 +470,28 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     below rho, and every fit stops once that certified gap is at most
     ``_MLE_TOL`` * max(D, 1), or within ``_MLE_GAP_ROUNDING`` * n_hat, its
     own rounding; it is then ``converged``.  Each fit starts
-    with an accelerated projected gradient in rho over the density
-    matrices (Shang, Zhang and Ng, PRA 95, 062336 (2017)) and finishes with
-    Newton steps on the face of fixed rank its iterates reach (Absil,
-    Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
-    2008):
+    with a projected gradient in rho over the density matrices, which
+    finds the face of the optimum, and finishes with Newton steps on that
+    face of fixed rank (Absil, Mahony and Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008):
 
     - Start: the linear inversion of every dataset, one least-squares
       solve with a right-hand side per dataset, projected onto the density
       matrices; a projection of rank below 4 is mixed with 1e-8 of I/4, so
       that mu_k > 0 everywhere.  A start that certifies (at high counts the
       inversion is often physical, and then exact) takes no step.
-    - Projected gradient: a Nesterov extrapolation from the last two
-      iterates, a step along -G / L from there, and the projection of the
-      result: one batched eigendecomposition, with the eigenvalues
-      projected onto the probability simplex.  Projection reaches faces of
-      lower rank exactly.  Each fit keeps its own curvature estimate L: a
-      step above the quadratic bound D(base) + tr(G d) + L |d|^2 / 2
-      doubles L and is taken again, and an accepted step shrinks L by
-      ``_MLE_L_SHRINK``.  The momentum restarts when the extrapolated
-      point has mu_k <= 0 on a setting with counts (the step is taken from
-      the last iterate), and when an accepted step raises D, which
-      discards it.
-    - Newton: once the projected rank r has held for ``_MLE_RANK_HOLD``
-      steps that lower D, a fit that does not certify takes damped Newton
-      steps in a factor T of its top r eigenpairs, rho = T T^dag / |T|^2
+    - Projected gradient: a step from rho along -G / L, and the
+      projection of the result: one batched eigendecomposition, with the
+      eigenvalues projected onto the probability simplex.  Projection
+      reaches faces of lower rank exactly.  Each fit keeps its own
+      curvature estimate L, from n_hat up: a step above the quadratic
+      bound D(rho) + tr(G d) + L |d|^2 / 2 doubles L and is taken again.
+      A step within the bound lowers D by at least L |d|^2 / 2, so every
+      step is kept.
+    - Newton: after ``_MLE_PG_STEPS`` projected-gradient steps, a fit
+      goes to the face of the rank r of its last one.  A fit whose gap
+      certifies there takes no step; the others take damped Newton steps
+      in a factor T of its top r eigenpairs, rho = T T^dag / |T|^2
       (``_newton_system``).  Each fit keeps its own Levenberg-Marquardt
       damping, relative to its Hessian's largest diagonal entry: x0.1
       after a step that does not raise D beyond its rounding
@@ -527,8 +504,8 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
       ``_MLE_DAMPING[1]``.
     - Stop: on the certified gap, or after ``_MLE_MAX_ITER`` steps.
       ``n_iter`` counts the projected-gradient steps within the quadratic
-      bound, a discarded rise included but not a retry after a backtrack,
-      and the Newton steps that are not discarded.
+      bound, not a retry after a backtrack, and the Newton steps that are
+      not discarded.
 
     Every product is taken per fit and the Newton fits are grouped by r,
     so each result is the one its dataset gets alone.
@@ -555,11 +532,13 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     mu = lik.means(rho, every)
     running = every[~lik.certified(rho, mu, lik.deviance(mu, every), every)[2]]
     while running.size:
-        rho[running], n_iter[running], face = _apg(
+        rho[running], n_iter[running], rank = _pg(
             lik, running, rho[running], n_iter[running])
+        # a fit out of steps takes no Newton step
+        rank[n_iter[running] >= _MLE_MAX_ITER] = 0
         back = [running[:0]]
-        for r in np.unique(face[face > 0]):
-            fits = running[face == r]
+        for r in np.unique(rank[rank > 0]):
+            fits = running[rank == r]
             rho[fits], n_iter[fits], certified = _newton(
                 lik, fits, rho[fits], n_iter[fits], r)
             back.append(fits[~certified])
@@ -571,9 +550,9 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     mu = lik.means(rho, every)
     dev = lik.deviance(mu, every)
     _, gap, converged = lik.certified(rho, mu, dev, every)
-    seen = counts > 0
-    log_lik = np.sum(np.where(seen, counts * np.log(
-        mu, out=np.zeros_like(mu), where=seen), 0.0) - mu, axis=1)
+    # log L = sum_k c_k log mu_k - mu_k = -D + sum_k c_k log c_k - c_k
+    log_lik = np.sum(counts * np.log(counts, out=np.zeros_like(counts),
+                                     where=counts > 0) - counts, axis=1) - dev
     return [MleResult(rho=rho[s], converged=bool(converged[s]),
                       n_iter=int(n_iter[s]), log_likelihood=float(log_lik[s]),
                       deviance=float(dev[s]), gap=float(gap[s]))
@@ -584,7 +563,7 @@ def reconstruct_mle(data: TomographyDataset) -> MleResult:
     """Maximum-likelihood density matrix from Poisson counts: the fit of
     ``reconstruct_mle_many`` on one dataset, which stops once its certified
     optimality gap is at most 1e-7 of max(deviance, 1); ``n_iter`` counts
-    its accepted projected-gradient and Newton steps."""
+    the projected-gradient and Newton steps it takes."""
     return reconstruct_mle_many([data])[0]
 
 

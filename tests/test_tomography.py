@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,7 @@ def _gap_regimes():
     over = settings + [MeasurementSetting(Projector("S", 1.0),
                                           Projector("S", 2.0))]
     rho17 = model_state(TimeBinModelParams(phi_p=0.3, epsilon=0.1, v_coh=0.8))
+    rank2 = model_state(TimeBinModelParams(v_coh=0.8))
     return [
         ("tomo ~510", _tomo_low_counts(), 1e-6),
         ("tomo 1e5", simulate_counts(model, settings, 1e5, list(range(40))),
@@ -361,6 +364,10 @@ def _gap_regimes():
                                        list(range(10))), 1e-4),
         ("mixed at 20", simulate_counts(np.eye(4) / 4.0, settings, 20.0,
                                         list(range(10))), 1e-6),
+        ("rank-2 at 50", simulate_counts(rank2, settings, 50.0,
+                                         list(range(10))), 1e-6),
+        ("rank-2 at 500", simulate_counts(rank2, settings, 500.0,
+                                          list(range(10))), 1e-6),
         ("low-count rows", [TomographyDataset(
             settings=settings, counts=np.array(c, dtype=float),
             total_per_setting=500.0) for c in LOW_COUNT_ROWS], 1e-6),
@@ -391,9 +398,9 @@ def test_mle_certifies_its_gap():
 
 
 def test_mle_leaves_a_wrong_face(monkeypatch):
-    # a rank that has held for one step sends a fit to Newton steps on a
-    # face that is not the optimum's: it goes back to the projected
-    # gradient, and still ends within 1e-9 of the reference deviance
+    # one projected-gradient step sends a fit to Newton steps on a face
+    # that is not the optimum's: it goes back to the projected gradient,
+    # and still ends within 1e-9 of the reference deviance
     from qdtimebin import tomography
 
     datasets = _tomo_low_counts()
@@ -406,7 +413,7 @@ def test_mle_leaves_a_wrong_face(monkeypatch):
         return out
 
     monkeypatch.setattr(tomography, "_newton", spy)
-    monkeypatch.setattr(tomography, "_MLE_RANK_HOLD", 1)
+    monkeypatch.setattr(tomography, "_MLE_PG_STEPS", 1)
     for data, ref, res in zip(datasets, reference,
                               reconstruct_mle_many(datasets)):
         assert res.converged
@@ -415,6 +422,25 @@ def test_mle_leaves_a_wrong_face(monkeypatch):
             res.deviance, 1.0)
     assert sum(n for _, n, _ in faces) >= len(datasets)
     assert sum(back for _, _, back in faces) > 0
+
+
+def test_mle_hands_off_a_fit_whose_rank_flips(monkeypatch):
+    # a projected rank reported one higher (at most 4) on every other
+    # projection must not keep a fit from its Newton steps: each fit
+    # still certifies, far below the cap on its steps
+    from qdtimebin import tomography
+
+    project, calls = tomography._project_states, []
+
+    def flip(y):
+        rho, rank = project(y)
+        calls.append(None)
+        return rho, np.minimum(rank + len(calls) % 2, 4)
+
+    monkeypatch.setattr(tomography, "_project_states", flip)
+    for res in reconstruct_mle_many(_tomo_low_counts()):
+        assert res.converged
+        assert res.n_iter <= 50
 
 
 def test_mle_output_always_physical():
@@ -474,3 +500,55 @@ def test_dataset_validation_and_io(tmp_path):
     assert np.array_equal(back.counts, data.counts)
     assert back.total_per_setting == data.total_per_setting
     assert back.settings == data.settings
+    # a file without its n_mean header loads with a count scale of 0
+    path.write_text("".join(path.read_text().splitlines(True)[1:]))
+    assert load_dataset(path).total_per_setting == 0.0
+
+
+def _simulate(n_mean):
+    return simulate_counts(ideal_state(0.0), standard_settings(), n_mean, 1)
+
+
+def _dataset(counts=None, total=10.0):
+    return TomographyDataset(
+        settings=standard_settings(),
+        counts=np.ones(16) if counts is None else counts,
+        total_per_setting=total)
+
+
+@pytest.mark.parametrize("field, make", [
+    ("n_mean", lambda: _simulate(True)),
+    ("n_mean", lambda: _simulate(np.nan)),
+    ("n_mean", lambda: _simulate(np.inf)),
+    ("n_mean", lambda: _simulate(0.0)),
+    ("n_mean", lambda: expected_counts(ideal_state(0.0), standard_settings(),
+                                       np.nan)),
+    ("counts", lambda: _dataset(counts=np.ones(16, dtype=bool))),
+    ("counts", lambda: _dataset(counts=np.full(16, np.inf))),
+    ("total_per_setting", lambda: _dataset(total=np.nan)),
+    ("total_per_setting", lambda: _dataset(total=np.inf)),
+    ("total_per_setting", lambda: _dataset(total=-1.0)),
+    ("total_per_setting", lambda: _dataset(total=True)),
+])
+def test_tomography_rejects_bad_numbers_naming_the_field(field, make):
+    # a bool is not taken as a number, nor does NaN or inf run on: each
+    # fails by name, before numpy can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=field):
+            make()
+
+
+def test_mle_log_likelihood_is_that_of_its_deviance():
+    # log L = sum_k c_k log mu_k - mu_k = -D + sum_k c_k log c_k - c_k
+    datasets = _tomo_low_counts(5) + [noiseless_dataset(ideal_state(0.4))]
+    for data, res in zip(datasets, reconstruct_mle_many(datasets)):
+        c = data.counts[data.counts > 0]
+        ref = -res.deviance + np.sum(c * np.log(c) - c)
+        assert res.log_likelihood == pytest.approx(ref, rel=1e-12)
+        # and of the returned state, summed directly
+        n_hat = data.counts[[0, 1, 4, 5]].sum()
+        mu = expected_counts(res.rho, data.settings, n_hat)
+        seen = data.counts > 0
+        direct = np.sum(data.counts[seen] * np.log(mu[seen])) - np.sum(mu)
+        assert res.log_likelihood == pytest.approx(direct, rel=1e-9)
