@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.integrate
@@ -422,11 +422,11 @@ class DOP853(scipy.integrate.DOP853):
     scipy's are the tableau, the step-size constants ``SAFETY``,
     ``MIN_FACTOR`` and ``MAX_FACTOR``, the control law of
     ``RungeKutta._step_impl``, which ``_step_impl`` runs on Python floats,
-    the initial step (two calls of ``fun``) and the status.  The scale
-    atol + rtol max(|y|, |y_new|) reuses |y| from the step that accepted
-    y.  The solver has no dense output (``dense_output()`` raises): a
-    window is read at its accepted steps.  A solver made without
-    ``operators`` estimates error norms but cannot step.
+    the initial step (two calls of ``fun``), the status and the scale
+    atol + rtol max(|y|, |y_new|).  The solver has no dense output
+    (``dense_output()`` raises): a window is read at its accepted steps.
+    A solver made without ``operators`` estimates error norms but cannot
+    step.
     """
 
     # in units of h, per stage 1 .. 11 and then the step's end: the weights
@@ -448,7 +448,6 @@ class DOP853(scipy.integrate.DOP853):
         self.h_abs, self.max_step = float(self.h_abs), float(self.max_step)
         self.direction = float(self.direction)
         self._rtol, self._atol = float(self.rtol), float(self.atol)
-        self._abs_y = np.abs(self.y)
         m = self.n_stages
         # the step's work array W: y in row 0, then the 13 rows of K; no
         # dense output reads the stages scipy's K_extended would add
@@ -542,8 +541,7 @@ class DOP853(scipy.integrate.DOP853):
             h = t_new - t
             h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
-            abs_y = np.abs(y_new)
-            scale = np.maximum(self._abs_y, abs_y)
+            scale = np.maximum(np.abs(y), np.abs(y_new))
             scale *= self._rtol
             scale += self._atol
             error_norm = self._error_norm(self._err, h, scale)
@@ -558,7 +556,7 @@ class DOP853(scipy.integrate.DOP853):
         if rejected:
             factor = min(1.0, factor)
         self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
-        self.h_abs, self.f, self._abs_y = h_abs * factor, f_new, abs_y
+        self.h_abs, self.f = h_abs * factor, f_new
         return True, None
 
 
@@ -683,8 +681,10 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     generator, or a batch's ``_block_jacobian``.
     Radau's norm is scipy's RMS over all 11 N components, which no
     subclass can replace, so it steps at rtol = atol = tol/sqrt(N): that
-    RMS is at most 1 only if each drive's own norm at ``tol`` is, and rtol
-    never falls below ``TOL_FLOOR``.
+    RMS is at most 1 only if each drive's own norm at ``tol`` is.  rtol
+    never falls below ``TOL_FLOOR``, where scipy would raise it, so below
+    tol = ``TOL_FLOOR`` sqrt(N) each drive's step error is bounded by
+    ``TOL_FLOOR`` sqrt(N) instead of tol (3.3e-13 for a fit's 216 drives).
     Drift beyond 100*tol at the start or at the end, a right-hand side that
     is not finite at the start, a failed step, or a step beyond
     ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends (StepBudgetError)
@@ -880,41 +880,33 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
 
 # --- emission probabilities -------------------------------------------------
 
-def _entries(value, part: slice):
-    """Entries ``part`` of a field with one value per drive, or the value
-    all drives share."""
-    return value[part] if np.ndim(value) else value
-
-
 def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
-                         deph: DephasingModel, tol: float = 1e-8,
-                         block: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                         deph: DephasingModel, tol: float = 1e-8
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Total (p_x, p_b) of one pulse from the ground state, shape (N,), for
     each of the N peak amplitudes in ``drive.omega0``; ``drive.sigma``,
     ``drive.t0`` and the fields of ``deph`` may instead hold one value per
     amplitude.
 
     The pulse windows of all amplitudes are stepped as one system in pulse
-    time (``_window_steps``), whatever their sigma; p_i is gamma_i times the
-    integral of the level-i population it carries, plus the emission after
-    the pulse in closed form.  After the drive is off the populations decay
-    freely, so the remaining emission of a level with a positive rate
-    equals the population left on it, and rho_bb also feeds the exciton.
-    A level with zero rate emits nothing after the pulse.  ``tol`` bounds
-    each amplitude's error of each step, not of p (``_window_steps``:
-    DOP853 bounds each amplitude's own norm at ``tol``, Radau the batch's
-    RMS at tol/sqrt(N)).  Against DOP853 at rtol 1e-13 on the same window,
-    p is up to ~3*tol off, in a batch and for one amplitude alike.  The
-    window neglects the drive outside |tau| <= ``PULSE_HALF_WIDTH``, and
-    below tol 1e-8 that sets the error: against a window of |tau| <= 8 at
-    rtol 1e-13 (sigma 1, delta_x 0.5, no dephasing, areas 1-30) the worst
-    measured error is 5.6*tol at tol 1e-8, 30*tol at 1e-9 and 293*tol at
-    1e-10.  A batch that ``_window_method`` sends to Radau is stepped in
-    chunks of floor((tol/TOL_FLOOR)^2) amplitudes, rounded down to a
-    multiple of ``block`` but never below it, so that Radau's tol/sqrt(N)
-    never falls below ``TOL_FLOOR``; a DOP853 batch is stepped whole.  A
-    chunk never splits a block of ``block`` consecutive amplitudes, whose
-    errors then stay one smooth function of the amplitude.
+    time, whatever their sigma and whichever method steps them: one
+    ``_window_steps`` call.  p_i is gamma_i times the integral of the
+    level-i population it carries, plus the emission after the pulse in
+    closed form.  After the drive is off the populations decay freely, so
+    the remaining emission of a level with a positive rate equals the
+    population left on it, and rho_bb also feeds the exciton.  A level
+    with zero rate emits nothing after the pulse.  ``tol`` bounds each
+    amplitude's error of each step, not of p (``_window_steps``: DOP853
+    bounds each amplitude's own norm at ``tol``, Radau the batch's RMS at
+    max(tol/sqrt(N), ``TOL_FLOOR``)), so where Radau steps a batch below
+    tol = ``TOL_FLOOR`` sqrt(N), each amplitude's step error is bounded by
+    ``TOL_FLOOR`` sqrt(N) instead of tol.  Against DOP853 at rtol 1e-13 on
+    the same window, p is up to ~3*tol off, in a batch and for one
+    amplitude alike.  The window neglects the drive outside
+    |tau| <= ``PULSE_HALF_WIDTH``, and below tol 1e-8 that sets the error:
+    against a window of |tau| <= 8 at rtol 1e-13 (sigma 1, delta_x 0.5, no
+    dephasing, areas 1-30) the worst measured error is 5.6*tol at tol 1e-8,
+    30*tol at 1e-9 and 293*tol at 1e-10.
     When the whole system fails (a failed step, or the step budget), an
     IntegrationError's ``t`` is drive 0's time, which may not be the drive
     the method cannot follow; its message names the method and gives the
@@ -922,36 +914,21 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     """
     if not TOL_FLOOR <= tol <= 1e-3:
         raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
-    omega0 = np.atleast_1d(drive.omega0)
-    n = len(omega0)
+    n = np.size(drive.omega0)
     start, end = (np.broadcast_to(t, (n,)) for t in pulse_window(drive))
     narrow = ~(end > start)
     if narrow.any():
         i = np.argmax(narrow)
         raise ValueError(f"pulse window ({start[i]}, {end[i]}) has no width")
     y0 = _initial_state(GROUND, 100.0 * tol, start[0])[:, None]
-    p_x, p_b = np.empty(n), np.empty(n)
     span = (-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH)
-    chunk = max(1, int((tol / TOL_FLOOR) ** 2) // block) * block
-    with np.errstate(over="ignore", invalid="ignore"):
-        if chunk < n and _window_method(drive, deph, span) is not Radau:
-            chunk = n  # DOP853 steps each drive at rtol tol whatever N
-    for first in range(0, n, chunk):
-        part = slice(first, first + chunk)
-        w = omega0[part]
-        columns = replace(drive, omega0=w, sigma=_entries(drive.sigma, part),
-                          t0=_entries(drive.t0, part))
-        rates = DephasingModel(*(_entries(v, part) for v in (
-            deph.gamma_bg, deph.gamma_i0, deph.n_p)))
-        with np.errstate(over="ignore", invalid="ignore"):  # see _window_steps
-            for _, y in _window_steps(np.repeat(y0, len(w), axis=1), columns,
-                                      decay, rates, span, tol):
-                pass
-        tail_b = y[B] if decay.gamma_b > 0 else 0.0
-        tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0
-        p_x[part] = decay.gamma_x * y[9] + tail_x
-        p_b[part] = decay.gamma_b * y[10] + tail_b
-    return p_x, p_b
+    with np.errstate(over="ignore", invalid="ignore"):  # see _window_steps
+        for _, y in _window_steps(np.repeat(y0, n, axis=1), drive, decay,
+                                  deph, span, tol):
+            pass
+    tail_b = y[B] if decay.gamma_b > 0 else 0.0
+    tail_x = y[X] + tail_b if decay.gamma_x > 0 else 0.0
+    return decay.gamma_x * y[9] + tail_x, decay.gamma_b * y[10] + tail_b
 
 
 def cumulative_emission(traj: Trajectory, decay: DecayRates) -> tuple[np.ndarray, np.ndarray]:

@@ -209,8 +209,7 @@ def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,
     again in one batch of 48 areas, which is kept whatever its tail: the
     interpolant of a block never mixes two batches, and the blocks of a
     fit's interval share one step sequence.  A fit's batch is 6 x 36 = 216
-    drives; ``emission_after_pulse`` steps it whole with DOP853, and would
-    chunk it, whole blocks at a time, only where Radau steps it.
+    drives, which ``emission_after_pulse`` steps whole, as every batch.
 
     Returns the extrema, one (area_max, pb_max, area_min, pb_min) per value
     or None where no interior first maximum and following minimum survive
@@ -226,8 +225,7 @@ def _first_cycles(sigma: float, deph: DephasingModel, decay: DecayRates,
                                           len(gamma_i0)),
                            sigma=sigma, delta_x=delta_x)
         columns = replace(deph, gamma_i0=np.repeat(gamma_i0, len(areas)))
-        p_b = emission_after_pulse(drive, decay, columns, tol=tol,
-                                   block=len(areas))[1]
+        p_b = emission_after_pulse(drive, decay, columns, tol=tol)[1]
         return p_b.reshape(len(gamma_i0), len(areas)).T
 
     for samples in _SCAN_SAMPLES:
@@ -272,8 +270,6 @@ def first_cycle_extrema(sigma: float, deph: DephasingModel, decay: DecayRates,
     All drives of a batch are one system and share one step sequence,
     so the integrator's error is a smooth function of area, and the
     interpolant converges spectrally, down to the integrator's tolerance.
-    ``emission_after_pulse`` never splits the areas of a search into
-    chunks.
 
     Raises OverdampedError when no interior extremum pair survives the
     damping.

@@ -411,28 +411,24 @@ def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
     mu = lik.means(rho, fits)
     dev = lik.deviance(mu, fits)
     grad, gap, done = lik.certified(rho, mu, dev, fits)
-    g = np.zeros((len(fits), 8 * r))
-    hess = np.zeros((len(fits), 8 * r, 8 * r))
     damp = np.full(len(fits), _MLE_DAMPING[0])
     gap_prev = np.full(len(fits), np.inf)
     eye = np.eye(8 * r)
-    # a fit that already certifies takes no step; the Newton system is
-    # built for the fits that moved and go on
-    stop, moved = done, ~done
+    # a fit that already certifies takes no step
+    stop = done
     while True:
         if stop.any():
             out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
             certified[at[stop]] = done[stop]
             keep = ~stop
-            (at, fits, t, rho, mu, dev, grad, gap, gap_prev, g, hess, damp,
-             iters, moved) = (
+            (at, fits, t, rho, mu, dev, grad, gap, gap_prev, damp, iters) = (
                 a[keep] for a in (at, fits, t, rho, mu, dev, grad, gap,
-                                  gap_prev, g, hess, damp, iters, moved))
+                                  gap_prev, damp, iters))
         if not at.size:
             return out_rho, out_iters, certified
-        if moved.any():
-            g[moved], hess[moved] = _newton_system(
-                lik, fits[moved], t[moved], rho[moved], mu[moved], grad[moved])
+        # a fit whose step was discarded keeps its T, rho, mu and G, and so
+        # its system
+        g, hess = _newton_system(lik, fits, t, rho, mu, grad)
         scale = np.max(np.diagonal(hess, axis1=1, axis2=2), axis=1)
         step = np.linalg.solve(
             hess + (damp * scale)[:, None, None] * eye, -g[:, :, None])[:, :, 0]
@@ -456,7 +452,6 @@ def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
             grad[ok], gap[ok], done[ok] = lik.certified(
                 rho[ok], mu[ok], dev[ok], fits[ok])
             stop[ok] = done[ok] | (gap[ok] >= gap_old)
-        moved = ok & ~stop
 
 
 def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:

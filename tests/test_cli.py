@@ -598,9 +598,9 @@ def test_fit_dephasing_searches_each_gamma_once(tmp_path, monkeypatch):
     batches = []
     emission = sweeps.emission_after_pulse
 
-    def counted(drive, decay, deph, tol=1e-8, block=1):
+    def counted(drive, decay, deph, tol=1e-8):
         batches.append(len(drive.omega0))
-        return emission(drive, decay, deph, tol=tol, block=block)
+        return emission(drive, decay, deph, tol=tol)
 
     monkeypatch.setattr(sweeps, "emission_after_pulse", counted)
     data = {"dot": {"gamma_b": 0.004, "gamma_x": 0.002, "delta_x": 3.5},

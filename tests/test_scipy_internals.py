@@ -5,7 +5,9 @@ Its step reads scipy's DOP853 tableau, the step-size constants
 ``error_exponent`` and the initial step that scipy's ``__init__`` takes.
 It takes the error estimates E5 K and E3 K from the product that ends the
 step, over the stages before the last, which holds only while E5 and E3
-weight the last stage by 0.  This module imports scipy only, so that a
+weight the last stage by 0.  ``dynamics.TOL_FLOOR`` and Radau's rtol of
+max(tol/sqrt(N), TOL_FLOOR) rest on the floor to which both solvers raise
+a smaller rtol.  This module imports scipy only, so that a
 scipy release which moves or changes any of these fails here by name,
 even when ``qdtimebin.dynamics`` no longer imports.
 """
@@ -14,6 +16,7 @@ import math
 import numbers
 
 import numpy as np
+import pytest
 import scipy.integrate
 from scipy.integrate._ivp import rk
 
@@ -79,3 +82,14 @@ def test_dop853_init_hands_the_step_what_it_reads():
     h_abs = float(solver.h_abs)
     assert math.isfinite(h_abs) and 0.0 < h_abs <= 0.25, \
         f"DOP853's initial step h_abs = {h_abs} is not in (0, max_step]"
+
+
+@pytest.mark.parametrize("method", ["DOP853", "Radau"])
+def test_rtol_below_100_eps_is_raised_to_it(method):
+    floor = 100 * np.finfo(float).eps
+    with pytest.warns(UserWarning):
+        solver = getattr(scipy.integrate, method)(
+            lambda t, y: -y, 0.0, np.ones(3), 1.0, rtol=floor / 10,
+            atol=floor / 10)
+    assert solver.rtol == floor, \
+        f"{method} raises rtol {floor / 10} to {solver.rtol}, not {floor}"

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from qdtimebin import IntegrationError, dynamics, sweeps
 from qdtimebin.dynamics import (
     GROUND,
+    TOL_FLOOR,
     DecayRates,
     DephasingModel,
     PulseDrive,
@@ -148,8 +149,9 @@ def test_batch_matches_drives_alone():
 
 
 def test_tiny_tolerance_batch_matches_drives_alone():
-    # (tol / TOL_FLOOR)^2 = 3.2: Radau would step no more than 3 drives at
-    # once, but DOP853 steps the 4 whole, each at rtol tol as if alone
+    # below tol = TOL_FLOOR sqrt(4) Radau's RMS norm would bound each
+    # drive's step error by TOL_FLOOR sqrt(4), but DOP853 steps each of the
+    # 4 at rtol tol as if alone
     tol = 4e-14
     deph = DephasingModel(0.0, 0.0349, 2)
     areas = np.array([6.0, 12.0, 18.0, 24.0])
@@ -163,30 +165,37 @@ def test_tiny_tolerance_batch_matches_drives_alone():
     assert np.abs(p_b - alone[:, 1]).max() < 1e-10
 
 
-def test_chunks_never_split_a_block(monkeypatch):
-    # (tol / TOL_FLOOR)^2 = 3.2 drives fit in a Radau chunk, but a block is
-    # 4: each chunk is one whole block, its own dephasing columns included.
-    # At sigma 1e-3 dephasing makes the windows stiff, so Radau steps them
+def test_radau_steps_a_tiny_tolerance_batch_whole(monkeypatch):
+    # At sigma 1e-3 dephasing makes the windows stiff, so Radau steps them:
+    # the 8 drives, both dephasing columns included, as one system.  Below
+    # tol = TOL_FLOOR sqrt(8) its RMS norm bounds each drive's step error
+    # by TOL_FLOOR sqrt(8), not tol
     tol = 4e-14
-    sizes = []
-    steps = dynamics._window_steps
+    sizes, methods = [], []
+    steps, method = dynamics._window_steps, dynamics._window_method
 
     def counted(y0, drive, decay, deph, t_span, tol):
         sizes.append((len(drive.omega0), np.size(deph.gamma_i0)))
         return steps(y0, drive, decay, deph, t_span, tol)
 
+    def chosen(drive, deph, t_span):
+        methods.append(method(drive, deph, t_span))
+        return methods[-1]
+
     monkeypatch.setattr(dynamics, "_window_steps", counted)
+    monkeypatch.setattr(dynamics, "_window_method", chosen)
     areas = np.tile([5.0, 10.0, 15.0, 20.0], 2)
     drive = PulseDrive(omega0=omega0_for_area(areas, 1e-3), sigma=1e-3,
                        delta_x=3.5)
     deph = DephasingModel(0.01, np.repeat([0.02, 0.0349], 4), 2)
-    p_x, p_b = emission_after_pulse(drive, DECAY, deph, tol=tol, block=4)
-    assert sizes == [(4, 4), (4, 4)]
+    p_x, p_b = emission_after_pulse(drive, DECAY, deph, tol=tol)
+    assert sizes == [(8, 8)] and methods == [dynamics.Radau]
     alone = emission_after_pulse(replace(drive, omega0=drive.omega0[4:]),
                                  DECAY, DephasingModel(0.01, 0.0349, 2),
-                                 tol=tol, block=4)
-    assert np.array_equal(p_x[4:], alone[0])
-    assert np.array_equal(p_b[4:], alone[1])
+                                 tol=tol)
+    bound = 3.0 * max(tol, TOL_FLOOR * math.sqrt(8))
+    assert np.abs(p_x[4:] - alone[0]).max() < bound
+    assert np.abs(p_b[4:] - alone[1]).max() < bound
 
 
 def test_rabi_sweep_points_are_emission_after_pulse():
@@ -491,7 +500,7 @@ def test_unresolved_search_reruns_at_48_areas(monkeypatch):
 def test_tight_fit_interval_reruns_whole_batches(monkeypatch):
     # at tol 1e-13 the 36-area tails of a fit interval exceed tol: the
     # interval is integrated again at 48 areas, each time as one DOP853
-    # batch, never in chunks, and gives what a 48-area search gives
+    # batch, and gives what a 48-area search gives
     tol = 1e-13
     deph = DephasingModel(0.0, np.linspace(0.02, 0.04, 6), 2)
     batches = _recorded_batches(monkeypatch, dynamics, "_window_steps", 1)
