@@ -11,7 +11,9 @@ one step about 10^7-fold into the pulse times of the steps after it, so
 about its 9th.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure or an
-allocation too large for memory.
+allocation too large for memory.  A config error includes an
+``entangle`` ``tomography.n_mean`` so low that a seed draws no count on the
+time basis, which leaves its likelihood flat.
 """
 
 from __future__ import annotations
@@ -184,7 +186,14 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
     datasets = tomography.simulate_counts(
         rho_model, tomography.standard_settings(), cfg.tomography.n_mean,
         seeds)
-    fits = tomography.reconstruct_mle_many(datasets)
+    try:
+        fits = tomography.reconstruct_mle_many(datasets)
+    except ValueError as exc:
+        if not str(exc).startswith("degenerate dataset"):
+            raise
+        raise ConfigError(
+            f"'tomography.n_mean' = {cfg.tomography.n_mean} is too low: "
+            f"{exc} (dataset i is that of seed index i)") from exc
     per_seed = _seed_metrics(np.array([mle.rho for mle in fits]), rho_model)
     mle_status = {key: [getattr(mle, key) for mle in fits]
                   for key in ("converged", "n_iter", "log_likelihood",

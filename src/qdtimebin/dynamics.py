@@ -113,7 +113,7 @@ def check_field(name: str, value, ok, need: str) -> None:
     """Raise ValueError unless ``value``, an int or float or an array of
     them (no bool or object), satisfies ``ok`` everywhere; NaN never does."""
     v = np.asarray(value)
-    if v.dtype.kind not in "iuf" or not np.all(ok(v)):
+    if v.dtype.kind not in "iuf" or not ok(v).all():
         raise ValueError(f"{name} must be {need}, got {value}")
 
 

@@ -3,7 +3,11 @@
 Everything in the simulator lives in dimension 3 (quantum-dot ladder) or 4
 (two photonic qubits).  Eigendecompositions go through LAPACK
 (``np.linalg.eigh``) behind a wrapper that validates hermiticity and
-returns eigenvalues in descending order.  Matrices are plain complex
+returns eigenvalues in descending order.  The MLE in ``tomography`` skips
+the wrapper: ``_project_states``, ``_newton`` and
+``_Likelihood.certified`` call ``np.linalg.eigh`` and
+``np.linalg.eigvalsh`` directly, on stacks that are Hermitian by
+construction, and take LAPACK's ascending order.  Matrices are plain complex
 ndarrays; density matrices carry their basis convention at the call site.
 
 ``eig_hermitian``, ``check_density_matrix``, ``sqrtm_psd``,

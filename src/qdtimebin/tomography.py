@@ -142,34 +142,38 @@ def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
     ``seed`` is one seed, which gives one dataset, or a sequence of seeds,
     which gives one dataset per seed, each the one its seed gives alone:
     every draw is ``np.random.default_rng(seed).poisson`` of one expected
-    count vector.
+    count vector.  The datasets share one copy of ``settings``.
     """
     mu = np.clip(expected_counts(rho, settings, n_mean), 0.0, None)
     many = np.ndim(seed) > 0
+    settings = list(settings)
     datasets = [TomographyDataset(
-        settings=list(settings),
+        settings=settings,
         counts=np.random.default_rng(s).poisson(mu).astype(float),
         total_per_setting=float(n_mean))
         for s in (seed if many else [seed])]
     return datasets if many else datasets[0]
 
 
-def _estimate_norm(data: TomographyDataset) -> float:
-    """Counts-based estimate of the per-setting normalization.
+def _estimate_norm(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Counts-based estimate n_hat of the per-setting normalization of each
+    row of the (S, n) ``counts``, whose settings have the joint ``kets``.
 
-    The four time-basis settings (E/L on both qubits) partition unity, so
-    their count sum estimates the Poisson mean scale.
+    The four time-basis settings (E/L on both qubits), whose joint kets are
+    basis vectors, partition unity, so their count sum estimates the
+    Poisson mean scale.  ValueError names the first dataset whose sum is
+    zero: its likelihood is flat.
     """
-    idx = [i for i, s in enumerate(data.settings)
-           if s.xx.kind in ("E", "L") and s.x.kind in ("E", "L")]
-    if len(idx) != 4:
+    time = np.count_nonzero(kets, axis=1) == 1
+    if np.sum(time) != 4:
         raise ValueError(
             "normalization needs exactly the four time-basis settings; "
-            f"found {len(idx)}")
-    total = float(np.sum(data.counts[idx]))
-    if total <= 0:
-        raise ValueError("degenerate dataset: time-basis counts sum to zero")
-    return total
+            f"found {np.sum(time)}")
+    n_hat = counts[:, time].sum(axis=1)
+    if not (n_hat > 0).all():
+        raise ValueError(f"degenerate dataset {np.argmin(n_hat > 0)}: its "
+                         "time-basis counts sum to zero")
+    return n_hat
 
 
 @dataclass
@@ -208,8 +212,9 @@ def reconstruct_linear(data: TomographyDataset) -> LinearReconstruction:
     but may carry negative eigenvalues at finite counts; ``physical`` flags
     whether it is PSD within 1e-9.
     """
-    rows = _design(_setting_kets(data.settings))
-    rho = _invert_linear(rows, data.counts[None] / _estimate_norm(data))[0]
+    kets, counts = _setting_kets(data.settings), data.counts[None]
+    rho = _invert_linear(
+        _design(kets), counts / _estimate_norm(kets, counts)[:, None])[0]
     w, _ = eig_hermitian(rho, herm_tol=1e-8)
     return LinearReconstruction(rho=rho, physical=bool(w[-1] >= -1e-9),
                                 min_eigenvalue=float(w[-1]))
@@ -274,13 +279,13 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Likelihood:
     """The deviance of a stack of fits that share one settings list: one
-    row of ``counts`` and one count scale of ``n_hat`` per fit.  Every
-    product is taken per fit, so that a fit's rounding, and with it its
-    answer, does not depend on the stack."""
+    row of ``counts`` per fit, and its count scale in ``n_hat``
+    (``_estimate_norm``).  Every product is taken per fit, so that a fit's
+    rounding, and with it its answer, does not depend on the stack."""
 
-    def __init__(self, kets: np.ndarray, counts: np.ndarray,
-                 n_hat: np.ndarray):
-        self.kets, self.counts, self.n_hat = kets, counts, n_hat
+    def __init__(self, kets: np.ndarray, counts: np.ndarray):
+        self.kets, self.counts = kets, counts
+        self.n_hat = _estimate_norm(kets, counts)
         self.rows = _design(kets)
         self.projectors = self.rows.conj()  # |k><k| raveled row-major
 
@@ -309,45 +314,35 @@ class _Likelihood:
 
 
 def _pg(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
-        iters: np.ndarray):
-    """Projected-gradient steps from each ``rho``, ``_MLE_PG_STEPS`` of
-    them or until ``iters`` reaches ``_MLE_MAX_ITER``; see
-    ``reconstruct_mle_many``.  Returns the final (rho, iters) and the
-    projected rank of each fit's last step."""
-    out_rho, out_iters = rho.copy(), iters.copy()
-    out_rank = np.zeros(len(fits), dtype=int)
-    # the fits still running, one entry each: rho, its mean counts and
-    # deviance, the curvature estimate L, the rank of the last step, and
-    # the steps taken
-    at = np.arange(len(fits))
-    rho, iters = rho.copy(), iters.copy()
-    mu = lik.means(rho, fits)
+        n_iter: np.ndarray, rank: np.ndarray) -> None:
+    """Projected-gradient steps from ``rho[fits]``, ``_MLE_PG_STEPS`` of
+    them or until ``n_iter`` reaches ``_MLE_MAX_ITER``; see
+    ``reconstruct_mle_many``.  Each step a fit keeps updates its entries of
+    the stacks ``rho``, ``n_iter`` and ``rank``, the projected rank of its
+    last step."""
+    # the fits still running, one entry each: the mean counts and deviance
+    # of rho, the curvature estimate L and the steps taken
+    mu = lik.means(rho[fits], fits)
     dev = lik.deviance(mu, fits)
-    lip = lik.n_hat[fits].copy()
-    rank, taken = np.zeros(len(fits), dtype=int), np.zeros(len(fits), int)
-    while at.size:
+    lip, taken = lik.n_hat[fits], np.zeros(len(fits), dtype=int)
+    while fits.size:
+        x = rho[fits]
         grad = lik.gradient(mu, fits)
-        step, step_rank = _project_states(rho - grad / lip[:, None, None])
-        delta = step - rho
+        step, step_rank = _project_states(x - grad / lip[:, None, None])
+        delta = step - x
         mu_step = lik.means(step, fits)
         dev_step = lik.deviance(mu_step, fits)
         # a step above the quadratic bound doubles L and is taken again
         ok = dev_step <= (
             dev + _inner(grad, delta) + 0.5 * lip * _inner(delta, delta))
         lip[~ok] *= 2.0
-        rho[ok], mu[ok], dev[ok] = step[ok], mu_step[ok], dev_step[ok]
-        rank[ok] = step_rank[ok]
-        iters += ok
+        mu[ok], dev[ok] = mu_step[ok], dev_step[ok]
+        rho[fits[ok]], rank[fits[ok]] = step[ok], step_rank[ok]
+        n_iter[fits] += ok
         taken += ok
-        stop = (taken >= _MLE_PG_STEPS) | (iters >= _MLE_MAX_ITER)
-        if stop.any():
-            out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
-            out_rank[at[stop]] = rank[stop]
-            keep = ~stop
-            at, fits, rho, mu, dev, lip, rank, taken, iters = (
-                a[keep] for a in (at, fits, rho, mu, dev, lip, rank, taken,
-                                  iters))
-    return out_rho, out_iters, out_rank
+        keep = (taken < _MLE_PG_STEPS) & (n_iter[fits] < _MLE_MAX_ITER)
+        fits, mu, dev, lip, taken = (a[keep] for a in (fits, mu, dev, lip,
+                                                       taken))
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -395,40 +390,35 @@ def _newton_system(lik: _Likelihood, fits, t, rho, mu, grad):
 
 
 def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
-            iters: np.ndarray, r: int):
-    """Damped Newton steps on the rank-r face from each ``rho``, in a (4, r)
-    factor T of its top r eigenpairs, until its gap certifies or it stalls;
-    see ``reconstruct_mle_many``.  Returns the final (rho, iters) and
-    whether each fit certified."""
-    out_rho, out_iters = rho.copy(), iters.copy()
-    certified = np.zeros(len(fits), dtype=bool)
-    w, v = np.linalg.eigh(rho)
+            n_iter: np.ndarray, r: int) -> np.ndarray:
+    """Damped Newton steps on the rank-r face from each ``rho[fits]``, in a
+    (4, r) factor T of its top r eigenpairs, until its gap certifies or it
+    stalls; see ``reconstruct_mle_many``.  A fit's entries of the stacks
+    ``rho`` and ``n_iter`` hold its Newton point and its step count; returns
+    the fits that stopped without certifying."""
+    w, v = np.linalg.eigh(rho[fits])
     t = v[:, :, 4 - r:] * np.sqrt(np.maximum(w[:, None, 4 - r:], 0.0))
     t /= np.linalg.norm(t, axis=(1, 2))[:, None, None]
-    at = np.arange(len(fits))
-    iters = iters.copy()
-    rho = t @ t.conj().transpose(0, 2, 1)
-    mu = lik.means(rho, fits)
+    x = rho[fits] = t @ t.conj().transpose(0, 2, 1)
+    mu = lik.means(x, fits)
     dev = lik.deviance(mu, fits)
-    grad, gap, done = lik.certified(rho, mu, dev, fits)
+    grad, gap, done = lik.certified(x, mu, dev, fits)
     damp = np.full(len(fits), _MLE_DAMPING[0])
     gap_prev = np.full(len(fits), np.inf)
     eye = np.eye(8 * r)
+    failed = [fits[:0]]
     # a fit that already certifies takes no step
     stop = done
     while True:
-        if stop.any():
-            out_rho[at[stop]], out_iters[at[stop]] = rho[stop], iters[stop]
-            certified[at[stop]] = done[stop]
-            keep = ~stop
-            (at, fits, t, rho, mu, dev, grad, gap, gap_prev, damp, iters) = (
-                a[keep] for a in (at, fits, t, rho, mu, dev, grad, gap,
-                                  gap_prev, damp, iters))
-        if not at.size:
-            return out_rho, out_iters, certified
+        failed.append(fits[stop & ~done])
+        keep = ~stop
+        fits, t, mu, dev, grad, gap, gap_prev, damp = (
+            a[keep] for a in (fits, t, mu, dev, grad, gap, gap_prev, damp))
+        if not fits.size:
+            return np.concatenate(failed)
         # a fit whose step was discarded keeps its T, rho, mu and G, and so
         # its system
-        g, hess = _newton_system(lik, fits, t, rho, mu, grad)
+        g, hess = _newton_system(lik, fits, t, rho[fits], mu, grad)
         scale = np.max(np.diagonal(hess, axis1=1, axis2=2), axis=1)
         step = np.linalg.solve(
             hess + (damp * scale)[:, None, None] * eye, -g[:, :, None])[:, :, 0]
@@ -440,26 +430,29 @@ def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
         ok = dev_new <= dev + _MLE_DEV_ROUNDING * np.sum(
             np.abs(mu - lik.counts[fits]), axis=1)
         damp *= np.where(ok, 0.1, 10.0)
-        iters += ok
+        n_iter[fits] += ok
         stop = ~ok & (damp > _MLE_DAMPING[1])
-        done = np.zeros(len(at), dtype=bool)
+        done = np.zeros(len(fits), dtype=bool)
         if ok.any():
-            t[ok], rho[ok], mu[ok], dev[ok] = (
-                t_new[ok], rho_new[ok], mu_new[ok], dev_new[ok])
+            t[ok], mu[ok], dev[ok] = t_new[ok], mu_new[ok], dev_new[ok]
+            rho[fits[ok]] = rho_new[ok]
             # a stall: the gap is not below the larger of the two before it
             gap_old = np.maximum(gap[ok], gap_prev[ok])
             gap_prev[ok] = gap[ok]
             grad[ok], gap[ok], done[ok] = lik.certified(
-                rho[ok], mu[ok], dev[ok], fits[ok])
+                rho_new[ok], mu[ok], dev[ok], fits[ok])
             stop[ok] = done[ok] | (gap[ok] >= gap_old)
 
 
 def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     """Maximum-likelihood density matrices of datasets that share one
-    settings list, fitted as one stack; ValueError if the lists differ.
+    settings list, fitted as one stack; ValueError if the lists differ, or
+    naming the first dataset that has no count on the time basis.
 
-    Setting k, with joint ket |k>, has the mean count mu_k = n_hat <k|rho|k>
-    (n_hat from ``_estimate_norm``).  The Poisson deviance D (``_deviance``)
+    Setting k, with joint ket |k>, has the mean count mu_k = n_hat <k|rho|k>,
+    where n_hat is the dataset's count sum over the four time-basis
+    settings, whose kets are basis vectors; it is read for the whole stack
+    in one sum (``_estimate_norm``).  The Poisson deviance D (``_deviance``)
     is convex in rho, with gradient G = n_hat sum_k (1 - c_k / mu_k) |k><k|.
     No state lies more than the optimality gap tr(G rho) - lambda_min(G)
     below rho, and every fit stops once that certified gap is at most
@@ -502,24 +495,22 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
       bound, not a retry after a backtrack, and the Newton steps that are
       not discarded.
 
-    Every product is taken per fit and the Newton fits are grouped by r,
-    so each result is the one its dataset gets alone.
+    Both phases update each fit's entries of the stack's rho and step
+    counts in place.  Every product is taken per fit and the Newton fits
+    are grouped by r, so each result is the one its dataset gets alone.
     """
     if not datasets:
         raise ValueError("no datasets to reconstruct")
     settings = datasets[0].settings
-    if any(d.settings != settings for d in datasets[1:]):
+    if any(d.settings is not settings and d.settings != settings
+           for d in datasets[1:]):
         raise ValueError("datasets of one reconstruction must share one "
                          "settings list")
     counts = np.array([d.counts for d in datasets])
-    if np.any(np.sum(counts, axis=1) <= 0):
-        raise ValueError("degenerate dataset: all counts are zero, "
-                         "likelihood is flat")
-    n_hat = np.array([_estimate_norm(d) for d in datasets])
-    lik = _Likelihood(_setting_kets(settings), counts, n_hat)
+    lik = _Likelihood(_setting_kets(settings), counts)
 
     rho, rank = _project_states(
-        _invert_linear(lik.rows, counts / n_hat[:, None]))
+        _invert_linear(lik.rows, counts / lik.n_hat[:, None]))
     mix = 1e-8
     rho[rank < 4] = (1.0 - mix) * rho[rank < 4] + mix / 4.0 * np.eye(4)
     n_iter = np.zeros(len(datasets), dtype=int)
@@ -527,18 +518,13 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     mu = lik.means(rho, every)
     running = every[~lik.certified(rho, mu, lik.deviance(mu, every), every)[2]]
     while running.size:
-        rho[running], n_iter[running], rank = _pg(
-            lik, running, rho[running], n_iter[running])
+        _pg(lik, running, rho, n_iter, rank)
         # a fit out of steps takes no Newton step
-        rank[n_iter[running] >= _MLE_MAX_ITER] = 0
-        back = [running[:0]]
-        for r in np.unique(rank[rank > 0]):
-            fits = running[rank == r]
-            rho[fits], n_iter[fits], certified = _newton(
-                lik, fits, rho[fits], n_iter[fits], r)
-            back.append(fits[~certified])
+        running = running[n_iter[running] < _MLE_MAX_ITER]
         # a fit whose Newton steps stalled goes on from its Newton point
-        running = np.sort(np.concatenate(back))
+        back = [_newton(lik, running[rank[running] == r], rho, n_iter, r)
+                for r in np.unique(rank[running])]
+        running = np.sort(np.concatenate([running[:0], *back]))
         running = running[n_iter[running] < _MLE_MAX_ITER]
 
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
@@ -557,8 +543,10 @@ def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
 def reconstruct_mle(data: TomographyDataset) -> MleResult:
     """Maximum-likelihood density matrix from Poisson counts: the fit of
     ``reconstruct_mle_many`` on one dataset, which stops once its certified
-    optimality gap is at most 1e-7 of max(deviance, 1); ``n_iter`` counts
-    the projected-gradient and Newton steps it takes."""
+    optimality gap is at most 1e-7 of max(deviance, 1), or within
+    ``_MLE_GAP_ROUNDING`` * n_hat, the gap's own rounding (this binds above
+    ~7e6 counts); ``n_iter`` counts the projected-gradient and Newton steps
+    it takes."""
     return reconstruct_mle_many([data])[0]
 
 

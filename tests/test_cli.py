@@ -64,7 +64,7 @@ def test_evolve_pi_area_pulse_fills_biexciton(tmp_path):
     assert last[7] > 0.95  # cumulative biexciton photon yield
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, capsys):
     bad = evolve_config()
     bad["dot"]["gamma_q"] = 1.0
     cfg = write_config(tmp_path, bad)
@@ -72,6 +72,15 @@ def test_malformed_config_exits_2(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["evolve", "--config", str(missing),
                  "--out", str(tmp_path)]) == 2
+    cfg = write_config(tmp_path, [])
+    capsys.readouterr()
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "top-level" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["entangle", "--config", str(cfg), "--out", str(tmp_path),
+              "--seed", "abc"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def _set(path, value):
@@ -94,6 +103,8 @@ def _edits(*edits):
 _AREAS = {"models": [{"gamma_bg": 0.0, "gamma_i0": 0.0, "n_p": 2}]}
 _SIGMAS = {"energies": [1.0, 2.0]}
 _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
+_TIMEBIN = {"phi_p": 0.0, "epsilon": 0.06, "v_coh": 0.92}
+_LOW_COUNTS = {"n_mean": 5, "seed": 3, "n_seeds": 40}
 
 
 @pytest.mark.parametrize("command, edit, key", [
@@ -208,6 +219,36 @@ _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
         _set(["pulse", "area"], 0.0), _set(["timebin"], {"epsilon": 0.06}),
         _set(["tomography"], {"n_mean": 1e4, "seed": 3, "n_seeds": 1})),
                  "timebin.v_coh", id="entangle-edit-timebin.v_coh-uncalibratable"),
+    # at 5 counts seed index 19 of 40 draws no time-basis count, and at 1e-9
+    # every seed draws none: the likelihood is flat
+    pytest.param("entangle", _edits(_set(["timebin"], _TIMEBIN),
+                                    _set(["tomography"], _LOW_COUNTS)),
+                 "'tomography.n_mean' = 5.0 is too low: degenerate dataset 19",
+                 id="entangle-edit-tomography.n_mean-no-time-basis-count"),
+    pytest.param("entangle", _edits(
+        _set(["timebin"], _TIMEBIN),
+        _set(["tomography"], dict(_LOW_COUNTS, n_mean=1e-9))),
+                 "'tomography.n_mean' = 1e-09 is too low: degenerate dataset 0",
+                 id="entangle-edit-tomography.n_mean-no-count"),
+    pytest.param("evolve", _set(["dot"], 5), "'dot'", id="evolve-edit-dot"),
+    pytest.param("fit-dephasing", _set(["sweep"], {"fit": {
+        "n_p": 2, "target_ratio": None}}), "sweep.fit.target_ratio",
+                 id="fit-dephasing-edit-sweep.fit.target_ratio-null"),
+    pytest.param("rabi", _set(["sweep"], dict(_AREAS, areas=5)),
+                 "sweep.areas", id="rabi-edit-sweep.areas-number"),
+    pytest.param("evolve", _set(["pulse"], {"sigma": 12.0}), "'pulse'",
+                 id="evolve-edit-pulse-sigma-only"),
+    pytest.param("ratio", _set(["sweep"], dict(_SIGMAS, sigmas=[])),
+                 "sweep.sigmas", id="ratio-edit-sweep.sigmas-empty"),
+    pytest.param("rabi", _set(["sweep"], dict(_AREAS, models=[],
+                                              areas=[1.0, 2.0])),
+                 "sweep.models", id="rabi-edit-sweep.models-empty"),
+    pytest.param("evolve", _set(["numerics", "t_span"], [0.0]),
+                 "numerics.t_span", id="evolve-edit-numerics.t_span-one-time"),
+    pytest.param("ratio", _set(["sweep"], {"sigmas": [4.0]}),
+                 "sweep.energies", id="ratio-edit-sweep.energies-missing"),
+    pytest.param("fit-dephasing", _set(["sweep"], {}), "sweep.fit",
+                 id="fit-dephasing-edit-sweep-empty"),
 ])
 def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
                                            key):
@@ -511,6 +552,19 @@ def test_allocation_too_large_exits_3(tmp_path, monkeypatch, capsys,
     cfg = write_config(tmp_path, entangle_config())
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_linalg_failure_exits_3_without_traceback(tmp_path, monkeypatch,
+                                                  capsys):
+    def fail(datasets):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(tomography, "reconstruct_mle_many", fail)
+    cfg = write_config(tmp_path, entangle_config())
+    assert main(["entangle", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: Eigenvalues did not converge" in err
+    assert "Traceback" not in err
 
 
 def test_entangle_computes_each_metric_once_per_run(tmp_path, monkeypatch):

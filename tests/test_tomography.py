@@ -196,7 +196,7 @@ def test_mle_gradient_matches_finite_differences():
                                       _gradient)
     rho = model_state(TimeBinModelParams(epsilon=0.1, v_coh=0.8))
     data = simulate_counts(rho, standard_settings(), 1e4, seed=3)
-    n_hat = _estimate_norm(data)
+    n_hat = _estimate_norm(joint_kets(data.settings), data.counts[None])[0]
     counts = data.counts[None]
     rho = 0.9 * rho + 0.1 * random_density_matrix(np.random.default_rng(1), 4)
 
@@ -407,10 +407,10 @@ def test_mle_leaves_a_wrong_face(monkeypatch):
     reference = reconstruct_mle_many(datasets)
     newton, faces = tomography._newton, []
 
-    def spy(lik, fits, rho, iters, r):
-        out = newton(lik, fits, rho, iters, r)
-        faces.append((r, len(fits), int(np.sum(~out[2]))))
-        return out
+    def spy(lik, fits, rho, n_iter, r):
+        back = newton(lik, fits, rho, n_iter, r)
+        faces.append((r, len(fits), len(back)))
+        return back
 
     monkeypatch.setattr(tomography, "_newton", spy)
     monkeypatch.setattr(tomography, "_MLE_PG_STEPS", 1)
