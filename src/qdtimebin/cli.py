@@ -13,7 +13,8 @@ about its 9th.
 Exit codes: 0 success, 2 config error, 3 numerical failure or an
 allocation too large for memory.  A config error includes an
 ``entangle`` ``tomography.n_mean`` so low that a seed draws no count on the
-time basis, which leaves its likelihood flat.
+time basis, which leaves its likelihood flat: the MLE's
+``tomography.DegenerateDatasetError`` names that seed's index.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def cmd_ratio(cfg: RunConfig, out: Path, args) -> None:
 
 def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
     cfg.require("dot", "pulse", "sweep")
-    if cfg.sweep.fit_n_p is None:
+    target = cfg.sweep.fit
+    if target is None:
         raise ConfigError("fit-dephasing needs 'sweep.fit'")
     # The fit's area window (sweeps.coherent_first_max_area) assumes
     # two-photon resonance and delta_x > 0; with gamma_b = 0 no biexciton
@@ -116,15 +118,14 @@ def cmd_fit_dephasing(cfg: RunConfig, out: Path, args) -> None:
                               f"got {value}")
     try:
         fit = sweeps.fit_gamma_i0(
-            cfg.sweep.fit_n_p, cfg.sweep.fit_target_ratio, cfg.pulse.sigma,
-            cfg.dot.decay,
+            target.n_p, target.target_ratio, cfg.pulse.sigma, cfg.dot.decay,
             gamma_bg=cfg.dephasing.gamma_bg if cfg.dephasing else 0.0,
             delta_x=cfg.dot.delta_x, tol=cfg.numerics.tol)
     except sweeps.UnreachableTargetError as exc:
         raise ConfigError(f"'sweep.fit.target_ratio': {exc}") from exc
     _write_json(out / "fit_dephasing.json",
-                {"config": cfg.resolved(), "n_p": cfg.sweep.fit_n_p,
-                 "target_ratio": cfg.sweep.fit_target_ratio,
+                {"config": cfg.resolved(), "n_p": target.n_p,
+                 "target_ratio": target.target_ratio,
                  "gamma_i0": fit.gamma_i0, "achieved_ratio": fit.ratio,
                  "bracket": list(fit.bracket),
                  "scan_samples": fit.scan_samples, "scan_tail": fit.scan_tail,
@@ -188,9 +189,7 @@ def cmd_entangle(cfg: RunConfig, out: Path, args) -> None:
         seeds)
     try:
         fits = tomography.reconstruct_mle_many(datasets)
-    except ValueError as exc:
-        if not str(exc).startswith("degenerate dataset"):
-            raise
+    except tomography.DegenerateDatasetError as exc:
         raise ConfigError(
             f"'tomography.n_mean' = {cfg.tomography.n_mean} is too low: "
             f"{exc} (dataset i is that of seed index i)") from exc

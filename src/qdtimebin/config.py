@@ -1,14 +1,14 @@
 """Strict JSON run configuration.
 
 Unknown keys are fatal: a typo in a rate name must never silently fall back
-to a default.  The rates of ``dot`` build a ``DecayRates``, ``dephasing``
-and each ``sweep.models[i]`` a ``DephasingModel``, ``timebin`` a
-``TimeBinModelParams``; these, and ``sweeps.check_fit_target`` for
-``sweep.fit``, check the ranges, and their ValueError becomes a ConfigError
-naming the key.  What no model holds at parse time keeps its bounds here:
-``pulse``, ``sweep.sigmas``, the grids, ``tomography`` and ``numerics``.
-Commands pull only the sections they need and complain about missing ones
-by name.
+to a default.  Every section is one dataclass, built by ``_model``, whose
+fields name its keys and declare each bound once: in field ``metadata``, or
+in ``__post_init__``, whose ValueError becomes a ConfigError naming the key.
+``dot`` builds a ``DecayRates``, ``dephasing`` and each ``sweep.models[i]``
+a ``DephasingModel``, ``timebin`` a ``TimeBinModelParams``, and
+``sweeps.check_fit_target`` checks ``sweep.fit``; a list is read by its
+field's parse function.  Commands pull only the sections they need and
+complain about missing ones by name.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from .dynamics import (
     PULSE_HALF_WIDTH,
+    TOL_CEILING,
     TOL_FLOOR,
     DecayRates,
     DephasingModel,
@@ -68,15 +69,6 @@ def _value(name: str, v, minimum=None, maximum=None) -> float:
     return float(v)
 
 
-def _number(section: str, data: dict, key: str, default=None,
-            minimum=None, maximum=None, allow_none=False):
-    if key not in data or data[key] is None:
-        if default is None and not allow_none:
-            raise ConfigError(f"'{section}.{key}' is required")
-        return default
-    return _value(f"{section}.{key}", data[key], minimum, maximum)
-
-
 def _integer(name: str, v, minimum=None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"'{name}' must be an integer, got {v!r}")
@@ -87,9 +79,12 @@ def _integer(name: str, v, minimum=None) -> int:
 
 @contextlib.contextmanager
 def _naming(section: str):
-    """A ValueError starting with a field name, as 'section.field'."""
+    """A ValueError starting with a field name, as 'section.field'; a
+    ConfigError names its key already and passes unchanged."""
     try:
         yield
+    except ConfigError:
+        raise
     except ValueError as exc:
         name, _, need = str(exc).partition(" ")
         raise ConfigError(f"'{section}.{name}' {need}") from exc
@@ -97,16 +92,35 @@ def _naming(section: str):
 
 def _model(section: str, data: dict, cls):
     """The dataclass ``cls`` built from section ``data``, whose keys are its
-    init fields; a key absent, or null where the default is a float, takes
-    the default."""
+    init fields, read in order.  A field without a default is required; a
+    key absent, or null where the field has a default, takes the default.
+    An int field takes an integer (not null), any other a number within the
+    "minimum" and "maximum" of its ``metadata``, unless that holds a
+    "parse"(key, value) function, which reads any value given, null too."""
     params = [f for f in fields(cls) if f.init]
-    _check_keys(section, data, {f.name for f in params})
-    values = {f.name: _integer(f"{section}.{f.name}",
-                               data.get(f.name, f.default))
-              if isinstance(f.default, int) else
-              _number(section, data, f.name, f.default) for f in params}
+    _check_keys(section, data, {f.name for f in params},
+                {f.name for f in params
+                 if f.default is MISSING and f.default_factory is MISSING})
+    values = {}
+    for f in (f for f in params if f.name in data):
+        key, v = f"{section}.{f.name}", data[f.name]
+        if "parse" in f.metadata:
+            values[f.name] = f.metadata["parse"](key, v)
+        elif isinstance(f.default, int) or f.type in ("int", int):
+            values[f.name] = _integer(key, v, **f.metadata)
+        elif v is not None:
+            values[f.name] = _value(key, v, **f.metadata)
+        elif f.default is MISSING:
+            raise ConfigError(f"'{key}' is required")
     with _naming(section):
         return cls(**values)
+
+
+@dataclass
+class _Linspace:  # a grid's {start, stop, num}
+    num: int = field(metadata={"minimum": 2})
+    start: float = field(metadata={"minimum": 0.0})
+    stop: float = field(metadata={"minimum": 0.0})
 
 
 def _grid(section: str, spec: Any, min_points: int = 1) -> np.ndarray:
@@ -119,17 +133,49 @@ def _grid(section: str, spec: Any, min_points: int = 1) -> np.ndarray:
         grid = np.array([_value(f"{section}[{i}]", v, minimum=0.0)
                          for i, v in enumerate(spec)])
     elif isinstance(spec, dict):
-        _check_keys(section, spec, {"start", "stop", "num"},
-                    {"start", "stop", "num"})
-        num = _integer(f"{section}.num", spec["num"], minimum=2)
-        grid = np.linspace(_number(section, spec, "start", minimum=0.0),
-                           _number(section, spec, "stop", minimum=0.0), num)
+        span = _model(section, spec, _Linspace)
+        grid = np.linspace(span.start, span.stop, span.num)
     else:
         raise ConfigError(
             f"'{section}' must be a list or a start/stop/num object")
     if np.any(np.diff(grid) <= 0):
         raise ConfigError(f"'{section}' must be strictly increasing")
     return grid
+
+
+def _items(key: str, spec: Any) -> list:
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError(f"'{key}' must be a non-empty list")
+    return spec
+
+
+def _sigmas(key: str, spec: Any) -> list[float]:
+    sigmas = [_value(f"{key}[{i}]", s, minimum=1e-12)
+              for i, s in enumerate(_items(key, spec))]
+    # ratio writes the curve of each sigma to ratio_sigma{sigma:g}.csv
+    labels = [f"{s:g}" for s in sigmas]
+    for i, label in enumerate(labels):
+        j = labels.index(label)
+        if j < i:
+            raise ConfigError(
+                f"'{key}[{i}]' = {sigmas[i]!r} prints as {label}, as "
+                f"'{key}[{j}]' does: their ratio curves would share one file")
+    return sigmas
+
+
+def _models(key: str, spec: Any) -> list[DephasingModel]:
+    return [_model(f"{key}[{i}]", m, DephasingModel)
+            for i, m in enumerate(_items(key, spec))]
+
+
+def _t_span(key: str, spec: Any) -> tuple[float, float] | None:
+    if spec is None:
+        return None
+    if isinstance(spec, list) and len(spec) == 2:
+        span = tuple(_value(f"{key}[{i}]", t) for i, t in enumerate(spec))
+        if span[0] < span[1]:
+            return span
+    raise ConfigError(f"'{key}' must be [t0, t1] with t1 > t0")
 
 
 @dataclass
@@ -146,23 +192,14 @@ class DotConfig:
 
 @dataclass
 class PulseConfig:
-    sigma: float
+    sigma: float = field(metadata={"minimum": 1e-12})
     t0: float = 0.0
-    area: float | None = None
-    omega0: float | None = None
+    area: float | None = field(default=None, metadata={"minimum": 0.0})
+    omega0: float | None = field(default=None, metadata={"minimum": 0.0})
 
-    @classmethod
-    def parse(cls, data: dict) -> "PulseConfig":
-        _check_keys("pulse", data, {"sigma", "t0", "area", "omega0"}, {"sigma"})
-        cfg = cls(
-            sigma=_number("pulse", data, "sigma", minimum=1e-12),
-            t0=_number("pulse", data, "t0", 0.0),
-            area=_number("pulse", data, "area", minimum=0.0, allow_none=True),
-            omega0=_number("pulse", data, "omega0", minimum=0.0,
-                           allow_none=True))
-        if cfg.area is not None and cfg.omega0 is not None:
+    def __post_init__(self):
+        if self.area is not None and self.omega0 is not None:
             raise ConfigError("'pulse' must set either 'area' or 'omega0', not both")
-        return cfg
 
     def drive(self, dot: DotConfig) -> PulseDrive:
         if self.omega0 is not None:
@@ -175,98 +212,53 @@ class PulseConfig:
                           delta_x=dot.delta_x, delta_b=dot.delta_b)
 
 
-# numpy's Poisson sampler refuses a mean above ~9.2e18.
-MAX_N_MEAN = 1e18
+@dataclass
+class TomographyConfig:
+    # numpy's Poisson sampler refuses a mean above ~9.2e18
+    n_mean: float = field(default=1e5, metadata={"minimum": 1e-9,
+                                                 "maximum": 1e18})
+    seed: int = field(default=1, metadata={"minimum": 0})
+    n_seeds: int = field(default=1, metadata={"minimum": 1})
 
 
 @dataclass
-class TomographyConfig:
-    n_mean: float = 1e5
-    seed: int = 1
-    n_seeds: int = 1
+class FitConfig:
+    """'sweep.fit': the first-cycle max/min ratio ``fit-dephasing`` fits
+    gamma_i0 to, at intensity exponent n_p."""
+    n_p: int
+    target_ratio: float
 
-    @classmethod
-    def parse(cls, data: dict) -> "TomographyConfig":
-        _check_keys("tomography", data, {"n_mean", "seed", "n_seeds"})
-        return cls(n_mean=_number("tomography", data, "n_mean", 1e5,
-                                  minimum=1e-9, maximum=MAX_N_MEAN),
-                   seed=_integer("tomography.seed", data.get("seed", 1),
-                                 minimum=0),
-                   n_seeds=_integer("tomography.n_seeds",
-                                    data.get("n_seeds", 1), minimum=1))
+    def __post_init__(self):
+        check_fit_target(self.n_p, self.target_ratio)
 
 
 @dataclass
 class SweepConfig:
-    areas: np.ndarray | None = None
-    energies: np.ndarray | None = None
-    sigmas: list[float] = field(default_factory=list)
-    models: list[DephasingModel] = field(default_factory=list)
-    fit_n_p: int | None = None
-    fit_target_ratio: float | None = None
-
-    @classmethod
-    def parse(cls, data: dict) -> "SweepConfig":
-        _check_keys("sweep", data,
-                    {"areas", "energies", "sigmas", "models", "fit"})
-        cfg = cls()
-        if "areas" in data:
-            cfg.areas = _grid("sweep.areas", data["areas"], min_points=2)
-        if "energies" in data:
-            cfg.energies = _grid("sweep.energies", data["energies"])
-        if "sigmas" in data:
-            if not isinstance(data["sigmas"], list) or not data["sigmas"]:
-                raise ConfigError("'sweep.sigmas' must be a non-empty list")
-            cfg.sigmas = [_value(f"sweep.sigmas[{i}]", s, minimum=1e-12)
-                          for i, s in enumerate(data["sigmas"])]
-            # ratio writes the curve of each sigma to ratio_sigma{sigma:g}.csv
-            labels = [f"{s:g}" for s in cfg.sigmas]
-            for i, label in enumerate(labels):
-                j = labels.index(label)
-                if j < i:
-                    raise ConfigError(
-                        f"'sweep.sigmas[{i}]' = {cfg.sigmas[i]!r} prints as "
-                        f"{label}, as 'sweep.sigmas[{j}]' does: their ratio "
-                        f"curves would share one file")
-        if "models" in data:
-            if not isinstance(data["models"], list) or not data["models"]:
-                raise ConfigError("'sweep.models' must be a non-empty list")
-            cfg.models = [_model(f"sweep.models[{i}]", m, DephasingModel)
-                          for i, m in enumerate(data["models"])]
-        if "fit" in data:
-            _check_keys("sweep.fit", data["fit"], {"n_p", "target_ratio"},
-                        {"n_p", "target_ratio"})
-            cfg.fit_n_p = _integer("sweep.fit.n_p", data["fit"]["n_p"])
-            cfg.fit_target_ratio = _number("sweep.fit", data["fit"],
-                                           "target_ratio")
-            with _naming("sweep.fit"):
-                check_fit_target(cfg.fit_n_p, cfg.fit_target_ratio)
-        return cfg
+    areas: np.ndarray | None = field(default=None, metadata={
+        "parse": lambda key, spec: _grid(key, spec, min_points=2)})
+    energies: np.ndarray | None = field(default=None,
+                                        metadata={"parse": _grid})
+    sigmas: list[float] = field(default_factory=list,
+                                metadata={"parse": _sigmas})
+    models: list[DephasingModel] = field(default_factory=list,
+                                         metadata={"parse": _models})
+    fit: FitConfig | None = field(default=None, metadata={
+        "parse": lambda key, spec: _model(key, spec, FitConfig)})
 
 
 @dataclass
 class NumericsConfig:
-    tol: float = 1e-8
-    t_span: tuple[float, float] | None = None
-
-    @classmethod
-    def parse(cls, data: dict) -> "NumericsConfig":
-        _check_keys("numerics", data, {"tol", "t_span"})
-        span = data.get("t_span")
-        if span is not None:
-            if not isinstance(span, list) or len(span) != 2:
-                raise ConfigError("'numerics.t_span' must be [t0, t1] with t1 > t0")
-            span = tuple(_value(f"numerics.t_span[{i}]", t)
-                         for i, t in enumerate(span))
-            if span[1] <= span[0]:
-                raise ConfigError("'numerics.t_span' must be [t0, t1] with t1 > t0")
-        return cls(tol=_number("numerics", data, "tol", 1e-8,
-                               minimum=TOL_FLOOR, maximum=1e-3),
-                   t_span=span)
+    t_span: tuple[float, float] | None = field(default=None,
+                                               metadata={"parse": _t_span})
+    tol: float = field(default=1e-8, metadata={"minimum": TOL_FLOOR,
+                                               "maximum": TOL_CEILING})
 
 
-_SECTIONS = {"dot", "pulse", "dephasing", "timebin", "tomography", "sweep",
-             "numerics"}
+# The dataclass of each section; RunConfig's defaults stand for one absent.
+_SECTIONS = {"dot": DotConfig, "pulse": PulseConfig,
+             "dephasing": DephasingModel, "timebin": TimeBinModelParams,
+             "tomography": TomographyConfig, "sweep": SweepConfig,
+             "numerics": NumericsConfig}
 
 
 def _check_resolution(key: str, sigma: float, t0: float,
@@ -292,37 +284,26 @@ def _check_resolution(key: str, sigma: float, t0: float,
 @dataclass
 class RunConfig:
     raw: dict
-    dot: DotConfig
-    pulse: PulseConfig | None
-    dephasing: DephasingModel | None
-    timebin: TimeBinModelParams
     calibrate_v_coh: bool  # timebin.v_coh absent or null: from the pulse
-    tomography: TomographyConfig
-    sweep: SweepConfig
-    numerics: NumericsConfig
+    dot: DotConfig = field(default_factory=DotConfig)
+    pulse: PulseConfig | None = None
+    dephasing: DephasingModel | None = None
+    timebin: TimeBinModelParams = field(default_factory=TimeBinModelParams)
+    tomography: TomographyConfig = field(default_factory=TomographyConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    numerics: NumericsConfig = field(default_factory=NumericsConfig)
 
     @classmethod
     def parse(cls, data: dict) -> "RunConfig":
-        _check_keys("<root>", data, _SECTIONS)
-        cfg = cls(
-            raw=data,
-            dot=_model("dot", data.get("dot", {}), DotConfig),
-            pulse=PulseConfig.parse(data["pulse"]) if "pulse" in data else None,
-            dephasing=(_model("dephasing", data["dephasing"], DephasingModel)
-                       if "dephasing" in data else None),
-            timebin=_model("timebin", data.get("timebin", {}),
-                           TimeBinModelParams),
-            calibrate_v_coh=data.get("timebin", {}).get("v_coh") is None,
-            tomography=TomographyConfig.parse(data.get("tomography", {})),
-            sweep=SweepConfig.parse(data.get("sweep", {})),
-            numerics=NumericsConfig.parse(data.get("numerics", {})))
+        _check_keys("<root>", data, set(_SECTIONS))
+        sections = {name: _model(name, data[name], model)
+                    for name, model in _SECTIONS.items() if name in data}
+        v_coh = data.get("timebin", {}).get("v_coh")
+        cfg = cls(raw=data, calibrate_v_coh=v_coh is None, **sections)
         # Every rate and detuning, with its key; a dephasing model counts
         # with its zero-drive rate.
-        dot = cfg.dot
-        rates = [("dot.gamma_x", dot.decay.gamma_x),
-                 ("dot.gamma_b", dot.decay.gamma_b),
-                 ("dot.delta_x", abs(dot.delta_x)),
-                 ("dot.delta_b", abs(dot.delta_b))]
+        rates = [(f"dot.{k}", abs(getattr(cfg.dot, k)))
+                 for k in ("gamma_x", "gamma_b", "delta_x", "delta_b")]
         models = [("dephasing", cfg.dephasing)] if cfg.dephasing else []
         models += [(f"sweep.models[{i}]", m)
                    for i, m in enumerate(cfg.sweep.models)]

@@ -54,8 +54,9 @@ G, X, B = 0, 1, 2
 LN2 = math.log(2.0)
 
 # Smallest integration tolerance: scipy raises any rtol below it to it, in
-# DOP853 and Radau alike.
+# DOP853 and Radau alike.  The largest is TOL_CEILING (``check_tol``).
 TOL_FLOOR = 100 * np.finfo(float).eps
+TOL_CEILING = 1e-3
 # Half-width of a pulse window in pulse time tau = (t - t0) / sigma.
 PULSE_HALF_WIDTH = 5.0
 
@@ -115,6 +116,14 @@ def check_field(name: str, value, ok, need: str) -> None:
     v = np.asarray(value)
     if v.dtype.kind not in "iuf" or not ok(v).all():
         raise ValueError(f"{name} must be {need}, got {value}")
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is in [TOL_FLOOR, TOL_CEILING], the
+    range of ``evolve``, ``emission_after_pulse`` and 'numerics.tol'."""
+    if not TOL_FLOOR <= tol <= TOL_CEILING:
+        raise ValueError(
+            f"tol must be in [{TOL_FLOOR:.3g}, {TOL_CEILING:g}], got {tol}")
 
 
 @dataclass(frozen=True)
@@ -841,8 +850,7 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
-    if not TOL_FLOOR <= tol <= 1e-3:
-        raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
+    check_tol(tol)
     for model in (drive, deph):
         for f in fields(model):
             size = np.size(getattr(model, f.name))
@@ -912,8 +920,7 @@ def emission_after_pulse(drive: PulseDrive, decay: DecayRates,
     the method cannot follow; its message names the method and gives the
     pulse time tau shared by all.
     """
-    if not TOL_FLOOR <= tol <= 1e-3:
-        raise ValueError(f"tol must be in [{TOL_FLOOR:.3g}, 1e-3], got {tol}")
+    check_tol(tol)
     n = np.size(drive.omega0)
     start, end = (np.broadcast_to(t, (n,)) for t in pulse_window(drive))
     narrow = ~(end > start)

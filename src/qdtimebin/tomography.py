@@ -155,14 +155,24 @@ def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
     return datasets if many else datasets[0]
 
 
+class DegenerateDatasetError(ValueError):
+    """Dataset ``index`` of a stack has no count on the time basis, so its
+    likelihood is flat."""
+
+    def __init__(self, index: int):
+        super().__init__(f"degenerate dataset {index}: its time-basis counts "
+                         "sum to zero")
+        self.index = index
+
+
 def _estimate_norm(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Counts-based estimate n_hat of the per-setting normalization of each
     row of the (S, n) ``counts``, whose settings have the joint ``kets``.
 
     The four time-basis settings (E/L on both qubits), whose joint kets are
     basis vectors, partition unity, so their count sum estimates the
-    Poisson mean scale.  ValueError names the first dataset whose sum is
-    zero: its likelihood is flat.
+    Poisson mean scale.  DegenerateDatasetError names the first dataset
+    whose sum is zero.
     """
     time = np.count_nonzero(kets, axis=1) == 1
     if np.sum(time) != 4:
@@ -171,8 +181,7 @@ def _estimate_norm(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
             f"found {np.sum(time)}")
     n_hat = counts[:, time].sum(axis=1)
     if not (n_hat > 0).all():
-        raise ValueError(f"degenerate dataset {np.argmin(n_hat > 0)}: its "
-                         "time-basis counts sum to zero")
+        raise DegenerateDatasetError(int(np.argmin(n_hat > 0)))
     return n_hat
 
 
@@ -446,8 +455,9 @@ def _newton(lik: _Likelihood, fits: np.ndarray, rho: np.ndarray,
 
 def reconstruct_mle_many(datasets: list[TomographyDataset]) -> list[MleResult]:
     """Maximum-likelihood density matrices of datasets that share one
-    settings list, fitted as one stack; ValueError if the lists differ, or
-    naming the first dataset that has no count on the time basis.
+    settings list, fitted as one stack; ValueError if the lists differ, and
+    DegenerateDatasetError naming the first dataset that has no count on
+    the time basis.
 
     Setting k, with joint ket |k>, has the mean count mu_k = n_hat <k|rho|k>,
     where n_hat is the dataset's count sum over the four time-basis

@@ -105,6 +105,74 @@ _SIGMAS = {"energies": [1.0, 2.0]}
 _FIT = {"fit": {"n_p": 2, "target_ratio": 3.2}}
 _TIMEBIN = {"phi_p": 0.0, "epsilon": 0.06, "v_coh": 0.92}
 _LOW_COUNTS = {"n_mean": 5, "seed": 3, "n_seeds": 40}
+# The whole stderr line of errors in the sections of 'pulse', 'tomography',
+# 'sweep.fit' and a grid's {start, stop, num}: (id, edit, message).
+_MESSAGES = [
+    ("pulse-area-and-omega0", _set(["pulse", "omega0"], 0.4),
+     "'pulse' must set either 'area' or 'omega0', not both"),
+    ("pulse.sigma-negative", _set(["pulse", "sigma"], -1.0),
+     "'pulse.sigma' must be >= 1e-12, got -1.0"),
+    ("pulse.sigma-null", _set(["pulse", "sigma"], None),
+     "'pulse.sigma' is required"),
+    ("pulse.sigma-missing", _set(["pulse"], {"area": 1.0}),
+     "missing key(s) in 'pulse': sigma"),
+    ("pulse.area-negative", _set(["pulse", "area"], -3.0),
+     "'pulse.area' must be >= 0.0, got -3.0"),
+    ("pulse.omega0-negative", _set(["pulse"], {"sigma": 12.0, "omega0": -0.4}),
+     "'pulse.omega0' must be >= 0.0, got -0.4"),
+    ("pulse.omega0-string", _set(["pulse"], {"sigma": 12.0, "omega0": "1"}),
+     "'pulse.omega0' must be a number, got '1'"),
+    ("pulse-unknown-key", _set(["pulse", "width"], 1.0),
+     "unknown key(s) in 'pulse': width"),
+    ("tomography.n_mean-zero", _set(["tomography", "n_mean"], 0.0),
+     "'tomography.n_mean' must be >= 1e-09, got 0.0"),
+    ("tomography.n_mean-above-poisson-limit",
+     _set(["tomography", "n_mean"], 1e300),
+     "'tomography.n_mean' must be <= 1e+18, got 1e+300"),
+    ("tomography.seed-negative", _set(["tomography", "seed"], -3),
+     "'tomography.seed' must be >= 0, got -3"),
+    ("tomography.seed-float", _set(["tomography", "seed"], 1.5),
+     "'tomography.seed' must be an integer, got 1.5"),
+    ("tomography.seed-null", _set(["tomography", "seed"], None),
+     "'tomography.seed' must be an integer, got None"),
+    ("tomography.n_seeds-zero", _set(["tomography", "n_seeds"], 0),
+     "'tomography.n_seeds' must be >= 1, got 0"),
+    ("tomography-not-an-object", _set(["tomography"], [1]),
+     "section 'tomography' must be an object"),
+    ("sweep.fit-missing-key", _set(["sweep"], {"fit": {"n_p": 2}}),
+     "missing key(s) in 'sweep.fit': target_ratio"),
+    ("sweep.fit-empty", _set(["sweep"], {"fit": {}}),
+     "missing key(s) in 'sweep.fit': n_p, target_ratio"),
+    ("sweep.fit-unknown-key", _set(["sweep"], {"fit": dict(_FIT["fit"],
+                                                          gamma_i0=0.1)}),
+     "unknown key(s) in 'sweep.fit': gamma_i0"),
+    ("sweep.fit-null", _set(["sweep"], {"fit": None}),
+     "section 'sweep.fit' must be an object"),
+    ("sweep.fit.n_p-out-of-range", _set(["sweep"], {"fit": {
+        "n_p": 7, "target_ratio": 2.0}}),
+     "'sweep.fit.n_p' must be an integer in 0..4, got 7"),
+    ("sweep.fit.n_p-float", _set(["sweep"], {"fit": {
+        "n_p": 2.0, "target_ratio": 2.0}}),
+     "'sweep.fit.n_p' must be an integer, got 2.0"),
+    ("sweep.fit.target_ratio-below-1", _set(["sweep"], {"fit": {
+        "n_p": 2, "target_ratio": 0.5}}),
+     "'sweep.fit.target_ratio' must exceed 1, got 0.5"),
+    ("sweep.fit.target_ratio-null", _set(["sweep"], {"fit": {
+        "n_p": 2, "target_ratio": None}}),
+     "'sweep.fit.target_ratio' is required"),
+    ("sweep.areas.num-one", _set(["sweep"], {"areas": {
+        "start": 1.0, "stop": 2.0, "num": 1}}),
+     "'sweep.areas.num' must be >= 2, got 1"),
+    ("sweep.areas.start-null", _set(["sweep"], {"areas": {
+        "start": None, "stop": 2.0, "num": 3}}),
+     "'sweep.areas.start' is required"),
+    ("sweep.areas-missing-keys", _set(["sweep"], {"areas": {"start": 1.0}}),
+     "missing key(s) in 'sweep.areas': num, stop"),
+    ("numerics.tol-above-ceiling", _set(["numerics", "tol"], 0.5),
+     "'numerics.tol' must be <= 0.001, got 0.5"),
+    ("numerics.t_span-decreasing", _set(["numerics", "t_span"], [1.0, 0.0]),
+     "'numerics.t_span' must be [t0, t1] with t1 > t0"),
+]
 
 
 @pytest.mark.parametrize("command, edit, key", [
@@ -249,6 +317,9 @@ _LOW_COUNTS = {"n_mean": 5, "seed": 3, "n_seeds": 40}
                  "sweep.energies", id="ratio-edit-sweep.energies-missing"),
     pytest.param("fit-dephasing", _set(["sweep"], {}), "sweep.fit",
                  id="fit-dephasing-edit-sweep-empty"),
+    *[pytest.param("evolve", edit, f"config error: {message}\n",
+                   id=f"evolve-message-{name}")
+      for name, edit, message in _MESSAGES],
 ])
 def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
                                            key):

@@ -48,7 +48,9 @@ def test_negative_rate_rejected():
 def test_area_omega0_exclusive():
     data = minimal_config()
     data["pulse"]["omega0"] = 0.4
-    with pytest.raises(ConfigError, match="not both"):
+    # the whole message: the section name is not wrapped a second time
+    with pytest.raises(ConfigError, match="^'pulse' must set either 'area' "
+                                          "or 'omega0', not both$"):
         RunConfig.parse(data)
 
 

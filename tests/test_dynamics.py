@@ -333,8 +333,12 @@ def test_evolve_intensity_dependent_dephasing_uses_stage_times():
 
 def test_evolve_validates_inputs():
     drive = PulseDrive(omega0=0.0, sigma=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol must be in"):
         evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=(0, 10), tol=1e-2)
+    # emission_after_pulse takes the same tol range
+    for tol in (1e-2, 1e-14):
+        with pytest.raises(ValueError, match="tol must be in"):
+            emission_after_pulse(drive, DecayRates(), NO_DEPH, tol=tol)
     with pytest.raises(ValueError):
         evolve(GROUND, drive, DecayRates(gamma_b=0.1, gamma_x=0.0), NO_DEPH)
     with pytest.raises(ValueError, match="t_span must be increasing"):

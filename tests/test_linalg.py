@@ -107,6 +107,10 @@ def test_dimension_mismatch_rejected():
 
 def test_check_density_matrix_diagnostics():
     check_density_matrix(np.diag([0.5, 0.5, 0.0]).astype(complex), dim=3)
+    with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got \(3, 3\)"):
+        check_density_matrix(np.eye(3) / 3.0, dim=4)
+    with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got \(4,\)"):
+        check_density_matrix(np.full(4, 0.25), dim=4)
     with pytest.raises(ValueError, match="trace"):
         check_density_matrix(np.diag([0.7, 0.5, 0.0]).astype(complex))
     with pytest.raises(ValueError, match="hermiticity"):

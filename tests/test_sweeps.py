@@ -64,6 +64,10 @@ def test_coherent_first_max_area_is_a_two_photon_pi_pulse(sigma, delta_x):
     t = np.linspace(-8.0 * sigma, 8.0 * sigma, 4001)
     area = trapezoid(drive.amplitude(t) ** 2, t) / (2.0 * delta_x)
     assert area == pytest.approx(math.pi, rel=1e-12)
+    # no two-photon coupling to eliminate without a virtual-level offset
+    for bad in (0.0, -delta_x):
+        with pytest.raises(ValueError, match="delta_x must be > 0"):
+            coherent_first_max_area(sigma, bad)
 
 
 def test_rabi_sweep_oscillates_and_damps():
@@ -326,7 +330,7 @@ def test_fit_gamma_i0_validation():
         fit_gamma_i0(True, 2.9, 12.0, DECAY)
 
 
-def test_fit_gamma_i0_unreachable_target():
+def test_fit_gamma_i0_unreachable_target(monkeypatch):
     # the ratio at gamma_i0 = 0 bounds what any fit can reach; gamma_i0 = 0
     # is searched after [0.02, 0.04], and nothing after it
     with pytest.raises(UnreachableTargetError,
@@ -338,6 +342,12 @@ def test_fit_gamma_i0_unreachable_target():
         fit_gamma_i0(2, 2.9, 12.0, DECAY, gamma_bg=0.5, delta_x=3.5)
     assert "undamped" not in str(err.value)
     assert isinstance(err.value, ValueError)
+    # the doubling search stops at GAMMA_I0_BRACKET_MAX, here [0.04, 0.08]
+    # after [0.02, 0.04], where the ratio (1.76) is still above the target
+    monkeypatch.setattr(sweeps, "GAMMA_I0_BRACKET_MAX", 0.08)
+    with pytest.raises(UnreachableTargetError,
+                       match=r"ratio at gamma_i0 = 0\.08 is still 1\.758"):
+        fit_gamma_i0(2, 1.5, 12.0, DECAY, delta_x=3.5)
 
 
 def test_fit_gamma_i0_round_trip_quick():

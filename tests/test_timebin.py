@@ -171,6 +171,8 @@ def test_visibilities_ideal():
 
 def test_visibilities_maximally_mixed():
     assert np.allclose(visibilities(MIXED), 0.0, atol=1e-12)
+    # a zero matrix has a fringe of zero everywhere: no contrast, no NaN
+    assert visibilities(np.zeros((4, 4))) == (0.0, 0.0, 0.0)
 
 
 def test_visibilities_model_state():

@@ -6,6 +6,7 @@ import pytest
 from qdtimebin.linalg import min_eigenvalue, state_fidelity
 from qdtimebin.timebin import TimeBinModelParams, concurrence, ideal_state, model_state
 from qdtimebin.tomography import (
+    DegenerateDatasetError,
     MeasurementSetting,
     Projector,
     TomographyDataset,
@@ -80,6 +81,8 @@ def test_projector_labels_round_trip():
         assert Projector.from_label(p.label()) == p
     with pytest.raises(ValueError):
         Projector("Q")
+    with pytest.raises(ValueError, match="cannot parse projector label 'Q'"):
+        Projector.from_label("Q")
 
 
 @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
@@ -183,6 +186,13 @@ def test_linear_rejects_incomplete_settings():
     settings = [MeasurementSetting(Projector("E"), Projector("E"))] * 16
     counts = np.full(16, 100.0)
     with pytest.raises(ValueError, match="(singular|time-basis)"):
+        reconstruct_linear(TomographyDataset(settings=settings, counts=counts,
+                                             total_per_setting=100.0))
+    # all four time-basis settings, but S(0) S(0) twice instead of
+    # S(pi/2) S(pi/2): rank 15
+    settings = standard_settings()
+    settings[-1] = settings[10]
+    with pytest.raises(ValueError, match="singular design matrix"):
         reconstruct_linear(TomographyDataset(settings=settings, counts=counts,
                                              total_per_setting=100.0))
 
@@ -479,6 +489,14 @@ def test_mle_rejects_all_zero_counts():
                              counts=np.zeros(16), total_per_setting=100.0)
     with pytest.raises(ValueError, match="degenerate"):
         reconstruct_mle(data)
+    # in a stack, the first dataset without a time-basis count is named by
+    # its own error type and its index, whatever the message says
+    good = simulate_counts(ideal_state(0.0), standard_settings(), 1e3, 1)
+    with pytest.raises(DegenerateDatasetError,
+                       match="^degenerate dataset 1: its time-basis counts "
+                             "sum to zero$") as err:
+        reconstruct_mle_many([good, data, data])
+    assert err.value.index == 1
 
 
 def test_dataset_validation_and_io(tmp_path):
