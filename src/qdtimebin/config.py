@@ -1,9 +1,10 @@
 """Strict JSON run configuration.
 
 Unknown keys are fatal: a typo in a rate name must never silently fall back
-to a default.  Every section is one dataclass, built by ``_model``, whose
-fields name its keys and declare each bound once: in field ``metadata``, or
-in ``__post_init__``, whose ValueError becomes a ConfigError naming the key.
+to a default.  A key set to null counts as absent.  Every section is one
+dataclass, built by ``_model``, whose fields name its keys and declare each
+bound once: in field ``metadata``, or in ``__post_init__``, whose
+ValueError becomes a ConfigError naming the key.
 ``dot`` builds a ``DecayRates``, ``dephasing`` and each ``sweep.models[i]``
 a ``DephasingModel``, ``timebin`` a ``TimeBinModelParams``, and
 ``sweeps.check_fit_target`` checks ``sweep.fit``; a list is read by its
@@ -91,13 +92,15 @@ def _naming(section: str):
 
 
 def _model(section: str, data: dict, cls):
-    """The dataclass ``cls`` built from section ``data``, whose keys are its
-    init fields, read in order.  A field without a default is required; a
-    key absent, or null where the field has a default, takes the default.
-    An int field takes an integer (not null), any other a number within the
-    "minimum" and "maximum" of its ``metadata``, unless that holds a
-    "parse"(key, value) function, which reads any value given, null too."""
+    """The dataclass ``cls`` built from section ``data``, an object whose
+    keys are its init fields, read in order.  A key set to null is absent.
+    A field without a default is a required key; an absent key takes its
+    field's default.  An int field takes an integer, any other a number
+    within the "minimum" and "maximum" of its ``metadata``, unless that
+    holds a "parse"(key, value) function, which reads the value."""
     params = [f for f in fields(cls) if f.init]
+    if isinstance(data, dict):
+        data = {k: v for k, v in data.items() if v is not None}
     _check_keys(section, data, {f.name for f in params},
                 {f.name for f in params
                  if f.default is MISSING and f.default_factory is MISSING})
@@ -108,10 +111,8 @@ def _model(section: str, data: dict, cls):
             values[f.name] = f.metadata["parse"](key, v)
         elif isinstance(f.default, int) or f.type in ("int", int):
             values[f.name] = _integer(key, v, **f.metadata)
-        elif v is not None:
+        else:
             values[f.name] = _value(key, v, **f.metadata)
-        elif f.default is MISSING:
-            raise ConfigError(f"'{key}' is required")
     with _naming(section):
         return cls(**values)
 
@@ -168,9 +169,7 @@ def _models(key: str, spec: Any) -> list[DephasingModel]:
             for i, m in enumerate(_items(key, spec))]
 
 
-def _t_span(key: str, spec: Any) -> tuple[float, float] | None:
-    if spec is None:
-        return None
+def _t_span(key: str, spec: Any) -> tuple[float, float]:
     if isinstance(spec, list) and len(spec) == 2:
         span = tuple(_value(f"{key}[{i}]", t) for i, t in enumerate(spec))
         if span[0] < span[1]:
@@ -338,14 +337,24 @@ class RunConfig:
         return json.loads(json.dumps(self.raw, sort_keys=True))
 
 
+class _TooLarge(float):
+    """A JSON integer literal past Python's limit on the digits of an
+    integer string: +-inf, which the value checks refuse, naming its key,
+    and which prints as what the config holds."""
+
+    def __repr__(self):
+        return "an integer too large for a float"
+
+    __str__ = __repr__
+
+
 def _json_int(text: str):
-    """A JSON integer literal as an int, or as a float (+-inf) past Python's
-    limit on the digits of an integer string, so that the value checks
-    name its key."""
+    """A JSON integer literal as an int, or past Python's limit on the
+    digits of an integer string as a ``_TooLarge``."""
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        return _TooLarge(text)
 
 
 def load_config(path) -> RunConfig:

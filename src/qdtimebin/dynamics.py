@@ -17,25 +17,24 @@ construction; no other module indexes it.
 
 A batch is one ``PulseDrive`` whose ``omega0`` is an array of N peak
 amplitudes; its ``sigma`` and ``t0``, and the fields of its
-``DephasingModel``, may hold one value per drive as well.  One window
-stepper (``_window_steps``: DOP853 with an error norm per drive, whose
-step forms the operators of all its stages in one product, sums each
-stage in one product over [y; K] and ends in one product for y_new and the
-error estimates, taking scipy's steps up to rounding, with no dense
-output, or Radau for a window made stiff by dephasing) steps it
-as one (11, N) system in pulse time tau = (t - t0) / sigma, over the
-window |tau| <= ``PULSE_HALF_WIDTH`` that every drive shares whatever its
-sigma: ``emission_after_pulse`` over the pulse windows of a batch, adding
-the emission after the pulse in closed form, and ``evolve`` for one drive,
-storing every accepted step.  Wherever the generator is constant, outside
-a pulse window and for the whole span of a ``ConstantDrive``, ``evolve``
-propagates the state exactly instead.  Time-resolved emission is read at a
-trajectory's stored rows (``cumulative_emission``); to read it at a given
-t_f, evolve to t_f.
+``DephasingModel``, may hold one value per drive as well.
+``_window_steps`` steps the pulse windows of a batch as one (11, N) system
+in pulse time tau = (t - t0) / sigma, over the window
+|tau| <= ``PULSE_HALF_WIDTH`` that every drive shares whatever its sigma,
+and yields the state at each accepted step.  Its method is DOP853
+(``_dop853_steps``), which bounds each drive's error estimate per step at
+``tol``, or scipy's Radau (``_radau_steps``) for a window made stiff by
+dephasing.  ``emission_after_pulse`` adds the emission after a batch's
+windows in closed form.  ``evolve`` steps one drive's window, stores every
+accepted step, and propagates the state exactly wherever the generator is
+constant: outside a pulse window, and over the whole span of a
+``ConstantDrive``.  Emission is known at a trajectory's stored rows only
+(``cumulative_emission``); to read it at a given t_f, evolve to t_f.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -43,7 +42,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.integrate
 from scipy.integrate import Radau, trapezoid
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 
@@ -53,8 +51,8 @@ G, X, B = 0, 1, 2
 
 LN2 = math.log(2.0)
 
-# Smallest integration tolerance: scipy raises any rtol below it to it, in
-# DOP853 and Radau alike.  The largest is TOL_CEILING (``check_tol``).
+# Smallest integration tolerance, to which scipy's Radau raises any rtol
+# below it.  The largest is TOL_CEILING (``check_tol``).
 TOL_FLOOR = 100 * np.finfo(float).eps
 TOL_CEILING = 1e-3
 # Half-width of a pulse window in pulse time tau = (t - t0) / sigma.
@@ -396,184 +394,174 @@ def default_t_span(drive: PulseDrive, decay: DecayRates) -> tuple[float, float]:
     return start, end + 10.0 / decay.gamma_x
 
 
-class DOP853(scipy.integrate.DOP853):
-    """scipy's DOP853 on the (11, N) state of N drives, raveled row-major,
-    with an error norm per drive and a step of its own.
+# DOP853's tableau, scipy's: in units of h, per stage 1 .. 11 and then the
+# step's end, the weights of K[0] .. K[11] in its sum (A[s], then B), and
+# its pulse time (C[s], then 1)
+_BY_H = np.column_stack((
+    np.vstack((scipy.integrate.DOP853.A[1:], scipy.integrate.DOP853.B)),
+    np.append(scipy.integrate.DOP853.C[1:], 1.0)))
+# sums over a drive's 11 components of the squared E5 K / scale and
+# E3 K / scale, stacked: its e5 and e5 + e3 / 100
+_SQUARES = np.kron([[1.0, 0.0], [1.0, 0.01]], np.ones(_N_STATE))
+_TINY = np.finfo(float).tiny
 
-    The error norm bounds each drive's error: the largest over the drives
-    of scipy's norm of that drive's 11 components (column n).  Each drive
-    of a batch then steps at rtol = atol = tol as if it were alone.
 
-    The right-hand side of a window is linear in the state, so a step
-    takes its stages from two functions that ``_window_steps`` hands over
-    instead of calling ``fun`` once per stage: ``operators(taus)`` stacks
-    the operators of the right-hand side at the pulse times ``taus``, and
-    ``apply(op, y, out)`` writes op applied to y into ``out``, both (11, N)
-    views.  Each attempted step forms its 12 operators in one call, at
-    tau + c h for the stages c = C[1:] and for its end, c = 1.  Then it
-    runs the stage recursion K[s] = op_s(y + h A[s, :s] @ K[:s]) into
-    ``K`` and takes the derivative at its end, counting 12 evaluations in
-    ``nfev``.  Each stage sum is one product of the weights
-    (1, h A[s, :s]) with the rows [y; K[:s]] of one work array [y; K].
-    The step's end is one product too: the weights (1, h B) give y_new and
-    scipy's E5 and E3 the two error estimates, exactly as from all 13
-    stages, since E5 and E3 weight K[12], the derivative at the end, by 0.
-    Every view of the work array a step reads or writes is made once,
-    here.
-
-    These sums round differently from scipy's ``rk_step``, which adds y
-    after the weighted stages, so a step from the same state agrees with
-    scipy's to rounding.  The error estimate E K is a cancelling sum,
-    which magnifies that rounding into the step sizes, so a window's pulse
-    times can move by ~1e-9 against scipy's (in the tests and the
-    benchmark's windows, over as many steps).
-
-    scipy's are the tableau, the step-size constants ``SAFETY``,
-    ``MIN_FACTOR`` and ``MAX_FACTOR``, the control law of
-    ``RungeKutta._step_impl``, which ``_step_impl`` runs on Python floats,
-    the initial step (two calls of ``fun``), the status and the scale
-    atol + rtol max(|y|, |y_new|).  The solver has no dense output
-    (``dense_output()`` raises): a window is read at its accepted steps.
-    A solver made without ``operators`` estimates error norms but cannot
-    step.
-    """
-
-    # in units of h, per stage 1 .. 11 and then the step's end: the weights
-    # of K[0] .. K[11] in its sum (A[s], then B), and its pulse time
-    _BY_H = np.column_stack((
-        np.vstack((scipy.integrate.DOP853.A[1:], scipy.integrate.DOP853.B)),
-        np.append(scipy.integrate.DOP853.C[1:], 1.0)))
-    # sums over a drive's 11 components of the squared E5 K / scale and
-    # E3 K / scale, stacked: its e5 and e5 + e3 / 100
-    _SQUARES = np.kron([[1.0, 0.0], [1.0, 0.01]], np.ones(_N_STATE))
-    _TINY = np.finfo(float).tiny
-
-    def __init__(self, fun, t0, y0, t_bound, *, operators=None, apply=None,
-                 **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.operators, self.apply = operators, apply
-        # the control law runs on floats, where scipy's may be numpy's
-        self.t, self.t_bound = float(self.t), float(self.t_bound)
-        self.h_abs, self.max_step = float(self.h_abs), float(self.max_step)
-        self.direction = float(self.direction)
-        self._rtol, self._atol = float(self.rtol), float(self.atol)
-        m = self.n_stages
-        # the step's work array W: y in row 0, then the 13 rows of K; no
-        # dense output reads the stages scipy's K_extended would add
-        del self.K_extended
-        W = np.empty((1 + len(self.K), self.n))
-        self.K, self._W = W[1:], W
-        # the weights of W[:13] = [y; K[:12]]: (1, h A[s, :s]) per stage
-        # s = 1 .. 11, then those of the step's end, (1, h B) for y_new and
-        # (0, E5[:12]) and (0, E3[:12]) for the error estimates, exact as E5
-        # and E3 weight K[12] by 0; then, in the last column, h times the
-        # pulse times of the stages and the end.  One multiply by h fills
-        # each step's; the 1s, the 0s and the E rows stay.
-        sums = np.ones((m + 2, m + 2))
-        sums[m:, 0] = 0.0
-        sums[m:, 1:-1] = self.E5[:m], self.E3[:m]
-        self._by_h, self._h_times = sums[:m, 1:], sums[:m, -1]
-        # the step's end: y_new in row 0, then the error estimates
-        ends = np.empty((3, self.n))
-        self._ends, self._err = ends, ends[1:]
-        self._end_sums, self._end_rows = sums[m - 1:, :-1], W[:m + 1]
-        # views (11, N), as apply takes them: of a stage's sum y_s, of
-        # y_new and of the rows of K; per stage s = 1 .. 11, its weights,
-        # the rows of W they weight (y, K[:s]), y_s flat and as a view, and
-        # the row of K that its derivative fills
-        shape = (_N_STATE, self.n // _N_STATE)
-        y_s, k = np.empty(self.n), W.reshape(len(W), *shape)
-        self._stages = [(sums[i, :i + 2], W[:i + 2], y_s, y_s.reshape(shape),
-                         k[i + 2]) for i in range(m - 1)]
-        self._end = (ends[0].reshape(shape), k[m + 1])
-
-    def _error_norm(self, err, h, scale):
-        """The error norm of scipy's error estimates err = (E5 K, E3 K), of
-        shape (2, 11 N), at step h and scale: the largest over the drives
-        of |h| e5 / sqrt(11 (e5 + e3 / 100)), where e5 and e3 are the sums
-        of squares of the drive's 11 components of E5 K / scale and
-        E3 K / scale, scipy's norm for each drive alone.  A drive with no
-        error reads 0, and a NaN or inf rejects the step (returns inf).
-        Overwrites err."""
-        np.divide(err, scale, out=err)
-        np.multiply(err, err, out=err)
-        # (e5, e5 + e3 / 100) of each drive
-        squares = np.dot(self._SQUARES, err.reshape(2 * _N_STATE, -1))
-        if squares.shape[1] == 1:  # one drive, on floats
-            (e5,), (denom,) = squares.tolist()
-            if not denom < math.inf:
-                return math.inf
-            return abs(h) * e5 / math.sqrt(_N_STATE * denom) if denom else 0.0
-        e5, denom = squares
-        if not denom.max() < math.inf:
+def _error_norm(err: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """The error norm of a DOP853 step of N drives, from its error
+    estimates err = (E5 K, E3 K), of shape (2, 11 N) for the (11, N) state
+    raveled row-major: the largest over the drives of
+    |h| e5 / sqrt(11 (e5 + e3 / 100)), where e5 and e3 are the sums of
+    squares of the drive's 11 components of E5 K / scale and E3 K / scale,
+    which is scipy's norm for that drive alone.  A drive with no error
+    reads 0, and a NaN or inf returns inf.  Overwrites err."""
+    np.divide(err, scale, out=err)
+    np.multiply(err, err, out=err)
+    # (e5, e5 + e3 / 100) of each drive
+    squares = np.dot(_SQUARES, err.reshape(2 * _N_STATE, -1))
+    if squares.shape[1] == 1:  # one drive, on floats
+        (e5,), (denom,) = squares.tolist()
+        if not denom < math.inf:
             return math.inf
-        # a drive with no error has e5 = denom = 0: its e5^2 / denom reads 0
-        np.maximum(denom, self._TINY, out=denom)
-        np.divide(e5, denom, out=denom)
-        denom *= e5
-        return abs(h) * math.sqrt(denom.max() / _N_STATE)
+        return abs(h) * e5 / math.sqrt(_N_STATE * denom) if denom else 0.0
+    e5, denom = squares
+    if not denom.max() < math.inf:
+        return math.inf
+    # a drive with no error has e5 = denom = 0: its e5^2 / denom reads 0
+    np.maximum(denom, _TINY, out=denom)
+    np.divide(e5, denom, out=denom)
+    denom *= e5
+    return abs(h) * math.sqrt(denom.max() / _N_STATE)
 
-    def _rk_step(self, t, y, h):
-        """(y_new, f_new) of scipy's ``rk_step(self.fun, t, y, self.f, h,
-        A, B, C, K)``, up to rounding, from one call of ``operators``.
-        Leaves scipy's error estimates (E5 K, E3 K) in ``_err``."""
-        self.nfev += len(self._h_times)
-        W, apply = self._W, self.apply
-        W[0] = y
-        W[1] = self.f
-        np.multiply(self._BY_H, h, out=self._by_h)
-        ops = self.operators(self._h_times + t)
-        for (sums, rows, y_s, y_in, out), op in zip(self._stages, ops):
-            np.dot(sums, rows, out=y_s)  # y + h (K[:s].T @ A[s, :s])
-            apply(op, y_in, out)
-        np.dot(self._end_sums, self._end_rows, out=self._ends)
-        apply(ops[-1], *self._end)
-        return self._ends[0].copy(), self.K[-1].copy()
 
-    def _step_impl(self):
-        # the control law of scipy's RungeKutta._step_impl, on floats
-        t, y, direction = self.t, self.y, self.direction
-        exponent = self.error_exponent
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = self.h_abs
-        if h_abs > self.max_step:
-            h_abs = self.max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853_steps(rhs, operators, apply, tau: float, y: np.ndarray,
+                  tau_end: float, max_step: float, tol: float):
+    """Step dy/dtau = rhs(tau, y) by DOP853 from (tau, y) to tau_end > tau
+    at rtol = atol = ``tol``; yield (tau, y) after each accepted step, each
+    y a new array of y's shape.
+
+    y is the (11, N) state of N drives raveled row-major, and the
+    right-hand side is linear in it.  Each attempted step forms its 12
+    operators in one call of ``operators(taus)``, at the pulse times of
+    its stages 1 .. 11 and of its end, and ``apply(op, y, out)`` writes op
+    applied to the (11, N) view y into the view out.  Each stage sum is one
+    product of the weights (1, h A[s, :s]) with the rows [y; K[:s]] of one
+    work array [y; K], and the end one product of (1, h B) and scipy's E5
+    and E3 with [y; K[:12]], which gives y_new and the two error estimates.
+    These sums round differently from scipy's ``rk_step``, so a step
+    agrees with scipy's to rounding only.
+
+    A step is accepted when ``_error_norm`` is below 1: each drive's own
+    error estimate is at most ``tol`` (scale tol + tol max(|y|, |y_new|)),
+    as if it were stepped alone.  The initial step and the control law are
+    scipy's (``RungeKutta``, on floats): the initial step by the rule of
+    Hairer, Norsett and Wanner, Solving ODEs I, II.4, from two calls of
+    ``rhs`` and the RMS norm over all 11 N components; no step exceeds
+    ``max_step``.  A step driven below 10 ulp of tau, as by an error norm
+    that is NaN or inf, raises IntegrationError at that tau, in pulse time.
+    """
+    f = rhs(tau, y)
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+             tau_end - tau)
+    d2 = _rms((rhs(tau + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = float(min(100 * h0, h1, tau_end - tau, max_step))
+
+    m, n = len(_BY_H), y.size
+    # the work array W: y in row 0, then the 13 rows of K, of which K[0]
+    # is the derivative at the step's start and K[12] that at its end
+    W = np.empty((m + 2, n))
+    W[0], W[1] = y, f
+    # the weights of W[:13] = [y; K[:12]]: (1, h A[s, :s]) per stage
+    # s = 1 .. 11, then those of the step's end, (1, h B) for y_new and
+    # (0, E5[:12]) and (0, E3[:12]) for the error estimates, exact as E5
+    # and E3 weight K[12] by 0; then, in the last column, h times the
+    # pulse times of the stages and the end.  One multiply by h fills
+    # each step's; the 1s, the 0s and the E rows stay.
+    sums = np.ones((m + 2, m + 2))
+    sums[m:, 0] = 0.0
+    sums[m:, 1:-1] = (scipy.integrate.DOP853.E5[:m],
+                      scipy.integrate.DOP853.E3[:m])
+    by_h, h_times = sums[:m, 1:], sums[:m, -1]
+    # the step's end: y_new in row 0, then the error estimates
+    ends = np.empty((3, n))
+    end_sums, end_rows = sums[m - 1:, :-1], W[:m + 1]
+    # (11, N) views, as apply takes them; per stage s = 1 .. 11, its
+    # weights, the rows of W they weight, its sum flat and as a view, and
+    # the row of K that its derivative fills
+    shape = (_N_STATE, n // _N_STATE)
+    y_s, k = np.empty(n), W.reshape(len(W), *shape)
+    stages = [(sums[i, :i + 2], W[:i + 2], y_s, y_s.reshape(shape), k[i + 2])
+              for i in range(m - 1)]
+    end_y, end_f = ends[0].reshape(shape), k[m + 1]
+    while tau < tau_end:
+        min_step = 10.0 * (math.nextafter(tau, math.inf) - tau)
+        h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = np.maximum(np.abs(y), np.abs(y_new))
-            scale *= self._rtol
-            scale += self._atol
-            error_norm = self._error_norm(self._err, h, scale)
+                raise IntegrationError("Required step size is less than "
+                                       "spacing between numbers.", tau)
+            tau_new = min(tau + h_abs, tau_end)
+            h = h_abs = tau_new - tau
+            np.multiply(_BY_H, h, out=by_h)
+            ops = operators(h_times + tau)
+            for (weights, rows, flat, y_in, out), op in zip(stages, ops):
+                np.dot(weights, rows, out=flat)  # y + h (K[:s].T @ A[s, :s])
+                apply(op, y_in, out)
+            np.dot(end_sums, end_rows, out=ends)
+            apply(ops[-1], end_y, end_f)
+            scale = np.maximum(np.abs(W[0]), np.abs(ends[0]))
+            scale *= tol
+            scale += tol
+            error_norm = _error_norm(ends[1:], h, scale)
             if error_norm < 1.0:
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
-        if error_norm == 0.0:
-            factor = MAX_FACTOR
-        else:
-            factor = min(MAX_FACTOR, SAFETY * error_norm ** exponent)
-        if rejected:
-            factor = min(1.0, factor)
-        self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
-        self.h_abs, self.f = h_abs * factor, f_new
-        return True, None
+        factor = min(10.0, 0.9 * error_norm ** -0.125) if error_norm else 10.0
+        h_abs *= min(1.0, factor) if rejected else factor
+        tau, y = tau_new, ends[0].copy()
+        W[0], W[1] = y, W[-1]
+        yield tau, y
+
+
+def _radau_steps(rhs, jac, tau: float, y: np.ndarray, tau_end: float,
+                 max_step: float, tol: float):
+    """Step dy/dtau = rhs(tau, y) by scipy's Radau, with Jacobian
+    ``jac(tau, y)``, from (tau, y) to tau_end at rtol = atol = ``tol``;
+    yield (tau, y) after each accepted step.  Radau keeps the derivatives
+    it is given, so ``rhs`` must return a new array each call.  A failed
+    step raises IntegrationError at its tau, in pulse time, with scipy's
+    message."""
+    solver = Radau(rhs, tau, y, tau_end, max_step=max_step, rtol=tol,
+                   atol=tol, jac=jac)
+    try:
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(message, solver.t)
+            yield solver.t, solver.y
+    finally:
+        # the solver keeps closures over itself; dropping them lets its
+        # work arrays go when the window ends, not at a later cyclic
+        # collection
+        solver.fun = solver.fun_vectorized = solver.jac = None
 
 
 def _window_method(drive: PulseDrive, deph: DephasingModel,
-                   tau_span: tuple[float, float]):
-    """DOP853, or Radau for a batch of N drives whose dephasing alone would
-    force DOP853 past max(``_RADAU_MIN_STEPS``, ``_RADAU_STEPS`` N^0.4)
-    steps over ``tau_span``.
+                   tau_span: tuple[float, float]) -> str:
+    """The method that steps a window: "Radau" for a batch of N drives
+    whose dephasing alone would force DOP853 past max(``_RADAU_MIN_STEPS``,
+    ``_RADAU_STEPS`` N^0.4) steps over ``tau_span``, else "DOP853".
 
     sigma_n rate_n(tau) ``_RP_MAX`` bounds the real eigenvalues of drive
     n's generator that dephasing adds at pulse time tau; DOP853 is stable
@@ -591,7 +579,7 @@ def _window_method(drive: PulseDrive, deph: DephasingModel,
              * np.max(drive.sigma * trapezoid(rate, tau, axis=0)))
     n = np.size(drive.omega0)
     limit = max(_RADAU_MIN_STEPS, _RADAU_STEPS * n ** 0.4)
-    return Radau if steps > limit else DOP853
+    return "Radau" if steps > limit else "DOP853"
 
 
 def _pulse_coefficients(drive: PulseDrive, deph: DephasingModel, n: int):
@@ -663,46 +651,40 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
                   deph: DephasingModel, tau_span: tuple[float, float],
                   tol: float):
     """Step the N drives of ``drive`` (one per entry of its ``omega0``) from
-    the (11, N) states ``y0`` as one system over ``tau_span`` in pulse time
-    tau = (t - t0) / sigma; yield (t, Y) at the start and at each accepted
-    step, where t = t0 + sigma tau in ps, one per drive where their sigma
-    or t0 differ.
+    the (11, N) states ``y0`` as one system over ``tau_span``, increasing,
+    in pulse time tau = (t - t0) / sigma.
 
-    Column n obeys dY/dtau = sigma_n (r0 @ Y + (rd @ Y) omega_n
-    + (rp @ Y) deph.rate(omega_n)), with omega_n = drive.amplitude_at(tau),
-    its amplitude at its own time t0 + sigma tau: the three parts weighted
-    by the coefficient rows of ``_pulse_coefficients``.  ``drive.sigma``,
-    ``drive.t0`` and the fields of ``deph`` may hold one value per drive:
-    drives of different sigma share the window |tau| <= PULSE_HALF_WIDTH
-    and one step sequence.  The method is ``DOP853``, whose error norm is
-    the largest of the drives' own norms, at rtol = atol = tol whatever N,
-    and which takes its stages from the operators of the right-hand side
-    (``_pulse_rows`` at the stage times: the generator of one drive, or
-    the coefficient rows of a batch) and the function that applies one to
-    (11, N) views of its work array, both handed to it here.  It forms its
-    stage sums, error estimates and scale itself; scipy's are its tableau,
-    its step-size constants and control law, which it runs on floats, and
-    its initial step.  So it steps as scipy's DOP853 would with this
-    right-hand side, up to rounding; it has no dense output, so the window
-    is read at its accepted steps.  Or the method is Radau where dephasing
-    makes the window stiff (``_window_method``), calling the right-hand
-    side, with the exact Jacobian from the same operators: one drive's
-    generator, or a batch's ``_block_jacobian``.
-    Radau's norm is scipy's RMS over all 11 N components, which no
-    subclass can replace, so it steps at rtol = atol = tol/sqrt(N): that
-    RMS is at most 1 only if each drive's own norm at ``tol`` is.  rtol
-    never falls below ``TOL_FLOOR``, where scipy would raise it, so below
-    tol = ``TOL_FLOOR`` sqrt(N) each drive's step error is bounded by
-    ``TOL_FLOOR`` sqrt(N) instead of tol (3.3e-13 for a fit's 216 drives).
-    Drift beyond 100*tol at the start or at the end, a right-hand side that
-    is not finite at the start, a failed step, or a step beyond
-    ``_MAX_WINDOW_STEPS`` before ``tau_span`` ends (StepBudgetError)
-    raises IntegrationError with its time in ps: that of
-    the drive that drifts or is not finite, or of the first drive for a
-    failure of the whole system, which also gives the tau where the shared
-    step sequence stopped; every message but that of the right-hand side
-    names the method.  Iterate under
-    ``np.errstate(over="ignore", invalid="ignore")`` to end overflow there.
+    Column n obeys dY/dtau = sigma_n (r0 + omega_n rd + rate_n rp) @ Y, with
+    omega_n = drive.amplitude_at(tau) and rate_n = deph.rate(omega_n): the
+    parts of ``_real_generator`` weighted by the coefficient rows of
+    ``_pulse_coefficients``.  ``drive.sigma``, ``drive.t0`` and the fields
+    of ``deph`` may hold one value per drive; the drives share one step
+    sequence, each step at most 1/40 of the span.
+
+    Yields (t, Y) at the start and after each accepted step: t = t0 +
+    sigma tau in ps, one per drive where their sigma or t0 differ, and Y
+    of shape (11, N), a new array each step.
+
+    The method is ``_window_method``'s.  DOP853 (``_dop853_steps``) bounds
+    each drive's own error estimate per step at rtol = atol = ``tol``,
+    whatever N.  Radau (``_radau_steps``, with the exact Jacobian: one
+    drive's generator, or a batch's ``_block_jacobian``) bounds the RMS
+    over all 11 N components at rtol = atol = max(tol / sqrt(N),
+    ``TOL_FLOOR``), so each drive's at tol, or at ``TOL_FLOOR`` sqrt(N)
+    where tol is below that.
+
+    Raises IntegrationError, with its time in ps:
+    - trace drift beyond 100 tol, or a state that is not finite, at the
+      start or the end, "in the {method} window", at that drive's time;
+    - a right-hand side that is not finite at the start, at that drive's
+      time;
+    - a failed step, "{method} integration failed at pulse time tau = ...";
+    - StepBudgetError, when ``_MAX_WINDOW_STEPS`` accepted steps end
+      before the span does.
+    A failed step or the budget gives drive 0's time and the tau at which
+    the shared step sequence stopped.  Iterate under
+    ``np.errstate(over="ignore", invalid="ignore")``, so that overflow
+    ends in these errors and not in warnings.
     """
     n = y0.shape[1]
     parts = _real_generator(drive, decay)
@@ -713,10 +695,8 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
     by_power, p = _pulse_coefficients(drive, deph, n)
     if n == 1:
         # one drive: its operator is its (11, 11) generator, the parts
-        # folded with its coefficients once here, applied by np.dot and
-        # Radau's dense Jacobian.  In DOP853's stage loop a 160-step window
-        # takes 6.2 ms this way and 9.1 ms through the rows of a batch, and
-        # a call of rhs 4.4 against 5.9 us (2-core x86-64 VM, one thread).
+        # folded with its coefficients once here, applied by np.dot; it is
+        # also its dense Radau Jacobian
         at = _pulse_rows(by_power @ parts.reshape(3, -1), p, parts.shape[1:])
         apply = np.dot
     else:
@@ -736,63 +716,53 @@ def _window_steps(y0: np.ndarray, drive: PulseDrive, decay: DecayRates,
             np.dot(r, stacked, out=out)
 
     def rhs(tau, y):
-        # a new array each call: scipy keeps the derivatives it is given
+        # a new array each call: Radau keeps the derivatives it is given
         out = np.empty_like(y)
         apply(at(tau), y.reshape(_N_STATE, n), out.reshape(_N_STATE, n))
         return out
 
-    tau0, tau1 = tau_span
+    tau0, tau1 = (float(tau) for tau in tau_span)
     method = _window_method(drive, deph, tau_span)
     cap, y = 100.0 * tol, y0.ravel()
-    rtol = tol if method is DOP853 else max(tol / math.sqrt(n), TOL_FLOOR)
-    where = f"{method.__name__} window"
+    where = f"{method} window"
     _check_drift(times(tau0), y0, cap, where)
-    # A solver with a derivative that is not finite never returns.
+    # A method given a derivative that is not finite never returns.
     bad = ~np.isfinite(rhs(tau0, y).reshape(_N_STATE, n)).all(axis=0)
     if bad.any():
         raise IntegrationError("right-hand side is not finite",
                                _time_of(times(tau0), np.argmax(bad)))
-    # Each step is capped at 1/40 of the span (sigma/4 in a pulse window).
-    # The cap binds only on the rising edge of a pulse, where the drive is
-    # still weak and the solver would step up to sigma/2.
-    if method is DOP853:
-        options = {"operators": at, "apply": apply}
-    else:  # one drive's operator, its generator, is its own Jacobian
-        options = {"jac": _block_jacobian(parts, at, n) if n > 1
-                   else lambda tau, y: at(tau)}
-    solver = method(rhs, tau0, y, tau1, max_step=(tau1 - tau0) / 40.0,
-                    rtol=rtol, atol=rtol, **options)
-    t, y = times(tau0), y0
+    # The cap of 1/40 of the span (sigma/4 in a pulse window) binds only
+    # on the rising edge of a pulse, where the drive is still weak.
+    max_step = (tau1 - tau0) / 40.0
+    if method == "DOP853":
+        steps = _dop853_steps(rhs, at, apply, tau0, y, tau1, max_step, tol)
+    else:
+        jac = (_block_jacobian(parts, at, n) if n > 1
+               else lambda tau, y: at(tau))
+        steps = _radau_steps(rhs, jac, tau0, y, tau1, max_step,
+                             max(tol / math.sqrt(n), TOL_FLOOR))
+    tau, t, y = tau0, times(tau0), y0
     yield t, y
     try:
-        for _ in range(_MAX_WINDOW_STEPS):
-            if solver.status != "running":
-                break
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(
-                    f"{method.__name__} integration failed at pulse time "
-                    f"tau = {solver.t:.6g}: {message}",
-                    _time_of(times(solver.t), 0))
-            t, y = times(solver.t), solver.y.reshape(_N_STATE, n)
+        for tau, y in itertools.islice(steps, _MAX_WINDOW_STEPS):
+            t, y = times(tau), y.reshape(_N_STATE, n)
             yield t, y
-        if solver.status == "running":
-            raise StepBudgetError(
-                f"{method.__name__} step budget of {_MAX_WINDOW_STEPS} steps "
-                f"exhausted at pulse time tau = {solver.t:.6g}, before the "
-                f"span ends at tau = {tau1:.6g}: the window needs more steps",
-                _time_of(times(solver.t), 0))
-        # A Runge-Kutta step conserves the trace, a linear invariant, up to
-        # rounding, and a state that is not finite makes its error norm NaN
-        # or inf, which rejects it: one check at the end of the window
-        # suffices.
-        _check_drift(t, y, cap, where)
-    finally:
-        # scipy's solver keeps closures over itself; dropping them lets its
-        # work arrays go when the window ends, not at a later cyclic
-        # collection (peak RSS of a 20 s perfbench fit run on a 2-core
-        # x86-64 VM: 86.5 -> 85.4 MB)
-        solver.fun = solver.fun_vectorized = solver.jac = None
+    except IntegrationError as exc:  # a failed step, at its pulse time
+        raise IntegrationError(
+            f"{method} integration failed at pulse time tau = {exc.t:.6g}: "
+            f"{exc}", _time_of(times(exc.t), 0)) from None
+    if tau < tau1:
+        steps.close()
+        raise StepBudgetError(
+            f"{method} step budget of {_MAX_WINDOW_STEPS} steps exhausted "
+            f"at pulse time tau = {tau:.6g}, before the span ends at "
+            f"tau = {tau1:.6g}: the window needs more steps",
+            _time_of(times(tau), 0))
+    # A Runge-Kutta step conserves the trace, a linear invariant, up to
+    # rounding, and a state that is not finite makes its error norm NaN
+    # or inf, which rejects it: one check at the end of the window
+    # suffices.
+    _check_drift(t, y, cap, where)
 
 
 def _propagate_exactly(gen: np.ndarray, y: np.ndarray, t_start: float,

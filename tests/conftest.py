@@ -14,9 +14,8 @@ def window_methods(monkeypatch):
     choose = dynamics._window_method
 
     def recorded(*args):
-        method = choose(*args)
-        methods.append(method.__name__)
-        return method
+        methods.append(choose(*args))
+        return methods[-1]
 
     monkeypatch.setattr(dynamics, "_window_method", recorded)
     return methods

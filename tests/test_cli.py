@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -113,7 +114,7 @@ _MESSAGES = [
     ("pulse.sigma-negative", _set(["pulse", "sigma"], -1.0),
      "'pulse.sigma' must be >= 1e-12, got -1.0"),
     ("pulse.sigma-null", _set(["pulse", "sigma"], None),
-     "'pulse.sigma' is required"),
+     "missing key(s) in 'pulse': sigma"),
     ("pulse.sigma-missing", _set(["pulse"], {"area": 1.0}),
      "missing key(s) in 'pulse': sigma"),
     ("pulse.area-negative", _set(["pulse", "area"], -3.0),
@@ -133,8 +134,6 @@ _MESSAGES = [
      "'tomography.seed' must be >= 0, got -3"),
     ("tomography.seed-float", _set(["tomography", "seed"], 1.5),
      "'tomography.seed' must be an integer, got 1.5"),
-    ("tomography.seed-null", _set(["tomography", "seed"], None),
-     "'tomography.seed' must be an integer, got None"),
     ("tomography.n_seeds-zero", _set(["tomography", "n_seeds"], 0),
      "'tomography.n_seeds' must be >= 1, got 0"),
     ("tomography-not-an-object", _set(["tomography"], [1]),
@@ -146,8 +145,6 @@ _MESSAGES = [
     ("sweep.fit-unknown-key", _set(["sweep"], {"fit": dict(_FIT["fit"],
                                                           gamma_i0=0.1)}),
      "unknown key(s) in 'sweep.fit': gamma_i0"),
-    ("sweep.fit-null", _set(["sweep"], {"fit": None}),
-     "section 'sweep.fit' must be an object"),
     ("sweep.fit.n_p-out-of-range", _set(["sweep"], {"fit": {
         "n_p": 7, "target_ratio": 2.0}}),
      "'sweep.fit.n_p' must be an integer in 0..4, got 7"),
@@ -159,13 +156,13 @@ _MESSAGES = [
      "'sweep.fit.target_ratio' must exceed 1, got 0.5"),
     ("sweep.fit.target_ratio-null", _set(["sweep"], {"fit": {
         "n_p": 2, "target_ratio": None}}),
-     "'sweep.fit.target_ratio' is required"),
+     "missing key(s) in 'sweep.fit': target_ratio"),
     ("sweep.areas.num-one", _set(["sweep"], {"areas": {
         "start": 1.0, "stop": 2.0, "num": 1}}),
      "'sweep.areas.num' must be >= 2, got 1"),
     ("sweep.areas.start-null", _set(["sweep"], {"areas": {
         "start": None, "stop": 2.0, "num": 3}}),
-     "'sweep.areas.start' is required"),
+     "missing key(s) in 'sweep.areas': start"),
     ("sweep.areas-missing-keys", _set(["sweep"], {"areas": {"start": 1.0}}),
      "missing key(s) in 'sweep.areas': num, stop"),
     ("numerics.tol-above-ceiling", _set(["numerics", "tol"], 0.5),
@@ -191,8 +188,6 @@ _MESSAGES = [
     ("evolve", _set(["dephasing", "n_p"], True), "dephasing.n_p"),
     pytest.param("evolve", _set(["dephasing", "n_p"], 10**20),
                  "dephasing.n_p", id="evolve-edit-dephasing.n_p-past-64-bits"),
-    pytest.param("evolve", _set(["dephasing", "n_p"], None), "dephasing.n_p",
-                 id="evolve-edit-dephasing.n_p-null"),
     # every section is checked at parse time, used by the command or not
     ("evolve", _set(["timebin", "epsilon"], 1.5), "timebin.epsilon"),
     ("evolve", _set(["sweep"], {"models": [{"gamma_bg": -1.0}]}),
@@ -236,12 +231,14 @@ _MESSAGES = [
                  "tomography.n_mean",
                  id="entangle-edit-tomography.n_mean-integer-past-float"),
     pytest.param("evolve", _set(["dephasing", "gamma_bg"], HUGE_INT),
-                 "dephasing.gamma_bg",
+                 "config error: 'dephasing.gamma_bg' must be finite, got an "
+                 "integer too large for a float\n",
                  id="evolve-edit-dephasing.gamma_bg-integer-past-digit-limit"),
     pytest.param("entangle", _edits(
         _set(["timebin"], {"epsilon": 0.06}),
         _set(["tomography"], {"n_mean": 1e4, "seed": 3, "n_seeds": HUGE_INT})),
-                 "tomography.n_seeds",
+                 "config error: 'tomography.n_seeds' must be an integer, got "
+                 "an integer too large for a float\n",
                  id="entangle-edit-tomography.n_seeds-integer-past-digit-limit"),
     pytest.param("evolve", _set(["dot", "gamma_x"], 1e300), "dot.gamma_x",
                  id="evolve-edit-dot.gamma_x-overflowing"),
@@ -300,7 +297,8 @@ _MESSAGES = [
                  id="entangle-edit-tomography.n_mean-no-count"),
     pytest.param("evolve", _set(["dot"], 5), "'dot'", id="evolve-edit-dot"),
     pytest.param("fit-dephasing", _set(["sweep"], {"fit": {
-        "n_p": 2, "target_ratio": None}}), "sweep.fit.target_ratio",
+        "n_p": 2, "target_ratio": None}}),
+                 "missing key(s) in 'sweep.fit': target_ratio",
                  id="fit-dephasing-edit-sweep.fit.target_ratio-null"),
     pytest.param("rabi", _set(["sweep"], dict(_AREAS, areas=5)),
                  "sweep.areas", id="rabi-edit-sweep.areas-number"),
@@ -328,6 +326,58 @@ def test_config_problem_exits_2_naming_key(tmp_path, capsys, command, edit,
     cfg = write_config(tmp_path, data)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def _run(tmp_path, command, data):
+    """(exit, stdout, stderr, outputs) of one run in a new directory under
+    ``tmp_path``: each output file's text, but without the config that
+    CSV headers and JSON reports embed."""
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    cfg = write_config(out, data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    outputs = {}
+    for path in sorted(out.glob("*")):
+        text = path.read_text()
+        if path.suffix == ".json" and path != cfg:
+            outputs[path.name] = {k: v for k, v in json.loads(text).items()
+                                  if k != "config"}
+        elif path.suffix != ".json":
+            outputs[path.name] = (text.split("\n", 1)[1]
+                                  if text.startswith("# {") else text)
+    return code, stdout.getvalue().replace(str(out), "<out>"), \
+        stderr.getvalue(), outputs
+
+
+@pytest.mark.parametrize("command, path", [
+    pytest.param("evolve", ["pulse", "t0"], id="pulse.t0-null"),
+    pytest.param("evolve", ["dephasing", "n_p"], id="dephasing.n_p-null"),
+    pytest.param("entangle", ["tomography", "seed"],
+                 id="tomography.seed-null"),
+    pytest.param("evolve", ["numerics", "t_span"], id="numerics.t_span-null"),
+    pytest.param("fit-dephasing", ["sweep", "fit"], id="sweep.fit-null"),
+])
+def test_null_key_reads_as_absent(tmp_path, command, path):
+    # a key set to null, float, int, list or object alike, takes its
+    # default, as if absent: the run exits and writes as without it; a
+    # required key set to null is missing ('pulse.sigma-null' above)
+    data = evolve_config(area=1.0)
+    data["dephasing"]["gamma_i0"] = 0.0349  # so that n_p counts
+    data["timebin"] = dict(_TIMEBIN)
+    data["tomography"] = {"n_mean": 1e4, "n_seeds": 2}
+    data["sweep"] = {}
+    null, absent = (json.loads(json.dumps(data)) for _ in range(2))
+    _set(path, None)(null)
+    functools.reduce(dict.get, path[:-1], absent).pop(path[-1], None)
+    runs = [_run(tmp_path, command, d) for d in (null, absent)]
+    assert runs[0] == runs[1]
+    if command == "fit-dephasing":
+        assert runs[0][:3] == (2, "", "config error: fit-dephasing needs "
+                                     "'sweep.fit'\n")
+    else:
+        assert runs[0][0] == 0 and runs[0][3]
 
 
 def test_pulse_far_from_time_zero_runs(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.integrate import quad
+from scipy.integrate._ivp.rk import rk_step
 from scipy.linalg import expm
 
 from qdtimebin import dynamics
@@ -374,11 +376,37 @@ def test_failed_mixed_sigma_batch_names_its_pulse_time(monkeypatch):
     with pytest.raises(StepBudgetError, match="step budget") as err:
         emission_after_pulse(drive, DecayRates(0.004, 0.002),
                              DephasingModel(0.01, 0.0349, 2))
-    message = str(err.value)
-    assert "before the span ends at tau = 5:" in message
-    tau = float(re.search(r"at pulse time tau = (\S+),", message).group(1))
-    assert -5.0 < tau < 5.0
+    tau = _budget_tau(err.value, "DOP853", 2_000)
     assert err.value.t == pytest.approx(4.0 * tau, rel=1e-5)
+
+
+def _budget_tau(err: StepBudgetError, method: str, budget: int) -> float:
+    """The pulse time at which ``err`` says ``method`` exhausted a step
+    budget of ``budget`` steps, its message checked whole."""
+    message = str(err)
+    tau = float(re.search(r"at pulse time tau = (\S+),", message).group(1))
+    assert message == (
+        f"{method} step budget of {budget} steps exhausted at pulse time "
+        f"tau = {tau:.6g}, before the span ends at tau = 5: the window "
+        "needs more steps")
+    assert -5.0 < tau < 5.0
+    return tau
+
+
+def test_stiff_window_exhausts_the_radau_step_budget(monkeypatch,
+                                                     window_methods):
+    # Radau steps a window made stiff by dephasing, under the same budget:
+    # 5 steps end before the window does, and t is the drive's own time
+    # t0 + sigma tau in ps
+    monkeypatch.setattr(dynamics, "_MAX_WINDOW_STEPS", 5)
+    drive = PulseDrive(omega0=np.array([omega0_for_area(20.0, 1.5e-4)]),
+                       sigma=1.5e-4, t0=2.0, delta_x=3.5)
+    with pytest.raises(StepBudgetError) as err:
+        emission_after_pulse(drive, DecayRates(0.004, 0.002),
+                             DephasingModel(0.01, 0.0349, 2))
+    assert window_methods == ["Radau"]
+    tau = _budget_tau(err.value, "Radau", 5)
+    assert err.value.t == pytest.approx(2.0 + 1.5e-4 * tau, abs=1e-9)
 
 
 def test_stiff_window_steps_with_radau(window_methods):
@@ -411,7 +439,7 @@ def test_window_method_bounds_the_explicit_steps():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_RADAU_STEPS", limit)
             chosen = dynamics._window_method(drive, deph, (-5.0, 5.0))
-        assert chosen.__name__ == method
+        assert chosen == method
 
 
 @pytest.mark.parametrize("drive, decay", [
@@ -481,66 +509,68 @@ def test_window_method_needs_no_numpy_trapezoid(monkeypatch):
                        sigma=1.5e-4, delta_x=3.5)
     chosen = dynamics._window_method(
         drive, DephasingModel(0.01, 0.0349, 2), (-5.0, 5.0))
-    assert chosen.__name__ == "Radau"
+    assert chosen == "Radau"
 
 
 # scipy's DOP853 error estimates E5 K and E3 K, stacked
 _E = np.stack((scipy.integrate.DOP853.E5, scipy.integrate.DOP853.E3))
+_ERROR_NORM = dynamics._error_norm
 
 
 def _error_norm_inputs(n: int, seed: int):
-    """A DOP853 solver of n drives and random (K, h, scale) for its error
-    norm of (E5 K, E3 K): K holds the 13 stages of the 11 n components."""
+    """Random (K, h, scale) of n drives for an error norm of (E5 K, E3 K):
+    K holds the 13 stages of the 11 n components."""
     rng = np.random.default_rng(seed)
-    solver = dynamics.DOP853(lambda t, y: -y, 0.0, np.ones(11 * n), 1.0)
-    return (solver, rng.normal(size=(13, 11 * n)), 0.37,
+    return (rng.normal(size=(13, 11 * n)), 0.37,
             rng.uniform(1e-9, 1e-7, size=11 * n))
+
+
+def _scipys_norm(K, h, scale):
+    """scipy's DOP853 error norm of the stages K."""
+    dop853 = scipy.integrate.DOP853
+    return dop853._estimate_error_norm(dop853, K, h, scale)
 
 
 def test_dop853_error_norm_is_scipys_for_one_drive():
     # the same formula as scipy's, with sums of squares for its squared
     # np.linalg.norm: equal to rounding
-    solver, K, h, scale = _error_norm_inputs(1, 3)
-    assert solver._error_norm(_E @ K, h, scale) == pytest.approx(
-        scipy.integrate.DOP853._estimate_error_norm(solver, K, h, scale),
-        rel=1e-14, abs=0.0)
+    K, h, scale = _error_norm_inputs(1, 3)
+    assert _ERROR_NORM(_E @ K, h, scale) == pytest.approx(
+        _scipys_norm(K, h, scale), rel=1e-14, abs=0.0)
 
 
 def test_dop853_error_norm_is_the_largest_drive_norm():
     # drive n of the (11, 5) state raveled row-major holds components n::5
-    solver, K, h, scale = _error_norm_inputs(5, 4)
-    alone = [scipy.integrate.DOP853._estimate_error_norm(
-        solver, K[:, n::5], h, scale[n::5]) for n in range(5)]
-    assert solver._error_norm(_E @ K, h, scale) == pytest.approx(
+    K, h, scale = _error_norm_inputs(5, 4)
+    alone = [_scipys_norm(K[:, n::5], h, scale[n::5]) for n in range(5)]
+    assert _ERROR_NORM(_E @ K, h, scale) == pytest.approx(
         max(alone), rel=1e-14, abs=0.0)
     # a drive with no error reads 0 and leaves the other drive's norm
-    solver, K, h, scale = _error_norm_inputs(2, 5)
+    K, h, scale = _error_norm_inputs(2, 5)
     K[:, 0::2] = 0.0
-    assert solver._error_norm(_E @ K, h, scale) == pytest.approx(
-        scipy.integrate.DOP853._estimate_error_norm(
-            solver, K[:, 1::2], h, scale[1::2]), rel=1e-14, abs=0.0)
-    assert solver._error_norm(_E @ (0.0 * K), h, scale) == 0.0
+    assert _ERROR_NORM(_E @ K, h, scale) == pytest.approx(
+        _scipys_norm(K[:, 1::2], h, scale[1::2]), rel=1e-14, abs=0.0)
+    assert _ERROR_NORM(_E @ (0.0 * K), h, scale) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_dop853_error_norm_rejects_a_non_finite_drive(bad):
-    solver, K, h, scale = _error_norm_inputs(5, 6)
+    K, h, scale = _error_norm_inputs(5, 6)
     K[:, 2] = bad  # component 0 of drive 2
     with np.errstate(invalid="ignore"):  # as ``_window_steps`` is iterated
-        assert not solver._error_norm(_E @ K, h, scale) < 1.0
+        assert not _ERROR_NORM(_E @ K, h, scale) < 1.0
 
 
 def test_dop853_steps_a_batch_through_its_error_norm(monkeypatch):
     # the step must decide by the per-drive norm: a two-drive window takes
     # one call per step tried, at least one per accepted step
     calls = []
-    norm = dynamics.DOP853._error_norm
 
-    def counted(self, err, h, scale):
+    def counted(err, h, scale):
         calls.append(scale.size)
-        return norm(self, err, h, scale)
+        return _ERROR_NORM(err, h, scale)
 
-    monkeypatch.setattr(dynamics.DOP853, "_error_norm", counted)
+    monkeypatch.setattr(dynamics, "_error_norm", counted)
     drive = PulseDrive(omega0=omega0_for_area(np.array([3.0, 9.0]), 12.0),
                        sigma=12.0, delta_x=3.5)
     y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], 2, 1)
@@ -550,108 +580,102 @@ def test_dop853_steps_a_batch_through_its_error_norm(monkeypatch):
     assert set(calls) == {22}
 
 
-class _Scripted(dynamics.DOP853):
-    """A DOP853 of one drive whose attempted steps take y + h and whose
-    error norms are ``norms``, in turn: what its control law sees."""
+def _scripted(norms, tried: list):
+    """An error norm that returns ``norms`` in turn, then 0.5, whatever
+    its arguments, and appends to ``tried`` on each call."""
+    norms = itertools.chain(norms, itertools.repeat(0.5))
 
-    def __init__(self, norms, t0, t_bound, first_step):
-        super().__init__(lambda t, y: -y, t0, np.ones(11), t_bound,
-                         first_step=first_step, max_step=1.0)
-        self.K[:] = 0.0
-        self.norms, self.tried = iter(norms), 0
+    def norm(*args):
+        tried.append(None)
+        return next(norms)
 
-    def _rk_step(self, t, y, h):
-        return y + h, self.f
-
-    def _error_norm(self, err, h, scale):
-        self.tried += 1
-        return next(self.norms)
+    return norm
 
 
-class _ScipysStep:
-    """scipy's step, ``RungeKutta._step_impl``, in place of the solver's:
-    it calls ``rk_step`` and then scipy's error hook, which here reads
-    the solver's ``_error_norm`` of (E5 K, E3 K)."""
+@pytest.mark.parametrize("norms, tau_span, fails", [
+    # a rejection, then an accepted step that may not grow (min(1, factor)),
+    # then growth by 10 (norm 0) up to max_step, a rejection followed by
+    # norm 0, whose factor is 1, and steps of norm 0.5 to the end
+    ([3.0, 0.4, 0.0, 0.5, 0.9, 2.0, 0.0, 1e-3, 0.3], (0.0, 4.5), False),
+    # a short span, whose steps grow to max_step at once and whose last
+    # step is clipped to its end
+    ([0.7, 0.0, 0.2, 0.0], (0.5, 0.8), False),
+    # rejected down to the smallest step: h falls below 10 ulp of tau
+    ([2.0, 0.0] + [1e30] * 40, (1.0, 4.0), True),
+], ids=["reject-grow", "clip", "too-small"])
+def test_dop853_step_control_decides_as_scipys(monkeypatch, norms, tau_span,
+                                               fails):
+    # Fed the same error norms, the window's DOP853 takes the steps of
+    # scipy's control law (RungeKutta._step_impl under OdeSolver.step) from
+    # scipy's initial step: the same pulse times after as many attempts,
+    # bit for bit, and a failure where scipy's fails, naming DOP853 and
+    # that pulse time.  At sigma 1 and t0 0, t is tau.
+    tol, ours, theirs, handed = 1e-8, [], [], []
+    steps = dynamics._dop853_steps
 
-    _step_impl = scipy.integrate.DOP853._step_impl
+    def recorded(rhs, *args):
+        handed.append(rhs)
+        return steps(rhs, *args)
 
-    def _estimate_error_norm(self, K, h, scale):
-        return self._error_norm(_E @ K, h, scale)
+    monkeypatch.setattr(dynamics, "_dop853_steps", recorded)
+    monkeypatch.setattr(dynamics, "_error_norm", _scripted(norms, ours))
+    drive = PulseDrive(omega0=np.array([0.5]), sigma=1.0, delta_x=3.5)
+    y0 = dynamics._initial_state(GROUND, 1.0, 0.0)[:, None]
+    decisions, failure = [], None
+    try:
+        for t, _ in dynamics._window_steps(y0, drive, DecayRates(0.004, 0.002),
+                                           NO_DEPH, tau_span, tol):
+            decisions.append((t, len(ours)))
+    except IntegrationError as exc:
+        failure = exc
 
+    class Scripted(scipy.integrate.DOP853):
+        _estimate_error_norm = _scripted(norms, theirs)
 
-def _control_decisions(solver):
-    """(t, h_previous, next h_abs, status, message, steps tried so far)
-    after each step of ``solver``, until it stops running."""
-    decisions = []
+    solver = Scripted(handed[0], tau_span[0], y0.ravel(), tau_span[1],
+                      max_step=(tau_span[1] - tau_span[0]) / 40.0, rtol=tol,
+                      atol=tol)
+    expected = [(solver.t, 0)]
     while solver.status == "running":
         message = solver.step()
-        decisions.append((solver.t, solver.h_previous, solver.h_abs,
-                          solver.status, message, solver.tried))
-    return decisions
-
-
-@pytest.mark.parametrize("norms, t0, t_bound, first_step, status", [
-    # a rejection, then an accepted step that may not grow (min(1, factor)),
-    # then growth by MAX_FACTOR (norm 0) up to max_step, a rejection
-    # followed by norm 0, whose factor is 1, and a last step clipped to
-    # t_bound
-    ([3.0, 0.4, 0.0, 0.5, 0.9, 2.0, 0.0, 1e-3, 0.3], 0.0, 4.5, 0.2,
-     "finished"),
-    # a step clipped to t_bound, integrating backwards
-    ([0.7, 0.0, 0.2, 0.0], 0.5, -0.3, 0.1, "finished"),
-    # rejected down to TOO_SMALL_STEP: h falls below 10 ulp of t
-    ([2.0, 0.0] + [1e30] * 40, 1.0, 4.0, 0.1, "failed"),
-], ids=["reject-grow", "clip", "too-small"])
-def test_dop853_step_control_decides_as_scipys(monkeypatch, norms, t0,
-                                               t_bound, first_step, status):
-    # the step runs scipy's control law on floats: fed the same error norms
-    # (scipy's RungeKutta._step_impl reads them through its error hook),
-    # it takes the same steps to the same t, h_previous and next h_abs, bit
-    # for bit, and fails as scipy's does
-    monkeypatch.setattr(scipy.integrate._ivp.rk, "rk_step",
-                        lambda fun, t, y, f, h, A, B, C, K: (y + h, f))
-
-    class Stock(_ScipysStep, _Scripted):
-        pass
-
-    ours = _control_decisions(_Scripted(norms, t0, t_bound, first_step))
-    theirs = _control_decisions(Stock(norms, t0, t_bound, first_step))
-    assert ours == theirs
-    last_t, _, _, last_status, message, _ = ours[-1]
-    assert len(ours) >= 2 and last_status == status
-    if status == "failed":
-        assert message == _Scripted.TOO_SMALL_STEP
+        if solver.status != "failed":
+            expected.append((solver.t, len(theirs)))
+    assert decisions == expected and len(decisions) >= 2
+    assert len(ours) == len(theirs)
+    assert (failure is not None) == fails == (solver.status == "failed")
+    if fails:
+        assert str(failure) == ("DOP853 integration failed at pulse time "
+                                f"tau = {solver.t:.6g}: {message}")
+        assert failure.t == solver.t
     else:
-        assert last_t == t_bound
+        assert decisions[-1][0] == tau_span[1]
 
 
-def test_dop853_error_estimates_come_from_the_end_product(monkeypatch):
-    # the end product's error rows are scipy's E5 K and E3 K over all 13
-    # stages, up to rounding: E5 and E3 weight K[12] by 0
-    solver, rhs, y0, steps = _recorded_window(
-        monkeypatch, _mixed_batch_off_stiffness, 1e-8)
-    for _ in range(30):
-        next(steps)
-    solver._rk_step(solver.t, solver.y, 0.05)
-    ref = _E @ solver.K
-    assert np.abs(solver._err - ref).max() <= 1e-13 * np.abs(solver.K).max()
-    assert np.abs(ref).max() > 1e-6 * np.abs(solver.K).max()
+def _handed(monkeypatch, drive, deph, decay, method=None):
+    """(name, args): the method ``_window_steps`` chose for the pulse window
+    of ``drive`` and what it handed that method's generator: (rhs,
+    operators, apply, tau, y, tau_end, max_step, tol) for "DOP853", (rhs,
+    jac, ...) for "Radau", forced if ``method`` names one.  Nothing is
+    stepped."""
+    handed = []
 
+    def fake(name):
+        def steps(*args):
+            handed.append((name, args))
+            *_, tau, y, tau_end, max_step, tol = args
+            yield tau_end, y
 
-def _window_rhs(monkeypatch, drive, deph, decay):
-    """The right-hand side ``_window_steps`` hands its method."""
-    captured = []
+        return steps
 
-    class Capture:
-        def __init__(self, fun, *args, **options):
-            captured.append(fun)
-            self.status = "finished"
-
-    monkeypatch.setattr(dynamics, "_window_method", lambda *args: Capture)
+    monkeypatch.setattr(dynamics, "_dop853_steps", fake("DOP853"))
+    monkeypatch.setattr(dynamics, "_radau_steps", fake("Radau"))
+    if method is not None:
+        monkeypatch.setattr(dynamics, "_window_method", lambda *args: method)
     n = np.size(drive.omega0)
     y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
     list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), 1e-8))
-    return captured[0]
+    (name, args), = handed
+    return name, args
 
 
 def _mixed_batch():
@@ -677,7 +701,7 @@ def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
     drive, deph, decay = _mixed_batch()
     r0, rd, rp = _real_generator(drive, decay)
     y = np.random.default_rng(9).normal(size=(11, 6))
-    batch = _window_rhs(monkeypatch, drive, deph, decay)
+    batch = _handed(monkeypatch, drive, deph, decay)[1][0]
     for tau in (-5.0, -4.2, -0.3, 0.0, 1.7, 5.0):
         dy = batch(tau, y.ravel()).reshape(11, 6)
         assert np.isfinite(dy).all()
@@ -691,7 +715,7 @@ def test_window_rhs_applies_the_generator_of_each_drive(monkeypatch):
                 @ y[:, i]
             scale = np.abs(ref).max()
             assert np.abs(dy[:, i] - ref).max() <= 1e-13 * scale
-            alone = _window_rhs(monkeypatch, one, rates, decay)
+            alone = _handed(monkeypatch, one, rates, decay)[1][0]
             assert np.abs(alone(tau, y[:, i]) - ref).max() <= 1e-13 * scale
 
 
@@ -712,25 +736,34 @@ def _mixed_batch_off_stiffness():
     return replace(drive, omega0=omega0), deph, decay
 
 
-def _recorded_window(monkeypatch, window, tol):
-    """(solver, rhs, y0, steps) of ``window``'s DOP853 pulse window: the
-    solver ``_window_steps`` made, the right-hand side it was given, the
-    (11, N) start and the generator of the window's (t, Y) steps."""
+def _stepped_window(monkeypatch, window, tol):
+    """(rhs, y0, accepted, attempts) of ``window``'s DOP853 pulse window
+    over (-5, 5): the right-hand side ``_window_steps`` handed
+    ``_dop853_steps`` and the (11 N,) start; then (tau, y, attempts so far)
+    of each accepted step, and the error estimates (E5 K, E3 K) and h of
+    each attempted one."""
+    handed, accepted, attempts = [], [], []
+    steps = dynamics._dop853_steps
+
+    def recorded(*args):
+        handed.append(args)
+        for tau, y in steps(*args):
+            accepted.append((tau, y, len(attempts)))
+            yield tau, y
+
+    def norm(err, h, scale):
+        attempts.append((err.copy(), h))
+        return _ERROR_NORM(err, h, scale)
+
+    monkeypatch.setattr(dynamics, "_dop853_steps", recorded)
+    monkeypatch.setattr(dynamics, "_error_norm", norm)
     drive, deph, decay = window()
-    made = []
-
-    class Recorded(dynamics.DOP853):
-        def __init__(self, fun, *args, **options):
-            super().__init__(fun, *args, **options)
-            made.append((self, fun))
-
-    monkeypatch.setattr(dynamics, "DOP853", Recorded)
     n = np.size(drive.omega0)
     y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
-    steps = dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), tol)
-    next(steps)
-    (solver, rhs), = made
-    return solver, rhs, y0, steps
+    list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), tol))
+    (rhs, _, _, tau, y, *_), = handed
+    assert tau == -5.0 and np.array_equal(y, y0.ravel())
+    return rhs, y, accepted, attempts
 
 
 def _per_drive(a, n):
@@ -741,68 +774,81 @@ def _per_drive(a, n):
 @pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
                          ids=["one-drive", "mixed-batch"])
 def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
-    # The stage loop takes scipy's steps (rk_step, one call of the
-    # right-hand side per stage, with the same right-hand side and per-drive
-    # norm) up to rounding: its stage sums, one product over [y; K], round
-    # differently.  From the same (t, y, f, h), at each of scipy's accepted
-    # steps, y_new agrees within 1e-14 of each drive's scale (measured
-    # 5.6e-16), and f_new = op(y_new) within 1e-11 of the drive's largest
-    # stage derivative (measured 6.6e-13): the operator's entries, up to
-    # sigma delta_x = 42, exceed the derivatives, which cancel near the
-    # ground state.  Stepped alone, the window takes as many accepted
-    # steps, with as many evaluations, to the same state.  Its pulse times
-    # agree within 1e-7 (measured 5.6e-9): the error estimate E K is a
-    # cancelling sum, which magnifies a stage's rounding into the step size.
+    # The window takes scipy's DOP853 steps, with the same right-hand side
+    # and error norm, up to rounding: one drive those of stock
+    # scipy.integrate.DOP853, a batch those of scipy's step with the
+    # per-drive norm.  It takes as many accepted steps, with as many
+    # evaluations, to the same state.  Its pulse times agree within 1e-7:
+    # the error estimate E K is a cancelling sum, which magnifies a stage's
+    # rounding into the step size.
     tol = 1e-8
-    solver, rhs, y0, steps = _recorded_window(monkeypatch, window, tol)
-    n = y0.shape[1]
-    resync = dynamics.DOP853(rhs, -5.0, y0.ravel(), 5.0,
-                             operators=solver.operators, apply=solver.apply)
+    rhs, y0, accepted, attempts = _stepped_window(monkeypatch, window, tol)
+    n = y0.size // 11
+    dop853 = scipy.integrate.DOP853
+    if n > 1:
+        class PerDrive(dop853):
+            def _estimate_error_norm(self, K, h, scale):
+                return _ERROR_NORM(_E @ K, h, scale)
 
-    class Stock(_ScipysStep, dynamics.DOP853):
-        pass
-
-    stock = Stock(rhs, -5.0, y0.ravel(), 5.0, max_step=0.25, rtol=tol,
-                  atol=tol)
+        dop853 = PerDrive
+    stock = dop853(rhs, -5.0, y0, 5.0, max_step=0.25, rtol=tol, atol=tol)
     stock_taus = [stock.t]
     while stock.status == "running":
-        t, y, resync.f = stock.t, stock.y, stock.f
         stock.step()
         stock_taus.append(stock.t)
-        y_new, f_new = resync._rk_step(t, y, stock.h_previous)
-        assert (_per_drive(y_new - stock.y, n)
-                <= 1e-14 * _per_drive(stock.y, n)).all()
-        assert (_per_drive(f_new - stock.f, n)
-                <= 1e-11 * _per_drive(stock.K, n)).all()
     assert stock.status == "finished"
-    taus = [-5.0] + [solver.t for _ in steps]
+    taus = [-5.0] + [tau for tau, _, _ in accepted]
     assert len(taus) == len(stock_taus)
     assert np.abs(np.subtract(taus, stock_taus)).max() <= 1e-7
-    assert (_per_drive(solver.y - stock.y, n)
+    assert (_per_drive(accepted[-1][1] - stock.y, n)
             <= 1e-13 * _per_drive(stock.y, n)).all()
-    assert solver.nfev == stock.nfev > 12 * (len(taus) - 1)
+    # scipy evaluates the right-hand side twice for its initial step, then
+    # 12 times per attempted step
+    assert stock.nfev == 2 + 12 * len(attempts) > 12 * (len(taus) - 1)
 
 
-def test_dop853_has_no_dense_output(monkeypatch):
-    # a window is read at its accepted steps: its solver keeps no stages
-    # for scipy's interpolant, which fails loudly instead of reading stale
-    # rows
-    solver, rhs, y0, steps = _recorded_window(monkeypatch, _one_drive, 1e-8)
-    for _ in range(3):
-        next(steps)
-    assert solver.t_old < solver.t
-    with pytest.raises(AttributeError, match="K_extended"):
-        solver.dense_output()
+@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
+                         ids=["one-drive", "mixed-batch"])
+def test_dop853_error_estimates_come_from_the_end_product(monkeypatch,
+                                                          window):
+    # From each accepted step's start, scipy's rk_step with the same h
+    # (one call of the right-hand side per stage) gives y_new within 1e-14
+    # of each drive's scale (measured 4.3e-16), and f_new within 1e-11 of
+    # the drive's largest stage derivative (measured 3.8e-13): the
+    # operator's entries, up to sigma delta_x = 42, exceed the
+    # derivatives, which cancel near the ground state.  Its stages K give
+    # the error estimates E5 K and E3 K, over all 13 stages, that the end
+    # product gives over the first 12, as E5 and E3 weight K[12] by 0:
+    # within 1e-11 of the largest stage (measured 4.2e-13), since they
+    # carry the stages' rounding too
+    rhs, y, accepted, attempts = _stepped_window(monkeypatch, window, 1e-8)
+    n, dop853 = y.size // 11, scipy.integrate.DOP853
+    K, tau, largest = np.empty((13, y.size)), -5.0, 0.0
+    for tau_new, y_new, tried in accepted:
+        h = tau_new - tau
+        ref, f_ref = rk_step(rhs, tau, y, rhs(tau, y), h, dop853.A, dop853.B,
+                             dop853.C, K)
+        assert (_per_drive(y_new - ref, n) <= 1e-14 * _per_drive(ref, n)).all()
+        assert (_per_drive(rhs(tau_new, y_new) - f_ref, n)
+                <= 1e-11 * _per_drive(K, n)).all()
+        err, h_tried = attempts[tried - 1]
+        assert h_tried == h
+        assert np.abs(err - _E @ K).max() <= 1e-11 * np.abs(K).max()
+        largest = max(largest, np.abs(_E @ K).max() / np.abs(K).max())
+        tau, y = tau_new, y_new
+    assert largest > 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_window_rhs_returns_a_new_array_each_call(monkeypatch, n):
-    # scipy keeps the derivatives it is given (the solver's f and the stage
-    # rows of K), so a reused output array would change accepted stages
+    # Radau keeps the derivatives it is given (its f and the stages of its
+    # Newton iteration), so a reused output array would change them
     drive = PulseDrive(omega0=np.linspace(0.3, 1.2, n), sigma=4.0,
                        delta_x=3.5)
-    rhs = _window_rhs(monkeypatch, drive, DephasingModel(0.01, 0.0349, 2),
-                      DecayRates(0.004, 0.002))
+    name, (rhs, *_) = _handed(monkeypatch, drive,
+                              DephasingModel(0.01, 0.0349, 2),
+                              DecayRates(0.004, 0.002), method="Radau")
+    assert name == "Radau"
     y = np.random.default_rng(3).normal(size=11 * n)
     first = rhs(-0.4, y)
     kept = first.copy()
@@ -843,24 +889,11 @@ def test_block_jacobian_applies_lindblad_rhs():
 
 def _radau_window(monkeypatch, window):
     """(fun, jac, N): the right-hand side and Jacobian ``_window_steps``
-    hands Radau for ``window`` of N drives, with Radau forced as
-    ``rows_overflow_past_half`` forces it."""
-    monkeypatch.setattr(dynamics, "_RADAU_STEPS", 0.0)
-    monkeypatch.setattr(dynamics, "_RADAU_MIN_STEPS", 0.0)
-    captured = []
-
-    class Capture:
-        def __init__(self, fun, *args, jac=None, **options):
-            captured.append((fun, jac))
-            self.status = "finished"
-
-    monkeypatch.setattr(dynamics, "Radau", Capture)
+    hands Radau for ``window`` of N drives, with Radau forced."""
     drive, deph, decay = window()
-    n = np.size(drive.omega0)
-    y0 = np.repeat(dynamics._initial_state(GROUND, 1.0, 0.0)[:, None], n, 1)
-    list(dynamics._window_steps(y0, drive, decay, deph, (-5.0, 5.0), 1e-8))
-    (fun, jac), = captured
-    return fun, jac, n
+    _, (fun, jac, *_) = _handed(monkeypatch, drive, deph, decay,
+                                method="Radau")
+    return fun, jac, np.size(drive.omega0)
 
 
 @pytest.mark.parametrize("window", [_one_drive, _mixed_batch],

@@ -193,7 +193,7 @@ def test_radau_steps_a_tiny_tolerance_batch_whole(monkeypatch):
                        delta_x=3.5)
     deph = DephasingModel(0.01, np.repeat([0.02, 0.0349], 4), 2)
     p_x, p_b = emission_after_pulse(drive, DECAY, deph, tol=tol)
-    assert sizes == [(8, 8)] and methods == [dynamics.Radau]
+    assert sizes == [(8, 8)] and methods == ["Radau"]
     alone = emission_after_pulse(replace(drive, omega0=drive.omega0[4:]),
                                  DECAY, DephasingModel(0.01, 0.0349, 2),
                                  tol=tol)
