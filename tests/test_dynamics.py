@@ -807,36 +807,38 @@ def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
     assert stock.nfev == 2 + 12 * len(attempts) > 12 * (len(taus) - 1)
 
 
-@pytest.mark.parametrize("window", [_one_drive, _mixed_batch_off_stiffness],
-                         ids=["one-drive", "mixed-batch"])
-def test_dop853_error_estimates_come_from_the_end_product(monkeypatch,
-                                                          window):
-    # From each accepted step's start, scipy's rk_step with the same h
-    # (one call of the right-hand side per stage) gives y_new within 1e-14
-    # of each drive's scale (measured 4.3e-16), and f_new within 1e-11 of
-    # the drive's largest stage derivative (measured 3.8e-13): the
-    # operator's entries, up to sigma delta_x = 42, exceed the
-    # derivatives, which cancel near the ground state.  Its stages K give
-    # the error estimates E5 K and E3 K, over all 13 stages, that the end
-    # product gives over the first 12, as E5 and E3 weight K[12] by 0:
-    # within 1e-11 of the largest stage (measured 4.2e-13), since they
-    # carry the stages' rounding too
-    rhs, y, accepted, attempts = _stepped_window(monkeypatch, window, 1e-8)
-    n, dop853 = y.size // 11, scipy.integrate.DOP853
-    K, tau, largest = np.empty((13, y.size)), -5.0, 0.0
-    for tau_new, y_new, tried in accepted:
-        h = tau_new - tau
-        ref, f_ref = rk_step(rhs, tau, y, rhs(tau, y), h, dop853.A, dop853.B,
-                             dop853.C, K)
-        assert (_per_drive(y_new - ref, n) <= 1e-14 * _per_drive(ref, n)).all()
-        assert (_per_drive(rhs(tau_new, y_new) - f_ref, n)
-                <= 1e-11 * _per_drive(K, n)).all()
-        err, h_tried = attempts[tried - 1]
-        assert h_tried == h
-        assert np.abs(err - _E @ K).max() <= 1e-11 * np.abs(K).max()
-        largest = max(largest, np.abs(_E @ K).max() / np.abs(K).max())
-        tau, y = tau_new, y_new
-    assert largest > 1e-6
+def test_dop853_error_estimates_come_from_the_end_product(monkeypatch):
+    # For one drive and for a mixed batch, from each accepted step's start,
+    # scipy's rk_step with the same h (one call of the right-hand side per
+    # stage) gives y_new within 1e-14 of each drive's scale (measured
+    # 4.3e-16), and f_new within 1e-11 of the drive's largest stage
+    # derivative (measured 3.8e-13): the operator's entries, up to
+    # sigma delta_x = 42, exceed the derivatives, which cancel near the
+    # ground state.  Its stages K give the error estimates E5 K and E3 K,
+    # over all 13 stages, that the end product gives over the first 12, as
+    # E5 and E3 weight K[12] by 0: within 1e-11 of the largest stage
+    # (measured 4.2e-13), since they carry the stages' rounding too
+    dop853 = scipy.integrate.DOP853
+    for window in (_one_drive, _mixed_batch_off_stiffness):
+        with monkeypatch.context() as patched:
+            rhs, y, accepted, attempts = _stepped_window(patched, window,
+                                                         1e-8)
+        n = y.size // 11
+        K, tau, largest = np.empty((13, y.size)), -5.0, 0.0
+        for tau_new, y_new, tried in accepted:
+            h = tau_new - tau
+            ref, f_ref = rk_step(rhs, tau, y, rhs(tau, y), h, dop853.A,
+                                 dop853.B, dop853.C, K)
+            assert (_per_drive(y_new - ref, n)
+                    <= 1e-14 * _per_drive(ref, n)).all()
+            assert (_per_drive(rhs(tau_new, y_new) - f_ref, n)
+                    <= 1e-11 * _per_drive(K, n)).all()
+            err, h_tried = attempts[tried - 1]
+            assert h_tried == h
+            assert np.abs(err - _E @ K).max() <= 1e-11 * np.abs(K).max()
+            largest = max(largest, np.abs(_E @ K).max() / np.abs(K).max())
+            tau, y = tau_new, y_new
+        assert largest > 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 3])
