@@ -813,7 +813,8 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
     ``tol`` then sets only the drift cap.  No renormalization is applied:
     drift beyond 100*tol, a generator that is not finite, or a failed step
     raises IntegrationError with its time.  Every field of ``drive`` and
-    of ``deph`` must be one value, since one trajectory is stored.
+    of ``deph`` must be one value, since one trajectory is stored; a pulse
+    window with width in t but none in pulse time raises ValueError.
     """
     if t_span is None:
         t_span = default_t_span(drive, decay)
@@ -842,9 +843,13 @@ def evolve(rho0: np.ndarray, drive, decay: DecayRates, deph: DephasingModel,
         if a > t0:
             parts.append(_propagate_exactly(gen, parts[-1][1][:, -1], t0, a, cap))
         if b > a:
+            tau_span = ((a - drive.t0) / drive.sigma,
+                        (b - drive.t0) / drive.sigma)
+            if not tau_span[1] > tau_span[0]:  # sigma dwarfs b - a
+                raise ValueError(f"pulse window ({a}, {b}) has no width in "
+                                 "pulse time")
             steps = _window_steps(parts[-1][1][:, -1:], drive, decay, deph,
-                                  ((a - drive.t0) / drive.sigma,
-                                   (b - drive.t0) / drive.sigma), tol)
+                                  tau_span, tol)
             next(steps)  # the start is stored already
             ts, ys = zip(*steps)
             parts.append((np.array(ts, dtype=float), np.hstack(ys)))

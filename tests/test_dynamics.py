@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.integrate import quad
-from scipy.integrate._ivp.rk import rk_step
 from scipy.linalg import expm
 
 from qdtimebin import dynamics
@@ -740,19 +739,32 @@ def _stepped_window(monkeypatch, window, tol):
     """(rhs, y0, accepted, attempts) of ``window``'s DOP853 pulse window
     over (-5, 5): the right-hand side ``_window_steps`` handed
     ``_dop853_steps`` and the (11 N,) start; then (tau, y, attempts so far)
-    of each accepted step, and the error estimates (E5 K, E3 K) and h of
-    each attempted one."""
-    handed, accepted, attempts = [], [], []
+    of each accepted step, and the error estimates (E5 K, E3 K), h and the
+    13 stage derivatives K of each attempted one, K[1:] as the stepper's
+    own ``apply`` wrote them."""
+    handed, accepted, attempts, stages = [], [], [], []
     steps = dynamics._dop853_steps
 
-    def recorded(*args):
-        handed.append(args)
-        for tau, y in steps(*args):
+    def recorded(rhs, operators, apply, tau, y, *rest):
+        handed.append((rhs, operators, apply, tau, y, *rest))
+
+        def recording(op, y_in, out):
+            apply(op, y_in, out)
+            stages.append(out.ravel().copy())
+
+        # K[0]: the derivative at the first step's start, then the end
+        # derivative K[12] of the last accepted step
+        stages.append(rhs(tau, y))
+        for tau, y in steps(rhs, operators, recording, tau, y, *rest):
             accepted.append((tau, y, len(attempts)))
+            stages[:] = [attempts[-1][2][-1]]
             yield tau, y
 
     def norm(err, h, scale):
-        attempts.append((err.copy(), h))
+        # the 12 derivatives of this attempt follow its K[0]
+        K = np.array(stages[-13:])
+        del stages[-12:]
+        attempts.append((err.copy(), h, K))
         return _ERROR_NORM(err, h, scale)
 
     monkeypatch.setattr(dynamics, "_dop853_steps", recorded)
@@ -808,37 +820,43 @@ def test_dop853_steps_as_scipys_stage_loop(monkeypatch, window):
 
 
 def test_dop853_error_estimates_come_from_the_end_product(monkeypatch):
-    # For one drive and for a mixed batch, from each accepted step's start,
-    # scipy's rk_step with the same h (one call of the right-hand side per
-    # stage) gives y_new within 1e-14 of each drive's scale (measured
-    # 4.3e-16), and f_new within 1e-11 of the drive's largest stage
-    # derivative (measured 3.8e-13): the operator's entries, up to
+    # For one drive and for a mixed batch, each attempted step's error
+    # rows are E5 K and E3 K over all 13 of its own stages, up to
+    # rounding (measured: equal), though the end product takes only the
+    # first 12: E5 and E3 weight K[12] by 0.  From each accepted step's
+    # start, scipy's rk_step with the same h (one call of the right-hand
+    # side per stage) gives y_new within 1e-14 of each drive's scale
+    # (measured 4.3e-16), and f_new within 1e-11 of the drive's largest
+    # stage derivative (measured 3.8e-13): the operator's entries, up to
     # sigma delta_x = 42, exceed the derivatives, which cancel near the
-    # ground state.  Its stages K give the error estimates E5 K and E3 K,
-    # over all 13 stages, that the end product gives over the first 12, as
-    # E5 and E3 weight K[12] by 0: within 1e-11 of the largest stage
-    # (measured 4.2e-13), since they carry the stages' rounding too
+    # ground state.
+    # scipy's private rk_step is imported here, so that a scipy release
+    # that moves it fails this test alone
+    from scipy.integrate._ivp.rk import rk_step
+
     dop853 = scipy.integrate.DOP853
     for window in (_one_drive, _mixed_batch_off_stiffness):
         with monkeypatch.context() as patched:
             rhs, y, accepted, attempts = _stepped_window(patched, window,
                                                          1e-8)
+        largest = 0.0
+        for err, _, K in attempts:
+            ref = _E @ K
+            assert np.abs(err - ref).max() <= 1e-13 * np.abs(K).max()
+            largest = max(largest, np.abs(ref).max() / np.abs(K).max())
+        assert largest > 1e-6
         n = y.size // 11
-        K, tau, largest = np.empty((13, y.size)), -5.0, 0.0
+        K, tau = np.empty((13, y.size)), -5.0
         for tau_new, y_new, tried in accepted:
             h = tau_new - tau
+            assert attempts[tried - 1][1] == h
             ref, f_ref = rk_step(rhs, tau, y, rhs(tau, y), h, dop853.A,
                                  dop853.B, dop853.C, K)
             assert (_per_drive(y_new - ref, n)
                     <= 1e-14 * _per_drive(ref, n)).all()
             assert (_per_drive(rhs(tau_new, y_new) - f_ref, n)
                     <= 1e-11 * _per_drive(K, n)).all()
-            err, h_tried = attempts[tried - 1]
-            assert h_tried == h
-            assert np.abs(err - _E @ K).max() <= 1e-11 * np.abs(K).max()
-            largest = max(largest, np.abs(_E @ K).max() / np.abs(K).max())
             tau, y = tau_new, y_new
-        assert largest > 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -1065,6 +1083,16 @@ def test_batch_window_without_width_is_refused():
     drive = PulseDrive(omega0=np.array([0.2]), sigma=12.0, t0=1e300)
     with pytest.raises(ValueError, match="no width"):
         emission_after_pulse(drive, DecayRates(), NO_DEPH)
+
+
+def test_evolve_refuses_a_window_without_width_in_pulse_time():
+    # the window (0, 1) ps of a sigma 1e30 pulse maps to one pulse time:
+    # (0 - t0) / sigma and (1 - t0) / sigma both round to 1
+    drive = PulseDrive(omega0=1e-30, sigma=1e30, t0=-1e30)
+    with pytest.raises(ValueError) as err:
+        evolve(GROUND, drive, DecayRates(), NO_DEPH, t_span=(0.0, 1.0))
+    assert str(err.value) == (
+        "pulse window (0.0, 1.0) has no width in pulse time")
 
 
 def test_evolve_reports_trace_drift_at_start():
